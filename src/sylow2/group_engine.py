@@ -1,7 +1,8 @@
-"""Exhaustive machinery for small finite permutation groups: breadth-first
-closure enumeration, subgroup predicates, commutator / squares / Frattini
-subgroups, generating rank, derived series, and a JSON cache for enumerated
-element sets.
+"""Exhaustive machinery for small finite permutation groups: coset-by-coset
+closure enumeration (Dimino's algorithm, after Butler, Fundamental
+Algorithms for Permutation Groups, 1991), subgroup predicates, commutator /
+squares / Frattini subgroups, generating rank, derived series, and a JSON
+cache for enumerated element sets.
 
 Elements are canonicalized as bytes: byte i holds the 0-based image of point
 i+1. That limits the degree to 255 points and group orders to the
@@ -105,9 +106,14 @@ def perm_of(key: bytes) -> Permutation:
     return Permutation(key)
 
 
+def _table(a: bytes) -> bytes:
+    # a padded to a 256-entry bytes.translate table
+    return a + bytes(256 - len(a))
+
+
 def _mul(a: bytes, b: bytes) -> bytes:
     # composition a after b: image[i] = a[b[i]]
-    return bytes(map(a.__getitem__, b))
+    return b.translate(_table(a))
 
 
 def _inv(a: bytes) -> bytes:
@@ -117,36 +123,60 @@ def _inv(a: bytes) -> bytes:
     return bytes(out)
 
 
-def _closure(gen_keys: Sequence[bytes], degree: int, cap: int) -> set[bytes]:
-    ident = bytes(range(degree))
-    gens = [g for g in dict.fromkeys(gen_keys) if g != ident]
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = bytes(map(x.__getitem__, g))
-                if y not in elements:
-                    if len(elements) >= cap:
-                        raise CapExceededError(cap, len(elements))
-                    elements.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return elements
+def _dimino(
+    candidates: Iterable[bytes], degree: int, cap: int
+) -> tuple[list[bytes], set[bytes]]:
+    """Dimino's algorithm (Butler, Fundamental Algorithms for Permutation
+    Groups, LNCS 559, 1991): close the candidates one at a time, in order.
 
-
-def _reduce_generators(keys: Iterable[bytes], degree: int, cap: int = DEFAULT_CAP) -> list[bytes]:
-    """A small generating subset of the given elements, found greedily over
-    the sorted key list (so the result is deterministic)."""
+    A candidate already in the group built so far is skipped. Otherwise it
+    becomes a generator g, and the closed subgroup H grows to <H, g> by
+    whole cosets {_mul(x, h) : h in H}: only generators times coset
+    representatives are tested, and each new coset is disjoint from the
+    elements already found.
+    Returns the accepted generators and the element set of the group they
+    generate. Raises CapExceededError with partial_count == cap (the count
+    an element-by-element closure stops at) as soon as a coset would take
+    the group past the cap.
+    """
     ident = bytes(range(degree))
+    elements = [ident]
+    members = {ident}
     gens: list[bytes] = []
-    have = {ident}
-    for key in sorted(set(keys)):
-        if key not in have:
-            gens.append(key)
-            have = _closure(gens, degree, cap)
-    return gens
+    tables: list[bytes] = []
+    for g in candidates:
+        if g in members:
+            continue
+        gens.append(g)
+        tables.append(_table(g))
+        subgroup = elements[:]
+        reps = [ident]
+        for r in reps:  # reps grows while it is scanned
+            for t in tables:
+                x = r.translate(t)
+                if x in members:
+                    continue
+                if len(elements) + len(subgroup) > cap:
+                    raise CapExceededError(cap, max(cap, len(elements)))
+                xt = _table(x)
+                coset = [h.translate(xt) for h in subgroup]
+                elements += coset
+                members.update(coset)
+                reps.append(x)
+    return gens, members
+
+
+def _closure(gen_keys: Sequence[bytes], degree: int, cap: int) -> set[bytes]:
+    return _dimino(gen_keys, degree, cap)[1]
+
+
+def _reduce_generators(
+    keys: Iterable[bytes], degree: int, cap: int = DEFAULT_CAP
+) -> tuple[list[bytes], set[bytes]]:
+    """A small generating subset of the given elements, found greedily over
+    the sorted key list (so the result is deterministic), and the element
+    set of the group it generates."""
+    return _dimino(sorted(set(keys)), degree, cap)
 
 
 def _anonymous_genset(name: str, degree: int, keys: Sequence[bytes]) -> GeneratorSet:
@@ -179,18 +209,19 @@ def generate(
     *,
     degree: int | None = None,
 ) -> EnumeratedGroup:
-    """Breadth-first closure of the generators under composition.
+    """Closure of the generators under composition, built coset by coset:
+    each generator not yet in the group extends it by whole cosets of the
+    subgroup the earlier generators span (Dimino's algorithm; Butler 1991).
 
-    The element set is independent of generator order and traversal
-    schedule. Raises CapExceededError (carrying the partial count) instead
-    of silently truncating.
+    The element set is independent of generator order. Raises
+    CapExceededError (carrying the partial count) instead of silently
+    truncating.
     """
     genset, degree = _normalize_generators(gens, degree)
     if not 1 <= degree <= MAX_DEGREE:
         raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
     gen_keys = [key_of(p) for _, p in genset.permutation_entries()]
-    elements = _closure(gen_keys, degree, cap)
-    return EnumeratedGroup(degree, genset, frozenset(elements))
+    return EnumeratedGroup(degree, genset, frozenset(_closure(gen_keys, degree, cap)))
 
 
 def group_from_elements(
@@ -203,8 +234,8 @@ def group_from_elements(
     """Wrap an element set known (or checked) to be a subgroup; a reduced
     generating subset is recorded as the generator set."""
     keyset = frozenset(keys)
-    reduced = _reduce_generators(keyset, degree, cap)
-    if verify and _closure(reduced, degree, cap) != keyset:
+    reduced, closed = _reduce_generators(keyset, degree, cap)
+    if verify and closed != keyset:
         raise ValueError(f"{name!r}: element set is not closed")
     return EnumeratedGroup(degree, _anonymous_genset(name, degree, reduced), keyset)
 
@@ -325,8 +356,7 @@ def commutator_subgroup(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> Enumerate
             if c != ident:
                 comms.add(c)
     orbit = _conjugation_orbit(comms, gen_keys, G.degree, cap) if comms else set()
-    reduced = _reduce_generators(orbit | {ident}, G.degree, cap)
-    elements = _closure(reduced, G.degree, cap)
+    reduced, elements = _reduce_generators(orbit | {ident}, G.degree, cap)
     name = f"commutators({G.generators.name})"
     return EnumeratedGroup(G.degree, _anonymous_genset(name, G.degree, reduced), frozenset(elements))
 
@@ -335,8 +365,7 @@ def squares_subgroup(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> EnumeratedGr
     """The subgroup generated by the squares of all elements. The square set
     is conjugation-closed, so no normal closure step is needed."""
     squares = {_mul(x, x) for x in G.elements}
-    reduced = _reduce_generators(squares, G.degree, cap)
-    elements = _closure(reduced, G.degree, cap)
+    reduced, elements = _reduce_generators(squares, G.degree, cap)
     name = f"squares({G.generators.name})"
     return EnumeratedGroup(G.degree, _anonymous_genset(name, G.degree, reduced), frozenset(elements))
 
@@ -356,8 +385,7 @@ def frattini_subgroup(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> EnumeratedG
                                [key_of(p) for _, p in squares.generators.permutation_entries()]),
                                squares.elements)
     union = squares.elements | commutators.elements
-    reduced = _reduce_generators(union, G.degree, cap)
-    elements = _closure(reduced, G.degree, cap)
+    reduced, elements = _reduce_generators(union, G.degree, cap)
     return EnumeratedGroup(G.degree, _anonymous_genset(name, G.degree, reduced), frozenset(elements))
 
 
@@ -369,10 +397,6 @@ def quotient_rank(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> int:
     if remainder or index & (index - 1):
         raise ValueError(f"Frattini index {G.order}/{phi.order} is not a power of 2")
     return index.bit_length() - 1
-
-
-def minimal_rank(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> int:
-    return quotient_rank(G, cap)
 
 
 def derived_series(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> list[EnumeratedGroup]:
@@ -502,8 +526,7 @@ def verify_group_closure(keys: Iterable[bytes], degree: int) -> bool:
         return False
     cap = len(keyset) + 1
     try:
-        reduced = _reduce_generators(keyset, degree, cap)
-        return _closure(reduced, degree, cap) == keyset
+        return _reduce_generators(keyset, degree, cap)[1] == keyset
     except CapExceededError:
         return False
 
@@ -524,13 +547,25 @@ def load_group(path: Path | str, trust_cache: bool = False) -> EnumeratedGroup:
     unless trust_cache is set (the reduced generating set is computed either
     way, since the group needs generators to be usable)."""
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError("cache payload is not a JSON object")
     if payload.get("format") != CACHE_FORMAT:
         raise ValueError(f"unsupported cache format {payload.get('format')!r}")
-    degree = payload["degree"]
+    missing = sorted({"degree", "order", "elements"} - payload.keys())
+    if missing:
+        raise ValueError(f"cache payload lacks {', '.join(missing)}")
+    degree, order, hexes = payload["degree"], payload["order"], payload["elements"]
+    label = payload.get("label", "cached")
+    if type(degree) is not int or type(order) is not int:
+        raise ValueError("cache degree and order must be integers")
     if not 1 <= degree <= MAX_DEGREE:
         raise ValueError(f"bad degree {degree}")
-    keys = [bytes.fromhex(h) for h in payload["elements"]]
-    if len(keys) != payload["order"]:
+    if not isinstance(hexes, list) or not all(isinstance(h, str) for h in hexes):
+        raise ValueError("cache elements must be a list of hex strings")
+    if not isinstance(label, str):
+        raise ValueError("cache label must be a string")
+    keys = [bytes.fromhex(h) for h in hexes]
+    if len(keys) != order:
         raise ValueError("order field disagrees with element count")
     for k in keys:
         if len(k) != degree or len(set(k)) != degree:
@@ -541,10 +576,9 @@ def load_group(path: Path | str, trust_cache: bool = False) -> EnumeratedGroup:
     if bytes(range(degree)) not in keyset:
         raise ValueError("cached element set lacks the identity")
     try:
-        reduced = _reduce_generators(keyset, degree, len(keyset) + 1)
-        if not trust_cache and _closure(reduced, degree, len(keyset) + 1) != keyset:
+        reduced, closed = _reduce_generators(keyset, degree, len(keyset) + 1)
+        if not trust_cache and closed != keyset:
             raise ValueError("cached element set is not closed under composition")
     except CapExceededError:
         raise ValueError("cached element set is not closed under composition") from None
-    label = payload.get("label", "cached")
     return EnumeratedGroup(degree, _anonymous_genset(label, degree, reduced), keyset)

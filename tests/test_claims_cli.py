@@ -5,6 +5,8 @@ import pytest
 
 from sylow2 import __version__, cli
 from sylow2 import claims as cl
+from sylow2 import group_engine as ge
+from sylow2.sylow_builders import s_beta
 
 
 @lru_cache(maxsize=1)
@@ -71,6 +73,47 @@ def test_tree_group_uses_cache_dir(tmp_path):
     cache_file.write_text("{not json")
     ctx3 = cl.ClaimContext(max_k=3, cache_dir=tmp_path)
     assert cl.tree_group(ctx3, 3).order == 64
+
+
+def _g3_payload(**changes):
+    G = ge.generate(s_beta(3))
+    payload = {
+        "format": ge.CACHE_FORMAT, "degree": 8, "label": "G_3", "order": 64,
+        "elements": sorted(k.hex() for k in G.elements),
+    }
+    payload.update(changes)
+    return payload
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        _g3_payload(degree="8"),
+        {k: v for k, v in _g3_payload().items() if k != "elements"},
+        [_g3_payload()],
+        _g3_payload(order="64"),
+        _g3_payload(order=True, elements=[bytes(range(8)).hex()]),
+        _g3_payload(elements="00"),
+        _g3_payload(elements=[0, 1]),
+        _g3_payload(label=["G_3"]),
+    ],
+    ids=[
+        "string-degree", "missing-elements", "top-level-list", "string-order",
+        "bool-order", "elements-not-list", "element-not-string", "label-not-string",
+    ],
+)
+def test_malformed_cache_file_is_rebuilt(payload, tmp_path, monkeypatch, capsys):
+    cache_file = tmp_path / "G_3.json"
+    cache_file.write_text(json.dumps(payload))
+    with pytest.raises(ValueError):
+        ge.load_group(cache_file)
+    monkeypatch.setenv(cli.ENV_CACHE_DIR, str(tmp_path))
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--claim", "order-gk", "--json", str(out)]) == 0
+    capsys.readouterr()
+    report = cl.VerificationReport.from_json(out.read_text())
+    assert report.claims[0].status == "pass"
+    assert ge.load_group(cache_file).order == 64
 
 
 def test_resolve_claim_id_case_insensitive():

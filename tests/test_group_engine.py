@@ -157,7 +157,7 @@ def test_frattini_rejects_non_two_group():
 def test_quotient_and_minimal_rank():
     assert ge.quotient_rank(_G(2)) == 2
     assert ge.quotient_rank(_G(3)) == 3
-    assert ge.minimal_rank(_G(4)) == 4
+    assert ge.quotient_rank(_G(4)) == 4
 
 
 def test_frattini_quotient_has_exponent_two():
