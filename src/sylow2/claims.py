@@ -13,7 +13,6 @@ import json
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from pathlib import Path
 from random import Random
 from typing import Callable
 
@@ -112,8 +111,6 @@ class ClaimContext:
     max_n: int = 12
     cap: int = DEFAULT_CAP
     seed: int = 0
-    cache_dir: Path | None = None
-    trust_cache: bool = False
     _groups: dict[str, EnumeratedGroup] = field(default_factory=dict)
 
     def parameters(self) -> dict:
@@ -126,30 +123,11 @@ class ClaimContext:
 
 
 def tree_group(ctx: ClaimContext, k: int) -> EnumeratedGroup:
-    """The enumerated group of s_beta(k), memoized per run and optionally
-    persisted in the group cache directory."""
+    """The enumerated group of s_beta(k), memoized per run."""
     label = f"G_{k}"
-    if label in ctx._groups:
-        return ctx._groups[label]
-    path = ctx.cache_dir / f"{label}.json" if ctx.cache_dir else None
-    group = None
-    if path is not None and path.exists():
-        try:
-            cached = group_engine.load_group(path, trust_cache=ctx.trust_cache)
-            if cached.degree == 1 << k:
-                group = cached
-        except (ValueError, OSError, json.JSONDecodeError):
-            group = None
-    if group is None:
-        group = group_engine.generate(sylow_builders.s_beta(k), cap=ctx.cap)
-        if path is not None:
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                group_engine.save_group(group, path, label=label)
-            except OSError:
-                pass
-    ctx._groups[label] = group
-    return group
+    if label not in ctx._groups:
+        ctx._groups[label] = group_engine.generate(sylow_builders.s_beta(k), cap=ctx.cap)
+    return ctx._groups[label]
 
 
 def _k_range(ctx: ClaimContext) -> range:

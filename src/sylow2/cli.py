@@ -2,29 +2,19 @@
 the claim verification harness with JSON reports.
 
 Exit codes: 0 all requested checks passed, 1 at least one claim failed (or,
-with --strict, was skipped over the cap), 2 usage or parameter error.
+with --strict, was skipped over the cap), 2 usage or parameter error, or a
+--json path that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import __version__, claims, group_engine, sylow_builders, tree_core
 from .perm_core import cycle_notation
-
-ENV_CACHE_DIR = "SYLOW2_CACHE_DIR"
-
-
-def _default_cache_dir() -> Path:
-    env = os.environ.get(ENV_CACHE_DIR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "sylow2"
-
 
 def _write_json(path: str, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -108,8 +98,10 @@ def _cmd_gens(args) -> int:
 def _cmd_verify(args) -> int:
     max_k = args.k if args.k is not None else args.max_k
     max_n = args.n if args.n is not None else args.max_n
-    if max_k < 2:
-        print(f"error: k must be at least 2, got {max_k}", file=sys.stderr)
+    # s_beta(k) acts on 2^k points, and a group key holds at most MAX_DEGREE of them
+    max_k_limit = group_engine.MAX_DEGREE.bit_length() - 1
+    if not 2 <= max_k <= max_k_limit:
+        print(f"error: k must be in 2..{max_k_limit}, got {max_k}", file=sys.stderr)
         return 2
     if max_n < 1 or args.cap < 1:
         print("error: --max-n and --cap must be positive", file=sys.stderr)
@@ -128,15 +120,7 @@ def _cmd_verify(args) -> int:
         print("error: pass --claim <id> or --all", file=sys.stderr)
         return 2
 
-    cache_dir = Path(args.cache) if args.cache else _default_cache_dir()
-    ctx = claims.ClaimContext(
-        max_k=max_k,
-        max_n=max_n,
-        cap=args.cap,
-        seed=args.seed,
-        cache_dir=cache_dir,
-        trust_cache=args.trust_cache,
-    )
+    ctx = claims.ClaimContext(max_k=max_k, max_n=max_n, cap=args.cap, seed=args.seed)
     report = claims.run_claims(ids, ctx, version=__version__)
     for record in report.claims:
         print(f"{record.status:<12} {record.claim_id:<20} {record.runtime_ms:>6} ms")
@@ -192,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--strict", action="store_true",
                           help="treat skipped-cap claims as failures")
-    p_verify.add_argument("--cache", metavar="DIR")
-    p_verify.add_argument("--trust-cache", action="store_true", dest="trust_cache")
     p_verify.add_argument("--json", metavar="PATH")
     p_verify.set_defaults(func=_cmd_verify)
     return parser
@@ -207,10 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except group_engine.CapExceededError as exc:
+    except (ValueError, OSError, group_engine.CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,7 @@
 """Exhaustive machinery for small finite permutation groups: coset-by-coset
 closure enumeration (Dimino's algorithm, after Butler, Fundamental
 Algorithms for Permutation Groups, 1991), subgroup predicates, commutator /
-squares / Frattini subgroups, generating rank, derived series, and a JSON
-cache for enumerated element sets.
+squares / Frattini subgroups, generating rank and derived series.
 
 Elements are canonicalized as bytes: byte i holds the 0-based image of point
 i+1. That limits the degree to 255 points and group orders to the
@@ -13,18 +12,15 @@ read-only, so values can be shared freely across threads.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from . import tree_core
 from .perm_core import Permutation
 
 DEFAULT_CAP = 1 << 20
-CACHE_FORMAT = "sylow2-group-v1"
 MAX_DEGREE = 255
 
 GeneratorElement = Union[Permutation, tree_core.Portrait]
@@ -517,68 +513,3 @@ def even_subgroup(G: EnumeratedGroup, name: str | None = None) -> EnumeratedGrou
     evens = {k for k in G.elements if key_is_even(k)}
     label = name if name is not None else f"even({G.generators.name})"
     return group_from_elements(evens, G.degree, label, verify=False)
-
-
-def verify_group_closure(keys: Iterable[bytes], degree: int) -> bool:
-    """Whether the key set is exactly a subgroup of S_degree."""
-    keyset = set(keys)
-    if bytes(range(degree)) not in keyset:
-        return False
-    cap = len(keyset) + 1
-    try:
-        return _reduce_generators(keyset, degree, cap)[1] == keyset
-    except CapExceededError:
-        return False
-
-
-def save_group(G: EnumeratedGroup, path: Path | str, label: str | None = None) -> None:
-    payload = {
-        "format": CACHE_FORMAT,
-        "degree": G.degree,
-        "label": label if label is not None else G.generators.name,
-        "order": G.order,
-        "elements": sorted(k.hex() for k in G.elements),
-    }
-    Path(path).write_text(json.dumps(payload, indent=0, sort_keys=True) + "\n")
-
-
-def load_group(path: Path | str, trust_cache: bool = False) -> EnumeratedGroup:
-    """Read a cached group. The element set is re-verified to be closed
-    unless trust_cache is set (the reduced generating set is computed either
-    way, since the group needs generators to be usable)."""
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict):
-        raise ValueError("cache payload is not a JSON object")
-    if payload.get("format") != CACHE_FORMAT:
-        raise ValueError(f"unsupported cache format {payload.get('format')!r}")
-    missing = sorted({"degree", "order", "elements"} - payload.keys())
-    if missing:
-        raise ValueError(f"cache payload lacks {', '.join(missing)}")
-    degree, order, hexes = payload["degree"], payload["order"], payload["elements"]
-    label = payload.get("label", "cached")
-    if type(degree) is not int or type(order) is not int:
-        raise ValueError("cache degree and order must be integers")
-    if not 1 <= degree <= MAX_DEGREE:
-        raise ValueError(f"bad degree {degree}")
-    if not isinstance(hexes, list) or not all(isinstance(h, str) for h in hexes):
-        raise ValueError("cache elements must be a list of hex strings")
-    if not isinstance(label, str):
-        raise ValueError("cache label must be a string")
-    keys = [bytes.fromhex(h) for h in hexes]
-    if len(keys) != order:
-        raise ValueError("order field disagrees with element count")
-    for k in keys:
-        if len(k) != degree or len(set(k)) != degree:
-            raise ValueError("corrupt element entry")
-    keyset = frozenset(keys)
-    if len(keyset) != len(keys):
-        raise ValueError("duplicate elements in cache")
-    if bytes(range(degree)) not in keyset:
-        raise ValueError("cached element set lacks the identity")
-    try:
-        reduced, closed = _reduce_generators(keyset, degree, len(keyset) + 1)
-        if not trust_cache and closed != keyset:
-            raise ValueError("cached element set is not closed under composition")
-    except CapExceededError:
-        raise ValueError("cached element set is not closed under composition") from None
-    return EnumeratedGroup(degree, _anonymous_genset(label, degree, reduced), keyset)

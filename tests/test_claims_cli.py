@@ -1,12 +1,11 @@
 import json
+import os
 from functools import lru_cache
 
 import pytest
 
 from sylow2 import __version__, cli
 from sylow2 import claims as cl
-from sylow2 import group_engine as ge
-from sylow2.sylow_builders import s_beta
 
 
 @lru_cache(maxsize=1)
@@ -58,62 +57,25 @@ def test_small_cap_yields_skipped_not_failed():
     assert report.exit_code(strict=True) == 1
 
 
-def test_tree_group_uses_cache_dir(tmp_path):
-    ctx = cl.ClaimContext(max_k=3, cache_dir=tmp_path)
-    G = cl.tree_group(ctx, 3)
-    assert G.order == 64
-    cache_file = tmp_path / "G_3.json"
-    assert cache_file.exists()
-
-    # the cached copy is picked up by a fresh context
-    ctx2 = cl.ClaimContext(max_k=3, cache_dir=tmp_path)
-    assert cl.tree_group(ctx2, 3).elements == G.elements
-
-    # a corrupt cache entry falls back to a rebuild
-    cache_file.write_text("{not json")
-    ctx3 = cl.ClaimContext(max_k=3, cache_dir=tmp_path)
-    assert cl.tree_group(ctx3, 3).order == 64
-
-
-def _g3_payload(**changes):
-    G = ge.generate(s_beta(3))
-    payload = {
-        "format": ge.CACHE_FORMAT, "degree": 8, "label": "G_3", "order": 64,
-        "elements": sorted(k.hex() for k in G.elements),
-    }
-    payload.update(changes)
-    return payload
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        _g3_payload(degree="8"),
-        {k: v for k, v in _g3_payload().items() if k != "elements"},
-        [_g3_payload()],
-        _g3_payload(order="64"),
-        _g3_payload(order=True, elements=[bytes(range(8)).hex()]),
-        _g3_payload(elements="00"),
-        _g3_payload(elements=[0, 1]),
-        _g3_payload(label=["G_3"]),
-    ],
-    ids=[
-        "string-degree", "missing-elements", "top-level-list", "string-order",
-        "bool-order", "elements-not-list", "element-not-string", "label-not-string",
-    ],
-)
-def test_malformed_cache_file_is_rebuilt(payload, tmp_path, monkeypatch, capsys):
-    cache_file = tmp_path / "G_3.json"
-    cache_file.write_text(json.dumps(payload))
-    with pytest.raises(ValueError):
-        ge.load_group(cache_file)
-    monkeypatch.setenv(cli.ENV_CACHE_DIR, str(tmp_path))
+def test_verify_ignores_old_cache_and_writes_no_files(tmp_path, monkeypatch, capsys):
+    # a trivial group stored where earlier versions kept their group cache,
+    # and which they read back as G_3 (order 1 instead of 64)
+    for name in [n for n in os.environ if n.startswith("SYLOW2_")]:
+        monkeypatch.delenv(name)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / ".cache"))
+    old_cache = tmp_path / ".cache" / "sylow2"
+    old_cache.mkdir(parents=True)
+    (old_cache / "G_3.json").write_text(json.dumps({
+        "format": "sylow2-group-v1", "degree": 8, "label": "G_3", "order": 1,
+        "elements": [bytes(range(8)).hex()],
+    }))
+    before = set(tmp_path.rglob("*"))
     out = tmp_path / "r.json"
     assert cli.main(["verify", "--claim", "order-gk", "--json", str(out)]) == 0
     capsys.readouterr()
-    report = cl.VerificationReport.from_json(out.read_text())
-    assert report.claims[0].status == "pass"
-    assert ge.load_group(cache_file).order == 64
+    assert cl.VerificationReport.from_json(out.read_text()).claims[0].status == "pass"
+    assert set(tmp_path.rglob("*")) - before == {out}
 
 
 def test_resolve_claim_id_case_insensitive():
@@ -196,7 +158,7 @@ def test_cli_gens_json(tmp_path, capsys):
 def test_cli_verify_single_claim(tmp_path, capsys):
     code = cli.main([
         "verify", "--claim", "order-Gk", "--k", "3",
-        "--cache", str(tmp_path), "--json", str(tmp_path / "r.json"),
+        "--json", str(tmp_path / "r.json"),
     ])
     out = capsys.readouterr().out
     assert code == 0
@@ -221,10 +183,36 @@ def test_cli_verify_bad_parameters(capsys):
     capsys.readouterr()
     assert cli.main(["verify", "--all", "--max-n", "0"]) == 2
     capsys.readouterr()
+    # 2^8 points no longer fit in a group key: refused before any claim runs
+    assert cli.main(["verify", "--all", "--max-k", "8", "--cap", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert "2..7" in captured.err
+    assert captured.out == ""
+    # the deepest accepted k: groups past the cap are skipped, not failed
+    assert cli.main(["verify", "--all", "--max-k", "7", "--cap", "1000"]) == 0
+    out = capsys.readouterr().out
+    assert ", 0 fail, " in out
+    assert not any(line.startswith("fail") for line in out.splitlines())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["order", "--n", "8", "--kind", "A"],
+        ["decompose", "--n", "22"],
+        ["gens", "--k", "2", "--family", "s_alpha"],
+        ["verify", "--claim", "order-gk", "--k", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_unwritable_json_path_is_a_usage_error(argv, tmp_path, capsys):
+    assert cli.main(argv + ["--json", str(tmp_path / "missing" / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_verify_strict_with_small_cap(tmp_path, capsys):
-    args = ["verify", "--claim", "order-gk", "--cap", "32", "--cache", str(tmp_path)]
+    args = ["verify", "--claim", "order-gk", "--cap", "32"]
     assert cli.main(args) == 0
     capsys.readouterr()
     assert cli.main(args + ["--strict"]) == 1
@@ -238,19 +226,12 @@ def test_cli_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
-def test_default_cache_dir_honors_env(monkeypatch, tmp_path):
-    monkeypatch.setenv(cli.ENV_CACHE_DIR, str(tmp_path / "envcache"))
-    assert cli._default_cache_dir() == tmp_path / "envcache"
-    monkeypatch.delenv(cli.ENV_CACHE_DIR)
-    assert cli._default_cache_dir().name == "sylow2"
-
-
 def test_cli_verify_deterministic_report(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
         code = cli.main([
             "verify", "--claim", "t-nonclosure",
-            "--cache", str(tmp_path), "--json", str(path), "--seed", "0",
+            "--json", str(path), "--seed", "0",
         ])
         assert code == 0
         capsys.readouterr()

@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 
 import pytest
@@ -295,58 +294,14 @@ def test_even_subgroup_of_syl2_s4():
 
 def test_group_from_elements_rejects_non_closed_sets():
     G = _G(2)
+    assert ge.group_from_elements(G.elements, 4, "G_2").elements == G.elements
     broken = set(G.elements)
     broken.discard(max(broken))
     broken.add(bytes((1, 0, 2, 3)))
-    with pytest.raises(ValueError):
-        ge.group_from_elements(broken, 4, "broken")
-
-
-def test_cache_round_trip(tmp_path):
-    G = _G(3)
-    path = tmp_path / "G_3.json"
-    ge.save_group(G, path, label="G_3")
-    loaded = ge.load_group(path)
-    assert loaded.elements == G.elements
-    assert loaded.degree == G.degree
-    assert loaded.generators.name == "G_3"
-    trusted = ge.load_group(path, trust_cache=True)
-    assert trusted.elements == G.elements
-
-
-def test_cache_detects_tampering(tmp_path):
-    G = _G(2)
-    path = tmp_path / "G_2.json"
-    ge.save_group(G, path)
-    payload = json.loads(path.read_text())
-
-    damaged = dict(payload)
-    damaged["elements"] = payload["elements"][:-1]
-    damaged["order"] = len(damaged["elements"])
-    path.write_text(json.dumps(damaged))
-    with pytest.raises(ValueError):
-        ge.load_group(path)
-
-    bad_format = dict(payload)
-    bad_format["format"] = "something-else"
-    path.write_text(json.dumps(bad_format))
-    with pytest.raises(ValueError):
-        ge.load_group(path)
-
-    bad_order = dict(payload)
-    bad_order["order"] = 99
-    path.write_text(json.dumps(bad_order))
-    with pytest.raises(ValueError):
-        ge.load_group(path)
-
-
-def test_verify_group_closure():
-    G = _G(2)
-    assert ge.verify_group_closure(G.elements, 4)
-    assert not ge.verify_group_closure(set(), 4)
-    almost = set(G.elements)
-    almost.remove(G.identity_key)
-    assert not ge.verify_group_closure(almost, 4)
+    without_identity = set(G.elements) - {G.identity_key}
+    for keys in (broken, set(), without_identity):
+        with pytest.raises(ValueError):
+            ge.group_from_elements(keys, 4, "broken")
 
 
 def test_generator_set_validation():
