@@ -105,13 +105,14 @@ class VerificationReport:
 
 @dataclass
 class ClaimContext:
-    """Shared parameters for a verification run, plus an in-run group memo."""
+    """Shared parameters for a verification run, plus an in-run memo of the
+    tree groups and of the cap errors their enumeration raised."""
 
     max_k: int = 4
     max_n: int = 12
     cap: int = DEFAULT_CAP
     seed: int = 0
-    _groups: dict[str, EnumeratedGroup] = field(default_factory=dict)
+    _groups: dict[str, EnumeratedGroup | CapExceededError] = field(default_factory=dict)
 
     def parameters(self) -> dict:
         return {
@@ -123,11 +124,19 @@ class ClaimContext:
 
 
 def tree_group(ctx: ClaimContext, k: int) -> EnumeratedGroup:
-    """The enumerated group of s_beta(k), memoized per run."""
+    """The enumerated group of s_beta(k), memoized per run. A group past the
+    cap is enumerated once: later calls raise the same CapExceededError."""
     label = f"G_{k}"
     if label not in ctx._groups:
-        ctx._groups[label] = group_engine.generate(sylow_builders.s_beta(k), cap=ctx.cap)
-    return ctx._groups[label]
+        try:
+            ctx._groups[label] = group_engine.generate(sylow_builders.s_beta(k), cap=ctx.cap)
+        except CapExceededError as exc:
+            ctx._groups[label] = exc
+    found = ctx._groups[label]
+    if isinstance(found, CapExceededError):
+        # drop the previous traceback: its frames hold the partial enumeration
+        raise found.with_traceback(None)
+    return found
 
 
 def _k_range(ctx: ClaimContext) -> range:

@@ -120,6 +120,10 @@ def _cmd_verify(args) -> int:
         print("error: pass --claim <id> or --all", file=sys.stderr)
         return 2
 
+    if args.json:
+        # fail on an unwritable path now, not after every claim has run
+        with open(args.json, "a"):
+            pass
     ctx = claims.ClaimContext(max_k=max_k, max_n=max_n, cap=args.cap, seed=args.seed)
     report = claims.run_claims(ids, ctx, version=__version__)
     for record in report.claims:

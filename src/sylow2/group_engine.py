@@ -6,15 +6,20 @@ squares / Frattini subgroups, generating rank and derived series.
 Elements are canonicalized as bytes: byte i holds the 0-based image of point
 i+1. That limits the degree to 255 points and group orders to the
 enumeration cap (default 2^20), which is all the desk-scale checks need.
-Enumerated groups are immutable after construction and every query here is
-read-only, so values can be shared freely across threads.
+An enumerated group's degree, generators and element set never change after
+construction. Each EnumeratedGroup also memoizes its commutator and Frattini
+subgroups, so the Frattini rank, the derived series and the fingerprint
+reuse what an earlier query built. Concurrent queries on one group may build
+a memo entry twice, but an entry is stored whole, so none of them observes a
+partial value.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import wraps
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from . import tree_core
@@ -77,6 +82,10 @@ class EnumeratedGroup:
     degree: int
     generators: GeneratorSet
     elements: frozenset[bytes]
+    # subgroups built from this group, by construction name (see _memoized)
+    _memo: dict[str, EnumeratedGroup] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def order(self) -> int:
@@ -102,9 +111,12 @@ def perm_of(key: bytes) -> Permutation:
     return Permutation(key)
 
 
+# _PADS[n] pads an n-byte key to a 256-entry bytes.translate table
+_PADS = tuple(bytes(256 - n) for n in range(MAX_DEGREE + 1))
+
+
 def _table(a: bytes) -> bytes:
-    # a padded to a 256-entry bytes.translate table
-    return a + bytes(256 - len(a))
+    return a + _PADS[len(a)]
 
 
 def _mul(a: bytes, b: bytes) -> bytes:
@@ -336,6 +348,27 @@ def _conjugation_orbit(
     return orbit
 
 
+def _memoized(build):
+    """Keep the subgroup build(G, cap) in G's memo.
+
+    The memo is read and written only when cap >= G.order: no subgroup of G
+    can pass such a cap, so the result cannot depend on it. A smaller cap
+    builds afresh, so CapExceededError keeps its partial count.
+    """
+
+    @wraps(build)
+    def construct(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> EnumeratedGroup:
+        if cap < G.order:
+            return build(G, cap)
+        found = G._memo.get(build.__name__)
+        if found is None:
+            found = G._memo[build.__name__] = build(G, cap)
+        return found
+
+    return construct
+
+
+@_memoized
 def commutator_subgroup(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> EnumeratedGroup:
     """[G, G], built as the normal closure of the generator-pair commutators.
 
@@ -360,12 +393,15 @@ def commutator_subgroup(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> Enumerate
 def squares_subgroup(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> EnumeratedGroup:
     """The subgroup generated by the squares of all elements. The square set
     is conjugation-closed, so no normal closure step is needed."""
-    squares = {_mul(x, x) for x in G.elements}
+    pad = _PADS[G.degree]
+    # x + pad is x's translate table, so x.translate(x + pad) == _mul(x, x)
+    squares = {x.translate(x + pad) for x in G.elements}
     reduced, elements = _reduce_generators(squares, G.degree, cap)
     name = f"squares({G.generators.name})"
     return EnumeratedGroup(G.degree, _anonymous_genset(name, G.degree, reduced), frozenset(elements))
 
 
+@_memoized
 def frattini_subgroup(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> EnumeratedGroup:
     """Frattini subgroup of a finite 2-group: the subgroup generated by all
     squares and commutators. Whether the squares alone already absorb the
@@ -466,7 +502,18 @@ def element_order(x: Permutation | bytes) -> int:
 
 
 def exponent(G: EnumeratedGroup) -> int:
-    return math.lcm(*(element_order(k) for k in G.elements))
+    """The least common multiple of the element orders. In a 2-group every
+    element order is a power of two, so the exponent is 2^s for the number s
+    of times the element set must be squared to leave only the identity."""
+    if G.order & (G.order - 1):
+        return math.lcm(*(element_order(k) for k in G.elements))
+    pad = _PADS[G.degree]
+    level = G.elements
+    steps = 0
+    while len(level) > 1:
+        level = {x.translate(x + pad) for x in level}
+        steps += 1
+    return 1 << steps
 
 
 def is_abelian(G: EnumeratedGroup) -> bool:
@@ -475,10 +522,16 @@ def is_abelian(G: EnumeratedGroup) -> bool:
 
 
 def center_size(G: EnumeratedGroup) -> int:
-    gen_keys = [key_of(p) for _, p in G.generators.permutation_entries()]
-    return sum(
-        1 for x in G.elements if all(_mul(x, g) == _mul(g, x) for g in gen_keys)
-    )
+    """The number of elements that commute with every generator, found by
+    filtering the elements through one generator's centralizer at a time."""
+    pad = _PADS[G.degree]
+    center = list(G.elements)
+    for _, p in G.generators.permutation_entries():
+        g = key_of(p)
+        g_table = g + pad
+        # _mul(x, g) == _mul(g, x)
+        center = [x for x in center if g.translate(x + pad) == x.translate(g_table)]
+    return len(center)
 
 
 def fingerprint(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> dict[str, int | bool]:

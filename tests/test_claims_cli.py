@@ -1,5 +1,6 @@
 import json
 import os
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -55,6 +56,29 @@ def test_small_cap_yields_skipped_not_failed():
     assert record.witnesses["skipped"]
     assert report.exit_code() == 0
     assert report.exit_code(strict=True) == 1
+
+
+def test_tree_groups_are_enumerated_once_per_k_even_past_the_cap(monkeypatch):
+    builds = Counter()
+    generate = cl.group_engine.generate
+
+    def counting_generate(gens, *args, **kwargs):
+        name = getattr(gens, "name", "")
+        if name.startswith("S_beta"):
+            builds[name] += 1
+        return generate(gens, *args, **kwargs)
+
+    monkeypatch.setattr(cl.group_engine, "generate", counting_generate)
+    report = cl.run_claims(cl.claim_ids(), cl.ClaimContext(max_k=4, cap=1000), version=__version__)
+    # G_4 (order 16384) passes the cap; every claim that reaches k = 4 gets
+    # the one cap error its enumeration raised
+    assert builds == {f"S_beta(k={k})": 1 for k in (2, 3, 4)}
+    skipped_at_k4 = {
+        c.claim_id
+        for c in report.claims
+        if {"k": 4, "partial_count": 1000} in c.witnesses.get("skipped", [])
+    }
+    assert skipped_at_k4 == {"evenness", "frattini-level", "minimality", "order-gk", "semidirect"}
 
 
 def test_verify_ignores_old_cache_and_writes_no_files(tmp_path, monkeypatch, capsys):
@@ -207,8 +231,11 @@ def test_cli_verify_bad_parameters(capsys):
 )
 def test_cli_unwritable_json_path_is_a_usage_error(argv, tmp_path, capsys):
     assert cli.main(argv + ["--json", str(tmp_path / "missing" / "x.json")]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1
+    if argv[0] == "verify":
+        # the path is checked before any claim runs
+        assert out == ""
 
 
 def test_cli_verify_strict_with_small_cap(tmp_path, capsys):

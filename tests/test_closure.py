@@ -8,9 +8,6 @@ from hypothesis import given, settings, strategies as st
 from sylow2 import group_engine as ge
 from sylow2.sylow_builders import s_beta
 
-# derandomized: every run of the suite tries the same examples
-DERANDOMIZED = settings(derandomize=True, database=None, deadline=None)
-
 
 def _bfs_closure(gen_keys, degree, cap):
     ident = bytes(range(degree))
@@ -59,7 +56,7 @@ def _symmetric_case(draw):
     return degree, draw(st.lists(st.permutations(range(degree)).map(bytes), max_size=5))
 
 
-@settings(DERANDOMIZED, max_examples=60)
+@settings(max_examples=60)
 @given(_symmetric_case(), st.integers(min_value=0, max_value=800))
 def test_closure_matches_bfs_in_s5_s6(case, cap):
     degree, keys = case
@@ -68,7 +65,7 @@ def test_closure_matches_bfs_in_s5_s6(case, cap):
     )
 
 
-@settings(DERANDOMIZED, max_examples=60)
+@settings(max_examples=60)
 @given(_symmetric_case())
 def test_reduce_matches_naive_reduce_in_s5_s6(case):
     degree, keys = case
@@ -77,7 +74,7 @@ def test_reduce_matches_naive_reduce_in_s5_s6(case):
     assert elements == _bfs_closure(keys, degree, ge.DEFAULT_CAP)
 
 
-@settings(DERANDOMIZED, max_examples=40)
+@settings(max_examples=40)
 @given(st.lists(st.sampled_from(_G3_KEYS), min_size=2, max_size=4, unique=True))
 def test_reduce_of_g3_subgroups_matches_naive_reduce(keys):
     # reduce the whole subgroup the subset generates, as the Frattini and
@@ -89,7 +86,7 @@ def test_reduce_of_g3_subgroups_matches_naive_reduce(keys):
     assert elements == subgroup
 
 
-@settings(DERANDOMIZED, max_examples=12)
+@settings(max_examples=12)
 @given(st.lists(st.sampled_from(_G4_KEYS), min_size=2, max_size=4, unique=True))
 def test_closure_and_reduce_of_g4_subsets_match_oracles(keys):
     subgroup = _bfs_closure(keys, 16, ge.DEFAULT_CAP)

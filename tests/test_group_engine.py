@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sylow2 import group_engine as ge
 from sylow2 import tree_core as tc
@@ -311,3 +313,114 @@ def test_generator_set_validation():
         ge.GeneratorSet("dup", 4, (("x", alpha(0, 2)), ("x", alpha(1, 2))))
     with pytest.raises(ValueError):
         ge.GeneratorSet("mixed", 8, (("x", alpha(0, 2)),))
+
+
+# --- exponent and centre against the element-by-element formulas -----------
+
+
+def _lcm_exponent(G):
+    return math.lcm(*(ge.element_order(k) for k in G.elements))
+
+
+def _all_generators_center_size(G):
+    gen_keys = [ge.key_of(p) for _, p in G.generators.permutation_entries()]
+    return sum(
+        1 for x in G.elements if all(ge._mul(x, g) == ge._mul(g, x) for g in gen_keys)
+    )
+
+
+_PARENT_KEYS = {
+    name: ge.generate(gens).sorted_keys()
+    for name, gens in (
+        ("G_3", s_beta(3)),
+        ("G_4", s_beta(4)),
+        ("S_16", syl2_S_generators(16)),
+    )
+}
+
+
+@st.composite
+def _two_group_subsets(draw):
+    keys = _PARENT_KEYS[draw(st.sampled_from(sorted(_PARENT_KEYS)))]
+    return draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True))
+
+
+@settings(max_examples=30)
+@given(_two_group_subsets())
+def test_exponent_and_center_match_oracles_on_two_groups(keys):
+    H = ge.generate([Permutation(k) for k in keys])
+    assert H.order & (H.order - 1) == 0
+    assert ge.exponent(H) == _lcm_exponent(H)
+    assert ge.center_size(H) == _all_generators_center_size(H)
+
+
+def test_exponent_and_center_match_oracles_on_whole_two_groups():
+    for gens in (s_beta(2), s_beta(3), s_beta(4), syl2_S_generators(16)):
+        G = ge.generate(gens)
+        assert ge.exponent(G) == _lcm_exponent(G)
+        assert ge.center_size(G) == _all_generators_center_size(G)
+    trivial = ge.generate((), degree=3)
+    assert (ge.exponent(trivial), ge.center_size(trivial)) == (1, 1)
+
+
+def test_exponent_and_center_of_non_two_groups():
+    # orders 6, 24 and 6 take the lcm fallback of exponent
+    cases = {
+        "S_3": ([[(1, 2)], [(1, 2, 3)]], 6, 1),
+        "S_4": ([[(1, 2)], [(1, 2, 3, 4)]], 12, 1),
+        "C_6": ([[(1, 2, 3), (4, 5)]], 6, 6),
+    }
+    for name, (cycles, expo, center) in cases.items():
+        degree = max(max(c) for gen in cycles for c in gen)
+        G = ge.generate([Permutation.from_cycles(degree, gen) for gen in cycles])
+        assert G.order & (G.order - 1), name
+        assert ge.exponent(G) == _lcm_exponent(G) == expo, name
+        assert ge.center_size(G) == _all_generators_center_size(G) == center, name
+
+
+# --- the per-group memo of the commutator and Frattini subgroups ------------
+
+
+def test_memo_returns_the_same_subgroups():
+    G = _G(3)
+    phi = ge.frattini_subgroup(G)
+    assert ge.frattini_subgroup(G) is phi
+    assert ge.quotient_rank(G) == 3
+    # the Frattini construction built [G, G]; the derived series reuses it
+    assert ge.derived_series(G)[1] is ge.commutator_subgroup(G)
+
+
+def _outcome(build, G, cap):
+    """The subgroup's elements, or the cap error's (cap, partial_count)."""
+    try:
+        return build(G, cap=cap).elements
+    except ge.CapExceededError as exc:
+        return ("cap", exc.cap, exc.partial_count)
+
+
+def test_memo_keeps_cap_errors_below_the_order():
+    filled, fresh = _G(4), _G(4)
+    phi = ge.frattini_subgroup(filled)
+    commutators = ge.commutator_subgroup(filled)
+    for cap in (1, phi.order - 1):
+        with pytest.raises(ge.CapExceededError) as info:
+            ge.frattini_subgroup(filled, cap=cap)
+        assert (info.value.cap, info.value.partial_count) == (cap, cap)
+    # below |G| the filled memo is not read: each outcome is that of a group
+    # with an empty memo, whether it is a cap error or the subgroup
+    caps = (1, 2, commutators.order - 1, phi.order - 1, phi.order, filled.order - 1)
+    for build in (ge.frattini_subgroup, ge.commutator_subgroup):
+        for cap in caps:
+            assert _outcome(build, filled, cap) == _outcome(build, fresh, cap)
+    assert ge.frattini_subgroup(filled) is phi
+    assert ge.commutator_subgroup(filled) is commutators
+
+
+def test_memo_is_ignored_by_eq_hash_and_repr():
+    filled, fresh = _G(3), _G(3)
+    ge.frattini_subgroup(filled)
+    ge.derived_series(filled)
+    assert filled == fresh
+    assert hash(filled) == hash(fresh)
+    assert repr(filled) == repr(fresh)
+    assert "_memo" not in repr(filled)
