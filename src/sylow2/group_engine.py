@@ -341,7 +341,9 @@ def _conjugation_orbit(
                 y = _mul(_mul(g, x), gi)
                 if y not in orbit:
                     if len(orbit) >= cap:
-                        raise CapExceededError(cap, len(orbit))
+                        # report the cap, as the closure does: the seed may
+                        # already hold more than cap elements
+                        raise CapExceededError(cap, max(cap, 1))
                     orbit.add(y)
                     fresh.append(y)
         frontier = fresh

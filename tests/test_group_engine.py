@@ -416,6 +416,37 @@ def test_memo_keeps_cap_errors_below_the_order():
     assert ge.commutator_subgroup(filled) is commutators
 
 
+def _generator_commutators(G):
+    gens = [ge.key_of(p) for _, p in G.generators.permutation_entries()]
+    comms = {ge._mul(ge._mul(a, b), ge._mul(ge._inv(a), ge._inv(b))) for a in gens for b in gens}
+    return comms - {G.identity_key}, gens
+
+
+def test_commutator_cap_error_reports_the_cap():
+    G = _G(4)
+    seed, gens = _generator_commutators(G)
+    orbit = ge._conjugation_orbit(seed, gens, G.degree, G.order)
+    assert len(seed) == 6 and len(orbit) == 84
+    order = ge.commutator_subgroup(G).order
+    for cap in (0, 1, 2, 3, 5, len(orbit) - 1, len(orbit), G.order):
+        # the seed of 6 commutators already passes caps 0..5; a cap below 1
+        # reports one element, as generate does
+        reported = max(cap, 1)
+        if cap < len(orbit):
+            with pytest.raises(ge.CapExceededError) as info:
+                ge._conjugation_orbit(seed, gens, G.degree, cap)
+            assert (info.value.cap, info.value.partial_count) == (cap, reported)
+        else:
+            assert ge._conjugation_orbit(seed, gens, G.degree, cap) == orbit
+        # [G, G] raises exactly when it has more than cap elements
+        if cap < order:
+            with pytest.raises(ge.CapExceededError) as info:
+                ge.commutator_subgroup(G, cap=cap)
+            assert (info.value.cap, info.value.partial_count) == (cap, reported)
+        else:
+            assert ge.commutator_subgroup(G, cap=cap).order == order
+
+
 def test_memo_is_ignored_by_eq_hash_and_repr():
     filled, fresh = _G(3), _G(3)
     ge.frattini_subgroup(filled)

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sylow2.perm_core import (
     Permutation,
@@ -84,6 +85,21 @@ def test_cycle_notation_round_trip():
         rng.shuffle(images)
         p = Permutation(images)
         assert parse_cycle_notation(cycle_notation(p), degree=10) == p
+
+
+@st.composite
+def _permutations(draw):
+    n = draw(st.integers(min_value=1, max_value=16))
+    return Permutation(draw(st.permutations(range(n))))
+
+
+@given(_permutations())
+def test_cycle_notation_round_trip_property(p):
+    text = cycle_notation(p)
+    assert parse_cycle_notation(text, degree=p.degree) == p
+    assert cycle_notation(parse_cycle_notation(text, degree=p.degree)) == text
+    if p(p.degree) != p.degree:  # the largest point is mentioned: no degree needed
+        assert parse_cycle_notation(text) == p
 
 
 def test_parse_cycle_notation_errors():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sylow2 import tree_core as tc
 from sylow2.perm_core import Permutation, cycle_notation, cycle_type, is_even
@@ -243,6 +244,26 @@ def test_text_parse_errors():
 def test_from_permutation_round_trip_depth3():
     for p in tc.iter_portraits(3):
         assert tc.from_permutation(tc.to_permutation(p)) == p
+
+
+@st.composite
+def _portraits(draw, max_depth):
+    k = draw(st.integers(min_value=1, max_value=max_depth))
+    return tc.Portrait(k, tuple(
+        draw(st.integers(min_value=0, max_value=(1 << (1 << l)) - 1)) for l in range(k)
+    ))
+
+
+@given(_portraits(max_depth=6))
+def test_text_round_trip_property(p):
+    text = tc.to_text(p)
+    assert tc.from_text(text) == p
+    assert tc.to_text(tc.from_text(text)) == text
+
+
+@given(_portraits(max_depth=8))
+def test_from_permutation_round_trip_property(p):
+    assert tc.from_permutation(tc.to_permutation(p)) == p
 
 
 def test_from_permutation_rejects_non_automorphisms():
