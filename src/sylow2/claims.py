@@ -12,18 +12,19 @@ import itertools
 import json
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from random import Random
 from typing import Callable
 
 from . import group_engine, sylow_builders, tree_core
 from .group_engine import CapExceededError, DEFAULT_CAP, EnumeratedGroup
-from .perm_core import legendre_nu2
+from .perm_core import Permutation, legendre_nu2
 
 REPORT_FORMAT = "sylow2-report-v1"
 
-Status = str  # "pass" | "fail" | "skipped-cap"
+Status = str  # one of STATUSES
+STATUSES = ("pass", "fail", "skipped-cap")
 
 
 @dataclass
@@ -36,25 +37,13 @@ class ClaimRecord:
     runtime_ms: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "statement": self.statement,
-            "parameters": self.parameters,
-            "status": self.status,
-            "witnesses": self.witnesses,
-            "runtime_ms": self.runtime_ms,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ClaimRecord":
-        return cls(
-            claim_id=data["claim_id"],
-            statement=data["statement"],
-            parameters=data["parameters"],
-            status=data["status"],
-            witnesses=data["witnesses"],
-            runtime_ms=data["runtime_ms"],
-        )
+        if data["status"] not in STATUSES:
+            raise ValueError(f"claim {data['claim_id']!r} has unknown status {data['status']!r}")
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 @dataclass
@@ -79,18 +68,22 @@ class VerificationReport:
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
+        """Load a report; malformed input raises a one-line ValueError."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"a report is a JSON object, not {type(data).__name__}")
         if data.get("format") != REPORT_FORMAT:
             raise ValueError(f"unsupported report format {data.get('format')!r}")
-        return cls(
-            version=data["version"],
-            timestamp=data["timestamp"],
-            parameters=data["parameters"],
-            claims=[ClaimRecord.from_json_dict(c) for c in data["claims"]],
-        )
+        try:
+            claims = [ClaimRecord.from_json_dict(c) for c in data["claims"]]
+            return cls(data["version"], data["timestamp"], data["parameters"], claims)
+        except KeyError as exc:
+            raise ValueError(f"report is missing the field {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed report: {exc}") from None
 
     def summary(self) -> dict:
-        counts = {"pass": 0, "fail": 0, "skipped-cap": 0}
+        counts = dict.fromkeys(STATUSES, 0)
         for c in self.claims:
             counts[c.status] += 1
         return counts
@@ -144,12 +137,15 @@ def _k_range(ctx: ClaimContext) -> range:
     return range(2, ctx.max_k + 1)
 
 
-def _status(failures: dict, skipped: list) -> Status:
+def _record(parameters: dict, witnesses: dict, failures: dict, skipped: list = ()):
+    """A runner's (status, parameters, witnesses): the failures and the cap
+    skips, when there are any, join the witnesses and decide the status."""
     if failures:
-        return "fail"
+        witnesses["failures"] = failures
     if skipped:
-        return "skipped-cap"
-    return "pass"
+        witnesses["skipped"] = skipped
+    status = "fail" if failures else "skipped-cap" if skipped else "pass"
+    return status, parameters, witnesses
 
 
 # --- claim runners ----------------------------------------------------------
@@ -167,12 +163,7 @@ def _run_order_gk(ctx: ClaimContext):
         orders[str(k)] = got
         if got != expected:
             failures[str(k)] = {"expected": expected, "got": got}
-    witnesses = {"orders": orders}
-    if failures:
-        witnesses["failures"] = failures
-    if skipped:
-        witnesses["skipped"] = skipped
-    return _status(failures, skipped), {"k": list(_k_range(ctx))}, witnesses
+    return _record({"k": list(_k_range(ctx))}, {"orders": orders}, failures, skipped)
 
 
 def _run_evenness(ctx: ClaimContext):
@@ -186,13 +177,8 @@ def _run_evenness(ctx: ClaimContext):
         odd = [key for key in G.sorted_keys() if not group_engine.key_is_even(key)]
         checked[str(k)] = G.order
         if odd:
-            failures[str(k)] = {"odd_element": repr(group_engine.perm_of(odd[0]))}
-    witnesses = {"elements_checked": checked}
-    if failures:
-        witnesses["failures"] = failures
-    if skipped:
-        witnesses["skipped"] = skipped
-    return _status(failures, skipped), {"k": list(_k_range(ctx))}, witnesses
+            failures[str(k)] = {"odd_element": repr(Permutation._of_key(odd[0]))}
+    return _record({"k": list(_k_range(ctx))}, {"elements_checked": checked}, failures, skipped)
 
 
 def _run_semidirect(ctx: ClaimContext):
@@ -212,12 +198,7 @@ def _run_semidirect(ctx: ClaimContext):
         )
         if not rel.ok:
             failures[str(k)] = {"checks": dict(rel.checks), "witnesses": dict(rel.witnesses)}
-    witnesses = {"order_arithmetic": arithmetic}
-    if failures:
-        witnesses["failures"] = failures
-    if skipped:
-        witnesses["skipped"] = skipped
-    return _status(failures, skipped), {"k": list(_k_range(ctx))}, witnesses
+    return _record({"k": list(_k_range(ctx))}, {"order_arithmetic": arithmetic}, failures, skipped)
 
 
 def _run_w_structure(ctx: ClaimContext):
@@ -234,12 +215,7 @@ def _run_w_structure(ctx: ClaimContext):
         seen[str(k)] = {"order": W.order, "abelian": abelian, "exponent": expo}
         if W.order != expected or not abelian or expo != 2:
             failures[str(k)] = {"expected_order": expected, **seen[str(k)]}
-    witnesses = {"structure": seen}
-    if failures:
-        witnesses["failures"] = failures
-    if skipped:
-        witnesses["skipped"] = skipped
-    return _status(failures, skipped), {"k": list(_k_range(ctx))}, witnesses
+    return _record({"k": list(_k_range(ctx))}, {"structure": seen}, failures, skipped)
 
 
 def _run_minimality(ctx: ClaimContext):
@@ -270,12 +246,7 @@ def _run_minimality(ctx: ClaimContext):
             bad["generating_small_subsets"] = undersized_generates
         if bad:
             failures[str(k)] = bad
-    witnesses = {"quotient_ranks": ranks}
-    if failures:
-        witnesses["failures"] = failures
-    if skipped:
-        witnesses["skipped"] = skipped
-    return _status(failures, skipped), {"k": list(_k_range(ctx))}, witnesses
+    return _record({"k": list(_k_range(ctx))}, {"quotient_ranks": ranks}, failures, skipped)
 
 
 def _run_frattini_level(ctx: ClaimContext):
@@ -295,14 +266,15 @@ def _run_frattini_level(ctx: ClaimContext):
         # a resample only repeats a key of the sweep, and the verdict on a key
         # is fixed, so each distinct key is checked once, in sample order
         for key in dict.fromkeys(samples):
-            portrait = tree_core.from_permutation(group_engine.perm_of(key))
+            element = Permutation._of_key(key)
+            portrait = tree_core.from_permutation(element)
             odd_levels = [
                 l for l in range(k - 1) if tree_core.level_index(portrait, l) % 2
             ]
             kind = tree_core.classify_element(portrait).kind
             if odd_levels or kind is tree_core.ElementKind.TYPE_T:
                 bad = {
-                    "element": repr(group_engine.perm_of(key)),
+                    "element": repr(element),
                     "odd_levels": odd_levels,
                     "kind": kind.value,
                 }
@@ -311,11 +283,7 @@ def _run_frattini_level(ctx: ClaimContext):
         if bad:
             failures[str(k)] = bad
     witnesses = {"coverage": counts}
-    if failures:
-        witnesses["failures"] = failures
-    if skipped:
-        witnesses["skipped"] = skipped
-    return _status(failures, skipped), {"k": list(_k_range(ctx)), "samples_at_k4": 10_000}, witnesses
+    return _record({"k": list(_k_range(ctx)), "samples_at_k4": 10_000}, witnesses, failures, skipped)
 
 
 def _run_t_nonclosure(ctx: ClaimContext):
@@ -335,10 +303,7 @@ def _run_t_nonclosure(ctx: ClaimContext):
         square = tree_core.compose(x, x)
         if tree_core.classify_element(square).kind is tree_core.ElementKind.TYPE_T:
             failures[tree_core.to_text(x)] = "square in T"
-    witnesses = {"t_size": len(t_elements), "pairs_checked": pair_count}
-    if failures:
-        witnesses["failures"] = failures
-    return _status(failures, []), {"k": k}, witnesses
+    return _record({"k": k}, {"t_size": len(t_elements), "pairs_checked": pair_count}, failures)
 
 
 def _run_tau_ij_generation(ctx: ClaimContext):
@@ -352,10 +317,7 @@ def _run_tau_ij_generation(ctx: ClaimContext):
             words[f"({i},{j})"] = word
             if sylow_builders.evaluate_word(word, k) != sylow_builders.tau_set([i, j], k):
                 failures[f"({i},{j})"] = word
-    witnesses = {"words": words}
-    if failures:
-        witnesses["failures"] = failures
-    return _status(failures, []), {"k": k}, witnesses
+    return _record({"k": k}, {"words": words}, failures)
 
 
 _LEGENDRE_CHUNK = 6000
@@ -395,9 +357,7 @@ def _run_legendre(ctx: ClaimContext):
             failures[str(n)] = {"identity": "nu2(n!) != n - popcount(n)"}
             break
     witnesses = {"spot_values": spot, "identity_checked_to": limit}
-    if failures:
-        witnesses["failures"] = failures
-    return _status(failures, []), {"identity_limit": limit}, witnesses
+    return _record({"identity_limit": limit}, witnesses, failures)
 
 
 def _run_boxtimes(ctx: ClaimContext):
@@ -419,29 +379,24 @@ def _run_boxtimes(ctx: ClaimContext):
             failures[str(n)] = {"expected": want, "got": H.order}
         if str(n) in expected_orders and H.order != expected_orders[str(n)]:
             failures[str(n)] = {"expected": expected_orders[str(n)], "got": H.order}
-    witnesses = {"orders": orders}
-    if failures:
-        witnesses["failures"] = failures
-    if skipped:
-        witnesses["skipped"] = skipped
-    return _status(failures, skipped), {"n": targets}, witnesses
+    return _record({"n": targets}, {"orders": orders}, failures, skipped)
 
 
 def _run_parity_extension(ctx: ClaimContext):
     failures = {}
     S4 = group_engine.generate(sylow_builders.syl2_S_generators(4), cap=ctx.cap)
-    elements = [group_engine.perm_of(key) for key in S4.sorted_keys()]
-    images = {bytes(p.images): sylow_builders.parity_extension(p, 6) for p in elements}
-    if len({bytes(v.images) for v in images.values()}) != len(elements):
+    elements = list(S4.permutations())
+    images = {p: sylow_builders.parity_extension(p, 6) for p in elements}
+    image_keys = {v.key for v in images.values()}
+    if len(image_keys) != len(elements):
         failures["injectivity"] = "image collision"
     for p in elements:
         for q in elements:
             lhs = sylow_builders.parity_extension(p * q, 6)
-            rhs = images[bytes(p.images)] * images[bytes(q.images)]
+            rhs = images[p] * images[q]
             if lhs != rhs:
                 failures["homomorphism"] = f"{p!r}, {q!r}"
     H6 = sylow_builders.boxtimes_group(6, cap=ctx.cap)
-    image_keys = {bytes(v.images) for v in images.values()}
     if image_keys != H6.elements:
         failures["image"] = "extension image differs from the block-built group"
     fp = group_engine.fingerprint(H6)
@@ -450,9 +405,7 @@ def _run_parity_extension(ctx: ClaimContext):
         if fp[field_name] != value:
             failures[f"fingerprint_{field_name}"] = {"expected": value, "got": fp[field_name]}
     witnesses = {"pairs_checked": len(elements) ** 2, "fingerprint": fp}
-    if failures:
-        witnesses["failures"] = failures
-    return _status(failures, []), {"domain": "Syl2(S_4)", "target": "A_6"}, witnesses
+    return _record({"domain": "Syl2(S_4)", "target": "A_6"}, witnesses, failures)
 
 
 def _run_small_fingerprints(ctx: ClaimContext):
@@ -467,10 +420,7 @@ def _run_small_fingerprints(ctx: ClaimContext):
     e6 = sylow_builders.syl2_order(6, "A")
     if not (e7 == e6 == 3):
         failures["order_exponents"] = {"A_7": e7, "A_6": e6}
-    witnesses = {"G2_fingerprint": fp, "A7_exponent": e7, "A6_exponent": e6}
-    if failures:
-        witnesses["failures"] = failures
-    return _status(failures, []), {}, witnesses
+    return _record({}, {"G2_fingerprint": fp, "A7_exponent": e7, "A6_exponent": e6}, failures)
 
 
 def _run_order_ratios(ctx: ClaimContext):
@@ -479,9 +429,7 @@ def _run_order_ratios(ctx: ClaimContext):
         f"{c.label} @ k={c.k}": {"lhs": c.lhs, "rhs": c.rhs} for c in report.failures()
     }
     witnesses = {"checks": len(report.checks), "note": report.orientation_note}
-    if failures:
-        witnesses["failures"] = failures
-    return _status(failures, []), {"k_max": 25}, witnesses
+    return _record({"k_max": 25}, witnesses, failures)
 
 
 def _run_portrait_oracle(ctx: ClaimContext):
@@ -496,10 +444,7 @@ def _run_portrait_oracle(ctx: ClaimContext):
                 break
         if failures:
             break
-    witnesses = {"pairs_checked": len(portraits) ** 2}
-    if failures:
-        witnesses["failures"] = failures
-    return _status(failures, []), {"k": k}, witnesses
+    return _record({"k": k}, {"pairs_checked": len(portraits) ** 2}, failures)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@ closure enumeration (Dimino's algorithm, after Butler, Fundamental
 Algorithms for Permutation Groups, 1991), subgroup predicates, commutator /
 squares / Frattini subgroups, generating rank and derived series.
 
-Elements are canonicalized as bytes: byte i holds the 0-based image of point
-i+1. That limits the degree to 255 points and group orders to the
-enumeration cap (default 2^20), which is all the desk-scale checks need.
+Elements are canonicalized as the byte keys of perm_core: byte i holds the
+0-based image of point i+1, and a product is one bytes.translate. The degree
+is limited to MAX_DEGREE = 255 points and group orders to the enumeration cap
+(default 2^20), which is all the desk-scale checks need.
 An enumerated group's degree, generators and element set never change after
 construction. Each EnumeratedGroup also memoizes its commutator and Frattini
 subgroups, so the Frattini rank, the derived series and the fingerprint
@@ -23,7 +24,7 @@ from functools import wraps
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from . import tree_core
-from .perm_core import Permutation
+from .perm_core import _PADS, Permutation, _table
 
 DEFAULT_CAP = 1 << 20
 MAX_DEGREE = 255
@@ -100,23 +101,7 @@ class EnumeratedGroup:
 
     def permutations(self) -> Iterator[Permutation]:
         for key in self.sorted_keys():
-            yield Permutation(key)
-
-
-def key_of(p: Permutation | bytes) -> bytes:
-    return p if isinstance(p, bytes) else bytes(p.images)
-
-
-def perm_of(key: bytes) -> Permutation:
-    return Permutation(key)
-
-
-# _PADS[n] pads an n-byte key to a 256-entry bytes.translate table
-_PADS = tuple(bytes(256 - n) for n in range(MAX_DEGREE + 1))
-
-
-def _table(a: bytes) -> bytes:
-    return a + _PADS[len(a)]
+            yield Permutation._of_key(key)
 
 
 def _mul(a: bytes, b: bytes) -> bytes:
@@ -189,7 +174,7 @@ def _reduce_generators(
 
 def _anonymous_genset(name: str, degree: int, keys: Sequence[bytes]) -> GeneratorSet:
     return GeneratorSet(
-        name, degree, tuple((f"g{i}", Permutation(k)) for i, k in enumerate(keys))
+        name, degree, tuple((f"g{i}", Permutation._of_key(k)) for i, k in enumerate(keys))
     )
 
 
@@ -228,7 +213,7 @@ def generate(
     genset, degree = _normalize_generators(gens, degree)
     if not 1 <= degree <= MAX_DEGREE:
         raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
-    gen_keys = [key_of(p) for _, p in genset.permutation_entries()]
+    gen_keys = [p.key for _, p in genset.permutation_entries()]
     return EnumeratedGroup(degree, genset, frozenset(_closure(gen_keys, degree, cap)))
 
 
@@ -249,7 +234,7 @@ def group_from_elements(
 
 
 def contains(G: EnumeratedGroup, x: Permutation | bytes) -> bool:
-    key = key_of(x)
+    key = x if isinstance(x, bytes) else x.key
     if len(key) != G.degree:
         raise ValueError(f"degree mismatch: element on {len(key)} points, group on {G.degree}")
     return key in G.elements
@@ -266,7 +251,7 @@ def is_normal(H: EnumeratedGroup, G: EnumeratedGroup) -> bool:
     if not is_subgroup(H, G):
         return False
     for _, g in G.generators.permutation_entries():
-        gk = key_of(g)
+        gk = g.key
         gi = _inv(gk)
         for h in H.elements:
             if _mul(_mul(gk, h), gi) not in H.elements:
@@ -304,7 +289,7 @@ def verify_semidirect(
         checks.append((label, good))
         if not good:
             stray = next(k for k in H.sorted_keys() if k not in G.elements)
-            witnesses.append((label, perm_of(stray).__repr__()))
+            witnesses.append((label, repr(Permutation._of_key(stray))))
 
     normal = is_normal(W, G)
     checks.append(("w_normal", normal))
@@ -316,7 +301,7 @@ def verify_semidirect(
     checks.append(("trivial_intersection", trivial))
     if not trivial:
         nontrivial = sorted(meet - {G.identity_key})
-        sample = repr(perm_of(nontrivial[0])) if nontrivial else "identity missing"
+        sample = repr(Permutation._of_key(nontrivial[0])) if nontrivial else "identity missing"
         witnesses.append(("trivial_intersection", sample))
 
     product_ok = B.order * W.order == G.order
@@ -377,7 +362,7 @@ def commutator_subgroup(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> Enumerate
     The brute-force definition over all element pairs is the oracle the test
     suite compares against on small groups.
     """
-    gen_keys = [key_of(p) for _, p in G.generators.permutation_entries()]
+    gen_keys = [p.key for _, p in G.generators.permutation_entries()]
     ident = G.identity_key
     comms = set()
     for a in gen_keys:
@@ -416,7 +401,7 @@ def frattini_subgroup(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> EnumeratedG
     name = f"frattini({G.generators.name})"
     if commutators.elements <= squares.elements:
         return EnumeratedGroup(G.degree, _anonymous_genset(name, G.degree,
-                               [key_of(p) for _, p in squares.generators.permutation_entries()]),
+                               [p.key for _, p in squares.generators.permutation_entries()]),
                                squares.elements)
     union = squares.elements | commutators.elements
     reduced, elements = _reduce_generators(union, G.degree, cap)
@@ -464,7 +449,10 @@ def homomorphism_check(
     """Whether map(xy) == map(x) map(y): exhaustive for |G| <= 128, generator
     pairs plus seeded random pairs above that. The mapping must be defined on
     all of G and land in H."""
-    table = {key_of(k): key_of(v) for k, v in mapping.items()}
+    table = {
+        x if isinstance(x, bytes) else x.key: y if isinstance(y, bytes) else y.key
+        for x, y in mapping.items()
+    }
     if set(table) != set(G.elements):
         raise ValueError("mapping must be defined on exactly the elements of G")
     if any(v not in H.elements for v in table.values()):
@@ -476,7 +464,7 @@ def homomorphism_check(
     keys = G.sorted_keys()
     if G.order <= 128:
         return all(respects(x, y) for x in keys for y in keys)
-    gen_keys = [key_of(p) for _, p in G.generators.permutation_entries()]
+    gen_keys = [p.key for _, p in G.generators.permutation_entries()]
     if not all(respects(x, y) for x in gen_keys for y in gen_keys):
         return False
     rng = random.Random(seed)
@@ -487,20 +475,7 @@ def homomorphism_check(
 
 
 def element_order(x: Permutation | bytes) -> int:
-    key = key_of(x)
-    seen = bytearray(len(key))
-    order = 1
-    for start in range(len(key)):
-        if seen[start]:
-            continue
-        length = 0
-        v = start
-        while not seen[v]:
-            seen[v] = 1
-            v = key[v]
-            length += 1
-        order = math.lcm(order, length)
-    return order
+    return (Permutation(x) if isinstance(x, bytes) else x).order()
 
 
 def exponent(G: EnumeratedGroup) -> int:
@@ -519,7 +494,7 @@ def exponent(G: EnumeratedGroup) -> int:
 
 
 def is_abelian(G: EnumeratedGroup) -> bool:
-    gen_keys = [key_of(p) for _, p in G.generators.permutation_entries()]
+    gen_keys = [p.key for _, p in G.generators.permutation_entries()]
     return all(_mul(a, b) == _mul(b, a) for a in gen_keys for b in gen_keys)
 
 
@@ -529,7 +504,7 @@ def center_size(G: EnumeratedGroup) -> int:
     pad = _PADS[G.degree]
     center = list(G.elements)
     for _, p in G.generators.permutation_entries():
-        g = key_of(p)
+        g = p.key
         g_table = g + pad
         # _mul(x, g) == _mul(g, x)
         center = [x for x in center if g.translate(x + pad) == x.translate(g_table)]

@@ -1,9 +1,10 @@
 """Permutations of {1, ..., n}: composition, parity, cycle structure, and the
 2-adic valuation of factorials.
 
-Points are 1-based in every public interface; the image table is stored
-0-based internally. Permutation values are immutable and hashable, so they
-are safe to share between threads.
+Points are 1-based in every public interface. A permutation stores its 0-based
+images as the group engine's key, byte i for point i+1, so a product is one
+``bytes.translate``; past KEY_DEGREE = 256 points, where images outgrow a
+byte, it stores a tuple. Permutations are immutable, hashable and thread-safe.
 """
 
 from __future__ import annotations
@@ -12,32 +13,57 @@ import math
 import re
 from typing import Iterable, Sequence
 
+KEY_DEGREE = 256
+
+# _PADS[n] pads an n-byte key to a 256-entry bytes.translate table
+_PADS = tuple(bytes(256 - n) for n in range(KEY_DEGREE + 1))
+
+
+def _table(key: bytes) -> bytes:
+    # the translate table of a key: b.translate(_table(a))[i] == a[b[i]]
+    return key + _PADS[len(key)]
+
+
+def _as_key(images: Sequence[int]) -> bytes | tuple[int, ...]:
+    # the stored form of a valid 0-based image sequence
+    return bytes(images) if len(images) <= KEY_DEGREE else tuple(images)
+
 
 class Permutation:
     """A permutation of {1, ..., n}.
 
     ``images`` is the 0-based image tuple: point ``i+1`` maps to
-    ``images[i] + 1``. Multiplication is ordinary function composition:
-    ``(p * q)(x) == p(q(x))``, i.e. ``q`` acts first.
+    ``images[i] + 1``; ``key`` holds the same images as bytes. Multiplication
+    is ordinary function composition: ``(p * q)(x) == p(q(x))``, i.e. ``q``
+    acts first.
     """
 
-    __slots__ = ("_images",)
+    __slots__ = ("_key",)
 
     def __init__(self, images: Sequence[int]):
-        imgs = tuple(images)
+        imgs = images if type(images) is bytes else tuple(images)
         n = len(imgs)
         if n == 0:
             raise ValueError("a permutation needs at least one point")
-        if len(set(imgs)) != n or min(imgs) != 0 or max(imgs) != n - 1:
-            raise ValueError(f"{imgs!r} is not a bijection of 0..{n - 1}")
-        object.__setattr__(self, "_images", imgs)
+        # exact ints: a bool is an int subclass, and 1.0 == 1 passes the rest
+        ints = all(type(x) is int for x in imgs)
+        if not (ints and len(set(imgs)) == n and min(imgs) == 0 and max(imgs) == n - 1):
+            raise ValueError(f"{tuple(imgs)!r} is not a bijection of 0..{n - 1}")
+        _set_key(self, _as_key(imgs))
+
+    @classmethod
+    def _of_key(cls, key: bytes | tuple[int, ...]) -> "Permutation":
+        # unchecked: key is already a bijection in its stored form (_as_key)
+        p = object.__new__(cls)
+        _set_key(p, key)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
+        return cls(range(n))
 
     @classmethod
     def from_one_based(cls, images: Sequence[int]) -> "Permutation":
@@ -71,28 +97,37 @@ class Permutation:
 
     @property
     def degree(self) -> int:
-        return len(self._images)
+        return len(self._key)
 
     @property
     def images(self) -> tuple[int, ...]:
         """The 0-based image tuple."""
-        return self._images
+        return tuple(self._key)
+
+    @property
+    def key(self) -> bytes:
+        """The images as bytes; only up to KEY_DEGREE points."""
+        if type(self._key) is not bytes:
+            raise ValueError(f"a permutation on {self.degree} points has no byte key")
+        return self._key
 
     def __call__(self, point: int) -> int:
         """Image of a 1-based point."""
-        return self._images[point - 1] + 1
+        return self._key[point - 1] + 1
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
+        a, b = self._key, other._key
+        if len(a) != len(b):
             raise ValueError("degree mismatch")
-        a = self._images
-        return Permutation(tuple(map(a.__getitem__, other._images)))
+        if type(a) is bytes:
+            return Permutation._of_key(b.translate(_table(a)))
+        return Permutation._of_key(tuple(map(a.__getitem__, b)))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self._images)
-        for i, y in enumerate(self._images):
+        inv = [0] * self.degree
+        for i, y in enumerate(self._key):
             inv[y] = i
-        return Permutation(inv)
+        return Permutation._of_key(_as_key(inv))
 
     def __pow__(self, exponent: int) -> "Permutation":
         base = self if exponent >= 0 else self.inverse()
@@ -102,19 +137,22 @@ class Permutation:
         return result
 
     def is_identity(self) -> bool:
-        return all(y == i for i, y in enumerate(self._images))
+        return all(y == i for i, y in enumerate(self._key))
 
     def order(self) -> int:
         return math.lcm(*cycle_type(self))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Permutation) and self._images == other._images
+        return isinstance(other, Permutation) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._images)
+        return hash(self._key)
 
     def __repr__(self) -> str:
         return f"Permutation[{cycle_notation(self)}]"
+
+
+_set_key = Permutation._key.__set__  # bypasses the immutability guard
 
 
 def cycles(p: Permutation, include_fixed: bool = False) -> list[tuple[int, ...]]:
@@ -122,7 +160,7 @@ def cycles(p: Permutation, include_fixed: bool = False) -> list[tuple[int, ...]]
     smallest point, ordered by that point."""
     out = []
     seen = [False] * p.degree
-    imgs = p.images
+    imgs = p._key
     for start in range(p.degree):
         if seen[start]:
             continue

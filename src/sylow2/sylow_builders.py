@@ -66,19 +66,10 @@ def s_beta(k: int) -> GeneratorSet:
     return GeneratorSet(f"S_beta(k={k})", 1 << k, base.elements + (("tau", tau(k)),))
 
 
-_SBETA_CACHE: dict[int, dict[str, Portrait]] = {}
-
-
-def _s_beta_lookup(k: int) -> dict[str, Portrait]:
-    if k not in _SBETA_CACHE:
-        _SBETA_CACHE[k] = {label: p for label, p in s_beta(k).elements}
-    return _SBETA_CACHE[k]
-
-
 def evaluate_word(word: Sequence[str], k: int) -> Portrait:
     """Compose a word of s_beta labels left to right (rightmost letter acts
     first)."""
-    lookup = _s_beta_lookup(k)
+    lookup = dict(s_beta(k).elements)
     result = tree_core.identity(k)
     for label in word:
         if label not in lookup:

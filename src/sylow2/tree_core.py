@@ -21,7 +21,8 @@ s_ab(v) = s_a(b(v)) XOR s_b(v), with b(v) the image vertex of v under b.
 
 Each level's bits are packed into an int, bit p-1 for position p, so depth
 is capped at MAX_DEPTH to keep the bit budget sane. All values here are
-immutable and all functions pure.
+immutable and all functions pure; a portrait memoizes its vertex images on
+first use, a value that its fields fix.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .perm_core import Permutation
+from .perm_core import Permutation, _as_key
 
 MAX_DEPTH = 16
 
@@ -94,6 +95,33 @@ class Portrait:
             if not 0 <= mask < (1 << (1 << l)):
                 raise ValueError(f"level {l} mask {mask} out of range")
 
+    @classmethod
+    def _unchecked(cls, depth: int, levels: tuple[int, ...]) -> "Portrait":
+        # for levels known to fit their depth, such as those compose builds
+        p = object.__new__(cls)
+        p.__dict__.update(depth=depth, levels=levels)
+        return p
+
+    def _vertex_images(self) -> tuple[tuple[int, ...], ...]:
+        # the value of vertex_images, memoized in the instance dict, which
+        # ==, hash and repr never read (functools.cached_property does the
+        # same, but takes a lock on every miss before Python 3.12)
+        memo = self.__dict__
+        found = memo.get("_vertex_images_memo")
+        if found is None:
+            prev = (0,)
+            imgs = [prev]
+            for mask in self.levels:
+                nxt = []
+                for w in prev:  # vertex v's children go to 2w + s_v, 2w + 1 - s_v
+                    w2 = w << 1 | (mask & 1)
+                    mask >>= 1
+                    nxt += w2, w2 ^ 1
+                prev = tuple(nxt)
+                imgs.append(prev)
+            found = memo["_vertex_images_memo"] = tuple(imgs)
+        return found
+
     @property
     def leaf_count(self) -> int:
         return 1 << self.depth
@@ -138,42 +166,29 @@ def from_states(k: int, active: Iterable[tuple[int, int]]) -> Portrait:
     return Portrait(k, tuple(masks))
 
 
-def vertex_images(a: Portrait) -> list[tuple[int, ...]]:
+def vertex_images(a: Portrait) -> tuple[tuple[int, ...], ...]:
     """Per-level vertex action: entry l maps each 0-based position of level l
     to its image position; entry k is the 0-based leaf action."""
-    imgs: list[tuple[int, ...]] = [(0,)]
-    for l in range(a.depth):
-        mask = a.levels[l]
-        prev = imgs[l]
-        nxt = [0] * (2 << l)
-        for v in range(1 << l):
-            w2 = prev[v] << 1
-            s = mask >> v & 1
-            nxt[2 * v] = w2 | s
-            nxt[2 * v + 1] = w2 | (1 - s)
-        imgs.append(tuple(nxt))
-    return imgs
+    return a._vertex_images()
 
 
 def to_permutation(a: Portrait) -> Permutation:
     """The leaf action on {1, ..., 2^k}."""
-    return Permutation(vertex_images(a)[a.depth])
+    return Permutation._of_key(_as_key(a._vertex_images()[a.depth]))
 
 
 def compose(a: Portrait, b: Portrait) -> Portrait:
     """The automorphism "apply b, then a"."""
     if a.depth != b.depth:
         raise ValueError(f"depth mismatch: {a.depth} != {b.depth}")
-    imgs_b = vertex_images(b)
     masks = []
-    for l in range(a.depth):
-        amask, bmask, img = a.levels[l], b.levels[l], imgs_b[l]
-        m = 0
-        for v in range(1 << l):
-            if (bmask >> v ^ amask >> img[v]) & 1:
-                m |= 1 << v
+    for amask, m, img in zip(a.levels, b.levels, b._vertex_images()):
+        if amask:
+            for v, w in enumerate(img):  # flip s_b(v) where s_a(b(v)) is set
+                if amask >> w & 1:
+                    m ^= 1 << v
         masks.append(m)
-    return Portrait(a.depth, tuple(masks))
+    return Portrait._unchecked(a.depth, tuple(masks))
 
 
 def inverse(a: Portrait) -> Portrait:

@@ -9,7 +9,7 @@ from functools import lru_cache
 from sylow2 import group_engine as ge
 from sylow2 import sylow_builders as sb
 from sylow2 import tree_core as tc
-from sylow2.perm_core import legendre_nu2
+from sylow2.perm_core import Permutation, legendre_nu2
 
 
 @lru_cache(maxsize=None)
@@ -112,7 +112,7 @@ def test_06_frattini_level_property():
             samples += [rng.choice(keys) for _ in range(10_000)]
         violations = 0
         for key in samples:
-            portrait = tc.from_permutation(ge.perm_of(key))
+            portrait = tc.from_permutation(Permutation(key))
             if any(tc.level_index(portrait, l) % 2 for l in range(k - 1)):
                 violations += 1
             elif tc.classify_element(portrait).kind is tc.ElementKind.TYPE_T:
@@ -176,7 +176,7 @@ def test_10_composite_constructions():
 
 def test_11_parity_extension():
     S4 = ge.generate(sb.syl2_S_generators(4))
-    perms = [ge.perm_of(key) for key in S4.sorted_keys()]
+    perms = [Permutation(key) for key in S4.sorted_keys()]
     images = {p: sb.parity_extension(p, 6) for p in perms}
     injective = len(set(images.values())) == len(perms)
     homomorphic = all(

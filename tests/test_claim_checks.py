@@ -1,6 +1,7 @@
-"""The batched checks inside two claim runners, against the scalar and
+"""The batched checks inside claim runners, against the scalar and
 per-sample loops they replace: the legendre claim's chunked floor-sums and
-frattini-level's one check per distinct Frattini element."""
+frattini-level's one check per distinct Frattini element; and portrait-oracle
+failing on a planted defect and checking every pair on sound code."""
 
 import dataclasses
 import tracemalloc
@@ -12,7 +13,7 @@ import pytest
 from sylow2 import claims as cl
 from sylow2 import group_engine as ge
 from sylow2 import tree_core as tc
-from sylow2.perm_core import legendre_nu2
+from sylow2.perm_core import Permutation, legendre_nu2
 
 LIMIT = 10 ** 6
 CHUNK = cl._LEGENDRE_CHUNK
@@ -79,12 +80,12 @@ def _per_sample_witnesses(ctx):
         keys = phi.sorted_keys()
         samples = keys if k < 4 else keys + [rng.choice(keys) for _ in range(10_000)]
         for key in samples:
-            portrait = tc.from_permutation(ge.perm_of(key))
+            portrait = tc.from_permutation(Permutation(key))
             odd_levels = [l for l in range(k - 1) if tc.level_index(portrait, l) % 2]
             kind = tc.classify_element(portrait).kind
             if odd_levels or kind is tc.ElementKind.TYPE_T:
                 failures[str(k)] = {
-                    "element": repr(ge.perm_of(key)),
+                    "element": repr(Permutation(key)),
                     "odd_levels": odd_levels,
                     "kind": kind.value,
                 }
@@ -123,7 +124,7 @@ def test_frattini_level_checks_each_distinct_element_once(monkeypatch):
 def test_frattini_level_reports_the_per_sample_failure(monkeypatch, index):
     ctx = cl.ClaimContext()
     key = ge.frattini_subgroup(cl.tree_group(ctx, 4)).sorted_keys()[index]
-    target = tc.from_permutation(ge.perm_of(key))
+    target = tc.from_permutation(Permutation(key))
     classify = tc.classify_element
 
     def flag_target(portrait):
@@ -136,6 +137,33 @@ def test_frattini_level_reports_the_per_sample_failure(monkeypatch, index):
     status, _, witnesses = cl._run_frattini_level(cl.ClaimContext())
     assert status == "fail"
     assert witnesses["failures"] == {
-        "4": {"element": repr(ge.perm_of(key)), "odd_levels": [], "kind": "T"}
+        "4": {"element": repr(Permutation(key)), "odd_levels": [], "kind": "T"}
     }
     assert witnesses == _per_sample_witnesses(cl.ClaimContext())
+
+
+def test_portrait_oracle_fails_when_compose_swaps_its_arguments(monkeypatch):
+    compose = tc.compose
+    monkeypatch.setattr(tc, "compose", lambda a, b: compose(b, a))
+    status, _, witnesses = cl._run_portrait_oracle(cl.ClaimContext())
+    assert status == "fail"
+    assert witnesses["failures"] == {
+        "k=3;L0=0;L1=00;L2=1000 . k=3;L0=0;L1=10;L2=0000": "mismatch"
+    }
+
+
+def test_portrait_oracle_runs_both_sides_on_every_pair(monkeypatch):
+    calls = Counter()
+    for name in ("compose", "to_permutation"):
+        real = getattr(tc, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(tc, name, counted)
+    status, _, witnesses = cl._run_portrait_oracle(cl.ClaimContext())
+    assert status == "pass"
+    assert witnesses == {"pairs_checked": 16384}
+    # one product portrait per pair, and its leaf action beside the 128 factors'
+    assert calls == {"compose": 16384, "to_permutation": 16384 + 128}

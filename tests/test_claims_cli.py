@@ -169,6 +169,27 @@ def test_cli_gens(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, header, line", [
+    (["gens", "--family", "syl2_S", "--n", "300"],
+     "Syl2_S(n=300): 18 generators on 300 points",
+     "  a0[1-256]        " + "".join(f"({i} {i + 128})" for i in range(1, 129))),
+    (["gens", "--family", "syl2_A", "--n", "300"],
+     "Syl2_A(n=300): 18 generators on 300 points",
+     "  a7[1-256]*h      (1 2)(299 300)"),
+    (["gens", "--family", "s_beta", "--k", "9"],
+     "S_beta(k=9): 9 generators on 512 points",
+     "  a0               " + "".join(f"({i} {i + 256})" for i in range(1, 257))
+     + "   [k=9;L0=1;" + ";".join(f"L{l}=" + "0" * (1 << l) for l in range(1, 9)) + "]"),
+], ids=["syl2_S-n300", "syl2_A-n300", "s_beta-k9"])
+def test_cli_gens_past_256_points(argv, header, line, capsys):
+    # more points than a byte key holds: the permutations keep tuples
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == header
+    assert line in lines
+    assert len(lines) == 1 + int(header.split(": ")[1].split()[0])
+
+
 def test_cli_gens_json(tmp_path, capsys):
     out = tmp_path / "gens.json"
     assert cli.main(["gens", "--k", "2", "--family", "s_alpha", "--json", str(out)]) == 0
@@ -190,6 +211,29 @@ def test_cli_verify_single_claim(tmp_path, capsys):
     report = cl.VerificationReport.from_json((tmp_path / "r.json").read_text())
     assert report.claims[0].status == "pass"
     assert report.parameters["max_k"] == 3
+
+
+def _report_data():
+    return json.loads(_full_report().to_json())
+
+
+def test_report_from_json_rejects_a_non_object():
+    with pytest.raises(ValueError, match="^a report is a JSON object, not list$"):
+        cl.VerificationReport.from_json("[]")
+
+
+def test_report_from_json_rejects_a_missing_field():
+    data = _report_data()
+    del data["version"]
+    with pytest.raises(ValueError, match="^report is missing the field 'version'$"):
+        cl.VerificationReport.from_json(json.dumps(data))
+
+
+def test_report_from_json_rejects_an_unknown_status():
+    data = _report_data()
+    data["claims"][0]["status"] = "weird"
+    with pytest.raises(ValueError, match="^claim 'boxtimes' has unknown status 'weird'$"):
+        cl.VerificationReport.from_json(json.dumps(data))
 
 
 def test_cli_verify_requires_claim_or_all(capsys):

@@ -220,7 +220,7 @@ def test_homomorphism_check_level_index_maps():
     for level in range(3):
         mapping = {}
         for key in G.elements:
-            portrait = tc.from_permutation(ge.perm_of(key))
+            portrait = tc.from_permutation(Permutation(key))
             odd = tc.level_index(portrait, level) % 2 == 1
             mapping[key] = flip if odd else ident
         assert ge.homomorphism_check(mapping, G, C2)
@@ -266,7 +266,7 @@ def test_no_pair_from_random_pool_generates_g3():
     keys = G.sorted_keys()
     pool = sorted({rng.choice(keys) for _ in range(200)})
     for a, b in itertools.combinations(pool, 2):
-        sub = ge.generate([ge.perm_of(a), ge.perm_of(b)])
+        sub = ge.generate([Permutation(a), Permutation(b)])
         assert sub.order < G.order
 
 
@@ -284,6 +284,20 @@ def test_element_order_exponent_abelian_center():
         "order": 4, "abelian": True, "exponent": 2,
         "derived_length": 1, "center_size": 4,
     }
+
+
+def test_permutations_and_keys_are_interchangeable():
+    G = _G(3)
+    perms = list(G.permutations())
+    assert [p.key for p in perms] == G.sorted_keys()
+    assert perms == [Permutation(key) for key in G.sorted_keys()]
+    for p in perms[::7]:
+        assert ge.contains(G, p) and ge.contains(G, p.key)
+        assert ge.element_order(p) == ge.element_order(p.key) == p.order()
+    mixed = {p if i % 2 else p.key: p.key if i % 2 else p for i, p in enumerate(perms)}
+    assert ge.homomorphism_check(mixed, G, G)
+    with pytest.raises(ValueError):
+        ge.contains(G, Permutation.identity(9))
 
 
 def test_even_subgroup_of_syl2_s4():
@@ -323,7 +337,7 @@ def _lcm_exponent(G):
 
 
 def _all_generators_center_size(G):
-    gen_keys = [ge.key_of(p) for _, p in G.generators.permutation_entries()]
+    gen_keys = [p.key for _, p in G.generators.permutation_entries()]
     return sum(
         1 for x in G.elements if all(ge._mul(x, g) == ge._mul(g, x) for g in gen_keys)
     )
@@ -417,7 +431,7 @@ def test_memo_keeps_cap_errors_below_the_order():
 
 
 def _generator_commutators(G):
-    gens = [ge.key_of(p) for _, p in G.generators.permutation_entries()]
+    gens = [p.key for _, p in G.generators.permutation_entries()]
     comms = {ge._mul(ge._mul(a, b), ge._mul(ge._inv(a), ge._inv(b))) for a in gens for b in gens}
     return comms - {G.identity_key}, gens
 

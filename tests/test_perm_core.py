@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sylow2.perm_core import (
     Permutation,
@@ -32,6 +32,41 @@ def test_rejects_non_bijections():
         Permutation((1, 2, 3))
     with pytest.raises(ValueError):
         Permutation(())
+
+
+def test_rejects_float_images():
+    # accepted once, and its repr then raised TypeError
+    with pytest.raises(ValueError):
+        Permutation([0.0, 1.0])
+
+
+def test_rejects_bool_images():
+    # accepted once, as the transposition (1 2)
+    with pytest.raises(ValueError):
+        Permutation([True, False])
+
+
+def test_key_holds_the_images_as_bytes():
+    p = Permutation.from_cycles(5, [(1, 3, 5)])
+    assert p.key == bytes(p.images) == bytes([2, 1, 4, 3, 0])
+    assert Permutation(p.key) == p
+    assert Permutation(bytes(range(256))).is_identity()
+    with pytest.raises(ValueError):
+        Permutation(b"\x00\x00")
+    with pytest.raises(ValueError):
+        Permutation.identity(257).key
+
+
+def test_product_on_300_points_is_tuple_composition():
+    # above 256 points a key no longer fits in bytes: the wide storage
+    rng = random.Random(300)
+    a, b = list(range(300)), list(range(300))
+    rng.shuffle(a)
+    rng.shuffle(b)
+    p, q = Permutation(a), Permutation(b)
+    assert (p * q).images == tuple(a[b[i]] for i in range(300))
+    assert (p * q).inverse() == q.inverse() * p.inverse()
+    assert cycle_notation(p * q) == cycle_notation(Permutation([a[y] for y in b]))
 
 
 def test_transposition_is_odd():
@@ -100,6 +135,25 @@ def test_cycle_notation_round_trip_property(p):
     assert cycle_notation(parse_cycle_notation(text, degree=p.degree)) == text
     if p(p.degree) != p.degree:  # the largest point is mentioned: no degree needed
         assert parse_cycle_notation(text) == p
+
+
+_DEGREES = st.one_of(st.integers(1, 256), st.integers(257, 300))
+
+
+@settings(max_examples=50)
+@given(_DEGREES.flatmap(lambda n: st.lists(st.integers(-1, n), min_size=n, max_size=n)))
+def test_rejects_every_non_bijection_property(images):
+    assume(sorted(images) != list(range(len(images))))
+    with pytest.raises(ValueError):
+        Permutation(images)
+
+
+@settings(max_examples=50)
+@given(_DEGREES.flatmap(lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+def test_product_is_composition_property(pair):
+    p, q = Permutation(pair[0]), Permutation(pair[1])
+    pq = p * q
+    assert all(pq(x) == p(q(x)) for x in range(1, p.degree + 1))
 
 
 def test_parse_cycle_notation_errors():

@@ -182,7 +182,7 @@ def test_parity_extension_values():
 
 def test_parity_extension_always_even_and_homomorphic():
     S4 = ge.generate(sb.syl2_S_generators(4))
-    perms = [ge.perm_of(key) for key in S4.sorted_keys()]
+    perms = [Permutation(key) for key in S4.sorted_keys()]
     images = {p: sb.parity_extension(p, 6) for p in perms}
     assert all(is_even(v) for v in images.values())
     assert len(set(images.values())) == len(perms)
@@ -194,7 +194,7 @@ def test_parity_extension_always_even_and_homomorphic():
 def test_parity_extension_image_is_boxtimes_6():
     S4 = ge.generate(sb.syl2_S_generators(4))
     image = {
-        bytes(sb.parity_extension(ge.perm_of(key), 6).images)
+        bytes(sb.parity_extension(Permutation(key), 6).images)
         for key in S4.elements
     }
     assert image == sb.boxtimes_group(6).elements
@@ -234,6 +234,6 @@ def test_w_subgroup_elementary_abelian():
 def test_w_elements_live_on_last_level():
     W = ge.generate(sb.w_subgroup_generators(3))
     for key in W.elements:
-        portrait = tc.from_permutation(ge.perm_of(key))
+        portrait = tc.from_permutation(Permutation(key))
         assert portrait.levels[0] == 0 and portrait.levels[1] == 0
         assert portrait.levels[2].bit_count() % 2 == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -204,6 +205,32 @@ def test_odd_t_factor_parity_random_words_depth3():
                 odd_letters += 1
         if tc.classify_element(result).kind is ElementKind.TYPE_T:
             assert odd_letters % 2 == 1
+
+
+def test_vertex_image_memo_is_ignored_by_eq_hash_and_repr():
+    filled = tc.from_text("k=3;L0=1;L1=01;L2=1001")
+    fresh = tc.Portrait(3, filled.levels)
+    images = tc.vertex_images(filled)
+    assert tc.vertex_images(filled) is images
+    assert isinstance(images, tuple) and all(isinstance(level, tuple) for level in images)
+    assert vars(filled) != vars(fresh)  # only one of the two holds the memo
+    assert filled == fresh
+    assert hash(filled) == hash(fresh)
+    assert repr(filled) == repr(fresh) == "Portrait(depth=3, levels=(1, 2, 9))"
+    assert {fresh: "found"}[filled] == "found"
+
+
+def test_compose_builds_ordinary_portraits():
+    sample = list(tc.iter_portraits(3))[::9]
+    for a in sample:
+        for b in sample:
+            product = tc.compose(a, b)
+            checked = tc.Portrait(3, product.levels)
+            assert product == checked and hash(product) == hash(checked)
+            assert repr(product) == repr(checked)
+            assert tc.to_permutation(product) == tc.to_permutation(checked)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        product.depth = 2
 
 
 def test_faithfulness_exhaustive_small_depths():
