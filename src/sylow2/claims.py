@@ -8,9 +8,9 @@ rather than failing or truncating silently.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-import operator
 import time
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
@@ -174,10 +174,11 @@ def _run_evenness(ctx: ClaimContext):
         except CapExceededError as exc:
             skipped.append({"k": k, "partial_count": exc.partial_count})
             continue
-        odd = [key for key in G.sorted_keys() if not group_engine.key_is_even(key)]
+        keys = G.sorted_keys()
+        odd = group_engine.key_parities(keys).find(1)
         checked[str(k)] = G.order
-        if odd:
-            failures[str(k)] = {"odd_element": repr(Permutation._of_key(odd[0]))}
+        if odd >= 0:
+            failures[str(k)] = {"odd_element": repr(Permutation._of_key(keys[odd]))}
     return _record({"k": list(_k_range(ctx))}, {"elements_checked": checked}, failures, skipped)
 
 
@@ -320,23 +321,39 @@ def _run_tau_ij_generation(ctx: ClaimContext):
     return _record({"k": k}, {"words": words}, failures)
 
 
-_LEGENDRE_CHUNK = 6000
+# The legendre claim packs a chunk of consecutive n into 32-bit lanes of one int,
+# so one shift, mask, add or subtract acts on all of it (SWAR: Warren, Hacker's
+# Delight, 2nd ed., 2012, ch. 5). No lane carries or borrows: n <= 10^6 < 2^20,
+# and popcount(n) <= n keeps n - popcount(n) >= 0.
+_LEGENDRE_LANES = 6000
 
 
-def _floor_sums(start: int, stop: int) -> list[int]:
-    """nu2(n!) for n in range(start, stop), from the floor-sum's halving step
-    F(n) = floor(n/2) + F(floor(n/2)): n = 2h and n = 2h + 1 both take the
-    value h + F(h), so the run is the half-length run shifted by h and
-    doubled. Runs of at most two fall back to the scalar legendre_nu2."""
-    if stop - start <= 2:
-        return [legendre_nu2(n) for n in range(start, stop)]
-    lo, hi = start >> 1, ((stop - 1) >> 1) + 1
-    halves = list(map(operator.add, range(lo, hi), _floor_sums(lo, hi)))
-    doubled = [0] * (2 * len(halves))
-    doubled[0::2] = halves
-    doubled[1::2] = halves
-    skip = start & 1  # doubled starts at 2 * lo, one before an odd start
-    return doubled[skip:skip + stop - start]
+@functools.cache
+def _spread(word: int, lanes: int) -> int:  # the 32-bit word in each lane
+    return int.from_bytes(word.to_bytes(4, "little") * lanes, "little")
+
+
+@functools.cache
+def _iota(lanes: int) -> int:  # 0, 1, ..., lanes - 1, one per lane
+    return int.from_bytes(b"".join(i.to_bytes(4, "little") for i in range(lanes)), "little")
+
+
+def _lane_floor_sums(start: int, lanes: int) -> int:
+    """Legendre's sum of floor(n / 2^i), i >= 1, for n = start, start + 1, ..., lane by lane."""
+    h, total, low31 = start * _spread(1, lanes) + _iota(lanes), 0, _spread(0x7FFF_FFFF, lanes)
+    while h:  # halve every lane at once, as legendre_nu2 halves its n,
+        h = (h >> 1) & low31  # dropping the bit shifted in from the lane above
+        total += h
+    return total
+
+
+def _lane_identity(start: int, lanes: int) -> int:
+    """n - popcount(n) for n = start, start + 1, ..., lane by lane, by SWAR popcount."""
+    n = start * _spread(1, lanes) + _iota(lanes)
+    x = n - ((n >> 1) & _spread(0x5555_5555, lanes))
+    x = (x & _spread(0x3333_3333, lanes)) + ((x >> 2) & _spread(0x3333_3333, lanes))
+    x = (x + (x >> 4)) & _spread(0x0F0F_0F0F, lanes)
+    return n - ((x * 0x0101_0101 >> 24) & _spread(0xFF, lanes))
 
 
 def _run_legendre(ctx: ClaimContext):
@@ -348,12 +365,11 @@ def _run_legendre(ctx: ClaimContext):
             failures[n_text] = {"expected": expected, "got": got}
     limit = 10 ** 6
     # chunk by chunk, so no table of all 10^6 values is ever held
-    for start in range(0, limit + 1, _LEGENDRE_CHUNK):
-        chunk = range(start, min(start + _LEGENDRE_CHUNK, limit + 1))
-        floor_sums = _floor_sums(chunk.start, chunk.stop)
-        identity = list(map(operator.sub, chunk, map(int.bit_count, chunk)))
-        if floor_sums != identity:
-            n = next(n for n, a, b in zip(chunk, floor_sums, identity) if a != b)
+    for start in range(0, limit + 1, _LEGENDRE_LANES):
+        lanes = min(_LEGENDRE_LANES, limit + 1 - start)
+        diff = _lane_floor_sums(start, lanes) ^ _lane_identity(start, lanes)
+        if diff:  # its lowest set bit lies in the lane of the smallest bad n
+            n = start + ((diff & -diff).bit_length() - 1) // 32
             failures[str(n)] = {"identity": "nu2(n!) != n - popcount(n)"}
             break
     witnesses = {"spot_values": spot, "identity_checked_to": limit}
@@ -396,15 +412,21 @@ def _run_parity_extension(ctx: ClaimContext):
             rhs = images[p] * images[q]
             if lhs != rhs:
                 failures["homomorphism"] = f"{p!r}, {q!r}"
-    H6 = sylow_builders.boxtimes_group(6, cap=ctx.cap)
-    if image_keys != H6.elements:
-        failures["image"] = "extension image differs from the block-built group"
-    fp = group_engine.fingerprint(H6)
-    expected_fp = {"order": 8, "abelian": False, "exponent": 4}
-    for field_name, value in expected_fp.items():
-        if fp[field_name] != value:
-            failures[f"fingerprint_{field_name}"] = {"expected": value, "got": fp[field_name]}
-    witnesses = {"pairs_checked": len(elements) ** 2, "fingerprint": fp}
+    witnesses = {"pairs_checked": len(elements) ** 2}
+    try:
+        H6 = sylow_builders.boxtimes_group(6, cap=ctx.cap)
+    except CapExceededError:
+        raise
+    except RuntimeError as exc:  # without H6, no image or fingerprint to compare
+        failures["construction_mismatch"] = str(exc)
+    else:
+        if image_keys != H6.elements:
+            failures["image"] = "extension image differs from the block-built group"
+        fp = witnesses["fingerprint"] = group_engine.fingerprint(H6)
+        expected_fp = {"order": 8, "abelian": False, "exponent": 4}
+        for field_name, value in expected_fp.items():
+            if fp[field_name] != value:
+                failures[f"fingerprint_{field_name}"] = {"expected": value, "got": fp[field_name]}
     return _record({"domain": "Syl2(S_4)", "target": "A_6"}, witnesses, failures)
 
 
@@ -434,17 +456,13 @@ def _run_order_ratios(ctx: ClaimContext):
 
 def _run_portrait_oracle(ctx: ClaimContext):
     k = 3
-    portraits = list(tree_core.iter_portraits(k))
-    perms = [tree_core.to_permutation(p) for p in portraits]
-    failures = {}
-    for a, pa in zip(portraits, perms):
-        for b, pb in zip(portraits, perms):
-            if tree_core.to_permutation(tree_core.compose(a, b)) != pa * pb:
-                failures[f"{tree_core.to_text(a)} . {tree_core.to_text(b)}"] = "mismatch"
-                break
-        if failures:
+    leaf_actions = [(p, tree_core.to_permutation(p)) for p in tree_core.iter_portraits(k)]
+    failures, pairs = {}, 0
+    for pairs, ((a, pa), (b, pb)) in enumerate(itertools.product(leaf_actions, repeat=2), 1):
+        if tree_core.to_permutation(tree_core.compose(a, b)) != pa * pb:
+            failures[f"{tree_core.to_text(a)} . {tree_core.to_text(b)}"] = "mismatch"
             break
-    return _record({"k": k}, {"pairs_checked": len(portraits) ** 2}, failures)
+    return _record({"k": k}, {"pairs_checked": pairs}, failures)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,10 @@ def _print_genset(gs: group_engine.GeneratorSet) -> None:
 
 def _cmd_order(args) -> int:
     exponent = sylow_builders.syl2_order(args.n, args.kind)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and exponent >= (10 ** digits).bit_length():  # 2^e >= 10^digits: unprintable
+        raise ValueError(f"n={args.n} gives order 2^{exponent}, past the {digits}-digit "
+                         "limit of sys.get_int_max_str_digits()")
     order = 1 << exponent
     print(f"Syl_2({args.kind}_{args.n}): order 2^{exponent} = {order}")
     if args.json:

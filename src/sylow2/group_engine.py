@@ -17,6 +17,7 @@ partial value.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -28,6 +29,7 @@ from .perm_core import _PADS, Permutation, _table
 
 DEFAULT_CAP = 1 << 20
 MAX_DEGREE = 255
+_PARITY_BATCH = 512  # keys whose signs key_parities finds together
 
 GeneratorElement = Union[Permutation, tree_core.Portrait]
 
@@ -523,23 +525,31 @@ def fingerprint(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> dict[str, int | b
     }
 
 
-def key_is_even(key: bytes) -> bool:
-    """Sign of a canonical element key, via the cycle count."""
-    seen = bytearray(len(key))
-    cycles = 0
-    for start in range(len(key)):
-        if seen[start]:
-            continue
-        cycles += 1
-        v = start
-        while not seen[v]:
-            seen[v] = 1
-            v = key[v]
-    return (len(key) - cycles) % 2 == 0
+def key_parities(keys: Sequence[bytes]) -> bytes:
+    """One byte per key, all of one degree n: 1 for an odd key, 0 for an even one.
+
+    Signs are inversion parities, a batch of keys at once: with byte column i in
+    16-bit lanes, one key each, ((col_j | H) - col_i) & H, H bit 8 of each lane,
+    is set exactly where x_j > x_i (keys are bytes: no lane of 256 + x_j - x_i
+    borrows). Its XOR over all i < j, flipped if C(n, 2) is odd, is the parity."""
+    out = bytearray()
+    for first in range(0, len(keys), _PARITY_BATCH):
+        batch = keys[first:first + _PARITY_BATCH]
+        n, lanes = len(batch[0]), len(batch)
+        wide = bytearray(2 * n * lanes)
+        wide[0::2] = b"".join(batch)
+        cols = [int.from_bytes(memoryview(wide).cast("H")[i::n], "little") for i in range(n)]
+        high = int.from_bytes(b"\0\1" * lanes, "little")
+        parity = high if n * (n - 1) // 2 % 2 else 0
+        for col_i, col_j in itertools.combinations(cols, 2):
+            parity ^= ((col_j | high) - col_i) & high
+        out += (parity >> 8).to_bytes(2 * lanes, "little")[0::2]
+    return bytes(out)
 
 
 def even_subgroup(G: EnumeratedGroup, name: str | None = None) -> EnumeratedGroup:
     """The subgroup of even permutations (the sign map's kernel)."""
-    evens = {k for k in G.elements if key_is_even(k)}
+    keys = list(G.elements)
+    evens = {key for key, odd in zip(keys, key_parities(keys)) if not odd}
     label = name if name is not None else f"even({G.generators.name})"
     return group_from_elements(evens, G.degree, label, verify=False)

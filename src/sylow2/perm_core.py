@@ -240,11 +240,8 @@ def parse_cycle_notation(text: str, degree: int | None = None) -> Permutation:
 def legendre_nu2(n: int) -> int:
     """Largest e with 2^e dividing n!, i.e. sum over i >= 1 of floor(n / 2^i).
 
-    Equals n - popcount(n). The ``legendre`` claim checks that identity for
-    every n up to 10^6, a chunk of consecutive n at a time: it builds the
-    chunk's floor-sums from the halving step F(n) = floor(n/2) + F(floor(n/2)),
-    down to runs short enough for this function, and compares them with
-    n - popcount(n) computed directly.
+    Equals n - popcount(n). The ``legendre`` claim checks that identity to 10^6,
+    running this loop on 6000 n at once, one per 32-bit lane of an int.
 
     >>> legendre_nu2(8)
     7

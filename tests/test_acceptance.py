@@ -9,7 +9,7 @@ from functools import lru_cache
 from sylow2 import group_engine as ge
 from sylow2 import sylow_builders as sb
 from sylow2 import tree_core as tc
-from sylow2.perm_core import Permutation, legendre_nu2
+from sylow2.perm_core import Permutation, is_even, legendre_nu2
 
 
 @lru_cache(maxsize=None)
@@ -46,7 +46,7 @@ def test_02_evenness():
     for k in (2, 3, 4):
         G = _G(k)
         counts[k] = G.order
-        ok = ok and all(ge.key_is_even(key) for key in G.elements)
+        ok = ok and all(is_even(Permutation(key)) for key in G.elements)
     _finish("02 evenness", ok, f"elements checked={counts}")
 
 
@@ -167,7 +167,7 @@ def test_10_composite_constructions():
         H = sb.boxtimes_group(n)  # internally cross-checks both constructions
         orders[n] = H.order
         full = ge.generate(sb.syl2_S_generators(n))
-        filtered = {key for key in full.elements if ge.key_is_even(key)}
+        filtered = {key for key in full.elements if is_even(Permutation(key))}
         ok = ok and H.elements == filtered
     elapsed = time.perf_counter() - start
     ok = ok and orders[12] == 512 and orders[6] == 8 and elapsed < 10

@@ -1,7 +1,8 @@
 """The batched checks inside claim runners, against the scalar and
-per-sample loops they replace: the legendre claim's chunked floor-sums and
-frattini-level's one check per distinct Frattini element; and portrait-oracle
-failing on a planted defect and checking every pair on sound code."""
+per-sample loops they replace: the legendre claim's lane-packed floor-sums
+and identity, the evenness claim's lane-packed signs, and frattini-level's
+one check per distinct Frattini element; each claim failing on a planted
+defect, and portrait-oracle checking every pair on sound code."""
 
 import dataclasses
 import tracemalloc
@@ -12,11 +13,12 @@ import pytest
 
 from sylow2 import claims as cl
 from sylow2 import group_engine as ge
+from sylow2 import sylow_builders as sb
 from sylow2 import tree_core as tc
 from sylow2.perm_core import Permutation, legendre_nu2
 
 LIMIT = 10 ** 6
-CHUNK = cl._LEGENDRE_CHUNK
+CHUNK = cl._LEGENDRE_LANES
 IDENTITY_FAILURE = {"identity": "nu2(n!) != n - popcount(n)"}
 
 
@@ -25,34 +27,94 @@ def _chunk_of(n):
     return start, min(start + CHUNK, LIMIT + 1)
 
 
-def test_floor_sums_match_the_scalar_function_on_whole_chunks():
+def _unpack(packed, lanes):
+    """The 32-bit lanes of a packed int, lowest first."""
+    raw = packed.to_bytes(4 * lanes, "little")
+    return [int.from_bytes(raw[i:i + 4], "little") for i in range(0, len(raw), 4)]
+
+
+def _planted(side, bad):
+    """The lane kernel of one side, one too high in the lane of n = bad."""
+    kernel = getattr(cl, side)
+
+    def wrong_at_bad(start, lanes):
+        off_by_one = 1 << 32 * (bad - start) if start <= bad < start + lanes else 0
+        return kernel(start, lanes) + off_by_one
+
+    return wrong_at_bad
+
+
+def _matches(kernel, scalar, start, stop):
+    lanes = stop - start
+    return _unpack(kernel(start, lanes), lanes) == [scalar(n) for n in range(start, stop)]
+
+
+def _matches_on_whole_chunks(kernel, scalar):
     first, crossing, last = _chunk_of(0), _chunk_of(1 << 16), _chunk_of(LIMIT)
     assert first == (0, CHUNK)
     assert crossing[0] < 1 << 16 < crossing[1] - 1
     assert last[1] == LIMIT + 1 and last[1] - last[0] < CHUNK
     for start, stop in (first, crossing, last):
-        assert cl._floor_sums(start, stop) == [legendre_nu2(n) for n in range(start, stop)]
+        assert _matches(kernel, scalar, start, stop)
 
 
-def test_floor_sums_match_the_scalar_function_on_short_runs():
+def _matches_on_short_runs(kernel, scalar):
     # every parity of start and length, down to the empty run
     for start in range(70):
         for stop in range(start, 80):
-            assert cl._floor_sums(start, stop) == [legendre_nu2(n) for n in range(start, stop)]
+            assert _matches(kernel, scalar, start, stop)
+
+
+def test_floor_sums_match_the_scalar_function_on_whole_chunks():
+    _matches_on_whole_chunks(cl._lane_floor_sums, legendre_nu2)
+
+
+def test_floor_sums_match_the_scalar_function_on_short_runs():
+    _matches_on_short_runs(cl._lane_floor_sums, legendre_nu2)
+
+
+def test_identity_matches_n_minus_popcount_on_whole_chunks():
+    _matches_on_whole_chunks(cl._lane_identity, lambda n: n - n.bit_count())
+
+
+def test_identity_matches_n_minus_popcount_on_short_runs():
+    _matches_on_short_runs(cl._lane_identity, lambda n: n - n.bit_count())
 
 
 @pytest.mark.parametrize("bad", [0, CHUNK - 1, 2 * CHUNK, LIMIT])
 def test_legendre_reports_the_first_wrong_floor_sum(monkeypatch, bad):
-    floor_sums = cl._floor_sums
-
-    def wrong_at_bad(start, stop):
-        return [v + (n == bad) for n, v in zip(range(start, stop), floor_sums(start, stop))]
-
-    monkeypatch.setattr(cl, "_floor_sums", wrong_at_bad)
+    monkeypatch.setattr(cl, "_lane_floor_sums", _planted("_lane_floor_sums", bad))
     status, parameters, witnesses = cl._run_legendre(cl.ClaimContext())
     assert status == "fail"
     assert parameters == {"identity_limit": LIMIT}
     assert witnesses["failures"] == {str(bad): IDENTITY_FAILURE}
+
+
+@pytest.mark.parametrize("bad", [0, CHUNK - 1, 2 * CHUNK, LIMIT])
+def test_legendre_reports_the_first_wrong_identity(monkeypatch, bad):
+    monkeypatch.setattr(cl, "_lane_identity", _planted("_lane_identity", bad))
+    status, parameters, witnesses = cl._run_legendre(cl.ClaimContext())
+    assert status == "fail"
+    assert parameters == {"identity_limit": LIMIT}
+    assert witnesses["failures"] == {str(bad): IDENTITY_FAILURE}
+
+
+def test_legendre_reports_the_smallest_of_two_wrong_lanes(monkeypatch):
+    monkeypatch.setattr(cl, "_lane_floor_sums", _planted("_lane_floor_sums", CHUNK + 7))
+    monkeypatch.setattr(cl, "_lane_identity", _planted("_lane_identity", CHUNK + 5))
+    _, _, witnesses = cl._run_legendre(cl.ClaimContext())
+    assert witnesses["failures"] == {str(CHUNK + 5): IDENTITY_FAILURE}
+
+
+def test_legendre_reports_a_lane_wrong_only_in_its_top_bit(monkeypatch):
+    kernel = cl._lane_identity
+
+    def top_bit_at_9(start, lanes):
+        return kernel(start, lanes) ^ ((1 << 31 + 32 * 9) if start == 0 else 0)
+
+    monkeypatch.setattr(cl, "_lane_identity", top_bit_at_9)
+    _, _, witnesses = cl._run_legendre(cl.ClaimContext())
+    assert witnesses["failures"] == {"9": IDENTITY_FAILURE}
 
 
 def test_legendre_holds_one_chunk_at_a_time():
@@ -152,6 +214,19 @@ def test_portrait_oracle_fails_when_compose_swaps_its_arguments(monkeypatch):
     }
 
 
+def test_portrait_oracle_counts_the_pairs_it_compared(monkeypatch):
+    compose, calls = tc.compose, Counter()
+
+    def swapped(a, b):
+        calls["compose"] += 1
+        return compose(b, a)
+
+    monkeypatch.setattr(tc, "compose", swapped)
+    status, _, witnesses = cl._run_portrait_oracle(cl.ClaimContext())
+    assert status == "fail"
+    assert witnesses["pairs_checked"] == calls["compose"] == 145
+
+
 def test_portrait_oracle_runs_both_sides_on_every_pair(monkeypatch):
     calls = Counter()
     for name in ("compose", "to_permutation"):
@@ -167,3 +242,48 @@ def test_portrait_oracle_runs_both_sides_on_every_pair(monkeypatch):
     assert witnesses == {"pairs_checked": 16384}
     # one product portrait per pair, and its leaf action beside the 128 factors'
     assert calls == {"compose": 16384, "to_permutation": 16384 + 128}
+
+
+# --- evenness and parity-extension ------------------------------------------
+
+
+def test_evenness_fails_on_an_odd_tau(monkeypatch):
+    # tau with one last-level state is a single transposition of two leaves
+    monkeypatch.setattr(sb, "tau", lambda k: sb.tau_set([1], k))
+    status, _, witnesses = cl._run_evenness(cl.ClaimContext())
+    assert status == "fail"
+    assert witnesses == {
+        "elements_checked": {"2": 8, "3": 128, "4": 32768},
+        "failures": {
+            "2": {"odd_element": "Permutation[(3 4)]"},
+            "3": {"odd_element": "Permutation[(7 8)]"},
+            "4": {"odd_element": "Permutation[(15 16)]"},
+        },
+    }
+
+
+def test_evenness_reports_the_first_odd_key_in_sorted_order(monkeypatch):
+    ctx = cl.ClaimContext()
+    keys = cl.tree_group(ctx, 4).sorted_keys()
+    planted = {keys[9000], keys[5000]}
+    monkeypatch.setattr(ge, "key_parities", lambda ks: bytes(key in planted for key in ks))
+    status, _, witnesses = cl._run_evenness(ctx)
+    assert status == "fail"
+    assert witnesses["failures"] == {"4": {"odd_element": repr(Permutation(keys[5000]))}}
+
+
+def test_parity_extension_fails_when_the_even_filter_is_wrong(monkeypatch):
+    # the filter keeps only keys fixing point 1, so boxtimes_group(6)'s two
+    # constructions disagree
+    parities = ge.key_parities
+
+    def odd_unless_fixing_1(keys):
+        return bytes(odd or key[0] != 0 for key, odd in zip(keys, parities(keys)))
+
+    monkeypatch.setattr(ge, "key_parities", odd_unless_fixing_1)
+    report = cl.run_claims(["parity-extension"], cl.ClaimContext(), version="test")
+    [record] = report.claims
+    assert record.status == "fail"
+    assert list(record.witnesses["failures"]) == ["construction_mismatch"]
+    assert "disagree for n=6" in record.witnesses["failures"]["construction_mismatch"]
+    assert record.witnesses["pairs_checked"] == 64 and "fingerprint" not in record.witnesses

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import os
+import sys
 from collections import Counter
 from functools import lru_cache
 
@@ -130,6 +132,46 @@ def test_cli_order_json(tmp_path, capsys):
 def test_cli_order_rejects_bad_n(capsys):
     assert cli.main(["order", "--n", "0", "--kind", "S"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@contextlib.contextmanager
+def _digit_limit(digits):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_cli_order_refuses_an_order_past_the_digit_limit(tmp_path, capsys):
+    # Syl_2(A_14295) has order 2^14283, of 4300 digits; Syl_2(A_14296) has 2^14286, of 4301
+    out = tmp_path / "order.json"
+    with _digit_limit(4300):
+        assert cli.main(["order", "--n", "14295", "--kind", "A", "--json", str(out)]) == 0
+        head, order = capsys.readouterr().out.split(" = ")
+        assert head == "Syl_2(A_14295): order 2^14283" and int(order) == 1 << 14283
+        assert len(order.strip()) == 4300
+        for n, exponent in (("14296", 14286), ("10000000000", 9999999988)):
+            assert cli.main(["order", "--n", n, "--kind", "A", "--json", str(out)]) == 2
+            captured = capsys.readouterr()
+            [line] = captured.err.splitlines()
+            assert captured.out == "" and line.startswith("error: ")
+            assert f"n={n}" in line and f"2^{exponent}" in line
+            assert "4300" in line and "sys.get_int_max_str_digits()" in line
+        assert json.loads(out.read_text())["exponent"] == 14283
+        assert cli.main(["decompose", "--n", "10000000000"]) == 0
+        assert "Syl_2(A_10000000000): 2^9999999988" in capsys.readouterr().out
+
+
+def test_cli_order_digit_limit_is_exact(capsys):
+    # under a 642-digit limit, Syl_2(S_2137) has order 2^2132, of 642 digits,
+    # and Syl_2(S_2138) has 2^2133 = 2^bit_length(10^642), of 643
+    with _digit_limit(642):
+        assert cli.main(["order", "--n", "2137", "--kind", "S"]) == 0
+        assert len(capsys.readouterr().out.split(" = ")[1].strip()) == 642
+        assert cli.main(["order", "--n", "2138", "--kind", "S"]) == 2
+        assert "2^2133, past the 642-digit limit" in capsys.readouterr().err
 
 
 def test_cli_decompose(tmp_path, capsys):

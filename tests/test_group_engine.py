@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sylow2 import group_engine as ge
 from sylow2 import tree_core as tc
-from sylow2.perm_core import Permutation
+from sylow2.perm_core import Permutation, is_even
 from sylow2.sylow_builders import (
     b_subgroup_generators,
     s_beta,
@@ -205,7 +205,7 @@ def test_homomorphism_check_parity_map():
     flip = bytes((1, 0))
     ident = bytes((0, 1))
     mapping = {
-        key: (ident if ge.key_is_even(key) else flip) for key in G.elements
+        key: (ident if is_even(Permutation(key)) else flip) for key in G.elements
     }
     assert ge.homomorphism_check(mapping, G, C2)
 
@@ -300,12 +300,41 @@ def test_permutations_and_keys_are_interchangeable():
         ge.contains(G, Permutation.identity(9))
 
 
+PARITY_BATCH = ge._PARITY_BATCH
+
+
+@pytest.mark.parametrize("length", [0, 1, PARITY_BATCH - 1, PARITY_BATCH, PARITY_BATCH + 1])
+@settings(max_examples=10)
+@given(degree=st.integers(1, 255), seed=st.integers(0, 2 ** 32))
+def test_key_parities_match_the_cycle_count_sign(length, degree, seed):
+    rng = random.Random(seed)
+    keys = []
+    for i in range(length):
+        images = list(range(degree))
+        rng.shuffle(images)
+        if i % 2 and degree > 1:
+            # swap the first two images of every other key: the list holds
+            # odd and even keys alike
+            images[0], images[1] = images[1], images[0]
+        keys.append(bytes(images))
+    assert ge.key_parities(keys) == bytes(not is_even(Permutation(key)) for key in keys)
+
+
+def test_key_parities_on_whole_groups():
+    groups = [_G(k) for k in (2, 3, 4)] + [ge.generate(syl2_S_generators(16))]
+    for G in groups:
+        keys = G.sorted_keys()
+        parities = ge.key_parities(keys)
+        assert parities == bytes(not is_even(Permutation(key)) for key in keys)
+    assert [sum(ge.key_parities(G.sorted_keys())) for G in groups] == [0, 0, 0, 1 << 14]
+
+
 def test_even_subgroup_of_syl2_s4():
     G = ge.generate(syl2_S_generators(4))
     H = ge.even_subgroup(G)
     assert H.order == 4
     assert ge.is_subgroup(H, G)
-    assert all(ge.key_is_even(key) for key in H.elements)
+    assert all(is_even(Permutation(key)) for key in H.elements)
 
 
 def test_group_from_elements_rejects_non_closed_sets():

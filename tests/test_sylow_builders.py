@@ -40,7 +40,7 @@ def test_s_beta_closure_orders_and_evenness():
     for k, expected in ((2, 4), (3, 64)):
         G = ge.generate(sb.s_beta(k))
         assert G.order == expected
-        assert all(ge.key_is_even(key) for key in G.elements)
+        assert all(is_even(Permutation(key)) for key in G.elements)
 
 
 def test_tau_ij_words_exhaustive():
@@ -154,7 +154,7 @@ def test_boxtimes_matches_filtered_even_subgroup():
     # here as an explicit oracle
     for n in (4, 6, 7, 12):
         full = ge.generate(sb.syl2_S_generators(n))
-        filtered = {key for key in full.elements if ge.key_is_even(key)}
+        filtered = {key for key in full.elements if is_even(Permutation(key))}
         assert sb.boxtimes_group(n).elements == filtered
 
 
