@@ -1,9 +1,9 @@
 """Registry of verifiable structural claims about the tree-built Sylow
 2-subgroups, each returning a machine-readable pass/fail record.
 
-Every claim is deterministic for a fixed context (ranges, cap, seed). A
-claim that would need an enumeration past the cap reports "skipped-cap"
-rather than failing or truncating silently.
+Every claim is deterministic for a fixed context (ranges, cap, seed). Any
+claim, per-k or not, reports "skipped-cap" when a unit it checks needs an
+enumeration past the cap, rather than failing or truncating silently.
 """
 
 from __future__ import annotations
@@ -133,8 +133,25 @@ def tree_group(ctx: ClaimContext, k: int) -> EnumeratedGroup:
     return found
 
 
-def _k_range(ctx: ClaimContext) -> range:
-    return range(2, ctx.max_k + 1)
+def _sweep(units, check, key: str = "k"):
+    """Run check(unit) on each unit of a claim (a tree depth k or a degree n).
+
+    check returns (witness, failure); a witness of None is left out and a
+    falsy failure is no failure. A unit whose enumeration passes the cap
+    becomes a skip entry instead. Returns the witnesses and failures keyed by
+    str(unit), and the skip entries."""
+    found, failures, skipped = {}, {}, []
+    for unit in units:
+        try:
+            witness, failure = check(unit)
+        except CapExceededError as exc:
+            skipped.append({key: unit, "partial_count": exc.partial_count})
+            continue
+        if witness is not None:
+            found[str(unit)] = witness
+        if failure:
+            failures[str(unit)] = failure
+    return found, failures, skipped
 
 
 def _record(parameters: dict, witnesses: dict, failures: dict, skipped: list = ()):
@@ -148,176 +165,186 @@ def _record(parameters: dict, witnesses: dict, failures: dict, skipped: list = (
     return status, parameters, witnesses
 
 
+def _k_range(ctx: ClaimContext) -> range:
+    return range(2, ctx.max_k + 1)
+
+
+def _per_unit(name: str, units=_k_range, key: str = "k", **parameters):
+    """Turn check(ctx, unit) -> (witness, failure) into a runner that sweeps
+    units(ctx), each k in 2..max_k unless given, lists them in the record's
+    parameters under key, and keeps the witnesses under one name."""
+
+    def runner_of(check):
+        def runner(ctx: ClaimContext):
+            swept = list(units(ctx))
+            found, failures, skipped = _sweep(swept, lambda unit: check(ctx, unit), key)
+            return _record({key: swept, **parameters}, {name: found}, failures, skipped)
+
+        return runner
+
+    return runner_of
+
+
+@dataclass(frozen=True)
+class Claim:
+    claim_id: str
+    statement: str
+    runner: Callable[[ClaimContext], tuple[Status, dict, dict]]
+
+
+CLAIMS: dict[str, Claim] = {}
+
+
+def _claim(claim_id: str, statement: str):
+    """Register the decorated runner in CLAIMS under claim_id."""
+
+    def register(runner):
+        CLAIMS[claim_id] = Claim(claim_id, statement, runner)
+        return runner
+
+    return register
+
+
 # --- claim runners ----------------------------------------------------------
 
 
-def _run_order_gk(ctx: ClaimContext):
-    orders, failures, skipped = {}, {}, []
-    for k in _k_range(ctx):
-        expected = 1 << ((1 << k) - 2)
-        try:
-            got = tree_group(ctx, k).order
-        except CapExceededError as exc:
-            skipped.append({"k": k, "partial_count": exc.partial_count})
-            continue
-        orders[str(k)] = got
-        if got != expected:
-            failures[str(k)] = {"expected": expected, "got": got}
-    return _record({"k": list(_k_range(ctx))}, {"orders": orders}, failures, skipped)
+@_claim("order-gk", "The closure of the k standard tree generators has order 2^(2^k - 2) for each k in 2..max_k.")
+@_per_unit("orders")
+def _run_order_gk(ctx: ClaimContext, k: int):
+    expected, got = 1 << ((1 << k) - 2), tree_group(ctx, k).order
+    return got, {"expected": expected, "got": got} if got != expected else None
 
 
-def _run_evenness(ctx: ClaimContext):
-    failures, skipped, checked = {}, [], {}
-    for k in _k_range(ctx):
-        try:
-            G = tree_group(ctx, k)
-        except CapExceededError as exc:
-            skipped.append({"k": k, "partial_count": exc.partial_count})
-            continue
-        keys = G.sorted_keys()
-        odd = group_engine.key_parities(keys).find(1)
-        checked[str(k)] = G.order
-        if odd >= 0:
-            failures[str(k)] = {"odd_element": repr(Permutation._of_key(keys[odd]))}
-    return _record({"k": list(_k_range(ctx))}, {"elements_checked": checked}, failures, skipped)
+@_claim("evenness", "Every element of the generated group is an even permutation of the 2^k leaves.")
+@_per_unit("elements_checked")
+def _run_evenness(ctx: ClaimContext, k: int):
+    G = tree_group(ctx, k)
+    keys = G.sorted_keys()
+    odd = group_engine.key_parities(keys).find(1)
+    return G.order, {"odd_element": repr(Permutation._of_key(keys[odd]))} if odd >= 0 else None
 
 
-def _run_semidirect(ctx: ClaimContext):
-    failures, skipped, arithmetic = {}, [], {}
-    for k in _k_range(ctx):
-        try:
-            G = tree_group(ctx, k)
-            B = group_engine.generate(sylow_builders.b_subgroup_generators(k), cap=ctx.cap)
-            W = group_engine.generate(sylow_builders.w_subgroup_generators(k), cap=ctx.cap)
-        except CapExceededError as exc:
-            skipped.append({"k": k, "partial_count": exc.partial_count})
-            continue
-        rel = group_engine.verify_semidirect(B, W, G)
-        arithmetic[str(k)] = (
-            f"2^{B.order.bit_length() - 1} * 2^{W.order.bit_length() - 1}"
-            f" = 2^{G.order.bit_length() - 1}"
-        )
-        if not rel.ok:
-            failures[str(k)] = {"checks": dict(rel.checks), "witnesses": dict(rel.witnesses)}
-    return _record({"k": list(_k_range(ctx))}, {"order_arithmetic": arithmetic}, failures, skipped)
+@_claim("semidirect", "W is normal, B meets W trivially, and |B| |W| = |G| for the level-split subgroups.")
+@_per_unit("order_arithmetic")
+def _run_semidirect(ctx: ClaimContext, k: int):
+    G = tree_group(ctx, k)
+    B = group_engine.generate(sylow_builders.b_subgroup_generators(k), cap=ctx.cap)
+    W = group_engine.generate(sylow_builders.w_subgroup_generators(k), cap=ctx.cap)
+    rel = group_engine.verify_semidirect(B, W, G)
+    arithmetic = (
+        f"2^{B.order.bit_length() - 1} * 2^{W.order.bit_length() - 1}"
+        f" = 2^{G.order.bit_length() - 1}"
+    )
+    if rel.ok:
+        return arithmetic, None
+    return arithmetic, {"checks": dict(rel.checks), "witnesses": dict(rel.witnesses)}
 
 
-def _run_w_structure(ctx: ClaimContext):
-    failures, skipped, seen = {}, [], {}
-    for k in _k_range(ctx):
-        try:
-            W = group_engine.generate(sylow_builders.w_subgroup_generators(k), cap=ctx.cap)
-        except CapExceededError as exc:
-            skipped.append({"k": k, "partial_count": exc.partial_count})
-            continue
-        expected = 1 << ((1 << (k - 1)) - 1)
-        abelian = group_engine.is_abelian(W)
-        expo = group_engine.exponent(W)
-        seen[str(k)] = {"order": W.order, "abelian": abelian, "exponent": expo}
-        if W.order != expected or not abelian or expo != 2:
-            failures[str(k)] = {"expected_order": expected, **seen[str(k)]}
-    return _record({"k": list(_k_range(ctx))}, {"structure": seen}, failures, skipped)
+@_claim("w-structure", "The last-level subgroup has order 2^(2^(k-1) - 1), is abelian, and has exponent 2.")
+@_per_unit("structure")
+def _run_w_structure(ctx: ClaimContext, k: int):
+    W = group_engine.generate(sylow_builders.w_subgroup_generators(k), cap=ctx.cap)
+    expected = 1 << ((1 << (k - 1)) - 1)
+    abelian = group_engine.is_abelian(W)
+    expo = group_engine.exponent(W)
+    seen = {"order": W.order, "abelian": abelian, "exponent": expo}
+    if W.order != expected or not abelian or expo != 2:
+        return seen, {"expected_order": expected, **seen}
+    return seen, None
 
 
-def _run_minimality(ctx: ClaimContext):
-    failures, skipped, ranks = {}, [], {}
-    for k in _k_range(ctx):
-        try:
-            G = tree_group(ctx, k)
-            rank = group_engine.quotient_rank(G, cap=ctx.cap)
-            squares = group_engine.squares_subgroup(G, cap=ctx.cap)
-            phi = group_engine.frattini_subgroup(G, cap=ctx.cap)
-            genset = sylow_builders.s_beta(k)
-            entries = genset.permutation_entries()
-            undersized_generates = []
-            for subset in itertools.combinations(entries, k - 1):
-                sub = group_engine.generate([p for _, p in subset], cap=ctx.cap)
-                if sub.order == G.order:
-                    undersized_generates.append([label for label, _ in subset])
-        except CapExceededError as exc:
-            skipped.append({"k": k, "partial_count": exc.partial_count})
-            continue
-        ranks[str(k)] = rank
-        bad = {}
-        if rank != k:
-            bad["rank"] = rank
-        if squares.elements != phi.elements:
-            bad["squares_vs_frattini"] = {"squares": squares.order, "frattini": phi.order}
-        if undersized_generates:
-            bad["generating_small_subsets"] = undersized_generates
-        if bad:
-            failures[str(k)] = bad
-    return _record({"k": list(_k_range(ctx))}, {"quotient_ranks": ranks}, failures, skipped)
+@_claim("minimality", "The Frattini quotient has rank k, no (k-1)-subset of the k generators generates, and the Frattini subgroup equals the squares subgroup.")
+@_per_unit("quotient_ranks")
+def _run_minimality(ctx: ClaimContext, k: int):
+    G = tree_group(ctx, k)
+    rank = group_engine.quotient_rank(G, cap=ctx.cap)
+    squares = group_engine.squares_subgroup(G, cap=ctx.cap)
+    phi = group_engine.frattini_subgroup(G, cap=ctx.cap)
+    genset = sylow_builders.s_beta(k)
+    entries = genset.permutation_entries()
+    undersized_generates = []
+    for subset in itertools.combinations(entries, k - 1):
+        sub = group_engine.generate([p for _, p in subset], cap=ctx.cap)
+        if sub.order == G.order:
+            undersized_generates.append([label for label, _ in subset])
+    bad = {}
+    if rank != k:
+        bad["rank"] = rank
+    if squares.elements != phi.elements:
+        bad["squares_vs_frattini"] = {"squares": squares.order, "frattini": phi.order}
+    if undersized_generates:
+        bad["generating_small_subsets"] = undersized_generates
+    return rank, bad
 
 
-def _run_frattini_level(ctx: ClaimContext):
-    failures, skipped, counts = {}, [], {}
+@_claim("frattini-level", "Frattini elements have an even state count on every level above the last and are never of type T.")
+@_per_unit("coverage", samples_at_k4=10_000)
+def _run_frattini_level(ctx: ClaimContext, k: int):
+    phi = group_engine.frattini_subgroup(tree_group(ctx, k), cap=ctx.cap)
+    keys = phi.sorted_keys()
+    # exhaustive sweep, plus seeded resampling at the largest k for the
+    # stated sample count; each k draws from its own Random(seed)
     rng = Random(ctx.seed)
-    for k in _k_range(ctx):
-        try:
-            phi = group_engine.frattini_subgroup(tree_group(ctx, k), cap=ctx.cap)
-        except CapExceededError as exc:
-            skipped.append({"k": k, "partial_count": exc.partial_count})
-            continue
-        keys = phi.sorted_keys()
-        # exhaustive sweep, plus seeded resampling at the largest k for the
-        # stated sample count
-        samples = keys if k < 4 else keys + [rng.choice(keys) for _ in range(10_000)]
-        bad = None
-        # a resample only repeats a key of the sweep, and the verdict on a key
-        # is fixed, so each distinct key is checked once, in sample order
-        for key in dict.fromkeys(samples):
-            element = Permutation._of_key(key)
-            portrait = tree_core.from_permutation(element)
-            odd_levels = [
-                l for l in range(k - 1) if tree_core.level_index(portrait, l) % 2
-            ]
-            kind = tree_core.classify_element(portrait).kind
-            if odd_levels or kind is tree_core.ElementKind.TYPE_T:
-                bad = {
-                    "element": repr(element),
-                    "odd_levels": odd_levels,
-                    "kind": kind.value,
-                }
-                break
-        counts[str(k)] = {"frattini_order": phi.order, "checked": len(samples)}
-        if bad:
-            failures[str(k)] = bad
-    witnesses = {"coverage": counts}
-    return _record({"k": list(_k_range(ctx)), "samples_at_k4": 10_000}, witnesses, failures, skipped)
+    samples = keys if k < 4 else keys + [rng.choice(keys) for _ in range(10_000)]
+    coverage = {"frattini_order": phi.order, "checked": len(samples)}
+    # a resample only repeats a key of the sweep, and the verdict on a key
+    # is fixed, so each distinct key is checked once, in sample order
+    for key in dict.fromkeys(samples):
+        element = Permutation._of_key(key)
+        portrait = tree_core.from_permutation(element)
+        odd_levels = [
+            l for l in range(k - 1) if tree_core.level_index(portrait, l) % 2
+        ]
+        kind = tree_core.classify_element(portrait).kind
+        if odd_levels or kind is tree_core.ElementKind.TYPE_T:
+            return coverage, {
+                "element": repr(element),
+                "odd_levels": odd_levels,
+                "kind": kind.value,
+            }
+    return coverage, None
 
 
+@_claim("t-nonclosure", "Type T elements are closed under neither products nor squaring (exhaustive at depth 3).")
 def _run_t_nonclosure(ctx: ClaimContext):
     k = 3
-    t_elements = [
-        p for p in tree_core.iter_portraits(k)
-        if tree_core.classify_element(p).kind is tree_core.ElementKind.TYPE_T
-    ]
+
+    def in_t(p):
+        return tree_core.classify_element(p).kind is tree_core.ElementKind.TYPE_T
+
+    t_elements = [p for p in tree_core.iter_portraits(k) if in_t(p)]
     failures = {}
     pair_count = 0
     for x in t_elements:
         for y in t_elements:
             pair_count += 1
-            prod = tree_core.compose(x, y)
-            if tree_core.classify_element(prod).kind is tree_core.ElementKind.TYPE_T:
+            if in_t(tree_core.compose(x, y)):
                 failures[f"{tree_core.to_text(x)} . {tree_core.to_text(y)}"] = "product in T"
-        square = tree_core.compose(x, x)
-        if tree_core.classify_element(square).kind is tree_core.ElementKind.TYPE_T:
+        if in_t(tree_core.compose(x, x)):
             failures[tree_core.to_text(x)] = "square in T"
+    # one of the two last-level states in each half: 2 * 2 elements of type T
+    if len(t_elements) != 4:
+        failures["t_size"] = {"expected": 4, "got": len(t_elements)}
     return _record({"k": k}, {"t_size": len(t_elements), "pairs_checked": pair_count}, failures)
 
 
+@_claim("tau-ij-generation", "Every last-level pair swap equals the evaluation of its generator word (all pairs at depth 3).")
 def _run_tau_ij_generation(ctx: ClaimContext):
     k = 3
     failures = {}
     words = {}
     top = 1 << (k - 1)
-    for i in range(1, top + 1):
-        for j in range(i + 1, top + 1):
+    for i, j in itertools.combinations(range(1, top + 1), 2):
+        try:
             word = sylow_builders.tau_ij_word(i, j, k)
-            words[f"({i},{j})"] = word
-            if sylow_builders.evaluate_word(word, k) != sylow_builders.tau_set([i, j], k):
-                failures[f"({i},{j})"] = word
+        except RuntimeError as exc:  # the builder's own evaluation check failed
+            failures[f"({i},{j})"] = str(exc)
+            continue
+        words[f"({i},{j})"] = word
+        if sylow_builders.evaluate_word(word, k) != sylow_builders.tau_set([i, j], k):
+            failures[f"({i},{j})"] = word
+    if len(words) != 6:  # the 4 * 3 / 2 pairs of last-level vertices at depth 3
+        failures["pairs_checked"] = {"expected": 6, "got": len(words)}
     return _record({"k": k}, {"words": words}, failures)
 
 
@@ -356,6 +383,7 @@ def _lane_identity(start: int, lanes: int) -> int:
     return n - ((x * 0x0101_0101 >> 24) & _spread(0xFF, lanes))
 
 
+@_claim("legendre", "nu2(n!) matches the floor-sum formula, n - popcount(n), and the spot values 7, 19, 22 at n = 8, 22, 24.")
 def _run_legendre(ctx: ClaimContext):
     spot = {"8": 7, "22": 19, "24": 22}
     failures = {}
@@ -376,75 +404,83 @@ def _run_legendre(ctx: ClaimContext):
     return _record({"identity_limit": limit}, witnesses, failures)
 
 
-def _run_boxtimes(ctx: ClaimContext):
-    targets = [n for n in (4, 6, 7, 8, 12) if n <= ctx.max_n]
-    expected_orders = {"12": 512, "6": 8, "4": 4}
-    failures, skipped, orders = {}, [], {}
-    for n in targets:
-        try:
-            H = sylow_builders.boxtimes_group(n, cap=ctx.cap)
-        except CapExceededError as exc:
-            skipped.append({"n": n, "partial_count": exc.partial_count})
-            continue
-        except RuntimeError as exc:
-            failures[str(n)] = {"construction_mismatch": str(exc)}
-            continue
-        orders[str(n)] = H.order
-        want = 1 << sylow_builders.syl2_order(n, "A")
-        if H.order != want:
-            failures[str(n)] = {"expected": want, "got": H.order}
-        if str(n) in expected_orders and H.order != expected_orders[str(n)]:
-            failures[str(n)] = {"expected": expected_orders[str(n)], "got": H.order}
-    return _record({"n": targets}, {"orders": orders}, failures, skipped)
-
-
-def _run_parity_extension(ctx: ClaimContext):
-    failures = {}
-    S4 = group_engine.generate(sylow_builders.syl2_S_generators(4), cap=ctx.cap)
-    elements = list(S4.permutations())
-    images = {p: sylow_builders.parity_extension(p, 6) for p in elements}
-    image_keys = {v.key for v in images.values()}
-    if len(image_keys) != len(elements):
-        failures["injectivity"] = "image collision"
-    for p in elements:
-        for q in elements:
-            lhs = sylow_builders.parity_extension(p * q, 6)
-            rhs = images[p] * images[q]
-            if lhs != rhs:
-                failures["homomorphism"] = f"{p!r}, {q!r}"
-    witnesses = {"pairs_checked": len(elements) ** 2}
+@_claim("boxtimes", "The even subgroup of the block product matches the parity-corrected construction and the expected orders.")
+@_per_unit("orders", lambda ctx: [n for n in (4, 6, 7, 8, 12) if n <= ctx.max_n], key="n")
+def _run_boxtimes(ctx: ClaimContext, n: int):
     try:
-        H6 = sylow_builders.boxtimes_group(6, cap=ctx.cap)
+        H = sylow_builders.boxtimes_group(n, cap=ctx.cap)
     except CapExceededError:
         raise
-    except RuntimeError as exc:  # without H6, no image or fingerprint to compare
-        failures["construction_mismatch"] = str(exc)
-    else:
-        if image_keys != H6.elements:
+    except RuntimeError as exc:
+        return None, {"construction_mismatch": str(exc)}
+    failure = None
+    paper_orders = {4: 4, 6: 8, 12: 512}
+    # syl2_order's order, then the paper's table, each compared on its own
+    for want in (1 << sylow_builders.syl2_order(n, "A"), paper_orders.get(n)):
+        if want is not None and H.order != want:
+            failure = {"expected": want, "got": H.order}
+    return H.order, failure
+
+
+@_claim("parity-extension", "Appending a parity-controlled transposition embeds Syl2(S_4) onto the even block group inside A_6.")
+def _run_parity_extension(ctx: ClaimContext):
+    def check(n):  # the embedding of Syl2(S_4) into A_n, n = 6
+        failures = {}
+        S4 = group_engine.generate(sylow_builders.syl2_S_generators(4), cap=ctx.cap)
+        elements = list(S4.permutations())
+        images = {p: sylow_builders.parity_extension(p, n) for p in elements}
+        image_keys = {v.key for v in images.values()}
+        if len(image_keys) != len(elements):
+            failures["injectivity"] = "image collision"
+        for p in elements:
+            for q in elements:
+                lhs = sylow_builders.parity_extension(p * q, n)
+                rhs = images[p] * images[q]
+                if lhs != rhs:
+                    failures["homomorphism"] = f"{p!r}, {q!r}"
+        witnesses = {"pairs_checked": len(elements) ** 2}
+        try:
+            H = sylow_builders.boxtimes_group(n, cap=ctx.cap)
+        except CapExceededError:
+            raise
+        except RuntimeError as exc:  # without H, no image or fingerprint to compare
+            failures["construction_mismatch"] = str(exc)
+            return witnesses, failures
+        if image_keys != H.elements:
             failures["image"] = "extension image differs from the block-built group"
-        fp = witnesses["fingerprint"] = group_engine.fingerprint(H6)
+        fp = witnesses["fingerprint"] = group_engine.fingerprint(H)
         expected_fp = {"order": 8, "abelian": False, "exponent": 4}
         for field_name, value in expected_fp.items():
             if fp[field_name] != value:
                 failures[f"fingerprint_{field_name}"] = {"expected": value, "got": fp[field_name]}
-    return _record({"domain": "Syl2(S_4)", "target": "A_6"}, witnesses, failures)
+        return witnesses, failures
+
+    found, failures, skipped = _sweep([6], check, key="n")
+    parameters = {"domain": "Syl2(S_4)", "target": "A_6"}
+    return _record(parameters, found.get("6", {}), failures.get("6", {}), skipped)
 
 
+@_claim("small-fingerprints", "The depth-2 group is the Klein four-group, and the A_7 and A_6 Sylow exponents are both 3.")
 def _run_small_fingerprints(ctx: ClaimContext):
-    failures = {}
-    G2 = tree_group(ctx, 2)
-    fp = group_engine.fingerprint(G2)
     expected = {"order": 4, "abelian": True, "exponent": 2, "derived_length": 1}
-    for field_name, value in expected.items():
-        if fp[field_name] != value:
-            failures[f"G2_{field_name}"] = {"expected": value, "got": fp[field_name]}
-    e7 = sylow_builders.syl2_order(7, "A")
-    e6 = sylow_builders.syl2_order(6, "A")
-    if not (e7 == e6 == 3):
-        failures["order_exponents"] = {"A_7": e7, "A_6": e6}
-    return _record({}, {"G2_fingerprint": fp, "A7_exponent": e7, "A6_exponent": e6}, failures)
+
+    def check(k):  # the group of depth k = 2, and the exponents beside it
+        fp = group_engine.fingerprint(tree_group(ctx, k))
+        failures = {
+            f"G2_{field_name}": {"expected": value, "got": fp[field_name]}
+            for field_name, value in expected.items() if fp[field_name] != value
+        }
+        e7 = sylow_builders.syl2_order(7, "A")
+        e6 = sylow_builders.syl2_order(6, "A")
+        if not (e7 == e6 == 3):
+            failures["order_exponents"] = {"A_7": e7, "A_6": e6}
+        return {"G2_fingerprint": fp, "A7_exponent": e7, "A6_exponent": e6}, failures
+
+    found, failures, skipped = _sweep([2], check)
+    return _record({}, found.get("2", {}), failures.get("2", {}), skipped)
 
 
+@_claim("order-ratios", "Sylow order exponents satisfy the odd-point equalities and the +1 step from 4k+1 to 4k+3.")
 def _run_order_ratios(ctx: ClaimContext):
     report = sylow_builders.order_ratio_checks(25)
     failures = {
@@ -454,6 +490,7 @@ def _run_order_ratios(ctx: ClaimContext):
     return _record({"k_max": 25}, witnesses, failures)
 
 
+@_claim("portrait-oracle", "Portrait composition agrees with leaf-permutation composition on all pairs at depth 3.")
 def _run_portrait_oracle(ctx: ClaimContext):
     k = 3
     leaf_actions = [(p, tree_core.to_permutation(p)) for p in tree_core.iter_portraits(k)]
@@ -462,91 +499,11 @@ def _run_portrait_oracle(ctx: ClaimContext):
         if tree_core.to_permutation(tree_core.compose(a, b)) != pa * pb:
             failures[f"{tree_core.to_text(a)} . {tree_core.to_text(b)}"] = "mismatch"
             break
+    # one state bit at each of the 2^k - 1 vertices: 2^(2^k - 1) portraits
+    all_pairs = (1 << (1 << k) - 1) ** 2
+    if not failures and pairs < all_pairs:
+        failures["pairs_checked"] = {"expected": all_pairs, "got": pairs}
     return _record({"k": k}, {"pairs_checked": pairs}, failures)
-
-
-@dataclass(frozen=True)
-class Claim:
-    claim_id: str
-    statement: str
-    runner: Callable[[ClaimContext], tuple[Status, dict, dict]]
-
-
-CLAIMS: dict[str, Claim] = {
-    c.claim_id: c
-    for c in (
-        Claim(
-            "order-gk",
-            "The closure of the k standard tree generators has order 2^(2^k - 2) for each k in 2..max_k.",
-            _run_order_gk,
-        ),
-        Claim(
-            "evenness",
-            "Every element of the generated group is an even permutation of the 2^k leaves.",
-            _run_evenness,
-        ),
-        Claim(
-            "semidirect",
-            "W is normal, B meets W trivially, and |B| |W| = |G| for the level-split subgroups.",
-            _run_semidirect,
-        ),
-        Claim(
-            "w-structure",
-            "The last-level subgroup has order 2^(2^(k-1) - 1), is abelian, and has exponent 2.",
-            _run_w_structure,
-        ),
-        Claim(
-            "minimality",
-            "The Frattini quotient has rank k, no (k-1)-subset of the k generators generates, and the Frattini subgroup equals the squares subgroup.",
-            _run_minimality,
-        ),
-        Claim(
-            "frattini-level",
-            "Frattini elements have an even state count on every level above the last and are never of type T.",
-            _run_frattini_level,
-        ),
-        Claim(
-            "t-nonclosure",
-            "Type T elements are closed under neither products nor squaring (exhaustive at depth 3).",
-            _run_t_nonclosure,
-        ),
-        Claim(
-            "tau-ij-generation",
-            "Every last-level pair swap equals the evaluation of its generator word (all pairs at depth 3).",
-            _run_tau_ij_generation,
-        ),
-        Claim(
-            "legendre",
-            "nu2(n!) matches the floor-sum formula, n - popcount(n), and the spot values 7, 19, 22 at n = 8, 22, 24.",
-            _run_legendre,
-        ),
-        Claim(
-            "boxtimes",
-            "The even subgroup of the block product matches the parity-corrected construction and the expected orders.",
-            _run_boxtimes,
-        ),
-        Claim(
-            "parity-extension",
-            "Appending a parity-controlled transposition embeds Syl2(S_4) onto the even block group inside A_6.",
-            _run_parity_extension,
-        ),
-        Claim(
-            "small-fingerprints",
-            "The depth-2 group is the Klein four-group, and the A_7 and A_6 Sylow exponents are both 3.",
-            _run_small_fingerprints,
-        ),
-        Claim(
-            "order-ratios",
-            "Sylow order exponents satisfy the odd-point equalities and the +1 step from 4k+1 to 4k+3.",
-            _run_order_ratios,
-        ),
-        Claim(
-            "portrait-oracle",
-            "Portrait composition agrees with leaf-permutation composition on all pairs at depth 3.",
-            _run_portrait_oracle,
-        ),
-    )
-}
 
 
 def claim_ids() -> list[str]:

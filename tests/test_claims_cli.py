@@ -4,6 +4,7 @@ import os
 import sys
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -355,3 +356,49 @@ def test_cli_verify_deterministic_report(tmp_path, capsys):
             record["runtime_ms"] = 0
         payload["timestamp"] = ""
     assert first == second
+
+
+# --- witnesses and cap skips --------------------------------------------------
+
+REFERENCE = Path(__file__).resolve().parent.parent / "benchmark" / "reference" / "cli_default.json"
+ENUMERATING = [
+    "boxtimes", "evenness", "frattini-level", "minimality", "order-gk",
+    "parity-extension", "semidirect", "small-fingerprints", "w-structure",
+]
+
+
+def test_default_run_matches_the_recorded_witnesses():
+    reference = json.loads(REFERENCE.read_text())["claims"]
+    report = json.loads(_full_report().to_json())
+    got = {
+        c["claim_id"]: {"status": c["status"], "witnesses": c["witnesses"]}
+        for c in report["claims"]
+    }
+    assert got == reference
+
+
+def _assert_passed_or_skipped(records):
+    for record in records:
+        assert record.status in ("pass", "skipped-cap"), (record.claim_id, record.witnesses)
+        if record.status == "skipped-cap":
+            assert record.witnesses["skipped"], record.claim_id
+
+
+@pytest.mark.parametrize("cap", range(1, 17))
+def test_every_enumerating_claim_skips_past_a_small_cap(cap):
+    report = cl.run_claims(ENUMERATING, cl.ClaimContext(max_k=3, cap=cap), version=__version__)
+    assert [c.claim_id for c in report.claims] == ENUMERATING
+    _assert_passed_or_skipped(report.claims)
+    assert report.summary()["skipped-cap"] > 0
+    assert report.exit_code() == 0
+
+
+def test_cli_verify_all_below_cap_16_writes_its_report(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--all", "--cap", "10", "--json", str(out)]) == 0
+    capsys.readouterr()
+    report = cl.VerificationReport.from_json(out.read_text())
+    assert [c.claim_id for c in report.claims] == cl.claim_ids()
+    _assert_passed_or_skipped(report.claims)
+    assert cli.main(["verify", "--all", "--cap", "10", "--strict"]) == 1
+    assert "skipped-cap" in capsys.readouterr().out
