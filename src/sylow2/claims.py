@@ -26,6 +26,9 @@ REPORT_FORMAT = "sylow2-report-v1"
 Status = str  # one of STATUSES
 STATUSES = ("pass", "fail", "skipped-cap")
 
+# the degrees n up to max_n at which boxtimes checks the block product's even subgroup
+BOXTIMES_DEGREES = (4, 6, 7, 8, 12)
+
 
 @dataclass
 class ClaimRecord:
@@ -228,7 +231,7 @@ def _run_evenness(ctx: ClaimContext, k: int):
 @_per_unit("order_arithmetic")
 def _run_semidirect(ctx: ClaimContext, k: int):
     G = tree_group(ctx, k)
-    B = group_engine.generate(sylow_builders.b_subgroup_generators(k), cap=ctx.cap)
+    B = group_engine.generate(sylow_builders.s_alpha(k), cap=ctx.cap)
     W = group_engine.generate(sylow_builders.w_subgroup_generators(k), cap=ctx.cap)
     rel = group_engine.verify_semidirect(B, W, G)
     arithmetic = (
@@ -405,7 +408,7 @@ def _run_legendre(ctx: ClaimContext):
 
 
 @_claim("boxtimes", "The even subgroup of the block product matches the parity-corrected construction and the expected orders.")
-@_per_unit("orders", lambda ctx: [n for n in (4, 6, 7, 8, 12) if n <= ctx.max_n], key="n")
+@_per_unit("orders", lambda ctx: [n for n in BOXTIMES_DEGREES if n <= ctx.max_n], key="n")
 def _run_boxtimes(ctx: ClaimContext, n: int):
     try:
         H = sylow_builders.boxtimes_group(n, cap=ctx.cap)

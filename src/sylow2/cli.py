@@ -107,8 +107,13 @@ def _cmd_verify(args) -> int:
     if not 2 <= max_k <= max_k_limit:
         print(f"error: k must be in 2..{max_k_limit}, got {max_k}", file=sys.stderr)
         return 2
-    if max_n < 1 or args.cap < 1:
-        print("error: --max-n and --cap must be positive", file=sys.stderr)
+    # below the smallest boxtimes degree, that claim would check no n at all
+    min_n = min(claims.BOXTIMES_DEGREES)
+    if max_n < min_n:
+        print(f"error: n must be at least {min_n}, got {max_n}", file=sys.stderr)
+        return 2
+    if args.cap < 1:
+        print("error: --cap must be positive", file=sys.stderr)
         return 2
 
     if args.all:

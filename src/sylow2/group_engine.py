@@ -7,12 +7,12 @@ Elements are canonicalized as the byte keys of perm_core: byte i holds the
 0-based image of point i+1, and a product is one bytes.translate. The degree
 is limited to MAX_DEGREE = 255 points and group orders to the enumeration cap
 (default 2^20), which is all the desk-scale checks need.
-An enumerated group's degree, generators and element set never change after
-construction. Each EnumeratedGroup also memoizes its commutator and Frattini
-subgroups, so the Frattini rank, the derived series and the fingerprint
-reuse what an earlier query built. Concurrent queries on one group may build
-a memo entry twice, but an entry is stored whole, so none of them observes a
-partial value.
+An enumerated group's degree, generator keys (gen_keys) and element set never
+change after construction. Each EnumeratedGroup also memoizes its commutator
+and Frattini subgroups, so the Frattini rank, the derived series and the
+fingerprint reuse what an earlier query built. Concurrent queries on one
+group may build a memo entry twice, but an entry is stored whole, so none of
+them observes a partial value.
 """
 
 from __future__ import annotations
@@ -80,10 +80,10 @@ class GeneratorSet:
 @dataclass(frozen=True)
 class EnumeratedGroup:
     """A fully enumerated permutation group: canonical byte keys for every
-    element, plus the generator set it came from."""
+    element, plus the keys of the generators it came from."""
 
     degree: int
-    generators: GeneratorSet
+    gen_keys: tuple[bytes, ...]
     elements: frozenset[bytes]
     # subgroups built from this group, by construction name (see _memoized)
     _memo: dict[str, EnumeratedGroup] = field(
@@ -174,28 +174,21 @@ def _reduce_generators(
     return _dimino(sorted(set(keys)), degree, cap)
 
 
-def _anonymous_genset(name: str, degree: int, keys: Sequence[bytes]) -> GeneratorSet:
-    return GeneratorSet(
-        name, degree, tuple((f"g{i}", Permutation._of_key(k)) for i, k in enumerate(keys))
-    )
-
-
 def _normalize_generators(
     gens: GeneratorSet | Iterable[GeneratorElement], degree: int | None
-) -> tuple[GeneratorSet, int]:
+) -> tuple[tuple[bytes, ...], int]:
     if isinstance(gens, GeneratorSet):
-        return gens, gens.degree
-    entries = []
-    for i, elem in enumerate(gens):
-        if isinstance(elem, tree_core.Portrait):
-            entries.append((f"g{i}", tree_core.to_permutation(elem)))
-        else:
-            entries.append((f"g{i}", elem))
-    if entries:
-        degree = entries[0][1].degree
+        gens, degree = [e for _, e in gens.elements], gens.degree
+    perms = [tree_core.to_permutation(e) if isinstance(e, tree_core.Portrait) else e for e in gens]
+    if perms:
+        degree = perms[0].degree
     elif degree is None:
         raise ValueError("degree required for an empty generator list")
-    return GeneratorSet("adhoc", degree, tuple(entries)), degree
+    if any(p.degree != degree for p in perms):
+        raise ValueError(f"generators on different degrees {sorted({p.degree for p in perms})}")
+    if not 1 <= degree <= MAX_DEGREE:
+        raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
+    return tuple(p.key for p in perms), degree
 
 
 def generate(
@@ -212,27 +205,23 @@ def generate(
     CapExceededError (carrying the partial count) instead of silently
     truncating.
     """
-    genset, degree = _normalize_generators(gens, degree)
-    if not 1 <= degree <= MAX_DEGREE:
-        raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
-    gen_keys = [p.key for _, p in genset.permutation_entries()]
-    return EnumeratedGroup(degree, genset, frozenset(_closure(gen_keys, degree, cap)))
+    gen_keys, degree = _normalize_generators(gens, degree)
+    return EnumeratedGroup(degree, gen_keys, frozenset(_closure(gen_keys, degree, cap)))
 
 
 def group_from_elements(
     keys: Iterable[bytes],
     degree: int,
-    name: str,
     cap: int = DEFAULT_CAP,
     verify: bool = True,
 ) -> EnumeratedGroup:
     """Wrap an element set known (or checked) to be a subgroup; a reduced
-    generating subset is recorded as the generator set."""
+    generating subset is recorded as its generator keys."""
     keyset = frozenset(keys)
     reduced, closed = _reduce_generators(keyset, degree, cap)
     if verify and closed != keyset:
-        raise ValueError(f"{name!r}: element set is not closed")
-    return EnumeratedGroup(degree, _anonymous_genset(name, degree, reduced), keyset)
+        raise ValueError("element set is not closed")
+    return EnumeratedGroup(degree, tuple(reduced), keyset)
 
 
 def contains(G: EnumeratedGroup, x: Permutation | bytes) -> bool:
@@ -252,8 +241,7 @@ def is_normal(H: EnumeratedGroup, G: EnumeratedGroup) -> bool:
     """Whether gHg^-1 = H for all g in G, tested over G's generators."""
     if not is_subgroup(H, G):
         return False
-    for _, g in G.generators.permutation_entries():
-        gk = g.key
+    for gk in G.gen_keys:
         gi = _inv(gk)
         for h in H.elements:
             if _mul(_mul(gk, h), gi) not in H.elements:
@@ -364,7 +352,7 @@ def commutator_subgroup(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> Enumerate
     The brute-force definition over all element pairs is the oracle the test
     suite compares against on small groups.
     """
-    gen_keys = [p.key for _, p in G.generators.permutation_entries()]
+    gen_keys = G.gen_keys
     ident = G.identity_key
     comms = set()
     for a in gen_keys:
@@ -375,8 +363,7 @@ def commutator_subgroup(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> Enumerate
                 comms.add(c)
     orbit = _conjugation_orbit(comms, gen_keys, G.degree, cap) if comms else set()
     reduced, elements = _reduce_generators(orbit | {ident}, G.degree, cap)
-    name = f"commutators({G.generators.name})"
-    return EnumeratedGroup(G.degree, _anonymous_genset(name, G.degree, reduced), frozenset(elements))
+    return EnumeratedGroup(G.degree, tuple(reduced), frozenset(elements))
 
 
 def squares_subgroup(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> EnumeratedGroup:
@@ -386,8 +373,7 @@ def squares_subgroup(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> EnumeratedGr
     # x + pad is x's translate table, so x.translate(x + pad) == _mul(x, x)
     squares = {x.translate(x + pad) for x in G.elements}
     reduced, elements = _reduce_generators(squares, G.degree, cap)
-    name = f"squares({G.generators.name})"
-    return EnumeratedGroup(G.degree, _anonymous_genset(name, G.degree, reduced), frozenset(elements))
+    return EnumeratedGroup(G.degree, tuple(reduced), frozenset(elements))
 
 
 @_memoized
@@ -400,14 +386,11 @@ def frattini_subgroup(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> EnumeratedG
         raise ValueError(f"group of order {G.order} is not a 2-group")
     squares = squares_subgroup(G, cap)
     commutators = commutator_subgroup(G, cap)
-    name = f"frattini({G.generators.name})"
     if commutators.elements <= squares.elements:
-        return EnumeratedGroup(G.degree, _anonymous_genset(name, G.degree,
-                               [p.key for _, p in squares.generators.permutation_entries()]),
-                               squares.elements)
+        return EnumeratedGroup(G.degree, squares.gen_keys, squares.elements)
     union = squares.elements | commutators.elements
     reduced, elements = _reduce_generators(union, G.degree, cap)
-    return EnumeratedGroup(G.degree, _anonymous_genset(name, G.degree, reduced), frozenset(elements))
+    return EnumeratedGroup(G.degree, tuple(reduced), frozenset(elements))
 
 
 def quotient_rank(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> int:
@@ -466,8 +449,7 @@ def homomorphism_check(
     keys = G.sorted_keys()
     if G.order <= 128:
         return all(respects(x, y) for x in keys for y in keys)
-    gen_keys = [p.key for _, p in G.generators.permutation_entries()]
-    if not all(respects(x, y) for x in gen_keys for y in gen_keys):
+    if not all(respects(x, y) for x in G.gen_keys for y in G.gen_keys):
         return False
     rng = random.Random(seed)
     for _ in range(sample_pairs):
@@ -496,8 +478,7 @@ def exponent(G: EnumeratedGroup) -> int:
 
 
 def is_abelian(G: EnumeratedGroup) -> bool:
-    gen_keys = [p.key for _, p in G.generators.permutation_entries()]
-    return all(_mul(a, b) == _mul(b, a) for a in gen_keys for b in gen_keys)
+    return all(_mul(a, b) == _mul(b, a) for a in G.gen_keys for b in G.gen_keys)
 
 
 def center_size(G: EnumeratedGroup) -> int:
@@ -505,8 +486,7 @@ def center_size(G: EnumeratedGroup) -> int:
     filtering the elements through one generator's centralizer at a time."""
     pad = _PADS[G.degree]
     center = list(G.elements)
-    for _, p in G.generators.permutation_entries():
-        g = p.key
+    for g in G.gen_keys:
         g_table = g + pad
         # _mul(x, g) == _mul(g, x)
         center = [x for x in center if g.translate(x + pad) == x.translate(g_table)]
@@ -547,9 +527,8 @@ def key_parities(keys: Sequence[bytes]) -> bytes:
     return bytes(out)
 
 
-def even_subgroup(G: EnumeratedGroup, name: str | None = None) -> EnumeratedGroup:
+def even_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
     """The subgroup of even permutations (the sign map's kernel)."""
     keys = list(G.elements)
     evens = {key for key, odd in zip(keys, key_parities(keys)) if not odd}
-    label = name if name is not None else f"even({G.generators.name})"
-    return group_from_elements(evens, G.degree, label, verify=False)
+    return group_from_elements(evens, G.degree, verify=False)

@@ -66,11 +66,6 @@ class Permutation:
         return cls(range(n))
 
     @classmethod
-    def from_one_based(cls, images: Sequence[int]) -> "Permutation":
-        """Build from a 1-based image list (images[i] = image of point i+1)."""
-        return cls(tuple(x - 1 for x in images))
-
-    @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
         """The transposition (i j) on n points, i and j 1-based."""
         if not (1 <= i <= n and 1 <= j <= n and i != j):

@@ -52,7 +52,8 @@ def tau(k: int) -> Portrait:
 
 def s_alpha(k: int) -> GeneratorSet:
     """a0 .. a(k-2): the standard generators of the depth-(k-1) tree group,
-    acting on the 2^k leaves."""
+    acting on the 2^k leaves. They generate B, all states above the last
+    level: the iterated wreath product of order 2^(2^(k-1) - 1)."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     entries = tuple((f"a{i}", alpha(i, k)) for i in range(k - 1))
@@ -227,7 +228,7 @@ def boxtimes_group(n: int, cap: int = DEFAULT_CAP) -> EnumeratedGroup:
     if (1 << syl2_order(n, "S")) > cap:
         raise CapExceededError(cap, 0)
     full = generate(syl2_S_generators(n), cap=cap)
-    filtered = group_engine.even_subgroup(full, name=f"Par(Syl2_S(n={n}))")
+    filtered = group_engine.even_subgroup(full)
     corrected = generate(syl2_A_generators(n), cap=cap)
     if filtered.elements != corrected.elements:
         raise RuntimeError(
@@ -309,15 +310,6 @@ def order_ratio_checks(k_max: int) -> OrderRatioReport:
         "the order at 4k is the larger of the two"
     )
     return OrderRatioReport(k_max, tuple(checks), note)
-
-
-def b_subgroup_generators(k: int) -> GeneratorSet:
-    """a0 .. a(k-2): all states above the last level; the iterated wreath
-    product of order 2^(2^(k-1) - 1)."""
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    entries = tuple((f"a{i}", alpha(i, k)) for i in range(k - 1))
-    return GeneratorSet(f"B(k={k})", 1 << k, entries)
 
 
 def w_subgroup_generators(k: int) -> GeneratorSet:

@@ -24,7 +24,7 @@ def _W(k):
 
 @lru_cache(maxsize=None)
 def _B(k):
-    return ge.generate(sb.b_subgroup_generators(k))
+    return ge.generate(sb.s_alpha(k))
 
 
 def _finish(criterion: str, ok: bool, detail: str = ""):
@@ -82,8 +82,7 @@ def test_05_minimality_via_burnside():
         squares = ge.squares_subgroup(G)
         commutators = ge.commutator_subgroup(G)
         phi = ge.frattini_subgroup(G)
-        union_gens = [p for _, p in squares.generators.permutation_entries()]
-        union_gens += [p for _, p in commutators.generators.permutation_entries()]
+        union_gens = [Permutation(g) for g in squares.gen_keys + commutators.gen_keys]
         union = ge.generate(union_gens, degree=G.degree) if union_gens else phi
         subset_hits = 0
         for subset in itertools.combinations(sb.s_beta(k).permutation_entries(), k - 1):

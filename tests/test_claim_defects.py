@@ -30,7 +30,7 @@ def _without_last(build):
 
 
 def test_w_structure_fails_when_w_is_built_from_the_b_generators(monkeypatch):
-    monkeypatch.setattr(sb, "w_subgroup_generators", sb.b_subgroup_generators)
+    monkeypatch.setattr(sb, "w_subgroup_generators", sb.s_alpha)
     record = _run_one("w-structure")
     assert record.status == "fail"
     failures = record.witnesses["failures"]

@@ -7,6 +7,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sylow2 import __version__, cli
 from sylow2 import claims as cl
@@ -304,6 +305,68 @@ def test_cli_verify_bad_parameters(capsys):
     out = capsys.readouterr().out
     assert ", 0 fail, " in out
     assert not any(line.startswith("fail") for line in out.splitlines())
+
+
+def test_cli_verify_refuses_n_below_the_smallest_boxtimes_degree(tmp_path, capsys):
+    assert min(cl.BOXTIMES_DEGREES) == 4
+    for argv in (["--claim", "boxtimes", "--max-n", "3"], ["--all", "--cap", "1", "--max-n", "1"]):
+        assert cli.main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--claim", "boxtimes", "--max-n", "4", "--json", str(out)]) == 0
+    record = json.loads(out.read_text())["claims"][0]
+    assert record["status"] == "pass"
+    assert record["witnesses"]["orders"] == {"4": 4}
+
+
+# A fixed vocabulary for argv. Each valued flag draws from its own values,
+# which keep every verify run at max_k <= 3, so each example takes well under
+# a second. Each subcommand draws mostly its own flags, and a few stray tokens.
+_FLAG_VALUES = {
+    "--n": [-1, 0, 1, 3, 4, 12],
+    "--k": [-1, 0, 1, 2, 3, 8, 9],
+    "--max-k": [-1, 0, 1, 2, 3],
+    "--max-n": [-1, 0, 1, 3, 4, 12],
+    "--cap": [-1, 0, 1, 2, 16, 1000],
+    "--seed": [-1, 0, 7],
+    "--kind": ["S", "A", "X"],
+    "--family": ["s_alpha", "s_beta", "syl2_S", "syl2_A", "nope"],
+    "--claim": ["order-gk", "BOXTIMES", "nope"],
+    "--json": [os.path.join(os.devnull, "report.json")],  # no file can be made there
+}
+_COMMAND_FLAGS = {
+    "order": ["--n", "--kind", "--json"],
+    "decompose": ["--n", "--json"],
+    "gens": ["--k", "--n", "--family", "--json"],
+    "verify": ["--claim", "--all", "--k", "--n", "--max-k", "--max-n", "--cap", "--seed",
+               "--strict", "--json"],
+}
+_STRAY_TOKENS = ["--version", "--help", "--n", "--cap", "-1", "0", "3", "verify"]
+
+
+def _option_groups(command):
+    groups = [[token] for token in _STRAY_TOKENS]
+    for flag in _COMMAND_FLAGS[command]:
+        values = _FLAG_VALUES.get(flag)
+        groups += [[flag, str(v)] for v in values] if values else [[flag]]
+    return groups
+
+
+def _argv(command):
+    # verify starts from --max-k 3, in place of the default 4; a later
+    # --max-k or --k in the draw overrides it
+    head = [command] + (["--max-k", "3"] if command == "verify" else [])
+    return st.lists(st.sampled_from(_option_groups(command)), max_size=5).map(
+        lambda groups: head + [token for group in groups for token in group]
+    )
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(sorted(_COMMAND_FLAGS)).flatmap(_argv))
+def test_cli_main_returns_an_int_and_never_raises(argv):
+    assert type(cli.main(argv)) is int
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from sylow2 import group_engine as ge
 from sylow2 import tree_core as tc
 from sylow2.perm_core import Permutation, is_even
 from sylow2.sylow_builders import (
-    b_subgroup_generators,
+    s_alpha,
     s_beta,
     syl2_S_generators,
     w_subgroup_generators,
@@ -99,7 +99,7 @@ def test_normality_positive_and_negative():
 def test_verify_semidirect_positive():
     for k in (2, 3, 4):
         G = _G(k)
-        B = ge.generate(b_subgroup_generators(k))
+        B = ge.generate(s_alpha(k))
         W = ge.generate(w_subgroup_generators(k))
         rel = ge.verify_semidirect(B, W, G)
         assert rel.ok, rel.witnesses
@@ -186,7 +186,7 @@ def test_derived_series():
 def test_lagrange_for_computed_subgroups():
     G = _G(3)
     for H in (
-        ge.generate(b_subgroup_generators(3)),
+        ge.generate(s_alpha(3)),
         ge.generate(w_subgroup_generators(3)),
         ge.squares_subgroup(G),
         ge.commutator_subgroup(G),
@@ -339,14 +339,31 @@ def test_even_subgroup_of_syl2_s4():
 
 def test_group_from_elements_rejects_non_closed_sets():
     G = _G(2)
-    assert ge.group_from_elements(G.elements, 4, "G_2").elements == G.elements
+    assert ge.group_from_elements(G.elements, 4).elements == G.elements
     broken = set(G.elements)
     broken.discard(max(broken))
     broken.add(bytes((1, 0, 2, 3)))
     without_identity = set(G.elements) - {G.identity_key}
     for keys in (broken, set(), without_identity):
         with pytest.raises(ValueError):
-            ge.group_from_elements(keys, 4, "broken")
+            ge.group_from_elements(keys, 4)
+
+
+def test_gen_keys_regenerate_the_group():
+    parents = [_G(k) for k in (2, 3, 4)] + [ge.generate(syl2_S_generators(16))]
+    groups = list(parents)
+    for G in parents:
+        groups += [ge.squares_subgroup(G), ge.commutator_subgroup(G), ge.frattini_subgroup(G)]
+    groups.append(ge.even_subgroup(ge.generate(syl2_S_generators(8))))
+    for H in groups:
+        assert all(type(g) is bytes and len(g) == H.degree for g in H.gen_keys)
+        regenerated = ge.generate([Permutation(g) for g in H.gen_keys], degree=H.degree)
+        assert regenerated.elements == H.elements
+
+
+def test_generate_rejects_mixed_degrees():
+    with pytest.raises(ValueError):
+        ge.generate([Permutation.identity(3), Permutation.identity(4)])
 
 
 def test_generator_set_validation():
@@ -366,7 +383,7 @@ def _lcm_exponent(G):
 
 
 def _all_generators_center_size(G):
-    gen_keys = [p.key for _, p in G.generators.permutation_entries()]
+    gen_keys = G.gen_keys
     return sum(
         1 for x in G.elements if all(ge._mul(x, g) == ge._mul(g, x) for g in gen_keys)
     )
@@ -460,7 +477,7 @@ def test_memo_keeps_cap_errors_below_the_order():
 
 
 def _generator_commutators(G):
-    gens = [p.key for _, p in G.generators.permutation_entries()]
+    gens = G.gen_keys
     comms = {ge._mul(ge._mul(a, b), ge._mul(ge._inv(a), ge._inv(b))) for a in gens for b in gens}
     return comms - {G.identity_key}, gens
 

@@ -215,12 +215,12 @@ def test_order_ratio_checks():
 
 
 def test_b_and_w_subgroup_generators():
-    assert ge.generate(sb.b_subgroup_generators(3)).order == 8
+    assert ge.generate(sb.s_alpha(3)).order == 8
     assert ge.generate(sb.w_subgroup_generators(3)).order == 8
     assert ge.generate(sb.w_subgroup_generators(4)).order == 128
     assert len(sb.w_subgroup_generators(4)) == 7
     with pytest.raises(ValueError):
-        sb.b_subgroup_generators(1)
+        sb.s_alpha(1)
 
 
 def test_w_subgroup_elementary_abelian():

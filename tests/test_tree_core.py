@@ -274,8 +274,8 @@ def test_from_permutation_round_trip_depth3():
 
 
 @st.composite
-def _portraits(draw, max_depth):
-    k = draw(st.integers(min_value=1, max_value=max_depth))
+def _portraits(draw, max_depth, min_depth=1):
+    k = draw(st.integers(min_value=min_depth, max_value=max_depth))
     return tc.Portrait(k, tuple(
         draw(st.integers(min_value=0, max_value=(1 << (1 << l)) - 1)) for l in range(k)
     ))
@@ -291,6 +291,13 @@ def test_text_round_trip_property(p):
 @given(_portraits(max_depth=8))
 def test_from_permutation_round_trip_property(p):
     assert tc.from_permutation(tc.to_permutation(p)) == p
+
+
+@given(st.integers(min_value=4, max_value=6).flatmap(
+    lambda k: st.tuples(_portraits(k, min_depth=k), _portraits(k, min_depth=k))))
+def test_compose_homomorphism_property_depths_4_to_6(pair):
+    a, b = pair
+    assert tc.to_permutation(tc.compose(a, b)) == tc.to_permutation(a) * tc.to_permutation(b)
 
 
 def test_from_permutation_rejects_non_automorphisms():
