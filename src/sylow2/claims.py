@@ -72,7 +72,10 @@ class VerificationReport:
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
         """Load a report; malformed input raises a one-line ValueError."""
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("report JSON is nested too deeply") from None
         if not isinstance(data, dict):
             raise ValueError(f"a report is a JSON object, not {type(data).__name__}")
         if data.get("format") != REPORT_FORMAT:
@@ -110,6 +113,18 @@ class ClaimContext:
     cap: int = DEFAULT_CAP
     seed: int = 0
     _groups: dict[str, EnumeratedGroup | CapExceededError] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # s_beta(k) acts on 2^k points, and a group key holds at most MAX_DEGREE of them
+        max_k_limit = group_engine.MAX_DEGREE.bit_length() - 1
+        if not 2 <= self.max_k <= max_k_limit:
+            raise ValueError(f"k must be in 2..{max_k_limit}, got {self.max_k}")
+        # below the smallest boxtimes degree, that claim would check no n at all
+        min_n = min(BOXTIMES_DEGREES)
+        if self.max_n < min_n:
+            raise ValueError(f"n must be at least {min_n}, got {self.max_n}")
+        if self.cap < 1:
+            raise ValueError("--cap must be positive")
 
     def parameters(self) -> dict:
         return {
@@ -260,9 +275,9 @@ def _run_w_structure(ctx: ClaimContext, k: int):
 @_per_unit("quotient_ranks")
 def _run_minimality(ctx: ClaimContext, k: int):
     G = tree_group(ctx, k)
-    rank = group_engine.quotient_rank(G, cap=ctx.cap)
-    squares = group_engine.squares_subgroup(G, cap=ctx.cap)
-    phi = group_engine.frattini_subgroup(G, cap=ctx.cap)
+    rank = group_engine.quotient_rank(G)
+    squares = group_engine.squares_subgroup(G)
+    phi = group_engine.frattini_subgroup(G)
     genset = sylow_builders.s_beta(k)
     entries = genset.permutation_entries()
     undersized_generates = []
@@ -283,7 +298,7 @@ def _run_minimality(ctx: ClaimContext, k: int):
 @_claim("frattini-level", "Frattini elements have an even state count on every level above the last and are never of type T.")
 @_per_unit("coverage", samples_at_k4=10_000)
 def _run_frattini_level(ctx: ClaimContext, k: int):
-    phi = group_engine.frattini_subgroup(tree_group(ctx, k), cap=ctx.cap)
+    phi = group_engine.frattini_subgroup(tree_group(ctx, k))
     keys = phi.sorted_keys()
     # exhaustive sweep, plus seeded resampling at the largest k for the
     # stated sample count; each k draws from its own Random(seed)

@@ -8,11 +8,13 @@ Elements are canonicalized as the byte keys of perm_core: byte i holds the
 is limited to MAX_DEGREE = 255 points and group orders to the enumeration cap
 (default 2^20), which is all the desk-scale checks need.
 An enumerated group's degree, generator keys (gen_keys) and element set never
-change after construction. Each EnumeratedGroup also memoizes its commutator
-and Frattini subgroups, so the Frattini rank, the derived series and the
-fingerprint reuse what an earlier query built. Concurrent queries on one
-group may build a memo entry twice, but an entry is stored whole, so none of
-them observes a partial value.
+change after construction. A derived subgroup (squares, commutator, Frattini)
+is bounded by the order of its parent, so the queries that build one take no
+cap. Each EnumeratedGroup also memoizes its commutator and Frattini
+subgroups, so the Frattini rank, the derived series and the fingerprint reuse
+what an earlier query built. Concurrent queries on one group may build a memo
+entry twice, but an entry is stored whole, so none of them observes a partial
+value.
 """
 
 from __future__ import annotations
@@ -118,9 +120,7 @@ def _inv(a: bytes) -> bytes:
     return bytes(out)
 
 
-def _dimino(
-    candidates: Iterable[bytes], degree: int, cap: int
-) -> tuple[list[bytes], set[bytes]]:
+def _dimino(candidates: Iterable[bytes], degree: int, cap: int) -> EnumeratedGroup:
     """Dimino's algorithm (Butler, Fundamental Algorithms for Permutation
     Groups, LNCS 559, 1991): close the candidates one at a time, in order.
 
@@ -129,10 +129,11 @@ def _dimino(
     whole cosets {_mul(x, h) : h in H}: only generators times coset
     representatives are tested, and each new coset is disjoint from the
     elements already found.
-    Returns the accepted generators and the element set of the group they
-    generate. Raises CapExceededError with partial_count == cap (the count
-    an element-by-element closure stops at) as soon as a coset would take
-    the group past the cap.
+    Returns the group they generate, with the accepted generators as its
+    gen_keys; over sorted candidates the choice is deterministic. Raises
+    CapExceededError with partial_count == cap (the count an
+    element-by-element closure stops at) as soon as a coset would take the
+    group past the cap.
     """
     ident = bytes(range(degree))
     elements = [ident]
@@ -158,20 +159,7 @@ def _dimino(
                 elements += coset
                 members.update(coset)
                 reps.append(x)
-    return gens, members
-
-
-def _closure(gen_keys: Sequence[bytes], degree: int, cap: int) -> set[bytes]:
-    return _dimino(gen_keys, degree, cap)[1]
-
-
-def _reduce_generators(
-    keys: Iterable[bytes], degree: int, cap: int = DEFAULT_CAP
-) -> tuple[list[bytes], set[bytes]]:
-    """A small generating subset of the given elements, found greedily over
-    the sorted key list (so the result is deterministic), and the element
-    set of the group it generates."""
-    return _dimino(sorted(set(keys)), degree, cap)
+    return EnumeratedGroup(degree, tuple(gens), frozenset(members))
 
 
 def _normalize_generators(
@@ -206,7 +194,7 @@ def generate(
     truncating.
     """
     gen_keys, degree = _normalize_generators(gens, degree)
-    return EnumeratedGroup(degree, gen_keys, frozenset(_closure(gen_keys, degree, cap)))
+    return EnumeratedGroup(degree, gen_keys, _dimino(gen_keys, degree, cap).elements)
 
 
 def group_from_elements(
@@ -218,10 +206,10 @@ def group_from_elements(
     """Wrap an element set known (or checked) to be a subgroup; a reduced
     generating subset is recorded as its generator keys."""
     keyset = frozenset(keys)
-    reduced, closed = _reduce_generators(keyset, degree, cap)
-    if verify and closed != keyset:
+    closed = _dimino(sorted(keyset), degree, cap)
+    if verify and closed.elements != keyset:
         raise ValueError("element set is not closed")
-    return EnumeratedGroup(degree, tuple(reduced), keyset)
+    return EnumeratedGroup(degree, closed.gen_keys, keyset)
 
 
 def contains(G: EnumeratedGroup, x: Permutation | bytes) -> bool:
@@ -304,7 +292,7 @@ def verify_semidirect(
 
 
 def _conjugation_orbit(
-    seed: Iterable[bytes], conjugator_keys: Sequence[bytes], degree: int, cap: int
+    seed: Iterable[bytes], conjugator_keys: Sequence[bytes], cap: int
 ) -> set[bytes]:
     orbit = set(seed)
     frontier = list(orbit)
@@ -326,27 +314,20 @@ def _conjugation_orbit(
 
 
 def _memoized(build):
-    """Keep the subgroup build(G, cap) in G's memo.
-
-    The memo is read and written only when cap >= G.order: no subgroup of G
-    can pass such a cap, so the result cannot depend on it. A smaller cap
-    builds afresh, so CapExceededError keeps its partial count.
-    """
+    """Keep the subgroup build(G) in G's memo."""
 
     @wraps(build)
-    def construct(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> EnumeratedGroup:
-        if cap < G.order:
-            return build(G, cap)
+    def construct(G: EnumeratedGroup) -> EnumeratedGroup:
         found = G._memo.get(build.__name__)
         if found is None:
-            found = G._memo[build.__name__] = build(G, cap)
+            found = G._memo[build.__name__] = build(G)
         return found
 
     return construct
 
 
 @_memoized
-def commutator_subgroup(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> EnumeratedGroup:
+def commutator_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
     """[G, G], built as the normal closure of the generator-pair commutators.
 
     The brute-force definition over all element pairs is the oracle the test
@@ -361,55 +342,51 @@ def commutator_subgroup(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> Enumerate
             c = _mul(_mul(a, b), _mul(ai, _inv(b)))
             if c != ident:
                 comms.add(c)
-    orbit = _conjugation_orbit(comms, gen_keys, G.degree, cap) if comms else set()
-    reduced, elements = _reduce_generators(orbit | {ident}, G.degree, cap)
-    return EnumeratedGroup(G.degree, tuple(reduced), frozenset(elements))
+    orbit = _conjugation_orbit(comms, gen_keys, G.order)
+    return _dimino(sorted(orbit), G.degree, G.order)
 
 
-def squares_subgroup(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> EnumeratedGroup:
+def squares_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
     """The subgroup generated by the squares of all elements. The square set
     is conjugation-closed, so no normal closure step is needed."""
     pad = _PADS[G.degree]
     # x + pad is x's translate table, so x.translate(x + pad) == _mul(x, x)
     squares = {x.translate(x + pad) for x in G.elements}
-    reduced, elements = _reduce_generators(squares, G.degree, cap)
-    return EnumeratedGroup(G.degree, tuple(reduced), frozenset(elements))
+    return _dimino(sorted(squares), G.degree, G.order)
 
 
 @_memoized
-def frattini_subgroup(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> EnumeratedGroup:
+def frattini_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
     """Frattini subgroup of a finite 2-group: the subgroup generated by all
     squares and commutators. Whether the squares alone already absorb the
     commutators is an observable the callers check, not an assumption made
     here."""
     if G.order & (G.order - 1):
         raise ValueError(f"group of order {G.order} is not a 2-group")
-    squares = squares_subgroup(G, cap)
-    commutators = commutator_subgroup(G, cap)
+    squares = squares_subgroup(G)
+    commutators = commutator_subgroup(G)
     if commutators.elements <= squares.elements:
-        return EnumeratedGroup(G.degree, squares.gen_keys, squares.elements)
-    union = squares.elements | commutators.elements
-    reduced, elements = _reduce_generators(union, G.degree, cap)
-    return EnumeratedGroup(G.degree, tuple(reduced), frozenset(elements))
+        return squares
+    return _dimino(sorted(squares.elements | commutators.elements), G.degree, G.order)
 
 
-def quotient_rank(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> int:
+def quotient_rank(G: EnumeratedGroup) -> int:
     """log2 of |G / Frattini(G)|; by the Burnside basis theorem this is the
     size of every minimal generating set of a 2-group."""
-    phi = frattini_subgroup(G, cap)
+    phi = frattini_subgroup(G)
     index, remainder = divmod(G.order, phi.order)
     if remainder or index & (index - 1):
         raise ValueError(f"Frattini index {G.order}/{phi.order} is not a power of 2")
     return index.bit_length() - 1
 
 
-def derived_series(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> list[EnumeratedGroup]:
+def derived_series(G: EnumeratedGroup) -> list[EnumeratedGroup]:
     """G, [G, G], [[G, G], [G, G]], ... down to the point where the series
     stabilizes (the trivial group, for the solvable groups handled here)."""
     series = [G]
     current = G
     while current.order > 1:
-        nxt = commutator_subgroup(current, cap)
+        nxt = commutator_subgroup(current)
         if nxt.order == current.order:
             break
         series.append(nxt)
@@ -417,8 +394,8 @@ def derived_series(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> list[Enumerate
     return series
 
 
-def derived_length(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> int:
-    series = derived_series(G, cap)
+def derived_length(G: EnumeratedGroup) -> int:
+    series = derived_series(G)
     if series[-1].order != 1:
         raise ValueError("group is not solvable")
     return len(series) - 1
@@ -493,14 +470,14 @@ def center_size(G: EnumeratedGroup) -> int:
     return len(center)
 
 
-def fingerprint(G: EnumeratedGroup, cap: int = DEFAULT_CAP) -> dict[str, int | bool]:
+def fingerprint(G: EnumeratedGroup) -> dict[str, int | bool]:
     """Isomorphism-invariant summary: order, abelian-ness, exponent, derived
     length and center size."""
     return {
         "order": G.order,
         "abelian": is_abelian(G),
         "exponent": exponent(G),
-        "derived_length": derived_length(G, cap),
+        "derived_length": derived_length(G),
         "center_size": center_size(G),
     }
 

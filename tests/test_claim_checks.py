@@ -138,7 +138,7 @@ def _per_sample_witnesses(ctx):
     rng = Random(ctx.seed)
     counts, failures = {}, {}
     for k in range(2, ctx.max_k + 1):
-        phi = ge.frattini_subgroup(cl.tree_group(ctx, k), cap=ctx.cap)
+        phi = ge.frattini_subgroup(cl.tree_group(ctx, k))
         keys = phi.sorted_keys()
         samples = keys if k < 4 else keys + [rng.choice(keys) for _ in range(10_000)]
         for key in samples:

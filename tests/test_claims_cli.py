@@ -280,6 +280,71 @@ def test_report_from_json_rejects_an_unknown_status():
         cl.VerificationReport.from_json(json.dumps(data))
 
 
+def test_report_from_json_rejects_deep_nesting_in_one_line():
+    with pytest.raises(ValueError) as info:
+        cl.VerificationReport.from_json("[" * 100_000 + "]" * 100_000)
+    assert "\n" not in str(info.value)
+
+
+# Arbitrary JSON values, for whole documents and for the parts of a report
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(value, path=()):
+    """Every path into a JSON value, its root first."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield from _paths(item, path + (key,))
+
+
+@st.composite
+def _mutated_report(draw):
+    """The default report's JSON with one part replaced by an arbitrary
+    value, or removed."""
+    data = _report_data()
+    path = draw(st.sampled_from(list(_paths(data))))
+    if not path:
+        return json.dumps(draw(_JSON))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_JSON)
+    return json.dumps(data)
+
+
+def _loads_or_raises_value_error(text):
+    try:
+        cl.VerificationReport.from_json(text)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=100)
+@given(st.text() | _JSON.map(json.dumps))
+def test_report_from_json_raises_only_value_error_on_any_text(text):
+    _loads_or_raises_value_error(text)
+
+
+@settings(max_examples=100)
+@given(_mutated_report())
+def test_report_from_json_raises_only_value_error_on_a_mutated_report(text):
+    _loads_or_raises_value_error(text)
+
+
 def test_cli_verify_requires_claim_or_all(capsys):
     assert cli.main(["verify"]) == 2
     assert "error" in capsys.readouterr().err
@@ -319,6 +384,22 @@ def test_cli_verify_refuses_n_below_the_smallest_boxtimes_degree(tmp_path, capsy
     record = json.loads(out.read_text())["claims"][0]
     assert record["status"] == "pass"
     assert record["witnesses"]["orders"] == {"4": 4}
+
+
+@pytest.mark.parametrize(
+    "limits, message",
+    [
+        ({"max_k": 1}, "k must be in 2..7, got 1"),
+        ({"max_k": 8}, "k must be in 2..7, got 8"),
+        ({"max_n": 3}, "n must be at least 4, got 3"),
+        ({"cap": 0}, "--cap must be positive"),
+    ],
+)
+def test_claim_context_refuses_limits_out_of_range(limits, message):
+    assert cl.group_engine.MAX_DEGREE.bit_length() - 1 == 7
+    with pytest.raises(ValueError) as info:
+        cl.ClaimContext(**limits)
+    assert str(info.value) == message
 
 
 # A fixed vocabulary for argv. Each valued flag draws from its own values,
@@ -430,14 +511,26 @@ ENUMERATING = [
 ]
 
 
+def _statuses_and_witnesses(report_text):
+    return {
+        c["claim_id"]: {"status": c["status"], "witnesses": c["witnesses"]}
+        for c in json.loads(report_text)["claims"]
+    }
+
+
 def test_default_run_matches_the_recorded_witnesses():
     reference = json.loads(REFERENCE.read_text())["claims"]
-    report = json.loads(_full_report().to_json())
-    got = {
-        c["claim_id"]: {"status": c["status"], "witnesses": c["witnesses"]}
-        for c in report["claims"]
-    }
-    assert got == reference
+    assert _statuses_and_witnesses(_full_report().to_json()) == reference
+
+
+def test_a_cap_of_the_largest_group_order_skips_nothing(tmp_path, capsys):
+    # |G_4| = 2^14 is the largest group verify enumerates, and every derived
+    # subgroup is bounded by the order of its parent, not by the cap
+    reference = json.loads(REFERENCE.read_text())["claims"]
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--all", "--cap", "16384", "--json", str(out)]) == 0
+    assert "summary: 14 pass, 0 fail, 0 skipped-cap" in capsys.readouterr().out
+    assert _statuses_and_witnesses(out.read_text()) == reference
 
 
 def _assert_passed_or_skipped(records):

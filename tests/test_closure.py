@@ -1,6 +1,7 @@
-"""The coset-by-coset closure and generator reduction against two oracles,
-a breadth-first closure and a greedy reduction that re-closes after every
-accepted generator, plus the cap boundaries of the public entry points."""
+"""Dimino's coset-by-coset closure, its element set and the generators it
+accepts, against two oracles: a breadth-first closure and a greedy reduction
+that re-closes after every accepted generator. Plus the cap boundaries of
+generate."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +39,10 @@ def _naive_reduce(keys, degree, cap):
     return gens
 
 
+def _dimino_elements(keys, degree, cap):
+    return ge._dimino(keys, degree, cap).elements
+
+
 def _outcome(fn, *args):
     """The result, or the cap error's (cap, partial_count)."""
     try:
@@ -60,7 +65,7 @@ def _symmetric_case(draw):
 @given(_symmetric_case(), st.integers(min_value=0, max_value=800))
 def test_closure_matches_bfs_in_s5_s6(case, cap):
     degree, keys = case
-    assert _outcome(ge._closure, keys, degree, cap) == _outcome(
+    assert _outcome(_dimino_elements, keys, degree, cap) == _outcome(
         _bfs_closure, keys, degree, cap
     )
 
@@ -69,9 +74,9 @@ def test_closure_matches_bfs_in_s5_s6(case, cap):
 @given(_symmetric_case())
 def test_reduce_matches_naive_reduce_in_s5_s6(case):
     degree, keys = case
-    reduced, elements = ge._reduce_generators(keys, degree, ge.DEFAULT_CAP)
-    assert reduced == _naive_reduce(keys, degree, ge.DEFAULT_CAP)
-    assert elements == _bfs_closure(keys, degree, ge.DEFAULT_CAP)
+    H = ge._dimino(sorted(set(keys)), degree, ge.DEFAULT_CAP)
+    assert list(H.gen_keys) == _naive_reduce(keys, degree, ge.DEFAULT_CAP)
+    assert H.elements == _bfs_closure(keys, degree, ge.DEFAULT_CAP)
 
 
 @settings(max_examples=40)
@@ -80,26 +85,26 @@ def test_reduce_of_g3_subgroups_matches_naive_reduce(keys):
     # reduce the whole subgroup the subset generates, as the Frattini and
     # commutator constructions do
     subgroup = _bfs_closure(keys, 8, ge.DEFAULT_CAP)
-    assert ge._closure(keys, 8, ge.DEFAULT_CAP) == subgroup
-    reduced, elements = ge._reduce_generators(subgroup, 8, ge.DEFAULT_CAP)
-    assert reduced == _naive_reduce(subgroup, 8, ge.DEFAULT_CAP)
-    assert elements == subgroup
+    assert _dimino_elements(keys, 8, ge.DEFAULT_CAP) == subgroup
+    H = ge._dimino(sorted(subgroup), 8, ge.DEFAULT_CAP)
+    assert list(H.gen_keys) == _naive_reduce(subgroup, 8, ge.DEFAULT_CAP)
+    assert H.elements == subgroup
 
 
 @settings(max_examples=12)
 @given(st.lists(st.sampled_from(_G4_KEYS), min_size=2, max_size=4, unique=True))
 def test_closure_and_reduce_of_g4_subsets_match_oracles(keys):
     subgroup = _bfs_closure(keys, 16, ge.DEFAULT_CAP)
-    assert ge._closure(keys, 16, ge.DEFAULT_CAP) == subgroup
-    reduced, elements = ge._reduce_generators(keys, 16, ge.DEFAULT_CAP)
-    assert reduced == _naive_reduce(keys, 16, ge.DEFAULT_CAP)
-    assert elements == subgroup
+    assert _dimino_elements(keys, 16, ge.DEFAULT_CAP) == subgroup
+    H = ge._dimino(sorted(keys), 16, ge.DEFAULT_CAP)
+    assert list(H.gen_keys) == _naive_reduce(keys, 16, ge.DEFAULT_CAP)
+    assert H.elements == subgroup
 
 
 def test_reduce_of_g4_matches_naive_reduce():
-    reduced, elements = ge._reduce_generators(_G4_KEYS, 16)
-    assert reduced == _naive_reduce(_G4_KEYS, 16, ge.DEFAULT_CAP)
-    assert elements == set(_G4_KEYS)
+    H = ge._dimino(_G4_KEYS, 16, ge.DEFAULT_CAP)
+    assert list(H.gen_keys) == _naive_reduce(_G4_KEYS, 16, ge.DEFAULT_CAP)
+    assert H.elements == set(_G4_KEYS)
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -111,16 +116,3 @@ def test_generate_cap_boundaries(k):
             ge.generate(s_beta(k), cap=cap)
         assert (info.value.cap, info.value.partial_count) == (cap, cap)
 
-
-@pytest.mark.parametrize("k", [3, 4])
-def test_frattini_cap_boundaries(k):
-    # the largest group the Frattini construction closes is the Frattini
-    # subgroup itself, so the cap boundary sits at its order
-    G = ge.generate(s_beta(k))
-    order = ge.frattini_subgroup(G).order
-    assert order > 1
-    assert ge.frattini_subgroup(G, cap=order).order == order
-    for cap in (1, order - 1):
-        with pytest.raises(ge.CapExceededError) as info:
-            ge.frattini_subgroup(G, cap=cap)
-        assert (info.value.cap, info.value.partial_count) == (cap, cap)

@@ -234,23 +234,9 @@ def test_compose_builds_ordinary_portraits():
 
 
 def test_faithfulness_exhaustive_small_depths():
-    for k in (2, 3):
+    for k in (2, 3, 4):
         images = {tc.to_permutation(p).images for p in tc.iter_portraits(k)}
         assert len(images) == 1 << ((1 << k) - 1)
-
-
-def test_faithfulness_sampled_depth4():
-    rng = random.Random(1)
-
-    def random_portrait():
-        return tc.Portrait(
-            4, tuple(rng.randrange(1 << (1 << l)) for l in range(4))
-        )
-
-    for _ in range(100_000):
-        a, b = random_portrait(), random_portrait()
-        if a != b:
-            assert tc.to_permutation(a) != tc.to_permutation(b)
 
 
 def test_text_round_trip():
