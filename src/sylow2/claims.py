@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import time
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
@@ -508,15 +509,34 @@ def _run_order_ratios(ctx: ClaimContext):
     return _record({"k_max": 25}, witnesses, failures)
 
 
+def _spaced(value: int, bits: int, width: int) -> int:  # bit i of value to bit i * width
+    return sum((value >> i & 1) << i * width for i in range(bits))
+
+
 @_claim("portrait-oracle", "Portrait composition agrees with leaf-permutation composition on all pairs at depth 3.")
 def _run_portrait_oracle(ctx: ClaimContext):
     k = 3
-    leaf_actions = [(p, tree_core.to_permutation(p)) for p in tree_core.iter_portraits(k)]
-    failures, pairs = {}, 0
-    for pairs, ((a, pa), (b, pb)) in enumerate(itertools.product(leaf_actions, repeat=2), 1):
-        if tree_core.to_permutation(tree_core.compose(a, b)) != pa * pb:
-            failures[f"{tree_core.to_text(a)} . {tree_core.to_text(b)}"] = "mismatch"
-            break
+    portraits = list(tree_core.iter_portraits(k))
+    # lane j of each int below is left factor a = portraits[j], as in tree_core's lane kernels
+    width, ones = len(portraits), (1 << len(portraits)) - 1
+    lanes = [sum(_spaced(a.levels[l], 1 << l, width) << j for j, a in enumerate(portraits)) for l in range(k)]
+    pas = [tree_core.to_permutation(a).images for a in portraits]
+    # row y: the address bits of pa(y) for every a, packed as lane_action packs them
+    columns = [sum(_spaced(pa[y], k, width) << j for j, pa in enumerate(pas)) for y in range(1 << k)]
+    failed = []
+    for ib, b in enumerate(portraits):
+        leaves = tree_core.lane_action(tree_core.lane_transport(lanes, b, width), width)[k]
+        diff = 0  # (a . b)(x) against pa(pb(x)) for every a, then folded onto one field
+        for x, y in enumerate(tree_core.to_permutation(b).images):
+            diff |= leaves[x] ^ columns[y]
+        mask = functools.reduce(operator.or_, (diff >> i * width & ones for i in range(k)))
+        if mask:  # its lowest set bit is the first a that fails with this b
+            failed.append(((mask & -mask).bit_length() - 1, ib))
+    failures, pairs = {}, width * width
+    if failed:  # the first failing pair in a-major order, where a pair-by-pair sweep stops
+        ia, ib = min(failed)
+        failures[f"{tree_core.to_text(portraits[ia])} . {tree_core.to_text(portraits[ib])}"] = "mismatch"
+        pairs = ia * width + ib + 1
     # one state bit at each of the 2^k - 1 vertices: 2^(2^k - 1) portraits
     all_pairs = (1 << (1 << k) - 1) ** 2
     if not failures and pairs < all_pairs:

@@ -10,7 +10,7 @@ is limited to MAX_DEGREE = 255 points and group orders to the enumeration cap
 An enumerated group's degree, generator keys (gen_keys) and element set never
 change after construction. A derived subgroup (squares, commutator, Frattini)
 is bounded by the order of its parent, so the queries that build one take no
-cap. Each EnumeratedGroup also memoizes its commutator and Frattini
+cap. Each EnumeratedGroup also memoizes its squares, commutator and Frattini
 subgroups, so the Frattini rank, the derived series and the fingerprint reuse
 what an earlier query built. Concurrent queries on one group may build a memo
 entry twice, but an entry is stored whole, so none of them observes a partial
@@ -346,6 +346,7 @@ def commutator_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
     return _dimino(sorted(orbit), G.degree, G.order)
 
 
+@_memoized
 def squares_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
     """The subgroup generated by the squares of all elements. The square set
     is conjugation-closed, so no normal closure step is needed."""

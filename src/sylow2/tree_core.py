@@ -21,8 +21,13 @@ s_ab(v) = s_a(b(v)) XOR s_b(v), with b(v) the image vertex of v under b.
 
 Each level's bits are packed into an int, bit p-1 for position p, so depth
 is capped at MAX_DEPTH to keep the bit budget sane. All values here are
-immutable and all functions pure; a portrait memoizes its vertex images on
-first use, a value that its fields fix.
+immutable and all functions pure.
+
+Lanes. The kernels lane_action and lane_transport act on one portrait per
+bit (bit-slicing: Biham, "A fast new DES implementation in software", FSE
+1997): lanes[l] packs level l in fields of `width` bits, bit j of field v
+being portrait j's state at vertex v. With width 1 that is Portrait.levels,
+and compose, to_permutation and vertex_images are the kernels' one-lane calls.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .perm_core import Permutation, _as_key
 
@@ -102,26 +107,6 @@ class Portrait:
         p.__dict__.update(depth=depth, levels=levels)
         return p
 
-    def _vertex_images(self) -> tuple[tuple[int, ...], ...]:
-        # the value of vertex_images, memoized in the instance dict, which
-        # ==, hash and repr never read (functools.cached_property does the
-        # same, but takes a lock on every miss before Python 3.12)
-        memo = self.__dict__
-        found = memo.get("_vertex_images_memo")
-        if found is None:
-            prev = (0,)
-            imgs = [prev]
-            for mask in self.levels:
-                nxt = []
-                for w in prev:  # vertex v's children go to 2w + s_v, 2w + 1 - s_v
-                    w2 = w << 1 | (mask & 1)
-                    mask >>= 1
-                    nxt += w2, w2 ^ 1
-                prev = tuple(nxt)
-                imgs.append(prev)
-            found = memo["_vertex_images_memo"] = tuple(imgs)
-        return found
-
     @property
     def leaf_count(self) -> int:
         return 1 << self.depth
@@ -166,44 +151,62 @@ def from_states(k: int, active: Iterable[tuple[int, int]]) -> Portrait:
     return Portrait(k, tuple(masks))
 
 
+def lane_action(lanes: Sequence[int], width: int = 1) -> list[list[int]]:
+    """The leaf-action kernel: row l lists the images of the level-l vertices,
+    l = 0..k, their address bits msb first in fields of `width` bits, bit j
+    under the portrait in lane j. Image bit l of a vertex is its own bit l
+    XOR the state at its level-l prefix."""
+    ones = (1 << width) - 1
+    images = [[0]]
+    for level in lanes:
+        rows = []
+        for row in images[-1]:  # vertex v's children 2v, 2v + 1
+            row = row << width | level & ones
+            level >>= width
+            rows += row, row ^ ones
+        images.append(rows)
+    return images
+
+
+def lane_transport(lanes: Sequence[int], b: Portrait, width: int = 1) -> tuple[int, ...]:
+    """The transport kernel: the lanes of a∘b for each a in the lanes. By
+    s_ab(v) = s_a(b(v)) XOR s_b(v), the product's state at (l, v) is the
+    state at (l, b(v)), flipped in every lane where b is active at (l, v)."""
+    ones = (1 << width) - 1
+    product = []
+    for level, img, mask in zip(lanes, lane_action(b.levels[:-1]), b.levels):
+        states = 0
+        for v, w in enumerate(img):  # the field of b(v), all ones flipped where b is active
+            states |= ((level >> w * width & ones) ^ ones * (mask >> v & 1)) << v * width
+        product.append(states)
+    return tuple(product)
+
+
 def vertex_images(a: Portrait) -> tuple[tuple[int, ...], ...]:
     """Per-level vertex action: entry l maps each 0-based position of level l
     to its image position; entry k is the 0-based leaf action."""
-    return a._vertex_images()
+    return tuple(map(tuple, lane_action(a.levels)))
 
 
 def to_permutation(a: Portrait) -> Permutation:
     """The leaf action on {1, ..., 2^k}."""
-    return Permutation._of_key(_as_key(a._vertex_images()[a.depth]))
+    return Permutation._of_key(_as_key(lane_action(a.levels)[a.depth]))
 
 
 def compose(a: Portrait, b: Portrait) -> Portrait:
     """The automorphism "apply b, then a"."""
     if a.depth != b.depth:
         raise ValueError(f"depth mismatch: {a.depth} != {b.depth}")
-    masks = []
-    for amask, m, img in zip(a.levels, b.levels, b._vertex_images()):
-        if amask:
-            for v, w in enumerate(img):  # flip s_b(v) where s_a(b(v)) is set
-                if amask >> w & 1:
-                    m ^= 1 << v
-        masks.append(m)
-    return Portrait._unchecked(a.depth, tuple(masks))
+    return Portrait._unchecked(a.depth, lane_transport(a.levels, b))
 
 
 def inverse(a: Portrait) -> Portrait:
     """The portrait with each state bit relocated to its image vertex, so
     that compose(a, inverse(a)) is the identity."""
-    imgs = vertex_images(a)
-    masks = []
-    for l in range(a.depth):
-        mask, img = a.levels[l], imgs[l]
-        m = 0
-        for v in range(1 << l):
-            if mask >> v & 1:
-                m |= 1 << img[v]
-        masks.append(m)
-    return Portrait(a.depth, tuple(masks))
+    return Portrait(a.depth, tuple(
+        sum((mask >> v & 1) << w for v, w in enumerate(img))
+        for mask, img in zip(a.levels, vertex_images(a))
+    ))
 
 
 def level_index(a: Portrait, l: int) -> int:
@@ -224,13 +227,8 @@ def vp_distance(a: Portrait) -> int:
     mask = a.levels[a.depth - 1]
     if mask.bit_count() < 2:
         return 0
-    positions = []
-    m = mask
-    while m:
-        low = m & -m
-        positions.append(low.bit_length() - 1)
-        m ^= low
-    return 2 * (min(positions) ^ max(positions)).bit_length()
+    lowest, highest = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+    return 2 * (lowest ^ highest).bit_length()
 
 
 def classify_element(a: Portrait) -> ElementClass:
@@ -286,39 +284,19 @@ def from_text(text: str) -> Portrait:
 
 def from_permutation(p: Permutation) -> Portrait:
     """Recover the portrait of a leaf permutation that is a tree
-    automorphism; raises ValueError otherwise.
-
-    Works top-down: the state at a vertex v with known image w is read off
-    from whether the leftmost leaf under v's left child lands under w's left
-    or right child. The result is checked against p before returning.
-    """
+    automorphism (checked against p); raises ValueError otherwise."""
     n = p.degree
     k = n.bit_length() - 1
     if n != 1 << k or k < 1:
         raise ValueError(f"degree {n} is not a power of two >= 2")
-    imgs = p.images
-    masks = []
-    img = [0]
-    for l in range(k):
-        shift = k - l - 1
+    imgs, masks = p.images, []
+    for l in range(k):  # image bit l of the leftmost leaf below a level-l vertex is its state
         mask = 0
-        nxt = [0] * (2 << l)
-        for v in range(1 << l):
-            w = img[v]
-            y_child = imgs[v << (shift + 1)] >> shift
-            if y_child == 2 * w:
-                s = 0
-            elif y_child == 2 * w + 1:
-                s = 1
-            else:
-                raise ValueError("not a tree automorphism")
-            mask |= s << v
-            nxt[2 * v] = 2 * w + s
-            nxt[2 * v + 1] = 2 * w + 1 - s
+        for y in reversed(imgs[:: 1 << (k - l)]):
+            mask = mask << 1 | (y >> (k - 1 - l) & 1)
         masks.append(mask)
-        img = nxt
     portrait = Portrait(k, tuple(masks))
-    if tuple(img) != imgs:
+    if to_permutation(portrait) != p:
         raise ValueError("not a tree automorphism")
     return portrait
 

@@ -1,8 +1,9 @@
 """The batched checks inside claim runners, against the scalar and
 per-sample loops they replace: the legendre claim's lane-packed floor-sums
 and identity, the evenness claim's lane-packed signs, and frattini-level's
-one check per distinct Frattini element; each claim failing on a planted
-defect, and portrait-oracle checking every pair on sound code."""
+one check per distinct Frattini element, and minimality's one squares
+subgroup per group; each claim failing on a planted defect, and
+portrait-oracle checking every pair on sound code."""
 
 import dataclasses
 import tracemalloc
@@ -129,6 +130,26 @@ def test_legendre_holds_one_chunk_at_a_time():
     assert peak < 4 * 1024 * 1024
 
 
+# --- minimality --------------------------------------------------------------
+
+
+def test_minimality_builds_each_squares_subgroup_once(monkeypatch):
+    squares, builds = ge.squares_subgroup, Counter()
+
+    def counted(G):
+        if "squares_subgroup" not in G._memo:  # a request the memo cannot answer builds
+            builds[G.order] += 1
+        return squares(G)
+
+    monkeypatch.setattr(ge, "squares_subgroup", counted)
+    status, _, witnesses = cl._run_minimality(cl.ClaimContext())
+    assert status == "pass"
+    assert witnesses == {"quotient_ranks": {"2": 2, "3": 3, "4": 4}}
+    # quotient_rank builds the squares inside the Frattini subgroup, and the
+    # claim's own request reuses them
+    assert builds == {4: 1, 64: 1, 16384: 1}
+
+
 # --- frattini-level ---------------------------------------------------------
 
 
@@ -204,9 +225,52 @@ def test_frattini_level_reports_the_per_sample_failure(monkeypatch, index):
     assert witnesses == _per_sample_witnesses(cl.ClaimContext())
 
 
+# --- portrait-oracle --------------------------------------------------------
+
+
+def _lane(packed, j, bits, width):
+    """Lane j of the `bits` fields of `width` bits in a packed int, as bits of an int."""
+    return sum((packed >> (i * width + j) & 1) << i for i in range(bits))
+
+
+def _plant_swapped_transport(monkeypatch):
+    """A transport kernel that gives b.a for each a in the lanes, packed from
+    one-lane calls of the real kernel."""
+    transport = tc.lane_transport
+
+    def swapped(lanes, b, width=1):
+        product = [0] * len(lanes)
+        for j in range(width):
+            a = tc.Portrait(b.depth, tuple(
+                _lane(level, j, 1 << l, width) for l, level in enumerate(lanes)
+            ))
+            for l, mask in enumerate(transport(b.levels, a)):
+                product[l] |= sum((mask >> v & 1) << (v * width + j) for v in range(1 << l))
+        return tuple(product)
+
+    monkeypatch.setattr(tc, "lane_transport", swapped)
+
+
+def _plant_one_bad_pair(monkeypatch, ia, ib):
+    """A transport kernel wrong only for the pair (portraits[ia], portraits[ib]):
+    it flips that product's root state."""
+    transport, b_bad = tc.lane_transport, list(tc.iter_portraits(3))[ib]
+
+    def wrong_at_one_pair(lanes, b, width=1):
+        product = list(transport(lanes, b, width))
+        if b == b_bad:
+            product[0] ^= 1 << ia
+        return tuple(product)
+
+    monkeypatch.setattr(tc, "lane_transport", wrong_at_one_pair)
+
+
+# the corners of the 128 x 128 pair grid, and a pair in its middle
+ONE_BAD_PAIR = [(0, 0), (0, 127), (127, 0), (127, 127), (77, 50)]
+
+
 def test_portrait_oracle_fails_when_compose_swaps_its_arguments(monkeypatch):
-    compose = tc.compose
-    monkeypatch.setattr(tc, "compose", lambda a, b: compose(b, a))
+    _plant_swapped_transport(monkeypatch)
     status, _, witnesses = cl._run_portrait_oracle(cl.ClaimContext())
     assert status == "fail"
     assert witnesses["failures"] == {
@@ -215,33 +279,33 @@ def test_portrait_oracle_fails_when_compose_swaps_its_arguments(monkeypatch):
 
 
 def test_portrait_oracle_counts_the_pairs_it_compared(monkeypatch):
-    compose, calls = tc.compose, Counter()
-
-    def swapped(a, b):
-        calls["compose"] += 1
-        return compose(b, a)
-
-    monkeypatch.setattr(tc, "compose", swapped)
+    _plant_swapped_transport(monkeypatch)
     status, _, witnesses = cl._run_portrait_oracle(cl.ClaimContext())
     assert status == "fail"
-    assert witnesses["pairs_checked"] == calls["compose"] == 145
+    assert witnesses["pairs_checked"] == 145
+    monkeypatch.undo()
+    # a pair-by-pair sweep in a-major order stops at the first failing pair
+    for ia, ib in ONE_BAD_PAIR:
+        with monkeypatch.context() as planted:
+            _plant_one_bad_pair(planted, ia, ib)
+            status, _, witnesses = cl._run_portrait_oracle(cl.ClaimContext())
+        assert status == "fail"
+        assert witnesses["pairs_checked"] == 128 * ia + ib + 1
 
 
 def test_portrait_oracle_runs_both_sides_on_every_pair(monkeypatch):
-    calls = Counter()
-    for name in ("compose", "to_permutation"):
-        real = getattr(tc, name)
-
-        def counted(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(tc, name, counted)
     status, _, witnesses = cl._run_portrait_oracle(cl.ClaimContext())
     assert status == "pass"
     assert witnesses == {"pairs_checked": 16384}
-    # one product portrait per pair, and its leaf action beside the 128 factors'
-    assert calls == {"compose": 16384, "to_permutation": 16384 + 128}
+    # a product wrong at one pair alone, at any corner of the grid, is found
+    portraits = list(tc.iter_portraits(3))
+    for ia, ib in ONE_BAD_PAIR:
+        with monkeypatch.context() as planted:
+            _plant_one_bad_pair(planted, ia, ib)
+            status, _, witnesses = cl._run_portrait_oracle(cl.ClaimContext())
+        assert status == "fail"
+        pair = f"{tc.to_text(portraits[ia])} . {tc.to_text(portraits[ib])}"
+        assert witnesses["failures"] == {pair: "mismatch"}
 
 
 # --- evenness and parity-extension ------------------------------------------

@@ -84,6 +84,16 @@ def test_small_fingerprints_fails_on_a_wrong_sylow_exponent(monkeypatch):
     assert record.witnesses["failures"] == {"order_exponents": {"A_7": 4, "A_6": 4}}
 
 
+def test_small_fingerprints_checks_the_a6_exponent_on_its_own(monkeypatch):
+    syl2_order = sb.syl2_order
+    monkeypatch.setattr(
+        sb, "syl2_order", lambda n, kind: 2 if (n, kind) == (6, "A") else syl2_order(n, kind)
+    )
+    record = _run_one("small-fingerprints")
+    assert record.status == "fail"
+    assert record.witnesses["failures"] == {"order_exponents": {"A_7": 3, "A_6": 2}}
+
+
 def test_boxtimes_checks_the_paper_table_apart_from_syl2_order(monkeypatch):
     # at n = 6 the group and syl2_order agree on 2^2; only the table says 2^3
     boxtimes_group, syl2_order = sb.boxtimes_group, sb.syl2_order

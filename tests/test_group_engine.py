@@ -12,6 +12,7 @@ from sylow2.sylow_builders import (
     s_alpha,
     s_beta,
     syl2_S_generators,
+    tau,
     w_subgroup_generators,
 )
 
@@ -62,6 +63,13 @@ def test_cap_exceeded_reports_partial_count():
 def test_degree_limit():
     with pytest.raises(ValueError):
         ge.generate((), degree=300)
+
+
+def test_generate_takes_degrees_1_to_255():
+    assert ge.generate([Permutation.identity(1)]).order == 1
+    assert ge.generate([Permutation.transposition(255, 1, 255)]).order == 2
+    with pytest.raises(ValueError, match=r"degree must be in 1\.\.255, got 256"):
+        ge.generate([Permutation.identity(256)])
 
 
 def test_contains_and_subgroup_predicates():
@@ -118,6 +126,27 @@ def test_verify_semidirect_negative_controls():
     rel2 = ge.verify_semidirect(other, G, G)
     assert not rel2.ok
     assert dict(rel2.checks)["same_degree"] is False
+
+
+def test_verify_semidirect_names_what_fails():
+    G, B, W = _G(3), ge.generate(s_alpha(3)), ge.generate(w_subgroup_generators(3))
+
+    def swap(i, j):
+        return ge.generate([Permutation.transposition(8, i, j)])
+
+    escapes = "a generator conjugate of W escapes W"
+    # B outside G: the smallest stray key; W is still normal, so no w_normal witness
+    rel = ge.verify_semidirect(swap(1, 2), W, G)
+    assert dict(rel.witnesses) == {"b_subgroup": "Permutation[(1 2)]", "order_product": "2 * 8 != 64"}
+    # W outside G, so not normal in it
+    rel = ge.verify_semidirect(B, swap(7, 8), G)
+    assert dict(rel.witnesses) == {
+        "w_subgroup": "Permutation[(7 8)]", "w_normal": escapes, "order_product": "8 * 2 != 64"
+    }
+    # W = <tau> inside G, but alpha(0, 3) moves tau's two transpositions
+    rel = ge.verify_semidirect(B, ge.generate([tau(3)]), G)
+    assert dict(rel.checks)["w_subgroup"]
+    assert dict(rel.witnesses) == {"w_normal": escapes, "order_product": "8 * 2 != 64"}
 
 
 def _brute_commutator_subgroup(G):

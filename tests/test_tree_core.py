@@ -207,17 +207,37 @@ def test_odd_t_factor_parity_random_words_depth3():
             assert odd_letters % 2 == 1
 
 
-def test_vertex_image_memo_is_ignored_by_eq_hash_and_repr():
-    filled = tc.from_text("k=3;L0=1;L1=01;L2=1001")
-    fresh = tc.Portrait(3, filled.levels)
-    images = tc.vertex_images(filled)
-    assert tc.vertex_images(filled) is images
-    assert isinstance(images, tuple) and all(isinstance(level, tuple) for level in images)
-    assert vars(filled) != vars(fresh)  # only one of the two holds the memo
-    assert filled == fresh
-    assert hash(filled) == hash(fresh)
-    assert repr(filled) == repr(fresh) == "Portrait(depth=3, levels=(1, 2, 9))"
-    assert {fresh: "found"}[filled] == "found"
+def _pack_lanes(portraits):
+    """Lane j of each level int holds portraits[j]: vertex v's field is bits
+    v * width .. v * width + width - 1."""
+    width = len(portraits)
+    return [
+        sum((p.levels[l] >> v & 1) << (v * width + j) for j, p in enumerate(portraits) for v in range(1 << l))
+        for l in range(portraits[0].depth)
+    ], width
+
+
+def _lane_of(packed, j, fields, width):
+    return sum((packed >> (i * width + j) & 1) << i for i in range(fields))
+
+
+def test_lane_kernels_agree_with_their_one_lane_calls():
+    rng = random.Random(11)
+    for k in (1, 3, 4):
+        every = list(tc.iter_portraits(k))
+        portraits = rng.sample(every, min(len(every), 40))
+        lanes, width = _pack_lanes(portraits)
+        images = tc.lane_action(lanes, width)
+        for b in rng.sample(every, min(len(every), 6)):
+            product = tc.lane_transport(lanes, b, width)
+            for j, a in enumerate(portraits):
+                levels = tuple(_lane_of(m, j, 1 << l, width) for l, m in enumerate(product))
+                assert levels == tc.compose(a, b).levels
+        for j, a in enumerate(portraits):
+            # a vertex image at level l has l address bits, one per field
+            assert tuple(
+                tuple(_lane_of(row, j, l, width) for row in level) for l, level in enumerate(images)
+            ) == tc.vertex_images(a)
 
 
 def test_compose_builds_ordinary_portraits():
