@@ -1,9 +1,12 @@
 """Registry of verifiable structural claims about the tree-built Sylow
 2-subgroups, each returning a machine-readable pass/fail record.
 
-Every claim is deterministic for a fixed context (ranges, cap, seed). Any
-claim, per-k or not, reports "skipped-cap" when a unit it checks needs an
-enumeration past the cap, rather than failing or truncating silently.
+Every claim is deterministic for a fixed context (ranges, cap, seed); no
+claim samples, so the seed changes no verdict or witness. Any claim, per-k
+or not, reports "skipped-cap" when a unit it checks needs an enumeration
+past the cap, rather than failing or truncating silently. The per-n and
+per-element sweeps (legendre, evenness, frattini-level, portrait-oracle) run
+on lane-packed ints, one n or one element per lane.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import operator
 import time
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
-from random import Random
 from typing import Callable
 
 from . import group_engine, sylow_builders, tree_core
@@ -238,9 +240,9 @@ def _run_order_gk(ctx: ClaimContext, k: int):
 @_per_unit("elements_checked")
 def _run_evenness(ctx: ClaimContext, k: int):
     G = tree_group(ctx, k)
-    keys = G.sorted_keys()
-    odd = group_engine.key_parities(keys).find(1)
-    return G.order, {"odd_element": repr(Permutation._of_key(keys[odd]))} if odd >= 0 else None
+    keys = list(G.elements)
+    odd = list(itertools.compress(keys, group_engine.key_parities(keys)))
+    return G.order, {"odd_element": repr(Permutation._of_key(min(odd)))} if odd else None
 
 
 @_claim("semidirect", "W is normal, B meets W trivially, and |B| |W| = |G| for the level-split subgroups.")
@@ -301,27 +303,23 @@ def _run_minimality(ctx: ClaimContext, k: int):
 def _run_frattini_level(ctx: ClaimContext, k: int):
     phi = group_engine.frattini_subgroup(tree_group(ctx, k))
     keys = phi.sorted_keys()
-    # exhaustive sweep, plus seeded resampling at the largest k for the
-    # stated sample count; each k draws from its own Random(seed)
-    rng = Random(ctx.seed)
-    samples = keys if k < 4 else keys + [rng.choice(keys) for _ in range(10_000)]
-    coverage = {"frattini_order": phi.order, "checked": len(samples)}
-    # a resample only repeats a key of the sweep, and the verdict on a key
-    # is fixed, so each distinct key is checked once, in sample order
-    for key in dict.fromkeys(samples):
-        element = Permutation._of_key(key)
-        portrait = tree_core.from_permutation(element)
-        odd_levels = [
-            l for l in range(k - 1) if tree_core.level_index(portrait, l) % 2
-        ]
-        kind = tree_core.classify_element(portrait).kind
-        if odd_levels or kind is tree_core.ElementKind.TYPE_T:
-            return coverage, {
-                "element": repr(element),
-                "odd_levels": odd_levels,
-                "kind": kind.value,
-            }
-    return coverage, None
+    # the sweep is exhaustive; from k = 4 on, `checked` also counts the report's
+    # 10,000 resamples of its keys: a resample repeats a key the sweep has judged,
+    # so none is drawn, and no verdict or witness depends on the seed
+    coverage = {"frattini_order": phi.order, "checked": len(keys) + (10_000 if k >= 4 else 0)}
+    # every key in its own lane: a parity mask per level above the last, and the T/C masks
+    lanes, width = tree_core.lane_portraits(keys), len(keys)
+    odd = [tree_core.lane_fold(lanes[l], 1 << l, width) for l in range(k - 1)]
+    kinds = tree_core.lane_kinds(lanes, width)
+    bad = functools.reduce(operator.or_, odd, kinds[0])
+    if not bad:
+        return coverage, None
+    j = (bad & -bad).bit_length() - 1  # the first failing key in sorted order
+    return coverage, {
+        "element": repr(Permutation._of_key(keys[j])),
+        "odd_levels": [l for l, mask in enumerate(odd) if mask >> j & 1],
+        "kind": tree_core.lane_kind(kinds, j).value,
+    }
 
 
 @_claim("t-nonclosure", "Type T elements are closed under neither products nor squaring (exhaustive at depth 3).")
@@ -367,39 +365,44 @@ def _run_tau_ij_generation(ctx: ClaimContext):
     return _record({"k": k}, {"words": words}, failures)
 
 
-# The legendre claim packs a chunk of consecutive n into 32-bit lanes of one int,
-# so one shift, mask, add or subtract acts on all of it (SWAR: Warren, Hacker's
-# Delight, 2nd ed., 2012, ch. 5). No lane carries or borrows: n <= 10^6 < 2^20,
-# and popcount(n) <= n keeps n - popcount(n) >= 0.
+# The legendre claim packs a chunk of consecutive n into lanes of _LANE_BITS bits
+# of one int, so one shift, mask, add or subtract acts on all of it (SWAR: Warren,
+# Hacker's Delight, 2nd ed., 2012, ch. 5). No lane carries or borrows: n <= 10^6
+# < 2^20 and F(n) <= n fit in 24 bits, popcount(n) <= n keeps n - popcount(n) >= 0,
+# and each byte sum of the popcount is at most 24 < 2^8.
 _LEGENDRE_LANES = 6000
+_LANE_BITS = 24  # a whole number of bytes
+_LANE_ONES = (1 << _LANE_BITS) - 1
 
 
 @functools.cache
-def _spread(word: int, lanes: int) -> int:  # the 32-bit word in each lane
-    return int.from_bytes(word.to_bytes(4, "little") * lanes, "little")
+def _spread(word: int, lanes: int) -> int:  # the word in each lane
+    return int.from_bytes(word.to_bytes(_LANE_BITS // 8, "little") * lanes, "little")
 
 
 @functools.cache
 def _iota(lanes: int) -> int:  # 0, 1, ..., lanes - 1, one per lane
-    return int.from_bytes(b"".join(i.to_bytes(4, "little") for i in range(lanes)), "little")
+    return int.from_bytes(b"".join(i.to_bytes(_LANE_BITS // 8, "little") for i in range(lanes)), "little")
 
 
 def _lane_floor_sums(start: int, lanes: int) -> int:
     """Legendre's sum of floor(n / 2^i), i >= 1, for n = start, start + 1, ..., lane by lane."""
-    h, total, low31 = start * _spread(1, lanes) + _iota(lanes), 0, _spread(0x7FFF_FFFF, lanes)
+    h, total, low = start * _spread(1, lanes) + _iota(lanes), 0, _spread(_LANE_ONES >> 1, lanes)
     while h:  # halve every lane at once, as legendre_nu2 halves its n,
-        h = (h >> 1) & low31  # dropping the bit shifted in from the lane above
+        h = (h >> 1) & low  # dropping the bit shifted in from the lane above
         total += h
     return total
 
 
 def _lane_identity(start: int, lanes: int) -> int:
     """n - popcount(n) for n = start, start + 1, ..., lane by lane, by SWAR popcount."""
+    # the lane's ones // 3, // 5, // 17 and // 255 are 0x55, 0x33, 0x0F and 0x01 in each byte;
+    # times 0x01...01, the top byte of a lane sums the lane's bytes
     n = start * _spread(1, lanes) + _iota(lanes)
-    x = n - ((n >> 1) & _spread(0x5555_5555, lanes))
-    x = (x & _spread(0x3333_3333, lanes)) + ((x >> 2) & _spread(0x3333_3333, lanes))
-    x = (x + (x >> 4)) & _spread(0x0F0F_0F0F, lanes)
-    return n - ((x * 0x0101_0101 >> 24) & _spread(0xFF, lanes))
+    x = n - ((n >> 1) & _spread(_LANE_ONES // 3, lanes))
+    x = (x & _spread(_LANE_ONES // 5, lanes)) + ((x >> 2) & _spread(_LANE_ONES // 5, lanes))
+    x = (x + (x >> 4)) & _spread(_LANE_ONES // 17, lanes)
+    return n - ((x * (_LANE_ONES // 255) >> _LANE_BITS - 8) & _spread(0xFF, lanes))
 
 
 @_claim("legendre", "nu2(n!) matches the floor-sum formula, n - popcount(n), and the spot values 7, 19, 22 at n = 8, 22, 24.")
@@ -416,7 +419,7 @@ def _run_legendre(ctx: ClaimContext):
         lanes = min(_LEGENDRE_LANES, limit + 1 - start)
         diff = _lane_floor_sums(start, lanes) ^ _lane_identity(start, lanes)
         if diff:  # its lowest set bit lies in the lane of the smallest bad n
-            n = start + ((diff & -diff).bit_length() - 1) // 32
+            n = start + ((diff & -diff).bit_length() - 1) // _LANE_BITS
             failures[str(n)] = {"identity": "nu2(n!) != n - popcount(n)"}
             break
     witnesses = {"spot_values": spot, "identity_checked_to": limit}

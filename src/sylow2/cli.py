@@ -171,10 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--all", action="store_true")
     p_verify.add_argument("--k", type=int, help="upper k for tree-group claims")
     p_verify.add_argument("--n", type=int, help="upper n for block claims")
-    p_verify.add_argument("--max-k", type=int, default=4, dest="max_k")
-    p_verify.add_argument("--max-n", type=int, default=12, dest="max_n")
-    p_verify.add_argument("--cap", type=int, default=group_engine.DEFAULT_CAP)
-    p_verify.add_argument("--seed", type=int, default=0)
+    # the defaults are ClaimContext's: a dataclass keeps each field's default on the class
+    p_verify.add_argument("--max-k", type=int, default=claims.ClaimContext.max_k, dest="max_k")
+    p_verify.add_argument("--max-n", type=int, default=claims.ClaimContext.max_n, dest="max_n")
+    p_verify.add_argument("--cap", type=int, default=claims.ClaimContext.cap)
+    p_verify.add_argument("--seed", type=int, default=claims.ClaimContext.seed)
     p_verify.add_argument("--strict", action="store_true",
                           help="treat skipped-cap claims as failures")
     p_verify.add_argument("--json", metavar="PATH")

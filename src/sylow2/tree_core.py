@@ -23,16 +23,19 @@ Each level's bits are packed into an int, bit p-1 for position p, so depth
 is capped at MAX_DEPTH to keep the bit budget sane. All values here are
 immutable and all functions pure.
 
-Lanes. The kernels lane_action and lane_transport act on one portrait per
-bit (bit-slicing: Biham, "A fast new DES implementation in software", FSE
-1997): lanes[l] packs level l in fields of `width` bits, bit j of field v
-being portrait j's state at vertex v. With width 1 that is Portrait.levels,
-and compose, to_permutation and vertex_images are the kernels' one-lane calls.
+Lanes. The kernels lane_action, lane_transport, lane_portraits and
+lane_kinds act on one portrait per bit (bit-slicing: Biham, "A fast new DES
+implementation in software", FSE 1997): lanes[l] packs level l in fields of
+`width` bits, bit j of field v being portrait j's state at vertex v. With
+width 1 that is Portrait.levels, and compose, to_permutation, vertex_images,
+from_permutation and classify_element are the kernels' one-lane calls.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -231,22 +234,45 @@ def vp_distance(a: Portrait) -> int:
     return 2 * (lowest ^ highest).bit_length()
 
 
+def lane_fold(lane: int, fields: int, width: int, op=operator.xor) -> int:
+    """The `fields` fields of `width` bits in a lane int, folded into one by op
+    lane by lane: with xor, bit j is the parity of lane j's bits."""
+    while fields > 1:
+        fields = (fields + 1) >> 1
+        lane = op(lane >> fields * width, lane & (1 << fields * width) - 1)
+    return lane
+
+
+def lane_kinds(lanes: Sequence[int], width: int = 1) -> tuple[int, int]:
+    """The T/C rule: the masks of the lanes of type T and of type C. Both have
+    an odd number of states in each half of level k-1; T has none above it."""
+    if len(lanes) < 2:
+        raise ValueError("classification needs depth >= 2")
+    half = 1 << (len(lanes) - 2)  # fields in a half of the last level, and in level k-2
+    low, high = lanes[-1] & (1 << half * width) - 1, lanes[-1] >> half * width
+    odd_odd = lane_fold(low, half, width) & lane_fold(high, half, width)
+    upper = lane_fold(functools.reduce(operator.or_, lanes[:-1]), half, width, operator.or_)
+    return odd_odd & ~upper, odd_odd & upper
+
+
+def lane_kind(masks: tuple[int, int], lane: int = 0) -> ElementKind:
+    """The kind of the portrait in a lane, read from lane_kinds' masks."""
+    t, c = masks
+    if t >> lane & 1:
+        return ElementKind.TYPE_T
+    return ElementKind.TYPE_C if c >> lane & 1 else ElementKind.NEITHER
+
+
 def classify_element(a: Portrait) -> ElementClass:
     """Type T: states only on level k-1, with an odd number of them in each
     half of that level. Type C: the same odd/odd half counts, with arbitrary
     states above. Anything else is NEITHER.
     """
-    if a.depth < 2:
-        raise ValueError("classification needs depth >= 2")
-    half = 1 << (a.depth - 2)
-    last = a.levels[a.depth - 1]
-    c1 = (last & ((1 << half) - 1)).bit_count()
-    c2 = (last >> half).bit_count()
-    if c1 % 2 == 1 and c2 % 2 == 1:
-        upper_trivial = all(a.levels[l] == 0 for l in range(a.depth - 1))
-        kind = ElementKind.TYPE_T if upper_trivial else ElementKind.TYPE_C
-        return ElementClass(kind, c1, c2)
-    return ElementClass(ElementKind.NEITHER)
+    kind = lane_kind(lane_kinds(a.levels))
+    if kind is ElementKind.NEITHER:
+        return ElementClass(kind)
+    half, last = 1 << (a.depth - 2), a.levels[a.depth - 1]
+    return ElementClass(kind, (last & (1 << half) - 1).bit_count(), (last >> half).bit_count())
 
 
 def to_text(a: Portrait) -> str:
@@ -289,16 +315,31 @@ def from_permutation(p: Permutation) -> Portrait:
     k = n.bit_length() - 1
     if n != 1 << k or k < 1:
         raise ValueError(f"degree {n} is not a power of two >= 2")
-    imgs, masks = p.images, []
-    for l in range(k):  # image bit l of the leftmost leaf below a level-l vertex is its state
-        mask = 0
-        for y in reversed(imgs[:: 1 << (k - l)]):
-            mask = mask << 1 | (y >> (k - 1 - l) & 1)
-        masks.append(mask)
-    portrait = Portrait(k, tuple(masks))
-    if to_permutation(portrait) != p:
+    return Portrait(k, lane_portraits([p._key]))
+
+
+def lane_portraits(keys: Sequence[bytes | tuple[int, ...]]) -> tuple[int, ...]:
+    """The reading kernel: the lanes of the portraits of leaf keys (0-based
+    images) of one degree 2^k, key j in lane j of width len(keys): byte keys,
+    or one key of any degree. The state at (l, v) is image bit l of the
+    leftmost leaf below v. Raises ValueError unless lane_action of the result
+    gives back every key."""
+    n, width = len(keys[0]), len(keys)
+    k, ones = n.bit_length() - 1, (1 << width) - 1
+    if width == 1:  # the leaf rows of one lane are the images themselves
+        rows = list(keys[0])
+    else:  # bit t of each image as b"0" or b"1", t = k-1 down to 0, the last key first
+        flat = b"".join(reversed(keys))  # and leaf by leaf: a stride-n slice is a leaf's row
+        tables = [bytes(48 | y >> t & 1 for y in range(256)) for t in range(k - 1, -1, -1)]
+        bits = b"".join([flat.translate(table) for table in tables])
+        rows = [int(bits[x::n], 2) for x in range(n)]
+    lanes = tuple(  # image bit l, in field k-1-l of the row of the leftmost leaf v << k - l
+        sum([(rows[v << k - l] >> (k - 1 - l) * width & ones) << v * width for v in range(1 << l)])
+        for l in range(k)
+    )
+    if lane_action(lanes, width)[k] != rows:
         raise ValueError("not a tree automorphism")
-    return portrait
+    return lanes
 
 
 def iter_portraits(k: int) -> Iterator[Portrait]:

@@ -1,11 +1,10 @@
 """The batched checks inside claim runners, against the scalar and
 per-sample loops they replace: the legendre claim's lane-packed floor-sums
-and identity, the evenness claim's lane-packed signs, and frattini-level's
-one check per distinct Frattini element, and minimality's one squares
-subgroup per group; each claim failing on a planted defect, and
+and identity, the evenness claim's lane-packed signs, frattini-level's
+one lane call per k over the distinct Frattini elements, and minimality's
+one squares subgroup per group; each claim failing on a planted defect, and
 portrait-oracle checking every pair on sound code."""
 
-import dataclasses
 import tracemalloc
 from collections import Counter
 from random import Random
@@ -29,9 +28,10 @@ def _chunk_of(n):
 
 
 def _unpack(packed, lanes):
-    """The 32-bit lanes of a packed int, lowest first."""
-    raw = packed.to_bytes(4 * lanes, "little")
-    return [int.from_bytes(raw[i:i + 4], "little") for i in range(0, len(raw), 4)]
+    """The lanes of a packed int, lowest first."""
+    size = cl._LANE_BITS // 8
+    raw = packed.to_bytes(size * lanes, "little")
+    return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
 
 
 def _planted(side, bad):
@@ -39,7 +39,7 @@ def _planted(side, bad):
     kernel = getattr(cl, side)
 
     def wrong_at_bad(start, lanes):
-        off_by_one = 1 << 32 * (bad - start) if start <= bad < start + lanes else 0
+        off_by_one = 1 << cl._LANE_BITS * (bad - start) if start <= bad < start + lanes else 0
         return kernel(start, lanes) + off_by_one
 
     return wrong_at_bad
@@ -111,7 +111,8 @@ def test_legendre_reports_a_lane_wrong_only_in_its_top_bit(monkeypatch):
     kernel = cl._lane_identity
 
     def top_bit_at_9(start, lanes):
-        return kernel(start, lanes) ^ ((1 << 31 + 32 * 9) if start == 0 else 0)
+        top_bit = 1 << cl._LANE_BITS - 1 + cl._LANE_BITS * 9
+        return kernel(start, lanes) ^ (top_bit if start == 0 else 0)
 
     monkeypatch.setattr(cl, "_lane_identity", top_bit_at_9)
     _, _, witnesses = cl._run_legendre(cl.ClaimContext())
@@ -181,18 +182,17 @@ def _per_sample_witnesses(ctx):
 
 
 def test_frattini_level_checks_each_distinct_element_once(monkeypatch):
-    calls = Counter()
-    for name in ("from_permutation", "classify_element"):
-        real = getattr(tc, name)
+    batches, read = [], tc.lane_portraits
 
-        def counted(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
+    def counted(keys):
+        batches.append(len(keys))
+        return read(keys)
 
-        monkeypatch.setattr(tc, name, counted)
+    monkeypatch.setattr(tc, "lane_portraits", counted)
     status, _, witnesses = cl._run_frattini_level(cl.ClaimContext())
-    # 1 + 8 + 1024 distinct keys among the 1 + 8 + (1024 + 10,000) samples
-    assert calls == {"from_permutation": 1033, "classify_element": 1033}
+    # one lane call per k, on the 1 + 8 + 1024 distinct keys among the
+    # 1 + 8 + (1024 + 10,000) samples
+    assert batches == [1, 8, 1024]
     assert status == "pass"
     assert witnesses == {"coverage": {
         "2": {"frattini_order": 1, "checked": 1},
@@ -203,25 +203,60 @@ def test_frattini_level_checks_each_distinct_element_once(monkeypatch):
     assert witnesses == _per_sample_witnesses(cl.ClaimContext())
 
 
+def _plant_type_t(monkeypatch, keys):
+    """The T/C rule, with the portraits of the given keys flagged T in
+    whichever lanes hold them; classify_element is the rule's one-lane call,
+    so the per-sample loop sees the flags too."""
+    targets, lane_kinds = {tc.from_permutation(Permutation(key)).levels for key in keys}, tc.lane_kinds
+
+    def flag_targets(lanes, width=1):
+        t, c = lane_kinds(lanes, width)
+        for j in range(width):
+            if tuple(_lane(level, j, 1 << l, width) for l, level in enumerate(lanes)) in targets:
+                t, c = t | 1 << j, c & ~(1 << j)
+        return t, c
+
+    monkeypatch.setattr(tc, "lane_kinds", flag_targets)
+
+
 @pytest.mark.parametrize("index", [0, 517, 1023])
 def test_frattini_level_reports_the_per_sample_failure(monkeypatch, index):
     ctx = cl.ClaimContext()
     key = ge.frattini_subgroup(cl.tree_group(ctx, 4)).sorted_keys()[index]
-    target = tc.from_permutation(Permutation(key))
-    classify = tc.classify_element
-
-    def flag_target(portrait):
-        found = classify(portrait)
-        if portrait == target:
-            return dataclasses.replace(found, kind=tc.ElementKind.TYPE_T)
-        return found
-
-    monkeypatch.setattr(tc, "classify_element", flag_target)
+    _plant_type_t(monkeypatch, [key])
     status, _, witnesses = cl._run_frattini_level(cl.ClaimContext())
     assert status == "fail"
     assert witnesses["failures"] == {
         "4": {"element": repr(Permutation(key)), "odd_levels": [], "kind": "T"}
     }
+    assert witnesses == _per_sample_witnesses(cl.ClaimContext())
+
+
+def test_frattini_level_reports_the_first_of_two_flagged_elements(monkeypatch):
+    keys = ge.frattini_subgroup(cl.tree_group(cl.ClaimContext(), 4)).sorted_keys()
+    _plant_type_t(monkeypatch, [keys[900], keys[301]])
+    status, _, witnesses = cl._run_frattini_level(cl.ClaimContext())
+    assert status == "fail"
+    assert witnesses["failures"] == {
+        "4": {"element": repr(Permutation(keys[301])), "odd_levels": [], "kind": "T"}
+    }
+    assert witnesses == _per_sample_witnesses(cl.ClaimContext())
+
+
+def test_frattini_level_reports_an_odd_level(monkeypatch):
+    keys = ge.frattini_subgroup(cl.tree_group(cl.ClaimContext(), 4)).sorted_keys()
+    read, flipped = tc.lane_portraits, {keys[700], keys[40]}
+
+    def flip_root(batch):  # the root state flipped in the lanes of the flipped keys
+        lanes = list(read(batch))
+        lanes[0] ^= sum(1 << j for j, key in enumerate(batch) if key in flipped)
+        return tuple(lanes)
+
+    monkeypatch.setattr(tc, "lane_portraits", flip_root)
+    status, _, witnesses = cl._run_frattini_level(cl.ClaimContext())
+    assert status == "fail"
+    assert witnesses["failures"]["4"]["element"] == repr(Permutation(keys[40]))
+    assert witnesses["failures"]["4"]["odd_levels"] == [0]
     assert witnesses == _per_sample_witnesses(cl.ClaimContext())
 
 

@@ -118,6 +118,20 @@ def test_boxtimes_checks_syl2_order_where_the_table_is_silent(monkeypatch):
     assert record.witnesses["failures"] == {"7": {"expected": 8, "got": 64}}
 
 
+def test_boxtimes_checks_the_paper_table_at_n_12(monkeypatch):
+    # at n = 12 the group and syl2_order agree on 2^6; only the table says 2^9
+    boxtimes_group, syl2_order = sb.boxtimes_group, sb.syl2_order
+    monkeypatch.setattr(
+        sb, "boxtimes_group", lambda n, cap: boxtimes_group(8 if n == 12 else n, cap)
+    )
+    monkeypatch.setattr(
+        sb, "syl2_order", lambda n, kind: 6 if (n, kind) == (12, "A") else syl2_order(n, kind)
+    )
+    record = _run_one("boxtimes")
+    assert record.status == "fail"
+    assert record.witnesses["failures"] == {"12": {"expected": 512, "got": 64}}
+
+
 # --- generator words and non-vacuity guards ---------------------------------
 
 

@@ -257,6 +257,12 @@ def test_cli_verify_single_claim(tmp_path, capsys):
     assert report.parameters["max_k"] == 3
 
 
+def test_cli_verify_defaults_are_the_claim_context_defaults(tmp_path, capsys):
+    assert cli.main(["verify", "--claim", "order-ratios", "--json", str(tmp_path / "r.json")]) == 0
+    report = cl.VerificationReport.from_json((tmp_path / "r.json").read_text())
+    assert report.parameters == cl.ClaimContext().parameters()
+
+
 def _report_data():
     return json.loads(_full_report().to_json())
 

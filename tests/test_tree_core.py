@@ -4,9 +4,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from sylow2 import group_engine as ge
 from sylow2 import tree_core as tc
 from sylow2.perm_core import Permutation, cycle_notation, cycle_type, is_even
-from sylow2.sylow_builders import alpha, tau, tau_set
+from sylow2.sylow_builders import alpha, s_beta, tau, tau_set
 from sylow2.tree_core import ElementKind
 
 
@@ -238,6 +239,55 @@ def test_lane_kernels_agree_with_their_one_lane_calls():
             assert tuple(
                 tuple(_lane_of(row, j, l, width) for row in level) for l, level in enumerate(images)
             ) == tc.vertex_images(a)
+
+
+def _unpacked(lanes, width):
+    """The levels of the portrait in each lane, lane 0 first."""
+    bits = [format(mask, f"0{width << l}b")[::-1] for l, mask in enumerate(lanes)]
+    return [tuple(int(b[j::width][::-1], 2) for b in bits) for j in range(width)]
+
+
+def test_lane_portraits_agree_with_from_permutation():
+    G4 = ge.generate(s_beta(4))
+    portraits = list(tc.iter_portraits(3))
+    for keys in (sorted(G4.elements), [tc.to_permutation(p).key for p in portraits]):
+        read = _unpacked(tc.lane_portraits(keys), len(keys))
+        assert read == [tc.from_permutation(Permutation(key)).levels for key in keys]
+    assert read == [p.levels for p in portraits]
+    # past 256 points a key is a tuple
+    deep = tc.Portrait(9, tuple(random.Random(9).randrange(1 << (1 << l)) for l in range(9)))
+    assert tc.from_permutation(tc.to_permutation(deep)) == deep
+
+
+def test_lane_portraits_rejects_a_batch_with_one_non_automorphism():
+    keys = [tc.to_permutation(p).key for p in tc.iter_portraits(3)]
+    assert len(tc.lane_portraits(keys)) == 3
+    for stray in ((1, 2, 3), (1, 5)):
+        batch = keys[:60] + [Permutation.from_cycles(8, [stray]).key] + keys[60:]
+        with pytest.raises(ValueError, match="not a tree automorphism"):
+            tc.lane_portraits(batch)
+
+
+def _scalar_class(a):
+    """The T/C rule one portrait at a time, from the half counts of level k-1."""
+    half, last = 1 << (a.depth - 2), a.levels[-1]
+    counts = (last & (1 << half) - 1).bit_count(), (last >> half).bit_count()
+    if counts[0] % 2 and counts[1] % 2:
+        return tc.ElementClass(ElementKind.TYPE_C if any(a.levels[:-1]) else ElementKind.TYPE_T, *counts)
+    return tc.ElementClass(ElementKind.NEITHER)
+
+
+def test_lane_kinds_agree_with_classify_element():
+    rng = random.Random(4)
+    for portraits in (list(tc.iter_portraits(2)), list(tc.iter_portraits(3)),
+                      rng.sample(list(tc.iter_portraits(4)), 500)):
+        lanes, width = _pack_lanes(portraits)
+        masks = tc.lane_kinds(lanes, width)
+        for j, a in enumerate(portraits):
+            assert tc.classify_element(a) == _scalar_class(a)
+            assert tc.lane_kind(masks, j) is _scalar_class(a).kind
+    with pytest.raises(ValueError):
+        tc.lane_kinds((0,))
 
 
 def test_compose_builds_ordinary_portraits():
