@@ -521,18 +521,17 @@ def _run_portrait_oracle(ctx: ClaimContext):
     k = 3
     portraits = list(tree_core.iter_portraits(k))
     # lane j of each int below is left factor a = portraits[j], as in tree_core's lane kernels
-    width, ones = len(portraits), (1 << len(portraits)) - 1
+    width = len(portraits)
     lanes = [sum(_spaced(a.levels[l], 1 << l, width) << j for j, a in enumerate(portraits)) for l in range(k)]
-    pas = [tree_core.to_permutation(a).images for a in portraits]
-    # row y: the address bits of pa(y) for every a, packed as lane_action packs them
-    columns = [sum(_spaced(pa[y], k, width) << j for j, pa in enumerate(pas)) for y in range(1 << k)]
+    # entry y: pa(y) for every a, by the leaf-action rule to_permutation runs on one lane
+    left = tree_core.lane_action(lanes, width)[k]
     failed = []
     for ib, b in enumerate(portraits):
         leaves = tree_core.lane_action(tree_core.lane_transport(lanes, b, width), width)[k]
         diff = 0  # (a . b)(x) against pa(pb(x)) for every a, then folded onto one field
         for x, y in enumerate(tree_core.to_permutation(b).images):
-            diff |= leaves[x] ^ columns[y]
-        mask = functools.reduce(operator.or_, (diff >> i * width & ones for i in range(k)))
+            diff |= leaves[x] ^ left[y]
+        mask = tree_core.lane_fold(diff, k, width, operator.or_)
         if mask:  # its lowest set bit is the first a that fails with this b
             failed.append(((mask & -mask).bit_length() - 1, ib))
     failures, pairs = {}, width * width

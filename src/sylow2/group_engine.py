@@ -3,6 +3,10 @@ closure enumeration (Dimino's algorithm, after Butler, Fundamental
 Algorithms for Permutation Groups, 1991), subgroup predicates, commutator /
 squares / Frattini subgroups, generating rank and derived series.
 
+_dimino is the one closure. Given conjugators it builds normal closures too,
+as the commutator subgroup needs; the same candidates and conjugators, in the
+same order, always give the same generators.
+
 Elements are canonicalized as the byte keys of perm_core: byte i holds the
 0-based image of point i+1, and a product is one bytes.translate. The degree
 is limited to MAX_DEGREE = 255 points and group orders to the enumeration cap
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
 from functools import wraps
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -120,7 +123,9 @@ def _inv(a: bytes) -> bytes:
     return bytes(out)
 
 
-def _dimino(candidates: Iterable[bytes], degree: int, cap: int) -> EnumeratedGroup:
+def _dimino(
+    candidates: Iterable[bytes], degree: int, cap: int, conjugators: Sequence[bytes] = ()
+) -> EnumeratedGroup:
     """Dimino's algorithm (Butler, Fundamental Algorithms for Permutation
     Groups, LNCS 559, 1991): close the candidates one at a time, in order.
 
@@ -128,9 +133,11 @@ def _dimino(candidates: Iterable[bytes], degree: int, cap: int) -> EnumeratedGro
     becomes a generator g, and the closed subgroup H grows to <H, g> by
     whole cosets {_mul(x, h) : h in H}: only generators times coset
     representatives are tested, and each new coset is disjoint from the
-    elements already found.
-    Returns the group they generate, with the accepted generators as its
-    gen_keys; over sorted candidates the choice is deterministic. Raises
+    elements already found. Each accepted g also queues s g s^-1 for each s
+    in conjugators, so in the end sHs^-1 = H: H is the normal closure of the
+    candidates under <conjugators> (Seress, Permutation Group Algorithms, 2003).
+    Returns that group, with the accepted generators as its gen_keys; the
+    same inputs in the same order give the same generators. Raises
     CapExceededError with partial_count == cap (the count an
     element-by-element closure stops at) as soon as a coset would take the
     group past the cap.
@@ -140,11 +147,14 @@ def _dimino(candidates: Iterable[bytes], degree: int, cap: int) -> EnumeratedGro
     members = {ident}
     gens: list[bytes] = []
     tables: list[bytes] = []
-    for g in candidates:
+    queue = list(candidates)
+    conjugations = [(s, _inv(s)) for s in conjugators]
+    for g in queue:  # queue grows while it is scanned
         if g in members:
             continue
         gens.append(g)
         tables.append(_table(g))
+        queue += [_mul(_mul(s, g), si) for s, si in conjugations]
         subgroup = elements[:]
         reps = [ident]
         for r in reps:  # reps grows while it is scanned
@@ -291,28 +301,6 @@ def verify_semidirect(
     return SubgroupRelation(ok, tuple(checks), tuple(witnesses))
 
 
-def _conjugation_orbit(
-    seed: Iterable[bytes], conjugator_keys: Sequence[bytes], cap: int
-) -> set[bytes]:
-    orbit = set(seed)
-    frontier = list(orbit)
-    inverses = [(g, _inv(g)) for g in conjugator_keys]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g, gi in inverses:
-                y = _mul(_mul(g, x), gi)
-                if y not in orbit:
-                    if len(orbit) >= cap:
-                        # report the cap, as the closure does: the seed may
-                        # already hold more than cap elements
-                        raise CapExceededError(cap, max(cap, 1))
-                    orbit.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return orbit
-
-
 def _memoized(build):
     """Keep the subgroup build(G) in G's memo."""
 
@@ -328,22 +316,14 @@ def _memoized(build):
 
 @_memoized
 def commutator_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
-    """[G, G], built as the normal closure of the generator-pair commutators.
+    """[G, G], built as the normal closure of the generator-pair commutators
+    under G's generators, in one _dimino call.
 
     The brute-force definition over all element pairs is the oracle the test
     suite compares against on small groups.
     """
-    gen_keys = G.gen_keys
-    ident = G.identity_key
-    comms = set()
-    for a in gen_keys:
-        ai = _inv(a)
-        for b in gen_keys:
-            c = _mul(_mul(a, b), _mul(ai, _inv(b)))
-            if c != ident:
-                comms.add(c)
-    orbit = _conjugation_orbit(comms, gen_keys, G.order)
-    return _dimino(sorted(orbit), G.degree, G.order)
+    comms = {_mul(_mul(a, b), _mul(_inv(a), _inv(b))) for a in G.gen_keys for b in G.gen_keys}
+    return _dimino(sorted(comms), G.degree, G.order, G.gen_keys)
 
 
 @_memoized
@@ -406,12 +386,13 @@ def homomorphism_check(
     mapping: Mapping[Permutation | bytes, Permutation | bytes],
     G: EnumeratedGroup,
     H: EnumeratedGroup,
-    seed: int = 0,
-    sample_pairs: int = 5000,
 ) -> bool:
-    """Whether map(xy) == map(x) map(y): exhaustive for |G| <= 128, generator
-    pairs plus seeded random pairs above that. The mapping must be defined on
-    all of G and land in H."""
+    """Whether map(xy) == map(x) map(y) for all x, y in G; the mapping must
+    be defined on all of G and land in H. Exact: it checks that map(e) is
+    H's identity and map(x s) == map(x) map(s) for every x in G and s in
+    G.gen_keys. By induction, map(x s1...sm) == map(x) map(s1)...map(sm),
+    and every element of a finite group is such a word in its generators.
+    """
     table = {
         x if isinstance(x, bytes) else x.key: y if isinstance(y, bytes) else y.key
         for x, y in mapping.items()
@@ -420,20 +401,11 @@ def homomorphism_check(
         raise ValueError("mapping must be defined on exactly the elements of G")
     if any(v not in H.elements for v in table.values()):
         raise ValueError("mapping has values outside H")
-
-    def respects(x: bytes, y: bytes) -> bool:
-        return table[_mul(x, y)] == _mul(table[x], table[y])
-
-    keys = G.sorted_keys()
-    if G.order <= 128:
-        return all(respects(x, y) for x in keys for y in keys)
-    if not all(respects(x, y) for x in G.gen_keys for y in G.gen_keys):
+    if table[G.identity_key] != H.identity_key:
         return False
-    rng = random.Random(seed)
-    for _ in range(sample_pairs):
-        if not respects(rng.choice(keys), rng.choice(keys)):
-            return False
-    return True
+    return all(
+        table[_mul(x, s)] == _mul(table[x], table[s]) for s in G.gen_keys for x in G.elements
+    )
 
 
 def element_order(x: Permutation | bytes) -> int:

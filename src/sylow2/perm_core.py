@@ -236,7 +236,7 @@ def legendre_nu2(n: int) -> int:
     """Largest e with 2^e dividing n!, i.e. sum over i >= 1 of floor(n / 2^i).
 
     Equals n - popcount(n). The ``legendre`` claim checks that identity to 10^6,
-    running this loop on 6000 n at once, one per 32-bit lane of an int.
+    running this loop on 6000 n at once, one per 24-bit lane of an int.
 
     >>> legendre_nu2(8)
     7

@@ -162,9 +162,22 @@ def _brute_commutator_subgroup(G):
 def test_commutator_subgroup_matches_all_pairs_oracle():
     from sylow2.sylow_builders import boxtimes_group
 
-    for G in (_G(2), _G(3), boxtimes_group(6)):
+    syl2_s8 = ge.generate(syl2_S_generators(8))
+    assert syl2_s8.order == 128
+    for G in (_G(2), _G(3), boxtimes_group(6), syl2_s8):
         fast = ge.commutator_subgroup(G)
         assert fast.elements == _brute_commutator_subgroup(G)
+
+
+def test_dimino_with_conjugators_builds_the_normal_closure():
+    G = _G(3)
+    t = tc.to_permutation(tau(3)).key
+    conjugates = {ge._mul(ge._mul(g, t), ge._inv(g)) for g in G.elements}
+    closure = ge._dimino(sorted(conjugates), 8, G.order).elements
+    normal = ge._dimino([t], 8, G.order, G.gen_keys)
+    assert normal.elements == closure
+    assert len(conjugates) > 1 and normal.order > 2
+    assert ge.is_normal(normal, G)
 
 
 def test_squares_and_frattini():
@@ -283,10 +296,17 @@ def test_homomorphism_check_rejects_partial_or_stray_maps():
         ge.homomorphism_check(stray, G, C2)
 
 
-def test_homomorphism_check_large_group_sampled():
-    G = _G(4)  # order 16384 forces the sampled path
+def test_homomorphism_check_identity_map_of_g4():
+    G = _G(4)  # order 16384: every element times every generator is checked
     identity_map = {key: key for key in G.elements}
-    assert ge.homomorphism_check(identity_map, G, G, seed=0, sample_pairs=500)
+    assert ge.homomorphism_check(identity_map, G, G)
+
+
+def test_homomorphism_check_refuses_a_map_wrong_at_one_element_of_g4():
+    G = _G(4)
+    broken = {key: key for key in G.elements}
+    broken[G.sorted_keys()[1]] = G.identity_key
+    assert not ge.homomorphism_check(broken, G, G)
 
 
 def test_no_pair_from_random_pool_generates_g3():
@@ -488,26 +508,30 @@ def _generator_commutators(G):
 def test_commutator_cap_error_reports_the_cap():
     G = _G(4)
     seed, gens = _generator_commutators(G)
-    orbit = ge._conjugation_orbit(seed, gens, G.order)
-    assert len(seed) == 6 and len(orbit) == 84
-    for cap in (0, 1, 2, 3, 5, len(orbit) - 1, len(orbit), G.order):
-        # the seed of 6 commutators already passes caps 0..5; a cap below 1
-        # reports one element, as generate does
-        reported = max(cap, 1)
-        if cap < len(orbit):
-            with pytest.raises(ge.CapExceededError) as info:
-                ge._conjugation_orbit(seed, gens, cap)
-            assert (info.value.cap, info.value.partial_count) == (cap, reported)
-        else:
-            assert ge._conjugation_orbit(seed, gens, cap) == orbit
+    derived = ge.commutator_subgroup(G).elements
+    for cap in range(len(derived)):
+        # a cap below 1 reports one element, as generate does
+        with pytest.raises(ge.CapExceededError) as info:
+            ge._dimino(sorted(seed), G.degree, cap, gens)
+        assert (info.value.cap, info.value.partial_count) == (cap, max(cap, 1))
+    for cap in (len(derived), len(derived) + 1, G.order):
+        assert ge._dimino(sorted(seed), G.degree, cap, gens).elements == derived
 
 
 def test_derived_subgroups_of_an_unclosed_element_set_stop_at_its_order():
     # {1, g} for an 8-cycle g is not closed: the squares (and so the Frattini
     # subgroup) generate the 4 powers of g^2, past the parent's order 2
     g = Permutation.from_cycles(8, [tuple(range(1, 9))])
-    malformed = ge.EnumeratedGroup(8, (g.key,), frozenset({bytes(range(8)), g.key}))
-    for build in (ge.squares_subgroup, ge.frattini_subgroup):
+    cyclic = ge.EnumeratedGroup(8, (g.key,), frozenset({bytes(range(8)), g.key}))
+    # {1, (1 2)} listed with generators (1 2) and (2 3): their commutator is
+    # a 3-cycle, and its normal closure passes the parent's order 2
+    a, b = Permutation.transposition(3, 1, 2), Permutation.transposition(3, 2, 3)
+    swapped = ge.EnumeratedGroup(3, (a.key, b.key), frozenset({bytes(range(3)), a.key}))
+    for malformed, build in (
+        (cyclic, ge.squares_subgroup),
+        (cyclic, ge.frattini_subgroup),
+        (swapped, ge.commutator_subgroup),
+    ):
         with pytest.raises(ge.CapExceededError) as info:
             build(malformed)
         assert info.value.cap == 2
