@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Callable
 
-from . import group_engine, sylow_builders, tree_core
+from . import group_engine, perm_core, sylow_builders, tree_core
 from .group_engine import CapExceededError, DEFAULT_CAP, EnumeratedGroup
 from .perm_core import Permutation, legendre_nu2
 
@@ -108,14 +108,14 @@ class VerificationReport:
 
 @dataclass
 class ClaimContext:
-    """Shared parameters for a verification run, plus an in-run memo of the
-    tree groups and of the cap errors their enumeration raised."""
+    """Shared parameters for a verification run, plus its group registry:
+    every group a claim uses, and every cap error a build raised, by label."""
 
     max_k: int = 4
     max_n: int = 12
     cap: int = DEFAULT_CAP
     seed: int = 0
-    _groups: dict[str, EnumeratedGroup | CapExceededError] = field(default_factory=dict)
+    _groups: dict[str, EnumeratedGroup | CapExceededError] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         # s_beta(k) acts on 2^k points, and a group key holds at most MAX_DEGREE of them
@@ -129,29 +129,35 @@ class ClaimContext:
         if self.cap < 1:
             raise ValueError("--cap must be positive")
 
-    def parameters(self) -> dict:
-        return {
-            "max_k": self.max_k,
-            "max_n": self.max_n,
-            "cap": self.cap,
-            "seed": self.seed,
-        }
+    def parameters(self) -> dict:  # every field but the registry
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+
+    def group(self, label: str, build: Callable[[int], EnumeratedGroup]) -> EnumeratedGroup:
+        """The group build(cap) gives, built once per label and run. A build
+        past the cap runs once: later calls raise the same CapExceededError."""
+        if label not in self._groups:
+            try:
+                self._groups[label] = build(self.cap)
+            except CapExceededError as exc:
+                self._groups[label] = exc
+        found = self._groups[label]
+        if isinstance(found, CapExceededError):
+            # drop the previous traceback: its frames hold the partial enumeration
+            raise found.with_traceback(None)
+        return found
 
 
 def tree_group(ctx: ClaimContext, k: int) -> EnumeratedGroup:
-    """The enumerated group of s_beta(k), memoized per run. A group past the
-    cap is enumerated once: later calls raise the same CapExceededError."""
-    label = f"G_{k}"
-    if label not in ctx._groups:
-        try:
-            ctx._groups[label] = group_engine.generate(sylow_builders.s_beta(k), cap=ctx.cap)
-        except CapExceededError as exc:
-            ctx._groups[label] = exc
-    found = ctx._groups[label]
-    if isinstance(found, CapExceededError):
-        # drop the previous traceback: its frames hold the partial enumeration
-        raise found.with_traceback(None)
-    return found
+    """G_k, the enumerated group of s_beta(k), from the run's registry."""
+    return ctx.group(f"G_{k}", lambda cap: group_engine.generate(sylow_builders.s_beta(k), cap=cap))
+
+
+def _w_group(ctx: ClaimContext, k: int) -> EnumeratedGroup:  # W_k, the last-level subgroup of G_k
+    return ctx.group(f"W_{k}", lambda cap: group_engine.generate(sylow_builders.w_subgroup_generators(k), cap=cap))
+
+
+def _block_group(ctx: ClaimContext, n: int) -> EnumeratedGroup:  # the even block group Syl_2(A_n)
+    return ctx.group(f"Syl2(A_{n})", lambda cap: sylow_builders.boxtimes_group(n, cap=cap))
 
 
 def _sweep(units, check, key: str = "k"):
@@ -249,8 +255,8 @@ def _run_evenness(ctx: ClaimContext, k: int):
 @_per_unit("order_arithmetic")
 def _run_semidirect(ctx: ClaimContext, k: int):
     G = tree_group(ctx, k)
-    B = group_engine.generate(sylow_builders.s_alpha(k), cap=ctx.cap)
-    W = group_engine.generate(sylow_builders.w_subgroup_generators(k), cap=ctx.cap)
+    B = ctx.group(f"B_{k}", lambda cap: group_engine.generate(sylow_builders.s_alpha(k), cap=cap))
+    W = _w_group(ctx, k)
     rel = group_engine.verify_semidirect(B, W, G)
     arithmetic = (
         f"2^{B.order.bit_length() - 1} * 2^{W.order.bit_length() - 1}"
@@ -264,7 +270,7 @@ def _run_semidirect(ctx: ClaimContext, k: int):
 @_claim("w-structure", "The last-level subgroup has order 2^(2^(k-1) - 1), is abelian, and has exponent 2.")
 @_per_unit("structure")
 def _run_w_structure(ctx: ClaimContext, k: int):
-    W = group_engine.generate(sylow_builders.w_subgroup_generators(k), cap=ctx.cap)
+    W = _w_group(ctx, k)
     expected = 1 << ((1 << (k - 1)) - 1)
     abelian = group_engine.is_abelian(W)
     expo = group_engine.exponent(W)
@@ -386,12 +392,8 @@ def _iota(lanes: int) -> int:  # 0, 1, ..., lanes - 1, one per lane
 
 
 def _lane_floor_sums(start: int, lanes: int) -> int:
-    """Legendre's sum of floor(n / 2^i), i >= 1, for n = start, start + 1, ..., lane by lane."""
-    h, total, low = start * _spread(1, lanes) + _iota(lanes), 0, _spread(_LANE_ONES >> 1, lanes)
-    while h:  # halve every lane at once, as legendre_nu2 halves its n,
-        h = (h >> 1) & low  # dropping the bit shifted in from the lane above
-        total += h
-    return total
+    """Legendre's floor sums for n = start, start + 1, ..., lane by lane, by legendre_nu2's loop."""
+    return perm_core.floor_sums(start * _spread(1, lanes) + _iota(lanes), _spread(_LANE_ONES >> 1, lanes))
 
 
 def _lane_identity(start: int, lanes: int) -> int:
@@ -430,9 +432,7 @@ def _run_legendre(ctx: ClaimContext):
 @_per_unit("orders", lambda ctx: [n for n in BOXTIMES_DEGREES if n <= ctx.max_n], key="n")
 def _run_boxtimes(ctx: ClaimContext, n: int):
     try:
-        H = sylow_builders.boxtimes_group(n, cap=ctx.cap)
-    except CapExceededError:
-        raise
+        H = _block_group(ctx, n)
     except RuntimeError as exc:
         return None, {"construction_mismatch": str(exc)}
     failure = None
@@ -448,7 +448,7 @@ def _run_boxtimes(ctx: ClaimContext, n: int):
 def _run_parity_extension(ctx: ClaimContext):
     def check(n):  # the embedding of Syl2(S_4) into A_n, n = 6
         failures = {}
-        S4 = group_engine.generate(sylow_builders.syl2_S_generators(4), cap=ctx.cap)
+        S4 = ctx.group("Syl2(S_4)", lambda cap: group_engine.generate(sylow_builders.syl2_S_generators(4), cap=cap))
         elements = list(S4.permutations())
         images = {p: sylow_builders.parity_extension(p, n) for p in elements}
         image_keys = {v.key for v in images.values()}
@@ -462,9 +462,7 @@ def _run_parity_extension(ctx: ClaimContext):
                     failures["homomorphism"] = f"{p!r}, {q!r}"
         witnesses = {"pairs_checked": len(elements) ** 2}
         try:
-            H = sylow_builders.boxtimes_group(n, cap=ctx.cap)
-        except CapExceededError:
-            raise
+            H = _block_group(ctx, n)
         except RuntimeError as exc:  # without H, no image or fingerprint to compare
             failures["construction_mismatch"] = str(exc)
             return witnesses, failures

@@ -30,7 +30,7 @@ from functools import wraps
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from . import tree_core
-from .perm_core import _PADS, Permutation, _table
+from .perm_core import _PADS, Permutation, _inv, _table
 
 DEFAULT_CAP = 1 << 20
 MAX_DEGREE = 255
@@ -39,7 +39,7 @@ _PARITY_BATCH = 512  # keys whose signs key_parities finds together
 GeneratorElement = Union[Permutation, tree_core.Portrait]
 
 
-class CapExceededError(RuntimeError):
+class CapExceededError(Exception):
     """Raised when a closure would grow past the enumeration cap."""
 
     def __init__(self, cap: int, partial_count: int):
@@ -114,13 +114,6 @@ class EnumeratedGroup:
 def _mul(a: bytes, b: bytes) -> bytes:
     # composition a after b: image[i] = a[b[i]]
     return b.translate(_table(a))
-
-
-def _inv(a: bytes) -> bytes:
-    out = bytearray(len(a))
-    for i, y in enumerate(a):
-        out[y] = i
-    return bytes(out)
 
 
 def _dimino(

@@ -29,6 +29,11 @@ def _as_key(images: Sequence[int]) -> bytes | tuple[int, ...]:
     return bytes(images) if len(images) <= KEY_DEGREE else tuple(images)
 
 
+def _inv(key: bytes | tuple[int, ...]) -> bytes | tuple[int, ...]:
+    # the stored form of the inverse: the points sorted by their images
+    return _as_key(sorted(range(len(key)), key=key.__getitem__))
+
+
 class Permutation:
     """A permutation of {1, ..., n}.
 
@@ -119,10 +124,7 @@ class Permutation:
         return Permutation._of_key(tuple(map(a.__getitem__, b)))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, y in enumerate(self._key):
-            inv[y] = i
-        return Permutation._of_key(_as_key(inv))
+        return Permutation._of_key(_inv(self._key))
 
     def __pow__(self, exponent: int) -> "Permutation":
         base = self if exponent >= 0 else self.inverse()
@@ -236,7 +238,7 @@ def legendre_nu2(n: int) -> int:
     """Largest e with 2^e dividing n!, i.e. sum over i >= 1 of floor(n / 2^i).
 
     Equals n - popcount(n). The ``legendre`` claim checks that identity to 10^6,
-    running this loop on 6000 n at once, one per 24-bit lane of an int.
+    running floor_sums on 6000 n at once, one per 24-bit lane of an int.
 
     >>> legendre_nu2(8)
     7
@@ -245,8 +247,14 @@ def legendre_nu2(n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
+    return floor_sums(n, -1)
+
+
+def floor_sums(h: int, low: int) -> int:
+    """The sum over i >= 1 of h halved i times, each halving masked by low: Legendre's sum
+    for low = -1, or every lane's of a packed h if low clears what a lane gets from the next."""
     total = 0
-    while n:
-        n >>= 1
-        total += n
+    while h:
+        h = (h >> 1) & low
+        total += h
     return total

@@ -13,6 +13,7 @@ import pytest
 
 from sylow2 import claims as cl
 from sylow2 import group_engine as ge
+from sylow2 import perm_core as pc
 from sylow2 import sylow_builders as sb
 from sylow2 import tree_core as tc
 from sylow2.perm_core import Permutation, legendre_nu2
@@ -105,6 +106,34 @@ def test_legendre_reports_the_smallest_of_two_wrong_lanes(monkeypatch):
     monkeypatch.setattr(cl, "_lane_identity", _planted("_lane_identity", CHUNK + 5))
     _, _, witnesses = cl._run_legendre(cl.ClaimContext())
     assert witnesses["failures"] == {str(CHUNK + 5): IDENTITY_FAILURE}
+
+
+def _adds_before_halving(h, low):  # nu2(n!) + n: wrong for every n >= 1
+    total = 0
+    while h:
+        total += h
+        h = (h >> 1) & low
+    return total
+
+
+def _unmasked(h, low, floor_sums=pc.floor_sums):  # keeps the bit halved in from the lane above
+    return floor_sums(h, -1)
+
+
+@pytest.mark.parametrize("loop, failures", [
+    # the spot values see this step too, but the sweep's first n is smaller
+    (_adds_before_halving, {
+        "8": {"expected": 7, "got": 15}, "22": {"expected": 19, "got": 41},
+        "24": {"expected": 22, "got": 46}, "1": IDENTITY_FAILURE,
+    }),
+    # right for a scalar n, so only the sweep sees it: lane 1's n = 1 spills into n = 0
+    (_unmasked, {"0": IDENTITY_FAILURE}),
+])
+def test_legendre_sweeps_the_library_floor_sum_loop(monkeypatch, loop, failures):
+    monkeypatch.setattr(pc, "floor_sums", loop)
+    status, _, witnesses = cl._run_legendre(cl.ClaimContext())
+    assert status == "fail"
+    assert witnesses["failures"] == failures
 
 
 def test_legendre_reports_a_lane_wrong_only_in_its_top_bit(monkeypatch):

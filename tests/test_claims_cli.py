@@ -63,26 +63,45 @@ def test_small_cap_yields_skipped_not_failed():
 
 
 def test_tree_groups_are_enumerated_once_per_k_even_past_the_cap(monkeypatch):
+    # every registry build: generate by generator set name (minimality's
+    # unnamed (k-1)-subsets stay direct) and boxtimes_group by n
     builds = Counter()
-    generate = cl.group_engine.generate
+    generate, boxtimes_group = cl.group_engine.generate, cl.sylow_builders.boxtimes_group
 
     def counting_generate(gens, *args, **kwargs):
-        name = getattr(gens, "name", "")
-        if name.startswith("S_beta"):
-            builds[name] += 1
+        if getattr(gens, "name", ""):
+            builds[gens.name] += 1
         return generate(gens, *args, **kwargs)
 
+    def counting_boxtimes_group(n, *args, **kwargs):
+        builds[f"boxtimes_group({n})"] += 1
+        return boxtimes_group(n, *args, **kwargs)
+
     monkeypatch.setattr(cl.group_engine, "generate", counting_generate)
-    report = cl.run_claims(cl.claim_ids(), cl.ClaimContext(max_k=4, cap=1000), version=__version__)
-    # G_4 (order 16384) passes the cap; every claim that reaches k = 4 gets
-    # the one cap error its enumeration raised
-    assert builds == {f"S_beta(k={k})": 1 for k in (2, 3, 4)}
-    skipped_at_k4 = {
-        c.claim_id
-        for c in report.claims
-        if {"k": 4, "partial_count": 1000} in c.witnesses.get("skipped", [])
-    }
+    monkeypatch.setattr(cl.sylow_builders, "boxtimes_group", counting_boxtimes_group)
+
+    def run(cap):
+        builds.clear()
+        return cl.run_claims(cl.claim_ids(), cl.ClaimContext(max_k=4, cap=cap), version=__version__)
+
+    def skipped_with(report, entry):
+        return {c.claim_id for c in report.claims if entry in c.witnesses.get("skipped", [])}
+
+    every_group = [f"{name}(k={k})" for name in ("S_beta", "S_alpha", "W") for k in (2, 3, 4)]
+    every_group += ["Syl2_S(n=4)", *(f"boxtimes_group({n})" for n in cl.BOXTIMES_DEGREES)]
+    run(cl.DEFAULT_CAP)
+    assert builds == dict.fromkeys(every_group, 1)
+    # G_4 (order 16384) passes a cap of 1000, so semidirect never asks for B_4;
+    # every claim that reaches k = 4 gets the one cap error its enumeration raised
+    report = run(1000)
+    assert builds == {name: 1 for name in every_group if name != "S_alpha(k=4)"}
+    skipped_at_k4 = skipped_with(report, {"k": 4, "partial_count": 1000})
     assert skipped_at_k4 == {"evenness", "frattini-level", "minimality", "order-gk", "semidirect"}
+    # at a cap of 10, Syl_2(S_6) (order 16) passes it before any enumeration:
+    # both block claims skip n = 6 on the one boxtimes_group(6) call
+    report = run(10)
+    assert builds["boxtimes_group(6)"] == 1 and set(builds.values()) == {1}
+    assert skipped_with(report, {"n": 6, "partial_count": 0}) == {"boxtimes", "parity-extension"}
 
 
 def test_verify_ignores_old_cache_and_writes_no_files(tmp_path, monkeypatch, capsys):

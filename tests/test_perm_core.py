@@ -156,6 +156,14 @@ def test_product_is_composition_property(pair):
     assert all(pq(x) == p(q(x)) for x in range(1, p.degree + 1))
 
 
+@settings(max_examples=50)
+@given(_DEGREES.flatmap(lambda n: st.permutations(range(n))))
+def test_inverse_undoes_the_permutation_property(images):
+    # one key inverse for both storages: bytes up to 256 points, a tuple above
+    p = Permutation(images)
+    assert (p * p.inverse()).is_identity() and (p.inverse() * p).is_identity()
+
+
 def test_parse_cycle_notation_errors():
     with pytest.raises(ValueError):
         parse_cycle_notation("1 2")
