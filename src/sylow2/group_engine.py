@@ -16,9 +16,11 @@ change after construction. A derived subgroup (squares, commutator, Frattini)
 is bounded by the order of its parent, so the queries that build one take no
 cap. Each EnumeratedGroup also memoizes its squares, commutator and Frattini
 subgroups, so the Frattini rank, the derived series and the fingerprint reuse
-what an earlier query built. Concurrent queries on one group may build a memo
-entry twice, but an entry is stored whole, so none of them observes a partial
-value.
+what an earlier query built. The memo also holds the group's square set
+{x^2 : x in G}: squares_subgroup closes it and exponent squares on from it, so
+the elements are squared once per group. Concurrent queries on one group may
+build a memo entry twice, but an entry is stored whole, so none of them
+observes a partial value.
 """
 
 from __future__ import annotations
@@ -90,8 +92,9 @@ class EnumeratedGroup:
     degree: int
     gen_keys: tuple[bytes, ...]
     elements: frozenset[bytes]
-    # subgroups built from this group, by construction name (see _memoized)
-    _memo: dict[str, EnumeratedGroup] = field(
+    # subgroups built from this group, and its square set, by construction
+    # name (see _memoized)
+    _memo: dict[str, EnumeratedGroup | frozenset[bytes]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -295,10 +298,10 @@ def verify_semidirect(
 
 
 def _memoized(build):
-    """Keep the subgroup build(G) in G's memo."""
+    """Keep build(G), a subgroup of G or G's square set, in G's memo."""
 
     @wraps(build)
-    def construct(G: EnumeratedGroup) -> EnumeratedGroup:
+    def construct(G: EnumeratedGroup):
         found = G._memo.get(build.__name__)
         if found is None:
             found = G._memo[build.__name__] = build(G)
@@ -320,13 +323,18 @@ def commutator_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
 
 
 @_memoized
+def _square_set(G: EnumeratedGroup) -> frozenset[bytes]:
+    """{x^2 : x in G}: squares_subgroup closes it, exponent squares on from it."""
+    pad = _PADS[G.degree]
+    # x + pad is x's translate table, so x.translate(x + pad) == _mul(x, x)
+    return frozenset({x.translate(x + pad) for x in G.elements})
+
+
+@_memoized
 def squares_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
     """The subgroup generated by the squares of all elements. The square set
     is conjugation-closed, so no normal closure step is needed."""
-    pad = _PADS[G.degree]
-    # x + pad is x's translate table, so x.translate(x + pad) == _mul(x, x)
-    squares = {x.translate(x + pad) for x in G.elements}
-    return _dimino(sorted(squares), G.degree, G.order)
+    return _dimino(sorted(_square_set(G)), G.degree, G.order)
 
 
 @_memoized
@@ -408,12 +416,15 @@ def element_order(x: Permutation | bytes) -> int:
 def exponent(G: EnumeratedGroup) -> int:
     """The least common multiple of the element orders. In a 2-group every
     element order is a power of two, so the exponent is 2^s for the number s
-    of times the element set must be squared to leave only the identity."""
+    of times the element set must be squared to leave only the identity; the
+    first squaring is G's memoized square set."""
     if G.order & (G.order - 1):
         return math.lcm(*(element_order(k) for k in G.elements))
+    if G.order == 1:
+        return 1
     pad = _PADS[G.degree]
-    level = G.elements
-    steps = 0
+    level = _square_set(G)
+    steps = 1
     while len(level) > 1:
         level = {x.translate(x + pad) for x in level}
         steps += 1
@@ -426,13 +437,23 @@ def is_abelian(G: EnumeratedGroup) -> bool:
 
 def center_size(G: EnumeratedGroup) -> int:
     """The number of elements that commute with every generator, found by
-    filtering the elements through one generator's centralizer at a time."""
+    filtering the elements through one generator's centralizer at a time.
+    For each generator g, an element x is first tested at one point i that g
+    moves (0 if g is the identity): x[g[i]] and g[x[i]] are the images of i
+    under x g and g x, so their equality is necessary, and only the elements
+    that pass it have the whole products compared."""
     pad = _PADS[G.degree]
-    center = list(G.elements)
+    center = G.elements
     for g in G.gen_keys:
         g_table = g + pad
-        # _mul(x, g) == _mul(g, x)
-        center = [x for x in center if g.translate(x + pad) == x.translate(g_table)]
+        i = next((p for p, image in enumerate(g) if p != image), 0)
+        gi = g[i]
+        # _mul(x, g) == _mul(g, x), at i first
+        center = [
+            x
+            for x in center
+            if x[gi] == g[x[i]] and g.translate(x + pad) == x.translate(g_table)
+        ]
     return len(center)
 
 

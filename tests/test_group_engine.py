@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -487,6 +488,51 @@ def test_exponent_and_center_of_non_two_groups():
         assert ge.center_size(G) == _all_generators_center_size(G) == center, name
 
 
+def _one_image_center_size(G):
+    """The centre as a filter that trusted the one-image check alone: x
+    compared with each generator g at g's first moved point only."""
+    def passes(x, g):
+        i = next((p for p, image in enumerate(g) if p != image), 0)
+        return x[g[i]] == g[x[i]]
+
+    return sum(1 for x in G.elements if all(passes(x, g) for g in G.gen_keys))
+
+
+def _cycles(degree, *gens):
+    return [Permutation.from_cycles(degree, cycles) for cycles in gens]
+
+
+def test_center_size_cases_of_the_one_image_check():
+    r, s = _cycles(4, [(1, 2, 3, 4)], [(1, 3)])
+    # G_3's generators on points 2..9, so every generator fixes point 1
+    shifted = [
+        Permutation(bytes([0]) + bytes(b + 1 for b in g.key))
+        for _, g in s_beta(3).permutation_entries()
+    ]
+    cases = {
+        "fixes point 1": (_cycles(5, [(2, 3, 4, 5)], [(2, 4)]), 2),
+        "every generator fixes point 1": (shifted, 2),
+        "identity generator": ([Permutation.identity(4), r, s], 2),
+        "generator listed twice": ([r, s, r], 2),
+        "identity on one point": ([Permutation.identity(1)], 1),
+        "S_4": (_cycles(4, [(1, 2)], [(1, 2, 3, 4)]), 1),
+    }
+    for name, (gens, center) in cases.items():
+        G = ge.generate(gens)
+        assert ge.center_size(G) == _all_generators_center_size(G) == center, name
+    trivial = ge.generate((), degree=1)
+    assert ge.center_size(trivial) == _all_generators_center_size(trivial) == 1
+    # in Syl_2(S_8), (7 8) passes the one-image check of every generator but
+    # does not commute with (1 5)(2 6)(3 7)(4 8): the check alone overcounts
+    S8 = ge.generate(syl2_S_generators(8))
+    g = Permutation.from_cycles(8, [(1, 5), (2, 6), (3, 7), (4, 8)])
+    x = Permutation.transposition(8, 7, 8)
+    assert g.key in S8.gen_keys and x.key in S8.elements
+    assert ge._mul(x.key, g.key) != ge._mul(g.key, x.key)
+    assert ge.center_size(S8) == _all_generators_center_size(S8) == 2
+    assert _one_image_center_size(S8) == 4
+
+
 # --- the per-group memo of the commutator and Frattini subgroups ------------
 
 
@@ -535,6 +581,38 @@ def test_derived_subgroups_of_an_unclosed_element_set_stop_at_its_order():
         with pytest.raises(ge.CapExceededError) as info:
             build(malformed)
         assert info.value.cap == 2
+    # the exponent squares on from the square set {1, g^2}, whether
+    # squares_subgroup built it (above) or the exponent builds it first
+    fresh = ge.EnumeratedGroup(8, (g.key,), frozenset({bytes(range(8)), g.key}))
+    assert ge.exponent(cyclic) == ge.exponent(fresh) == 8
+    with pytest.raises(ge.CapExceededError) as info:
+        ge.squares_subgroup(fresh)
+    assert info.value.cap == 2
+
+
+@pytest.mark.parametrize("exponent_first", [True, False])
+def test_exponent_and_squares_subgroup_share_one_square_set(monkeypatch, exponent_first):
+    square_set, requests, builds = ge._square_set, Counter(), Counter()
+
+    def counted(G):
+        requests[G.order] += 1
+        if "_square_set" not in G._memo:  # a request the memo cannot answer builds
+            builds[G.order] += 1
+        return square_set(G)
+
+    monkeypatch.setattr(ge, "_square_set", counted)
+    G = _G(3)
+    if exponent_first:
+        expo = ge.exponent(G)
+        squares = ge.squares_subgroup(G)
+    else:
+        squares = ge.squares_subgroup(G)
+        expo = ge.exponent(G)
+    assert expo == _lcm_exponent(G) == 4
+    all_squares = sorted({ge._mul(x, x) for x in G.elements})
+    assert squares.elements == ge._dimino(all_squares, G.degree, G.order).elements
+    assert requests == {64: 2}
+    assert builds == {64: 1}
 
 
 def test_memo_is_ignored_by_eq_hash_and_repr():

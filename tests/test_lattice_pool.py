@@ -7,6 +7,7 @@ import json
 from pathlib import Path
 
 from sylow2 import Permutation, generate
+from sylow2 import group_engine as ge
 from sylow2.group_engine import derived_series, fingerprint, frattini_subgroup, quotient_rank
 
 POOL = Path(__file__).resolve().parents[1] / "benchmark" / "reference" / "lattice_pool.json"
@@ -33,3 +34,24 @@ def test_every_pooled_query_matches_its_recorded_answer():
         if (answer := _answer(q["elements"])) != q["expected"]
     }
     assert not wrong
+
+
+def test_a_pooled_query_squares_its_group_once(monkeypatch):
+    square_set, requests, builds = ge._square_set, [], []
+
+    def counted(G):
+        requests.append(G.order)
+        if "_square_set" not in G._memo:  # a request the memo cannot answer builds
+            builds.append(G.order)
+        return square_set(G)
+
+    monkeypatch.setattr(ge, "_square_set", counted)
+    for stratum in json.loads(POOL.read_text())["strata"].values():
+        query = stratum[0]
+        requests.clear()
+        builds.clear()
+        assert _answer(query["elements"]) == query["expected"]
+        # squares_subgroup (inside frattini_subgroup) builds it, exponent
+        # (inside fingerprint) reuses it
+        order = query["expected"]["order"]
+        assert (requests, builds) == ([order, order], [order]), query["id"]
