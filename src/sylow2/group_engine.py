@@ -4,8 +4,8 @@ Algorithms for Permutation Groups, 1991), subgroup predicates, commutator /
 squares / Frattini subgroups, generating rank and derived series.
 
 _dimino is the one closure. Given conjugators it builds normal closures too,
-as the commutator subgroup needs; the same candidates and conjugators, in the
-same order, always give the same generators.
+as the commutator and Frattini subgroups need; the same candidates and
+conjugators, in the same order, always give the same generators.
 
 Elements are canonicalized as the byte keys of perm_core: byte i holds the
 0-based image of point i+1, and a product is one bytes.translate. The degree
@@ -16,19 +16,21 @@ change after construction. A derived subgroup (squares, commutator, Frattini)
 is bounded by the order of its parent, so the queries that build one take no
 cap. Each EnumeratedGroup also memoizes its squares, commutator and Frattini
 subgroups, so the Frattini rank, the derived series and the fingerprint reuse
-what an earlier query built. The memo also holds the group's square set
-{x^2 : x in G}: squares_subgroup closes it and exponent squares on from it, so
-the elements are squared once per group. Concurrent queries on one group may
-build a memo entry twice, but an entry is stored whole, so none of them
-observes a partial value.
+what an earlier query built. A group that _dimino built also keeps its
+cosets there, each the joined keys of one coset: exponent and center_size
+read the elements from them in slabs of at most _SLAB keys, a few C calls per
+slab instead of a few per element. Concurrent queries on one group may build
+a memo entry twice, but an entry is stored whole, so none of them observes a
+partial value.
 """
-
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
+import struct
 from dataclasses import dataclass, field
-from functools import wraps
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from . import tree_core
@@ -37,6 +39,7 @@ from .perm_core import _PADS, Permutation, _inv, _table
 DEFAULT_CAP = 1 << 20
 MAX_DEGREE = 255
 _PARITY_BATCH = 512  # keys whose signs key_parities finds together
+_SLAB = 4096  # the most keys exponent and center_size hold joined at once
 
 GeneratorElement = Union[Permutation, tree_core.Portrait]
 
@@ -92,9 +95,9 @@ class EnumeratedGroup:
     degree: int
     gen_keys: tuple[bytes, ...]
     elements: frozenset[bytes]
-    # subgroups built from this group, and its square set, by construction
-    # name (see _memoized)
-    _memo: dict[str, EnumeratedGroup | frozenset[bytes]] = field(
+    # subgroups built from this group, by construction name (see _memoized),
+    # and the joined keys of its cosets under "cosets" if _dimino built it
+    _memo: dict[str, EnumeratedGroup | list[bytes]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -119,6 +122,12 @@ def _mul(a: bytes, b: bytes) -> bytes:
     return b.translate(_table(a))
 
 
+@functools.cache
+def _splitter(degree: int, count: int) -> struct.Struct:
+    # unpacks count consecutive keys of one degree from their joined bytes
+    return struct.Struct(f"{degree}s" * count)
+
+
 def _dimino(
     candidates: Iterable[bytes], degree: int, cap: int, conjugators: Sequence[bytes] = ()
 ) -> EnumeratedGroup:
@@ -129,9 +138,12 @@ def _dimino(
     becomes a generator g, and the closed subgroup H grows to <H, g> by
     whole cosets {_mul(x, h) : h in H}: only generators times coset
     representatives are tested, and each new coset is disjoint from the
-    elements already found. Each accepted g also queues s g s^-1 for each s
-    in conjugators, so in the end sHs^-1 = H: H is the normal closure of the
-    candidates under <conjugators> (Seress, Permutation Group Algorithms, 2003).
+    elements already found. A coset is one translate of H's joined keys by
+    x's table, split into keys gcd(|H|, 256) at a time; the returned group
+    keeps the joined cosets in its memo. Each accepted g also queues
+    s g s^-1 for each s in conjugators, so in the end sHs^-1 = H: H is the
+    normal closure of the candidates under <conjugators> (Seress,
+    Permutation Group Algorithms, 2003).
     Returns that group, with the accepted generators as its gen_keys; the
     same inputs in the same order give the same generators. Raises
     CapExceededError with partial_count == cap (the count an
@@ -139,8 +151,9 @@ def _dimino(
     group past the cap.
     """
     ident = bytes(range(degree))
-    elements = [ident]
+    cosets = [ident]
     members = {ident}
+    order = 1
     gens: list[bytes] = []
     tables: list[bytes] = []
     queue = list(candidates)
@@ -151,21 +164,45 @@ def _dimino(
         gens.append(g)
         tables.append(_table(g))
         queue += [_mul(_mul(s, g), si) for s, si in conjugations]
-        subgroup = elements[:]
+        subgroup, size = b"".join(cosets), order
+        split = _splitter(degree, math.gcd(size, 256)).iter_unpack
         reps = [ident]
         for r in reps:  # reps grows while it is scanned
             for t in tables:
                 x = r.translate(t)
                 if x in members:
                     continue
-                if len(elements) + len(subgroup) > cap:
-                    raise CapExceededError(cap, max(cap, len(elements)))
-                xt = _table(x)
-                coset = [h.translate(xt) for h in subgroup]
-                elements += coset
-                members.update(coset)
+                if order + size > cap:
+                    raise CapExceededError(cap, max(cap, order))
+                coset = subgroup.translate(_table(x))
+                members.update(itertools.chain.from_iterable(split(coset)))
+                cosets.append(coset)
+                order += size
                 reps.append(x)
-    return EnumeratedGroup(degree, tuple(gens), frozenset(members))
+    group = EnumeratedGroup(degree, tuple(gens), frozenset(members))
+    group._memo["cosets"] = cosets
+    return group
+
+
+def _slabs(G: EnumeratedGroup) -> Iterator[bytes]:
+    """G's keys, joined, in slabs of _SLAB keys (the last one shorter): G's
+    cosets in order, small ones merged and large ones cut. A group without
+    cosets in its memo (from group_from_elements) is cut from its element set."""
+    cosets = G._memo.get("cosets")
+    if cosets is None:
+        elements = iter(G.elements)
+        while batch := list(itertools.islice(elements, _SLAB)):
+            yield b"".join(batch)
+        return
+    size = _SLAB * G.degree
+    pending = bytearray()
+    for coset in cosets:
+        pending += coset
+        while len(pending) >= size:
+            yield bytes(pending[:size])
+            del pending[:size]
+    if pending:
+        yield bytes(pending)
 
 
 def _normalize_generators(
@@ -200,7 +237,10 @@ def generate(
     truncating.
     """
     gen_keys, degree = _normalize_generators(gens, degree)
-    return EnumeratedGroup(degree, gen_keys, _dimino(gen_keys, degree, cap).elements)
+    closed = _dimino(gen_keys, degree, cap)
+    group = EnumeratedGroup(degree, gen_keys, closed.elements)
+    group._memo.update(closed._memo)
+    return group
 
 
 def group_from_elements(
@@ -210,7 +250,8 @@ def group_from_elements(
     verify: bool = True,
 ) -> EnumeratedGroup:
     """Wrap an element set known (or checked) to be a subgroup; a reduced
-    generating subset is recorded as its generator keys."""
+    generating subset is recorded as its generator keys. The set may be
+    unclosed when verify is False, so the group keeps no cosets."""
     keyset = frozenset(keys)
     closed = _dimino(sorted(keyset), degree, cap)
     if verify and closed.elements != keyset:
@@ -298,9 +339,9 @@ def verify_semidirect(
 
 
 def _memoized(build):
-    """Keep build(G), a subgroup of G or G's square set, in G's memo."""
+    """Keep build(G), a subgroup of G, in G's memo."""
 
-    @wraps(build)
+    @functools.wraps(build)
     def construct(G: EnumeratedGroup):
         found = G._memo.get(build.__name__)
         if found is None:
@@ -308,6 +349,11 @@ def _memoized(build):
         return found
 
     return construct
+
+
+def _commutators(G: EnumeratedGroup) -> set[bytes]:
+    # [a, b] = a b a^-1 b^-1 for each ordered pair of generators
+    return {_mul(_mul(a, b), _mul(_inv(a), _inv(b))) for a in G.gen_keys for b in G.gen_keys}
 
 
 @_memoized
@@ -318,38 +364,33 @@ def commutator_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
     The brute-force definition over all element pairs is the oracle the test
     suite compares against on small groups.
     """
-    comms = {_mul(_mul(a, b), _mul(_inv(a), _inv(b))) for a in G.gen_keys for b in G.gen_keys}
-    return _dimino(sorted(comms), G.degree, G.order, G.gen_keys)
-
-
-@_memoized
-def _square_set(G: EnumeratedGroup) -> frozenset[bytes]:
-    """{x^2 : x in G}: squares_subgroup closes it, exponent squares on from it."""
-    pad = _PADS[G.degree]
-    # x + pad is x's translate table, so x.translate(x + pad) == _mul(x, x)
-    return frozenset({x.translate(x + pad) for x in G.elements})
+    return _dimino(sorted(_commutators(G)), G.degree, G.order, G.gen_keys)
 
 
 @_memoized
 def squares_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
-    """The subgroup generated by the squares of all elements. The square set
-    is conjugation-closed, so no normal closure step is needed."""
-    return _dimino(sorted(_square_set(G)), G.degree, G.order)
+    """The subgroup generated by the squares of all elements, listed one by
+    one. The square set is conjugation-closed, so no normal closure step is
+    needed."""
+    pad = _PADS[G.degree]
+    # x + pad is x's translate table, so x.translate(x + pad) == _mul(x, x)
+    squares = {x.translate(x + pad) for x in G.elements}
+    return _dimino(sorted(squares), G.degree, G.order)
 
 
 @_memoized
 def frattini_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
-    """Frattini subgroup of a finite 2-group: the subgroup generated by all
-    squares and commutators. Whether the squares alone already absorb the
-    commutators is an observable the callers check, not an assumption made
-    here."""
+    """Frattini subgroup of a finite 2-group: G^2 [G, G], the normal closure
+    of the generators' squares and pairwise commutators under G's generators,
+    in one _dimino call (the Burnside basis theorem; Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005). It reads neither the
+    squares nor the commutator subgroup, so comparing it with the closure of
+    every element's square (squares_subgroup) checks one build against
+    another."""
     if G.order & (G.order - 1):
         raise ValueError(f"group of order {G.order} is not a 2-group")
-    squares = squares_subgroup(G)
-    commutators = commutator_subgroup(G)
-    if commutators.elements <= squares.elements:
-        return squares
-    return _dimino(sorted(squares.elements | commutators.elements), G.degree, G.order)
+    seeds = _commutators(G) | {_mul(g, g) for g in G.gen_keys}
+    return _dimino(sorted(seeds), G.degree, G.order, G.gen_keys)
 
 
 def quotient_rank(G: EnumeratedGroup) -> int:
@@ -413,21 +454,51 @@ def element_order(x: Permutation | bytes) -> int:
     return (Permutation(x) if isinstance(x, bytes) else x).order()
 
 
+@functools.cache
+def _identity_block(degree: int) -> bytes:
+    # the offset form of 256 // degree identity keys, after 256 % degree zeros
+    lead = 256 % degree
+    return bytes(lead) + bytes(range(lead, 256))
+
+
+@functools.lru_cache(maxsize=16)
+def _offsets(degree: int, keys: int) -> int:
+    # added to the int of `keys` joined keys, puts them in offset form; a
+    # 2-group's slabs hold a power of two keys, so few sizes recur
+    width = 256 - 256 % degree
+    block = bytes(256 % degree + p - p % degree for p in range(width))
+    return int.from_bytes((block * (keys * degree // width + 1))[:keys * degree], "little")
+
+
 def exponent(G: EnumeratedGroup) -> int:
     """The least common multiple of the element orders. In a 2-group every
     element order is a power of two, so the exponent is 2^s for the number s
-    of times the element set must be squared to leave only the identity; the
-    first squaring is G's memoized square set."""
+    of times the elements must be squared to leave only the identity.
+
+    The elements are squared a slab at a time, in offset form: the slab is
+    cut into blocks of 256 // degree keys, each block starts with 256 % degree
+    zero bytes, and each key's bytes are raised by the key's offset in the block.
+    A block then maps each key's points into that key's own bytes, so it is
+    its own translate table: translating it by itself squares all its keys,
+    and the result is again in offset form. A block is dropped once all its
+    keys are the identity."""
     if G.order & (G.order - 1):
         return math.lcm(*(element_order(k) for k in G.elements))
-    if G.order == 1:
-        return 1
-    pad = _PADS[G.degree]
-    level = _square_set(G)
-    steps = 1
-    while len(level) > 1:
-        level = {x.translate(x + pad) for x in level}
-        steps += 1
+    d = G.degree
+    ident = _identity_block(d)
+    lead, width = ident[:256 % d], 256 - 256 % d
+    steps = 0
+    for slab in _slabs(G):
+        size = len(slab)
+        form = (int.from_bytes(slab, "little") + _offsets(d, size // d)).to_bytes(size, "little")
+        blocks = [lead + form[start:start + width] for start in range(0, size, width)]
+        blocks[-1] += ident[len(blocks[-1]):]  # identity keys fill the last block
+        blocks = list(filter(ident.__ne__, blocks))
+        squarings = 0
+        while blocks:
+            blocks = list(filter(ident.__ne__, map(bytes.translate, blocks, blocks)))
+            squarings += 1
+        steps = max(steps, squarings)
     return 1 << steps
 
 
@@ -436,25 +507,35 @@ def is_abelian(G: EnumeratedGroup) -> bool:
 
 
 def center_size(G: EnumeratedGroup) -> int:
-    """The number of elements that commute with every generator, found by
-    filtering the elements through one generator's centralizer at a time.
-    For each generator g, an element x is first tested at one point i that g
-    moves (0 if g is the identity): x[g[i]] and g[x[i]] are the images of i
-    under x g and g x, so their equality is necessary, and only the elements
-    that pass it have the whole products compared."""
-    pad = _PADS[G.degree]
-    center = G.elements
+    """The number of elements that commute with every generator, found a
+    slab of elements at a time. For each generator g, every element x of the
+    slab is first tested at one point i that g moves (0 if g is the
+    identity): x[g[i]] and g[x[i]] are the images of i under x g and g x,
+    and their columns over the slab are compared at once. The equality is
+    necessary, so only the elements that pass it for every generator have
+    the whole products compared."""
+    d = G.degree
+    pad = _PADS[d]
+    tests = []
     for g in G.gen_keys:
-        g_table = g + pad
         i = next((p for p, image in enumerate(g) if p != image), 0)
-        gi = g[i]
-        # _mul(x, g) == _mul(g, x), at i first
-        center = [
-            x
-            for x in center
-            if x[gi] == g[x[i]] and g.translate(x + pad) == x.translate(g_table)
-        ]
-    return len(center)
+        tests.append((g, g + pad, g[i], i))
+    count = 0
+    for slab in _slabs(G):
+        misses = 0
+        for _, g_table, gi, i in tests:
+            # the image of i under x g, against it under g x, for each x
+            misses |= int.from_bytes(slab[gi::d], "little") ^ int.from_bytes(
+                slab[i::d].translate(g_table), "little"
+            )
+        passed = misses.to_bytes(len(slab) // d, "little")  # 0 where x passes
+        j = passed.find(0)
+        while j >= 0:
+            x = slab[j * d:j * d + d]
+            # _mul(x, g) == _mul(g, x)
+            count += all(g.translate(x + pad) == x.translate(g_table) for g, g_table, _, _ in tests)
+            j = passed.find(0, j + 1)
+    return count
 
 
 def fingerprint(G: EnumeratedGroup) -> dict[str, int | bool]:

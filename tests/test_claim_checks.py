@@ -175,8 +175,8 @@ def test_minimality_builds_each_squares_subgroup_once(monkeypatch):
     status, _, witnesses = cl._run_minimality(cl.ClaimContext())
     assert status == "pass"
     assert witnesses == {"quotient_ranks": {"2": 2, "3": 3, "4": 4}}
-    # quotient_rank builds the squares inside the Frattini subgroup, and the
-    # claim's own request reuses them
+    # the claim's own request builds the squares; the Frattini subgroup
+    # behind quotient_rank does not read them
     assert builds == {4: 1, 64: 1, 16384: 1}
 
 

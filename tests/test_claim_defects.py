@@ -67,6 +67,23 @@ def test_order_gk_and_minimality_fail_without_the_last_alpha(monkeypatch):
         assert all(len(subset) == k - 1 for subset in failure["generating_small_subsets"])
 
 
+def test_minimality_fails_when_the_squares_take_an_extra_generator(monkeypatch):
+    def squares_and_last_generator(G):
+        squares = {ge._mul(x, x) for x in G.elements} | {G.gen_keys[-1]}
+        return ge._dimino(sorted(squares), G.degree, G.order)
+
+    monkeypatch.setattr(ge, "squares_subgroup", squares_and_last_generator)
+    record = _run_one("minimality")
+    assert record.status == "fail"
+    # the Frattini subgroup is its own closure, so the rank stays right and
+    # only the comparison with the planted squares fails
+    frattini = {"2": 1, "3": 8, "4": 1024}
+    assert record.witnesses["failures"] == {
+        k: {"squares_vs_frattini": {"squares": 2 * order, "frattini": order}}
+        for k, order in frattini.items()
+    }
+
+
 def test_order_ratios_and_boxtimes_fail_on_a_constant_sylow_exponent(monkeypatch):
     monkeypatch.setattr(sb, "syl2_order", lambda n, kind: 3)
     ratios = _run_one("order-ratios")

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -581,8 +580,8 @@ def test_derived_subgroups_of_an_unclosed_element_set_stop_at_its_order():
         with pytest.raises(ge.CapExceededError) as info:
             build(malformed)
         assert info.value.cap == 2
-    # the exponent squares on from the square set {1, g^2}, whether
-    # squares_subgroup built it (above) or the exponent builds it first
+    # the exponent squares the listed elements, with no closure to stop it,
+    # whether squares_subgroup ran first (above) or not
     fresh = ge.EnumeratedGroup(8, (g.key,), frozenset({bytes(range(8)), g.key}))
     assert ge.exponent(cyclic) == ge.exponent(fresh) == 8
     with pytest.raises(ge.CapExceededError) as info:
@@ -590,29 +589,17 @@ def test_derived_subgroups_of_an_unclosed_element_set_stop_at_its_order():
     assert info.value.cap == 2
 
 
-@pytest.mark.parametrize("exponent_first", [True, False])
-def test_exponent_and_squares_subgroup_share_one_square_set(monkeypatch, exponent_first):
-    square_set, requests, builds = ge._square_set, Counter(), Counter()
-
-    def counted(G):
-        requests[G.order] += 1
-        if "_square_set" not in G._memo:  # a request the memo cannot answer builds
-            builds[G.order] += 1
-        return square_set(G)
-
-    monkeypatch.setattr(ge, "_square_set", counted)
-    G = _G(3)
-    if exponent_first:
-        expo = ge.exponent(G)
-        squares = ge.squares_subgroup(G)
-    else:
-        squares = ge.squares_subgroup(G)
-        expo = ge.exponent(G)
-    assert expo == _lcm_exponent(G) == 4
-    all_squares = sorted({ge._mul(x, x) for x in G.elements})
-    assert squares.elements == ge._dimino(all_squares, G.degree, G.order).elements
-    assert requests == {64: 2}
-    assert builds == {64: 1}
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_frattini_subgroup_is_the_squares_route_closure(k):
+    # Φ(G_k) as one normal closure, against the closure of every element's
+    # square with the commutator subgroup
+    G = _G(k)
+    squares = {ge._mul(x, x) for x in G.elements}
+    route = ge._dimino(sorted(squares | ge.commutator_subgroup(G).elements), G.degree, G.order)
+    phi = ge.frattini_subgroup(G)
+    assert phi.elements == route.elements
+    assert phi.elements == ge.squares_subgroup(G).elements
+    assert G.order // phi.order == 1 << k
 
 
 def test_memo_is_ignored_by_eq_hash_and_repr():

@@ -36,22 +36,31 @@ def test_every_pooled_query_matches_its_recorded_answer():
     assert not wrong
 
 
-def test_a_pooled_query_squares_its_group_once(monkeypatch):
-    square_set, requests, builds = ge._square_set, [], []
+def _first_of_each_stratum():
+    return [stratum[0] for stratum in json.loads(POOL.read_text())["strata"].values()]
 
-    def counted(G):
-        requests.append(G.order)
-        if "_square_set" not in G._memo:  # a request the memo cannot answer builds
-            builds.append(G.order)
-        return square_set(G)
 
-    monkeypatch.setattr(ge, "_square_set", counted)
-    for stratum in json.loads(POOL.read_text())["strata"].values():
-        query = stratum[0]
-        requests.clear()
-        builds.clear()
-        assert _answer(query["elements"]) == query["expected"]
-        # squares_subgroup (inside frattini_subgroup) builds it, exponent
-        # (inside fingerprint) reuses it
-        order = query["expected"]["order"]
-        assert (requests, builds) == ([order, order], [order]), query["id"]
+def test_a_pooled_query_never_enters_squares_subgroup(monkeypatch):
+    def refuse(G):
+        raise AssertionError(f"squares_subgroup entered on a group of order {G.order}")
+
+    monkeypatch.setattr(ge, "squares_subgroup", refuse)
+    for query in _first_of_each_stratum():
+        assert _answer(query["elements"]) == query["expected"], query["id"]
+
+
+def _squares_route_frattini(G):
+    """The Frattini subgroup built from the squares: the closure of the
+    squares subgroup and the commutator subgroup."""
+    squares, commutators = ge.squares_subgroup(G), ge.commutator_subgroup(G)
+    if commutators.elements <= squares.elements:
+        return squares.elements
+    return ge._dimino(sorted(squares.elements | commutators.elements), G.degree, G.order).elements
+
+
+def test_frattini_subgroup_is_the_squares_route_closure_on_each_stratum():
+    for query in _first_of_each_stratum():
+        H = generate([Permutation(bytes.fromhex(h)) for h in query["elements"]])
+        phi = frattini_subgroup(H)
+        assert phi.elements == _squares_route_frattini(H), query["id"]
+        assert phi.order == query["expected"]["frattini_order"]
