@@ -540,7 +540,9 @@ def test_memo_returns_the_same_subgroups():
     phi = ge.frattini_subgroup(G)
     assert ge.frattini_subgroup(G) is phi
     assert ge.quotient_rank(G) == 3
-    # the Frattini construction built [G, G]; the derived series reuses it
+    # Φ is its own normal closure and does not read [G, G]; the derived
+    # series and commutator_subgroup share one memo entry for it
+    assert "commutator_subgroup" not in G._memo
     assert ge.derived_series(G)[1] is ge.commutator_subgroup(G)
 
 

@@ -1,6 +1,6 @@
 """Per-stage times of the subgroup-lattice queries, untraced, in one process.
 
-    python3 tools/lattice_stages.py [--repeat N] [--by-order] [--src DIR]
+    python3 tools/lattice_stages.py [--repeat N] [--src DIR]
 
 Reads the query pool benchmark/reference/lattice_pool.json (240
 subgroups that 2-4 random elements of G_4 or Syl_2(S_16) generate) and, for
@@ -21,10 +21,10 @@ and its answers are checked against the pool's recorded ones.
 
 Prints each stage's total over the pool and the whole queries' total, in ms,
 as the median of N passes (default 3) with the lowest and highest in
-brackets. --by-order also prints, for each pool stratum (the subgroup order,
-as its log2), the median whole-query ms of its queries, again as the median
-of the passes with the lowest and highest. The benchmark's query_p50_ms falls
-in the 2^12 stratum and its query_p90_ms in the 2^14 one.
+brackets. Then, for each pool stratum (the subgroup order, as its log2), it
+prints the median whole-query ms of its queries, again as the median of the
+passes with the lowest and highest. The benchmark's query_p50_ms falls in the
+2^12 stratum and its query_p90_ms in the 2^14 one.
 --src runs the sylow2 package of another checkout's src/ directory.
 Uses the standard library only and writes no file. Exits 0 when every answer
 matches and 1 when one does not.
@@ -90,9 +90,6 @@ def spread(ms: list[float]) -> str:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=3, help="passes over the pool")
-    parser.add_argument(
-        "--by-order", action="store_true", help="also print each stratum's median query"
-    )
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding sylow2")
     args = parser.parse_args(argv)
     if args.repeat < 1:
@@ -122,11 +119,10 @@ def main(argv: list[str]) -> int:
     print(f"{'stage':<22}{'median ms':>10}  [lowest, highest]")
     for stage in (*STAGES, QUERY):
         print(f"{stage:<22}{spread([1e3 * totals[stage] for totals in runs])}")
-    if args.by_order:
-        sizes = collections.Counter(order for order, _ in pooled)
-        print(f"{'order':<8}{'queries':>8}{'median query ms':>16}  [lowest, highest]")
-        for order, ms in strata.items():
-            print(f"{'2^' + order:<8}{sizes[order]:>8}{spread(ms):>16}")
+    sizes = collections.Counter(order for order, _ in pooled)
+    print(f"{'order':<8}{'queries':>8}{'median query ms':>16}  [lowest, highest]")
+    for order, ms in strata.items():
+        print(f"{'2^' + order:<8}{sizes[order]:>8}{spread(ms):>16}")
     if wrong:
         print(f"{wrong} of {len(queries)} answers differ from the pool's", file=sys.stderr)
         return 1
