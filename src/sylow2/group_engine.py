@@ -4,8 +4,12 @@ Algorithms for Permutation Groups, 1991), subgroup predicates, commutator /
 squares / Frattini subgroups, generating rank and derived series.
 
 _dimino is the one closure. Given conjugators it builds normal closures too,
-as the commutator and Frattini subgroups need; the same candidates and
-conjugators, in the same order, always give the same generators.
+as the commutator and Frattini subgroups need; given a base, a normal
+subgroup of the result, it grows by whole cosets of the base. The same
+candidates, conjugators and base, in the same order, always give the same
+generators. generate runs it twice: first for G^2, the normal closure of the
+generators' squares and pairwise commutators (Phi(G) for a 2-group, which
+generate memoizes), then over that base.
 
 Elements are canonicalized as the byte keys of perm_core: byte i holds the
 0-based image of point i+1, and a product is one bytes.translate. The degree
@@ -129,7 +133,11 @@ def _splitter(degree: int, count: int) -> struct.Struct:
 
 
 def _dimino(
-    candidates: Iterable[bytes], degree: int, cap: int, conjugators: Sequence[bytes] = ()
+    candidates: Iterable[bytes],
+    degree: int,
+    cap: int,
+    conjugators: Sequence[bytes] = (),
+    base: EnumeratedGroup | None = None,
 ) -> EnumeratedGroup:
     """Dimino's algorithm (Butler, Fundamental Algorithms for Permutation
     Groups, LNCS 559, 1991): close the candidates one at a time, in order.
@@ -144,6 +152,15 @@ def _dimino(
     s g s^-1 for each s in conjugators, so in the end sHs^-1 = H: H is the
     normal closure of the candidates under <conjugators> (Seress,
     Permutation Group Algorithms, 2003).
+
+    A base, a group _dimino built that every candidate normalizes, is the
+    start instead of the trivial group, and the group then grows by whole
+    cosets x N of the base N alone: the coset representatives found for
+    one generator stay, and after each new generator every generator so far
+    is tried on all of them again.
+    The result is <base, candidates>, its cosets the base's and then one
+    of |N| keys per representative but the first.
+
     Returns that group, with the accepted generators as its gen_keys; the
     same inputs in the same order give the same generators. Raises
     CapExceededError with partial_count == cap (the count an
@@ -151,22 +168,27 @@ def _dimino(
     group past the cap.
     """
     ident = bytes(range(degree))
-    cosets = [ident]
-    members = {ident}
-    order = 1
+    if base is None:
+        cosets, members, order = [ident], {ident}, 1
+    else:
+        cosets, members, order = list(base._memo["cosets"]), set(iter(base.elements)), base.order
+        subgroup, size = b"".join(cosets), order
+        split = _splitter(degree, math.gcd(size, 256)).iter_unpack
     gens: list[bytes] = []
     tables: list[bytes] = []
     queue = list(candidates)
     conjugations = [(s, _inv(s)) for s in conjugators]
+    reps = [ident]
     for g in queue:  # queue grows while it is scanned
         if g in members:
             continue
         gens.append(g)
         tables.append(_table(g))
         queue += [_mul(_mul(s, g), si) for s, si in conjugations]
-        subgroup, size = b"".join(cosets), order
-        split = _splitter(degree, math.gcd(size, 256)).iter_unpack
-        reps = [ident]
+        if base is None:
+            subgroup, size = b"".join(cosets), order
+            split = _splitter(degree, math.gcd(size, 256)).iter_unpack
+            reps = [ident]
         for r in reps:  # reps grows while it is scanned
             for t in tables:
                 x = r.translate(t)
@@ -228,18 +250,26 @@ def generate(
     *,
     degree: int | None = None,
 ) -> EnumeratedGroup:
-    """Closure of the generators under composition, built coset by coset:
-    each generator not yet in the group extends it by whole cosets of the
-    subgroup the earlier generators span (Dimino's algorithm; Butler 1991).
+    """Closure of the generators under composition, built in two steps.
+    The first is G^2, the normal closure of the generators' squares and
+    pairwise commutators under the generators (_square_closure). G/G^2 is
+    then elementary abelian, so the second step, _dimino over the base G^2,
+    grows the group by whole cosets of G^2, and each generator not yet in
+    it doubles it (Dimino's algorithm; Butler 1991). For a 2-group G^2 is
+    the Frattini subgroup (the Burnside basis theorem), and it is memoized
+    as frattini_subgroup(G); for any other group it is dropped.
 
     The element set is independent of generator order. Raises
     CapExceededError (carrying the partial count) instead of silently
     truncating.
     """
     gen_keys, degree = _normalize_generators(gens, degree)
-    closed = _dimino(gen_keys, degree, cap)
+    squares = _square_closure(gen_keys, degree, cap)
+    closed = _dimino(gen_keys, degree, cap, base=squares)
     group = EnumeratedGroup(degree, gen_keys, closed.elements)
     group._memo.update(closed._memo)
+    if not group.order & (group.order - 1):
+        group._memo[frattini_subgroup.__name__] = squares
     return group
 
 
@@ -351,9 +381,20 @@ def _memoized(build):
     return construct
 
 
-def _commutators(G: EnumeratedGroup) -> set[bytes]:
+def _commutators(gen_keys: Sequence[bytes]) -> set[bytes]:
     # [a, b] = a b a^-1 b^-1 for each ordered pair of generators
-    return {_mul(_mul(a, b), _mul(_inv(a), _inv(b))) for a in G.gen_keys for b in G.gen_keys}
+    pairs = [(g, _inv(g)) for g in gen_keys]
+    return {_mul(_mul(a, b), _mul(ai, bi)) for a, ai in pairs for b, bi in pairs}
+
+
+def _square_closure(gen_keys: Sequence[bytes], degree: int, cap: int) -> EnumeratedGroup:
+    """G^2 for G = <gen_keys>: the normal closure of the generators' squares
+    and pairwise commutators under the generators, in one _dimino call.
+    The generators' images in G modulo this closure commute and square to
+    the identity, so the quotient is elementary abelian: the closure holds
+    every square of G and is G^2. For a 2-group it is the Frattini subgroup."""
+    seeds = _commutators(gen_keys) | {_mul(g, g) for g in gen_keys}
+    return _dimino(sorted(seeds), degree, cap, gen_keys)
 
 
 @_memoized
@@ -364,7 +405,7 @@ def commutator_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
     The brute-force definition over all element pairs is the oracle the test
     suite compares against on small groups.
     """
-    return _dimino(sorted(_commutators(G)), G.degree, G.order, G.gen_keys)
+    return _dimino(sorted(_commutators(G.gen_keys)), G.degree, G.order, G.gen_keys)
 
 
 @_memoized
@@ -381,16 +422,15 @@ def squares_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
 @_memoized
 def frattini_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
     """Frattini subgroup of a finite 2-group: G^2 [G, G], the normal closure
-    of the generators' squares and pairwise commutators under G's generators,
-    in one _dimino call (the Burnside basis theorem; Holt, Eick and O'Brien,
-    Handbook of Computational Group Theory, 2005). It reads neither the
-    squares nor the commutator subgroup, so comparing it with the closure of
-    every element's square (squares_subgroup) checks one build against
-    another."""
+    of the generators' squares and pairwise commutators under G's generators
+    (_square_closure; the Burnside basis theorem; Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005). generate stores it in
+    the memo of each 2-group it builds. It reads neither the squares nor the
+    commutator subgroup, so comparing it with the closure of every element's
+    square (squares_subgroup) checks one build against another."""
     if G.order & (G.order - 1):
         raise ValueError(f"group of order {G.order} is not a 2-group")
-    seeds = _commutators(G) | {_mul(g, g) for g in G.gen_keys}
-    return _dimino(sorted(seeds), G.degree, G.order, G.gen_keys)
+    return _square_closure(G.gen_keys, G.degree, G.order)
 
 
 def quotient_rank(G: EnumeratedGroup) -> int:
@@ -470,10 +510,12 @@ def _offsets(degree: int, keys: int) -> int:
     return int.from_bytes((block * (keys * degree // width + 1))[:keys * degree], "little")
 
 
-def exponent(G: EnumeratedGroup) -> int:
-    """The least common multiple of the element orders. In a 2-group every
-    element order is a power of two, so the exponent is 2^s for the number s
-    of times the elements must be squared to leave only the identity.
+def _squarings(G: EnumeratedGroup) -> int | None:
+    """The number of times G's elements must be squared to leave only the
+    identity, or None if some element is not the identity after
+    degree.bit_length() - 1 squarings: no 2-element of degree d has order
+    above 2^(d.bit_length() - 1), so the order of such an element has an odd
+    factor.
 
     The elements are squared a slab at a time, in offset form: the slab is
     cut into blocks of 256 // degree keys, each block starts with 256 % degree
@@ -482,9 +524,8 @@ def exponent(G: EnumeratedGroup) -> int:
     its own translate table: translating it by itself squares all its keys,
     and the result is again in offset form. A block is dropped once all its
     keys are the identity."""
-    if G.order & (G.order - 1):
-        return math.lcm(*(element_order(k) for k in G.elements))
     d = G.degree
+    most = d.bit_length() - 1
     ident = _identity_block(d)
     lead, width = ident[:256 % d], 256 - 256 % d
     steps = 0
@@ -496,10 +537,26 @@ def exponent(G: EnumeratedGroup) -> int:
         blocks = list(filter(ident.__ne__, blocks))
         squarings = 0
         while blocks:
+            if squarings == most:
+                return None
             blocks = list(filter(ident.__ne__, map(bytes.translate, blocks, blocks)))
             squarings += 1
         steps = max(steps, squarings)
-    return 1 << steps
+    return steps
+
+
+def exponent(G: EnumeratedGroup) -> int:
+    """The least common multiple of the element orders. In a 2-group every
+    element order is a power of two, so the exponent is 2^s for the number s
+    of times the elements must be squared to leave only the identity
+    (_squarings). An element set of power-of-two size that holds an element
+    whose order has an odd factor, which no group does, falls back to the
+    element orders."""
+    if not G.order & (G.order - 1):
+        steps = _squarings(G)
+        if steps is not None:
+            return 1 << steps
+    return math.lcm(*(element_order(k) for k in G.elements))
 
 
 def is_abelian(G: EnumeratedGroup) -> bool:

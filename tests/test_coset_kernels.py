@@ -35,6 +35,11 @@ _BASES = {
 }
 
 
+# S_3 and S_4 whole, the non-2-groups that generate extends by a coset of
+# S_3^2 = A_3 and of S_4^2 = A_4
+_S3 = (3, [Permutation.from_cycles(3, [(1, 2, 3)]).key, Permutation.transposition(3, 1, 2).key])
+_S4 = (4, [Permutation.from_cycles(4, [(1, 2, 3, 4)]).key, Permutation.transposition(4, 1, 2).key])
+
 # Syl_2(S_8) on the last 8 of 17 points: 15 keys to a block, so its 128
 # elements end in a partial block
 _SYL2_S8_GENS = [g.key for _, g in syl2_S_generators(8).permutation_entries()]
@@ -82,9 +87,9 @@ def _naive_closure(gens, degree, cap):
     return elements
 
 
-def _outcome(closure, *args):
+def _outcome(closure, *args, **kwargs):
     try:
-        return closure(*args)
+        return closure(*args, **kwargs)
     except ge.CapExceededError as exc:
         return ("cap", exc.cap, exc.partial_count)
 
@@ -139,12 +144,37 @@ def test_s4_grows_by_cosets_of_three_and_six_keys():
         Permutation.transposition(4, 1, 2),
         Permutation.from_cycles(4, [(1, 2, 3, 4)]),
     )
-    S4 = ge.generate([three, two, four])
+    S4 = ge._dimino([three.key, two.key, four.key], 4, ge.DEFAULT_CAP)
     assert [len(c) // 4 for c in S4._memo["cosets"]] == [1, 1, 1, 3, 6, 6, 6]
     assert S4.order == 24 and ge.exponent(S4) == 12 and ge.center_size(S4) == 1
     for cap in (5, 6, 23):
         outcome = _outcome(ge._dimino, S4.gen_keys, 4, cap)
         assert outcome == _outcome(_naive_closure, S4.gen_keys, 4, cap) == ("cap", cap, cap)
+    # generate builds S_4^2 = A_4 first, then extends it by one coset of A_4
+    generated = ge.generate([three, two, four])
+    assert generated.elements == S4.elements
+    assert [len(c) // 4 for c in generated._memo["cosets"]] == [1, 1, 1, 3, 3, 3, 12]
+
+
+@settings(max_examples=150)
+@given(_generator_sets(), st.one_of(st.just(ge.DEFAULT_CAP), st.integers(0, 200)))
+@example((3, []), 0)
+@example(_S3, ge.DEFAULT_CAP)
+@example(_S3, 4)
+@example(_S4, ge.DEFAULT_CAP)
+@example(_S4, 12)
+def test_generate_matches_a_naive_closure(case, cap):
+    degree, gens = case
+    outcome = _outcome(ge.generate, [Permutation(g) for g in gens], cap, degree=degree)
+    if isinstance(outcome, ge.EnumeratedGroup):
+        assert outcome.elements == _naive_closure(gens, degree, cap)
+        assert outcome.gen_keys == tuple(gens)
+        # the kept cosets hold every element once
+        keys = b"".join(outcome._memo["cosets"])
+        assert {keys[i:i + degree] for i in range(0, len(keys), degree)} == outcome.elements
+        assert len(keys) == outcome.order * degree
+    else:
+        assert outcome == _outcome(_naive_closure, gens, degree, cap)
 
 
 def test_slabs_cut_the_cosets_in_order():

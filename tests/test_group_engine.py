@@ -191,10 +191,21 @@ def test_squares_and_frattini():
 
 
 def test_frattini_rejects_non_two_group():
-    G = ge.generate([Permutation.from_cycles(3, [(1, 2, 3)])])
-    assert G.order == 3
-    with pytest.raises(ValueError):
-        ge.frattini_subgroup(G)
+    # generate keeps G^2 as the Frattini subgroup of 2-groups only
+    for gens, order in ((_cycles(3, [(1, 2, 3)]), 3), (_cycles(4, [(1, 2)], [(1, 2, 3, 4)]), 24)):
+        G = ge.generate(gens)
+        assert G.order == order and "frattini_subgroup" not in G._memo
+        with pytest.raises(ValueError):
+            ge.frattini_subgroup(G)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_generate_memoizes_the_frattini_subgroup_of_a_two_group(k):
+    G = _G(k)
+    phi = G._memo["frattini_subgroup"]
+    assert ge.frattini_subgroup(G) is phi
+    rebuilt = ge.frattini_subgroup.__wrapped__(G)
+    assert (phi.elements, phi.gen_keys) == (rebuilt.elements, rebuilt.gen_keys)
 
 
 def test_quotient_and_minimal_rank():
@@ -586,6 +597,11 @@ def test_derived_subgroups_of_an_unclosed_element_set_stop_at_its_order():
     # whether squares_subgroup ran first (above) or not
     fresh = ge.EnumeratedGroup(8, (g.key,), frozenset({bytes(range(8)), g.key}))
     assert ge.exponent(cyclic) == ge.exponent(fresh) == 8
+    # an element of odd order in a set of power-of-two size: no 2-element of
+    # degree 3 has order above 2, so exponent stops squaring after one step
+    c = Permutation.from_cycles(3, [(1, 2, 3)])
+    odd = ge.EnumeratedGroup(3, (c.key,), frozenset({bytes(range(3)), c.key}))
+    assert ge.exponent(odd) == 3
     with pytest.raises(ge.CapExceededError) as info:
         ge.squares_subgroup(fresh)
     assert info.value.cap == 2

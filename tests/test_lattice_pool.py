@@ -64,3 +64,12 @@ def test_frattini_subgroup_is_the_squares_route_closure_on_each_stratum():
         phi = frattini_subgroup(H)
         assert phi.elements == _squares_route_frattini(H), query["id"]
         assert phi.order == query["expected"]["frattini_order"]
+
+
+def test_generate_memoizes_the_frattini_subgroup_on_each_stratum():
+    for query in _first_of_each_stratum():
+        H = generate([Permutation(bytes.fromhex(h)) for h in query["elements"]])
+        phi = H._memo["frattini_subgroup"]
+        assert frattini_subgroup(H) is phi, query["id"]
+        rebuilt = frattini_subgroup.__wrapped__(H)
+        assert (phi.elements, phi.gen_keys) == (rebuilt.elements, rebuilt.gen_keys), query["id"]

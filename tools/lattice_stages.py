@@ -12,16 +12,20 @@ one call each:
 
 A stage that reuses what an earlier one built finds it in H's memo, as it does
 inside a lattice query: derived_series reads [H, H], and exponent and
-center_size read the cosets generate kept. frattini_subgroup is its own
-normal closure and reads neither the squares nor the commutator subgroup, and
-no stage of a lattice query but squares_subgroup lists the squares. The
-whole query of benchmark/lattice.py (generate -> frattini_subgroup ->
-quotient_rank -> derived_series -> fingerprint) is then timed on a fresh H,
-and its answers are checked against the pool's recorded ones.
+center_size read the cosets generate kept. generate builds Phi(H) first and
+memoizes it, so the frattini_subgroup stage only reads generate's memo; what
+Phi costs shows in generate's two steps, which are timed apart: the Phi
+closure (the normal closure of the generators' squares and commutators) and
+the cosets of Phi (the extension to H). No stage of a lattice query but
+squares_subgroup lists the squares. The whole query of benchmark/lattice.py
+(generate -> frattini_subgroup -> quotient_rank -> derived_series ->
+fingerprint) is then timed on a fresh H, and its answers are checked against
+the pool's recorded ones.
 
 Prints each stage's total over the pool and the whole queries' total, in ms,
 as the median of N passes (default 3) with the lowest and highest in
-brackets. Then, for each pool stratum (the subgroup order, as its log2), it
+brackets; a sylow2 whose generate has no Phi step prints no rows for the two
+steps. Then, for each pool stratum (the subgroup order, as its log2), it
 prints the median whole-query ms of its queries, again as the median of the
 passes with the lowest and highest. The benchmark's query_p50_ms falls in the
 2^12 stratum and its query_p90_ms in the 2^14 one.
@@ -52,6 +56,8 @@ STAGES = (
     "center_size",
 )
 QUERY = "whole query"
+# generate's two steps: the Phi closure, and the rest of generate
+PHI, COSETS = "  Phi closure", "  cosets of Phi"
 
 
 def load_queries(pool_path: Path) -> list[tuple[str, dict]]:
@@ -63,14 +69,24 @@ def load_queries(pool_path: Path) -> list[tuple[str, dict]]:
 def one_pass(ge, query, inputs: list[list]) -> tuple[dict[str, float], list[float], list[dict]]:
     """Seconds per stage summed over the queries, each whole query's
     seconds, and each query's answer."""
-    totals = dict.fromkeys((*STAGES, QUERY), 0.0)
+    totals = dict.fromkeys((*STAGES, PHI, COSETS, QUERY), 0.0)
     latencies = []
     answers = []
     clock = time.perf_counter
+    phi_closure = getattr(ge, "_square_closure", None)  # None: no Phi step
+
+    def timed_closure(*args):
+        start = clock()
+        found = phi_closure(*args)
+        totals[PHI] += clock() - start
+        return found
+
     for elements in inputs:
+        ge._square_closure = timed_closure
         start = clock()
         H = ge.generate(elements)
         totals["generate"] += clock() - start
+        ge._square_closure = phi_closure
         for stage in STAGES[1:]:
             run = getattr(ge, stage)
             start = clock()
@@ -79,6 +95,7 @@ def one_pass(ge, query, inputs: list[list]) -> tuple[dict[str, float], list[floa
         start = clock()
         answers.append(query(elements))
         latencies.append(clock() - start)
+    totals[COSETS] = totals["generate"] - totals[PHI]
     totals[QUERY] = sum(latencies)
     return totals, latencies, answers
 
@@ -102,6 +119,7 @@ def main(argv: list[str]) -> int:
     queries = [q for _, q in pooled]
     inputs = [[lattice.parse(h) for h in q["elements"]] for q in queries]
     strata = {order: [] for order, _ in pooled}  # each pass's stratum medians
+    steps = (PHI, COSETS) if hasattr(ge, "_square_closure") else ()
     runs = []
     wrong = 0
     for _ in range(args.repeat):
@@ -117,7 +135,7 @@ def main(argv: list[str]) -> int:
 
     print(f"{len(queries)} queries, {len(runs)} passes, sylow2 from {args.src}")
     print(f"{'stage':<22}{'median ms':>10}  [lowest, highest]")
-    for stage in (*STAGES, QUERY):
+    for stage in (STAGES[0], *steps, *STAGES[1:], QUERY):
         print(f"{stage:<22}{spread([1e3 * totals[stage] for totals in runs])}")
     sizes = collections.Counter(order for order, _ in pooled)
     print(f"{'order':<8}{'queries':>8}{'median query ms':>16}  [lowest, highest]")
