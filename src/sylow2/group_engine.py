@@ -4,28 +4,31 @@ Algorithms for Permutation Groups, 1991), subgroup predicates, commutator /
 squares / Frattini subgroups, generating rank and derived series.
 
 _dimino is the one closure. Given conjugators it builds normal closures too,
-as the commutator and Frattini subgroups need; given a base, a normal
-subgroup of the result, it grows by whole cosets of the base. The same
-candidates, conjugators and base, in the same order, always give the same
-generators. generate runs it twice: first for G^2, the normal closure of the
-generators' squares and pairwise commutators (Phi(G) for a 2-group, which
-generate memoizes), then over that base.
+as the commutator and Frattini subgroups need. The same candidates and
+conjugators, in the same order, always give the same generators. generate
+calls it once, for G^2, the normal closure of the generators' squares and
+pairwise commutators (Phi(G) for a 2-group, which generate memoizes), and
+then doubles G^2 by whole halves: G/G^2 is elementary abelian, so each
+generator not yet in the group adds one coset of everything found so far.
 
 Elements are canonicalized as the byte keys of perm_core: byte i holds the
 0-based image of point i+1, and a product is one bytes.translate. The degree
 is limited to MAX_DEGREE = 255 points and group orders to the enumeration cap
 (default 2^20), which is all the desk-scale checks need.
-An enumerated group's degree, generator keys (gen_keys) and element set never
-change after construction. A derived subgroup (squares, commutator, Frattini)
+An enumerated group's degree, generator keys (gen_keys), order and element
+set never change after construction. A group that generate built holds only
+its order and its coset buffers until its element set is first read; the set
+is then built once and stored (EnumeratedGroup.__getattr__), and reading the
+order builds nothing. A derived subgroup (squares, commutator, Frattini)
 is bounded by the order of its parent, so the queries that build one take no
 cap. Each EnumeratedGroup also memoizes its squares, commutator and Frattini
 subgroups, so the Frattini rank, the derived series and the fingerprint reuse
-what an earlier query built. A group that _dimino built also keeps its
-cosets there, each the joined keys of one coset: exponent and center_size
-read the elements from them in slabs of at most _SLAB keys, a few C calls per
-slab instead of a few per element. Concurrent queries on one group may build
-a memo entry twice, but an entry is stored whole, so none of them observes a
-partial value.
+what an earlier query built. A group that _dimino or generate built also
+keeps its cosets there, each the joined keys of one coset: exponent and
+center_size read the elements from them in slabs of at most _SLAB keys, a few
+C calls per slab instead of a few per element. Concurrent queries on one
+group may build a memo entry or the element set twice, but each is stored
+whole by one assignment, so none of them observes a partial value.
 """
 from __future__ import annotations
 
@@ -94,20 +97,39 @@ class GeneratorSet:
 @dataclass(frozen=True)
 class EnumeratedGroup:
     """A fully enumerated permutation group: canonical byte keys for every
-    element, plus the keys of the generators it came from."""
+    element, plus the keys of the generators it came from.
+
+    EnumeratedGroup(degree, gen_keys, elements) takes the element set whole.
+    A group that generate built has no element set until one is read:
+    __getattr__ then builds it from G^2's set and the doubling buffers, and
+    stores it, so later reads are plain attribute reads. Equality, hashing
+    and repr read the whole element set; order reads none."""
 
     degree: int
     gen_keys: tuple[bytes, ...]
     elements: frozenset[bytes]
+    order: int = field(init=False, repr=False, compare=False)
     # subgroups built from this group, by construction name (see _memoized),
-    # and the joined keys of its cosets under "cosets" if _dimino built it
+    # the joined keys of its cosets under "cosets" if _dimino or generate
+    # built it, and G^2 under "square_closure" if generate built it
     _memo: dict[str, EnumeratedGroup | list[bytes]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    def __post_init__(self):
+        object.__setattr__(self, "order", len(self.elements))
+
+    def __getattr__(self, name: str):
+        # called only for a missing attribute; of the fields only a group
+        # that generate built lacks one, its element set
+        if name != "elements":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        squares = self._memo["square_closure"]
+        doublings = self._memo["cosets"][len(squares._memo["cosets"]):]
+        # G^2's keys are reused; only the doubling buffers are split
+        elements = squares.elements.union(*(_keys(coset, self.degree) for coset in doublings))
+        object.__setattr__(self, "elements", elements)
+        return elements
 
     @property
     def identity_key(self) -> bytes:
@@ -132,12 +154,17 @@ def _splitter(degree: int, count: int) -> struct.Struct:
     return struct.Struct(f"{degree}s" * count)
 
 
+def _keys(coset: bytes, degree: int) -> Iterator[bytes]:
+    """The keys of one coset buffer, split gcd(keys, 256) at a time."""
+    split = _splitter(degree, math.gcd(len(coset) // degree, 256)).iter_unpack
+    return itertools.chain.from_iterable(split(coset))
+
+
 def _dimino(
     candidates: Iterable[bytes],
     degree: int,
     cap: int,
     conjugators: Sequence[bytes] = (),
-    base: EnumeratedGroup | None = None,
 ) -> EnumeratedGroup:
     """Dimino's algorithm (Butler, Fundamental Algorithms for Permutation
     Groups, LNCS 559, 1991): close the candidates one at a time, in order.
@@ -153,14 +180,6 @@ def _dimino(
     normal closure of the candidates under <conjugators> (Seress,
     Permutation Group Algorithms, 2003).
 
-    A base, a group _dimino built that every candidate normalizes, is the
-    start instead of the trivial group, and the group then grows by whole
-    cosets x N of the base N alone: the coset representatives found for
-    one generator stay, and after each new generator every generator so far
-    is tried on all of them again.
-    The result is <base, candidates>, its cosets the base's and then one
-    of |N| keys per representative but the first.
-
     Returns that group, with the accepted generators as its gen_keys; the
     same inputs in the same order give the same generators. Raises
     CapExceededError with partial_count == cap (the count an
@@ -168,27 +187,19 @@ def _dimino(
     group past the cap.
     """
     ident = bytes(range(degree))
-    if base is None:
-        cosets, members, order = [ident], {ident}, 1
-    else:
-        cosets, members, order = list(base._memo["cosets"]), set(iter(base.elements)), base.order
-        subgroup, size = b"".join(cosets), order
-        split = _splitter(degree, math.gcd(size, 256)).iter_unpack
+    cosets, members, order = [ident], {ident}, 1
     gens: list[bytes] = []
     tables: list[bytes] = []
     queue = list(candidates)
     conjugations = [(s, _inv(s)) for s in conjugators]
-    reps = [ident]
     for g in queue:  # queue grows while it is scanned
         if g in members:
             continue
         gens.append(g)
         tables.append(_table(g))
         queue += [_mul(_mul(s, g), si) for s, si in conjugations]
-        if base is None:
-            subgroup, size = b"".join(cosets), order
-            split = _splitter(degree, math.gcd(size, 256)).iter_unpack
-            reps = [ident]
+        subgroup, size = b"".join(cosets), order
+        reps = [ident]
         for r in reps:  # reps grows while it is scanned
             for t in tables:
                 x = r.translate(t)
@@ -197,7 +208,7 @@ def _dimino(
                 if order + size > cap:
                     raise CapExceededError(cap, max(cap, order))
                 coset = subgroup.translate(_table(x))
-                members.update(itertools.chain.from_iterable(split(coset)))
+                members.update(_keys(coset, degree))
                 cosets.append(coset)
                 order += size
                 reps.append(x)
@@ -253,23 +264,39 @@ def generate(
     """Closure of the generators under composition, built in two steps.
     The first is G^2, the normal closure of the generators' squares and
     pairwise commutators under the generators (_square_closure). G/G^2 is
-    then elementary abelian, so the second step, _dimino over the base G^2,
-    grows the group by whole cosets of G^2, and each generator not yet in
-    it doubles it (Dimino's algorithm; Butler 1991). For a 2-group G^2 is
-    the Frattini subgroup (the Burnside basis theorem), and it is memoized
-    as frattini_subgroup(G); for any other group it is dropped.
+    then elementary abelian, so in the second step each generator g not yet
+    in the group H built so far doubles it: <H, g> = H u gH, one coset
+    buffer, the translate of H's joined keys by g's table. Every element of
+    G/G^2 is its own inverse, so g lies in H exactly when g r lies in G^2 for
+    one of H's representatives r modulo G^2: one lookup per representative,
+    and when g is accepted those products are the new representatives.
+    For a 2-group G^2 is the Frattini subgroup (the Burnside basis theorem),
+    and it is memoized as frattini_subgroup(G).
 
-    The element set is independent of generator order. Raises
-    CapExceededError (carrying the partial count) instead of silently
-    truncating.
+    The result keeps its order and its coset buffers, G^2's and then one of
+    |H| keys per accepted generator; its element set is built when first
+    read (see EnumeratedGroup). The element set is independent of generator
+    order. Raises CapExceededError (carrying the partial count) instead of
+    silently truncating.
     """
     gen_keys, degree = _normalize_generators(gens, degree)
     squares = _square_closure(gen_keys, degree, cap)
-    closed = _dimino(gen_keys, degree, cap, base=squares)
-    group = EnumeratedGroup(degree, gen_keys, closed.elements)
-    group._memo.update(closed._memo)
-    if not group.order & (group.order - 1):
-        group._memo[frattini_subgroup.__name__] = squares
+    cosets, reps, order = list(squares._memo["cosets"]), [bytes(range(degree))], squares.order
+    for g in gen_keys:
+        table = _table(g)
+        moved = [r.translate(table) for r in reps]  # g r for each representative r
+        if not squares.elements.isdisjoint(moved):
+            continue
+        if 2 * order > cap:
+            raise CapExceededError(cap, max(cap, order))
+        cosets.append(b"".join(cosets).translate(table))
+        reps += moved
+        order *= 2
+    memo = {"cosets": cosets, "square_closure": squares}
+    if not order & (order - 1):
+        memo[frattini_subgroup.__name__] = squares
+    group = object.__new__(EnumeratedGroup)  # every field but the element set
+    vars(group).update(degree=degree, gen_keys=gen_keys, order=order, _memo=memo)
     return group
 
 

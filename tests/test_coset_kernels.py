@@ -1,17 +1,19 @@
-"""_dimino's coset buffers and the slab kernels that read them, exponent and
-center_size, against brute-force oracles: random generator sets of small
-groups placed on random points of many degrees, 2-groups and others, read in
-slabs of several sizes, and the same groups rebuilt by group_from_elements,
-which keeps no cosets."""
+"""_dimino's and generate's coset buffers and the slab kernels that read them,
+exponent and center_size, against brute-force oracles: random generator sets
+of small groups placed on random points of many degrees, 2-groups and others,
+read in slabs of several sizes, and the same groups rebuilt by
+group_from_elements, which keeps no cosets. Also generate's doubling layout
+and its element set, which is built only when first read."""
 
 import math
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sylow2 import group_engine as ge
 from sylow2.perm_core import Permutation
-from sylow2.sylow_builders import syl2_S_generators
+from sylow2.sylow_builders import s_beta, syl2_S_generators, w_subgroup_generators
 
 # 256 // d keys share a block of exponent's offset form: 256 at d = 1, one at
 # d = 255, and a partial last block wherever d does not divide 256
@@ -39,6 +41,10 @@ _BASES = {
 # S_3^2 = A_3 and of S_4^2 = A_4
 _S3 = (3, [Permutation.from_cycles(3, [(1, 2, 3)]).key, Permutation.transposition(3, 1, 2).key])
 _S4 = (4, [Permutation.from_cycles(4, [(1, 2, 3, 4)]).key, Permutation.transposition(4, 1, 2).key])
+# W_4, elementary abelian, whose trivial G^2 each of its 7 generators
+# doubles, and A_4, its own G^2, which no generator doubles
+_W4 = (16, [g.key for _, g in w_subgroup_generators(4).permutation_entries()])
+_A4 = (4, [Permutation.from_cycles(4, [(1, 2, 3)]).key, Permutation.from_cycles(4, [(1, 2), (3, 4)]).key])
 
 # Syl_2(S_8) on the last 8 of 17 points: 15 keys to a block, so its 128
 # elements end in a partial block
@@ -163,6 +169,14 @@ def test_s4_grows_by_cosets_of_three_and_six_keys():
 @example(_S3, 4)
 @example(_S4, ge.DEFAULT_CAP)
 @example(_S4, 12)
+@example(_W4, ge.DEFAULT_CAP)
+@example(_W4, 0)
+@example(_W4, 1)
+@example(_W4, 100)
+@example(_W4, 64)
+@example(_W4, 127)
+@example(_A4, ge.DEFAULT_CAP)
+@example(_A4, 7)
 def test_generate_matches_a_naive_closure(case, cap):
     degree, gens = case
     outcome = _outcome(ge.generate, [Permutation(g) for g in gens], cap, degree=degree)
@@ -191,3 +205,73 @@ def test_slabs_cut_the_cosets_in_order():
     assert sorted(s[i:i + 8] for s in slabs for i in range(0, len(s), 8)) == G.sorted_keys()
     assert [len(s) // 8 for s in slabs] == [5] * 25 + [3]
     assert list(ge._slabs(ge.generate((), degree=3))) == [bytes(range(3))]
+
+
+def _layout(G):
+    """G^2's coset sizes, and the sizes of generate's doubling buffers."""
+    base = len(G._memo["square_closure"]._memo["cosets"])
+    sizes = [len(c) // G.degree for c in G._memo["cosets"]]
+    return sizes[:base], sizes[base:]
+
+
+@settings(max_examples=60)
+@given(_generator_sets())
+def test_each_generator_outside_the_group_adds_one_buffer_of_the_group(case):
+    degree, gens = case
+    G = ge.generate([Permutation(g) for g in gens], degree=degree)
+    squares = G._memo["square_closure"]
+    assert G._memo["cosets"][:len(squares._memo["cosets"])] == squares._memo["cosets"]
+    # generator i doubles the group exactly when it lies outside <G^2, gens[:i]>
+    expected, members = [], squares.elements
+    for i, g in enumerate(gens):
+        if g not in members:
+            expected.append(len(members))
+            members = _naive_closure([*squares.gen_keys, *gens[:i + 1]], degree, ge.DEFAULT_CAP)
+    assert _layout(G)[1] == expected
+    assert G.order == len(members)
+
+
+def test_a_generator_already_in_the_group_adds_no_buffer():
+    gens = [g.key for _, g in s_beta(3).permutation_entries()]
+    G = ge.generate(s_beta(3))
+    phi = ge.frattini_subgroup(G)
+    assert _layout(G)[1] == [8, 16, 32] and phi.order == 8
+    f = next(x for x in phi.sorted_keys() if x != G.identity_key)
+    # a repeated generator, and g next to g f with f in Phi
+    for extra in (gens[0], ge._mul(gens[0], f), ge._mul(f, gens[1])):
+        for place in range(len(gens) + 1):
+            keys = [*gens[:place], extra, *gens[place:]]
+            H = ge.generate([Permutation(k) for k in keys])
+            assert H.order == 64 and H.gen_keys == tuple(keys)
+            assert _layout(H)[1] == [8, 16, 32]
+
+
+def test_w4_doubles_at_every_generator_and_a4_at_none():
+    W4, A4 = (ge.generate([Permutation(g) for g in gens]) for _, gens in (_W4, _A4))
+    assert _layout(W4) == ([1], [1, 2, 4, 8, 16, 32, 64])
+    assert _layout(A4) == ([1, 1, 1, 3, 3, 3], [])
+
+
+def test_the_element_set_is_built_when_first_read():
+    G = ge.generate(s_beta(3))
+    assert G.order == 64 and "elements" not in vars(G)
+    for query in (ge.exponent, ge.center_size, ge.quotient_rank, ge.derived_series, ge.fingerprint):
+        query(G)
+    assert "elements" not in vars(G)
+    split, keys = [], ge._keys
+    with mock.patch.object(ge, "_keys", lambda coset, degree: split.append(coset) or keys(coset, degree)):
+        elements = G.elements
+    assert vars(G)["elements"] is elements is G.elements
+    # only the three doubling buffers are split, not G^2's cosets
+    assert [len(c) // 8 for c in split] == [8, 16, 32]
+    assert elements == _naive_closure(G.gen_keys, 8, ge.DEFAULT_CAP)
+    # G^2's key objects are reused
+    squares = G._memo["square_closure"]
+    assert {id(k) for k in squares.elements} <= {id(k) for k in elements}
+    eager = ge.EnumeratedGroup(G.degree, G.gen_keys, frozenset(elements))
+    assert G == eager and hash(G) == hash(eager) and repr(G) == repr(eager)
+    # equality with a fresh group builds its element set
+    fresh = ge.generate(s_beta(3))
+    assert fresh == G and "elements" in vars(fresh)
+    with pytest.raises(AttributeError):
+        G.missing

@@ -13,8 +13,15 @@ from sylow2.group_engine import derived_series, fingerprint, frattini_subgroup, 
 POOL = Path(__file__).resolve().parents[1] / "benchmark" / "reference" / "lattice_pool.json"
 
 
+def _generate(elements):
+    return generate([Permutation(bytes.fromhex(h)) for h in elements])
+
+
 def _answer(elements):
-    H = generate([Permutation(bytes.fromhex(h)) for h in elements])
+    return _query(_generate(elements))
+
+
+def _query(H):
     phi = frattini_subgroup(H)
     return {
         "order": H.order,
@@ -60,7 +67,7 @@ def _squares_route_frattini(G):
 
 def test_frattini_subgroup_is_the_squares_route_closure_on_each_stratum():
     for query in _first_of_each_stratum():
-        H = generate([Permutation(bytes.fromhex(h)) for h in query["elements"]])
+        H = _generate(query["elements"])
         phi = frattini_subgroup(H)
         assert phi.elements == _squares_route_frattini(H), query["id"]
         assert phi.order == query["expected"]["frattini_order"]
@@ -68,8 +75,18 @@ def test_frattini_subgroup_is_the_squares_route_closure_on_each_stratum():
 
 def test_generate_memoizes_the_frattini_subgroup_on_each_stratum():
     for query in _first_of_each_stratum():
-        H = generate([Permutation(bytes.fromhex(h)) for h in query["elements"]])
+        H = _generate(query["elements"])
         phi = H._memo["frattini_subgroup"]
         assert frattini_subgroup(H) is phi, query["id"]
         rebuilt = frattini_subgroup.__wrapped__(H)
         assert (phi.elements, phi.gen_keys) == (rebuilt.elements, rebuilt.gen_keys), query["id"]
+
+
+def test_a_pooled_query_builds_no_element_set():
+    for query in _first_of_each_stratum():
+        H = _generate(query["elements"])
+        assert _query(H) == query["expected"], query["id"]
+        assert "elements" not in vars(H), query["id"]
+        eager = ge.EnumeratedGroup(H.degree, H.gen_keys, frozenset(H.elements))
+        assert H == eager and hash(H) == hash(eager) and repr(H) == repr(eager), query["id"]
+        assert H.order == len(H.elements) == query["expected"]["order"]
