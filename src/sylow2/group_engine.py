@@ -26,7 +26,9 @@ subgroups, so the Frattini rank, the derived series and the fingerprint reuse
 what an earlier query built. A group that _dimino or generate built also
 keeps its cosets there, each the joined keys of one coset: exponent and
 center_size read the elements from them in slabs of at most _SLAB keys, a few
-C calls per slab instead of a few per element. Concurrent queries on one
+C calls per slab instead of a few per element. For a group that generate
+built, exponent squares G^2, which holds every square, and then reads the
+doubling buffers only until one element outlives G^2's exponent. Concurrent queries on one
 group may build a memo entry or the element set twice, but each is stored
 whole by one assignment, so none of them observes a partial value.
 """
@@ -219,15 +221,21 @@ def _dimino(
 
 def _slabs(G: EnumeratedGroup) -> Iterator[bytes]:
     """G's keys, joined, in slabs of _SLAB keys (the last one shorter): G's
-    cosets in order, small ones merged and large ones cut. A group without
-    cosets in its memo (from group_from_elements) is cut from its element set."""
+    cosets cut by _cut. A group without cosets in its memo (from
+    group_from_elements) is cut from its element set."""
     cosets = G._memo.get("cosets")
     if cosets is None:
         elements = iter(G.elements)
         while batch := list(itertools.islice(elements, _SLAB)):
             yield b"".join(batch)
         return
-    size = _SLAB * G.degree
+    yield from _cut(cosets, G.degree)
+
+
+def _cut(cosets: Iterable[bytes], degree: int) -> Iterator[bytes]:
+    """The keys of the cosets, joined, in slabs of _SLAB keys (the last one
+    shorter): the cosets in order, small ones merged and large ones cut."""
+    size = _SLAB * degree
     pending = bytearray()
     for coset in cosets:
         pending += coset
@@ -537,26 +545,23 @@ def _offsets(degree: int, keys: int) -> int:
     return int.from_bytes((block * (keys * degree // width + 1))[:keys * degree], "little")
 
 
-def _squarings(G: EnumeratedGroup) -> int | None:
-    """The number of times G's elements must be squared to leave only the
-    identity, or None if some element is not the identity after
-    degree.bit_length() - 1 squarings: no 2-element of degree d has order
-    above 2^(d.bit_length() - 1), so the order of such an element has an odd
-    factor.
+def _steps(slabs: Iterable[bytes], degree: int, most: int) -> int | None:
+    """The number of times the keys of the slabs must be squared to leave
+    only the identity, or None if some key is not the identity after `most`
+    squarings; it returns at the first slab that holds such a key.
 
-    The elements are squared a slab at a time, in offset form: the slab is
-    cut into blocks of 256 // degree keys, each block starts with 256 % degree
-    zero bytes, and each key's bytes are raised by the key's offset in the block.
-    A block then maps each key's points into that key's own bytes, so it is
-    its own translate table: translating it by itself squares all its keys,
-    and the result is again in offset form. A block is dropped once all its
-    keys are the identity."""
-    d = G.degree
-    most = d.bit_length() - 1
+    The keys are squared a slab at a time, in offset form: the slab is cut
+    into blocks of 256 // degree keys, each block starts with 256 % degree
+    zero bytes, and each key's bytes are raised by the key's offset in the
+    block. A block then maps each key's points into that key's own bytes, so
+    it is its own translate table: translating it by itself squares all its
+    keys, and the result is again in offset form. A block is dropped once
+    all its keys are the identity."""
+    d = degree
     ident = _identity_block(d)
     lead, width = ident[:256 % d], 256 - 256 % d
     steps = 0
-    for slab in _slabs(G):
+    for slab in slabs:
         size = len(slab)
         form = (int.from_bytes(slab, "little") + _offsets(d, size // d)).to_bytes(size, "little")
         blocks = [lead + form[start:start + width] for start in range(0, size, width)]
@@ -572,13 +577,46 @@ def _squarings(G: EnumeratedGroup) -> int | None:
     return steps
 
 
+def _squarings(G: EnumeratedGroup) -> int | None:
+    """The number of times G's elements must be squared to leave only the
+    identity, or None if some element is not the identity after
+    degree.bit_length() - 1 squarings: no 2-element of degree d has order
+    above 2^(d.bit_length() - 1), so the order of such an element has an odd
+    factor.
+
+    A group that generate built squares G^2 first (_steps on its slabs):
+    say t times. G^2 holds every square, so G takes t or t + 1 squarings,
+    and t + 1 exactly when some element is not the identity after t. Only
+    the doubling buffers can hold such an element, so they are scanned,
+    each squared at most t times, up to the first slab that holds one. Each
+    stretch of |G^2| keys of a buffer is a coset of G^2, and the slab of
+    their first keys, one representative per coset, is scanned first: where
+    such an element exists, a representative is most often one. Any other
+    group squares all its elements."""
+    d = G.degree
+    most = d.bit_length() - 1
+    squares = G._memo.get("square_closure")
+    if squares is None:
+        return _steps(_slabs(G), d, most)
+    t = _steps(_slabs(squares), d, most)
+    doublings = G._memo["cosets"][len(squares._memo["cosets"]):]
+    if t is None or not doublings:
+        return t
+    stretch = squares.order * d
+    heads = b"".join(coset[i:i + d] for coset in doublings for i in range(0, len(coset), stretch))
+    if _steps(itertools.chain([heads], _cut(doublings, d)), d, t) is not None:
+        return t
+    return t + 1 if t < most else None
+
+
 def exponent(G: EnumeratedGroup) -> int:
     """The least common multiple of the element orders. In a 2-group every
     element order is a power of two, so the exponent is 2^s for the number s
     of times the elements must be squared to leave only the identity
-    (_squarings). An element set of power-of-two size that holds an element
-    whose order has an odd factor, which no group does, falls back to the
-    element orders."""
+    (_squarings; for a group that generate built, from the squarings of G^2
+    and a scan of the doubling buffers). An element set of power-of-two size
+    that holds an element whose order has an odd factor, which no group does,
+    falls back to the element orders."""
     if not G.order & (G.order - 1):
         steps = _squarings(G)
         if steps is not None:

@@ -52,6 +52,25 @@ _SYL2_S8_GENS = [g.key for _, g in syl2_S_generators(8).permutation_entries()]
 _LAST_8_OF_17 = (17, [bytes(range(9)) + bytes(9 + i for i in g) for g in _SYL2_S8_GENS])
 
 
+# a group of order 64 and exponent 4 whose G^2, of order 16, has exponent 4
+# too: no element outlives G^2's squarings, so exponent scans every doubling
+# buffer
+_EXPONENT_OF_ITS_SQUARES = (8, [
+    Permutation.from_cycles(8, [(1, 8, 2, 7), (3, 6), (4, 5)]).key,
+    Permutation.from_cycles(8, [(1, 3, 2, 4)]).key,
+])
+
+
+def _at_every_slab(*cases):
+    """@example(case, slab) for each case and each slab length of SLABS."""
+    def apply(test):
+        for case in cases:
+            for slab in SLABS:
+                test = example(case, slab)(test)
+        return test
+    return apply
+
+
 @st.composite
 def _generator_sets(draw):
     """(degree, generator keys): one or two copies of small groups on
@@ -127,6 +146,9 @@ def test_dimino_matches_a_naive_closure(case, cap):
 @given(_generator_sets(), st.sampled_from(SLABS))
 @example(_LAST_8_OF_17, 5)
 @example(_LAST_8_OF_17, ge._SLAB)
+# W_4, whose trivial G^2 takes no squaring, so the first doubling buffer
+# decides; the trivial group, with no doubling buffer; and a full scan
+@_at_every_slab(_W4, (1, []), _EXPONENT_OF_ITS_SQUARES)
 def test_exponent_is_the_lcm_of_the_element_orders(case, slab):
     G, bare = _groups(*case)
     lcm = math.lcm(*(Permutation(x).order() for x in G.elements))

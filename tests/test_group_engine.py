@@ -607,6 +607,21 @@ def test_derived_subgroups_of_an_unclosed_element_set_stop_at_its_order():
     assert info.value.cap == 2
 
 
+def test_an_element_past_the_bound_of_its_squares_falls_back_to_the_element_orders():
+    # {1, (1 2), (1 2 3), (1 2 3)(1 2)}, unclosed, laid out as generate lays
+    # out a group: G^2 = {1, (1 2)} takes one squaring, the bound at degree 3,
+    # and the 3-cycle of the doubling buffer outlives it. One more squaring
+    # would pass the bound, so no 2-element has that order: the exponent is
+    # the lcm of the element orders, not 2^2
+    swap, c = Permutation.transposition(3, 1, 2), Permutation.from_cycles(3, [(1, 2, 3)])
+    squares = ge.generate([swap])
+    c_swap = ge._mul(c.key, swap.key)
+    malformed = ge.EnumeratedGroup(3, (swap.key, c.key), squares.elements | {c.key, c_swap})
+    malformed._memo.update(cosets=[*squares._memo["cosets"], c.key + c_swap], square_closure=squares)
+    assert malformed.order == 4 and ge._squarings(squares) == 1
+    assert ge.exponent(malformed) == 6
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_frattini_subgroup_is_the_squares_route_closure(k):
     # Φ(G_k) as one normal closure, against the closure of every element's

@@ -90,3 +90,46 @@ def test_a_pooled_query_builds_no_element_set():
         eager = ge.EnumeratedGroup(H.degree, H.gen_keys, frozenset(H.elements))
         assert H == eager and hash(H) == hash(eager) and repr(H) == repr(eager), query["id"]
         assert H.order == len(H.elements) == query["expected"]["order"]
+
+
+def _all_element_exponent(H):
+    """The exponent by squaring every element: the same elements with no G^2
+    kept, which exponent reads whole."""
+    return ge.exponent(ge.EnumeratedGroup(H.degree, H.gen_keys, H.elements))
+
+
+def _first_with_the_exponent_of_its_squares():
+    for stratum in json.loads(POOL.read_text())["strata"].values():
+        for query in stratum:
+            H = _generate(query["elements"])
+            if _all_element_exponent(H) == _all_element_exponent(H._memo["square_closure"]):
+                return query
+    raise AssertionError("no pooled query has the exponent of its G^2")
+
+
+def test_the_exponent_from_g2_is_the_all_element_exponent():
+    # the first query of each stratum, and a query whose doubling buffers
+    # are all scanned
+    for query in (*_first_of_each_stratum(), _first_with_the_exponent_of_its_squares()):
+        H = _generate(query["elements"])
+        recorded = query["expected"]["fingerprint"]["exponent"]
+        assert ge.exponent(H) == _all_element_exponent(H) == recorded, query["id"]
+
+
+def test_an_exponent_twice_that_of_g2_squares_fewer_keys_than_the_group(monkeypatch):
+    steps, squared = ge._steps, []
+
+    def counted(slabs, degree, most):
+        def read():
+            for slab in slabs:
+                squared.append(len(slab) // degree)
+                yield slab
+        return steps(read(), degree, most)
+
+    query = json.loads(POOL.read_text())["strata"]["14"][0]
+    H = _generate(query["elements"])
+    exponent = query["expected"]["fingerprint"]["exponent"]
+    assert exponent == 2 * _all_element_exponent(H._memo["square_closure"])
+    monkeypatch.setattr(ge, "_steps", counted)
+    assert ge.exponent(H) == exponent
+    assert 0 < sum(squared) < H.order == 1 << 14

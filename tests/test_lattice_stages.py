@@ -31,12 +31,18 @@ def test_one_pass_times_every_stage_and_answers_as_recorded():
     inputs = [[Permutation(bytes.fromhex(h)) for h in q["elements"]] for q in queries]
     totals, latencies, answers = lattice_stages.one_pass(ge, lattice.query, inputs)
     assert answers == [q["expected"] for q in queries]
-    rows = {*lattice_stages.STAGES, lattice_stages.PHI, lattice_stages.DOUBLING, lattice_stages.QUERY}
+    steps = {
+        lattice_stages.PHI, lattice_stages.DOUBLING, lattice_stages.SQUARING, lattice_stages.SCAN
+    }
+    rows = {*lattice_stages.STAGES, *steps, lattice_stages.QUERY}
     assert set(totals) == rows and "element set" in rows
     assert all(seconds >= 0 for seconds in totals.values())
+    assert totals[lattice_stages.SQUARING] > 0 and totals[lattice_stages.SCAN] > 0
     assert len(latencies) == len(queries)
-    # the Phi closure is put back after each generate
+    # the Phi closure is put back after each generate, the squaring after
+    # each exponent
     assert ge._square_closure.__name__ == "_square_closure"
+    assert ge._steps.__name__ == "_steps"
 
 
 def test_repeat_below_one_exits_2():

@@ -16,22 +16,26 @@ center_size read the cosets generate kept. generate builds Phi(H) first and
 memoizes it, so the frattini_subgroup stage only reads generate's memo; what
 Phi costs shows in generate's two steps, which are timed apart: the Phi
 closure (the normal closure of the generators' squares and commutators) and
-the doubling of Phi (the extension to H). generate builds no element set:
-the element set stage is the first read of H.elements, which builds it. On a
-sylow2 whose generate builds the set, that stage only reads an attribute,
-and squares_subgroup, the one stage that lists the elements, times the same
-work on either. A lattice query neither reads H.elements nor lists the
-squares. The whole query of benchmark/lattice.py
+the doubling of Phi (the extension to H). exponent's two steps are timed
+apart too: the squaring of Phi (how many squarings Phi's elements take) and
+the doubling scan (the search of the doubling buffers for an element that
+that many squarings leave other than the identity). generate builds no
+element set: the element set stage is the first read of H.elements, which
+builds it. On a sylow2 whose generate builds the set, that stage only reads
+an attribute, and squares_subgroup, the one stage that lists the elements,
+times the same work on either. A lattice query neither reads H.elements nor
+lists the squares. The whole query of benchmark/lattice.py
 (generate -> frattini_subgroup -> quotient_rank -> derived_series ->
 fingerprint) is then timed on a fresh H, and its answers are checked against
 the pool's recorded ones.
 
 Prints each stage's total over the pool and the whole queries' total, in ms,
 as the median of N passes (default 3) with the lowest and highest in
-brackets; a sylow2 whose generate has no Phi step prints no rows for the two
-steps. Then, for each pool stratum (the subgroup order, as its log2), it
-prints the median whole-query ms of its queries, again as the median of the
-passes with the lowest and highest. The benchmark's query_p50_ms falls in the
+brackets; a sylow2 whose generate has no Phi step, or whose exponent does not
+square Phi first, prints no rows for that stage's two steps. Then, for each
+pool stratum (the subgroup order, as its log2), it prints the median
+whole-query ms of its queries, again as the median of the passes with the
+lowest and highest. The benchmark's query_p50_ms falls in the
 2^12 stratum and its query_p90_ms in the 2^14 one.
 --src runs the sylow2 package of another checkout's src/ directory.
 Uses the standard library only and writes no file. Exits 0 when every answer
@@ -64,6 +68,14 @@ STAGES = (
 QUERY = "whole query"
 # generate's two steps: the Phi closure, and the rest of generate
 PHI, DOUBLING = "  Phi closure", "  doubling of Phi"
+# exponent's two steps: squaring Phi, and the rest of exponent
+SQUARING, SCAN = "  squaring of Phi", "  doubling scan"
+# a stage timed in two steps: the group_engine helper whose first call in
+# the stage is the first step, and the rows of the two steps
+SPLITS = {
+    "generate": ("_square_closure", PHI, DOUBLING),
+    "exponent": ("_steps", SQUARING, SCAN),
+}
 
 
 def load_queries(pool_path: Path) -> list[tuple[str, dict]]:
@@ -79,33 +91,47 @@ def read_elements(H):
 def one_pass(ge, query, inputs: list[list]) -> tuple[dict[str, float], list[float], list[dict]]:
     """Seconds per stage summed over the queries, each whole query's
     seconds, and each query's answer."""
-    totals = dict.fromkeys((*STAGES, PHI, DOUBLING, QUERY), 0.0)
+    steps = [row for _, *rows in SPLITS.values() for row in rows]
+    totals = dict.fromkeys((*STAGES, *steps, QUERY), 0.0)
     latencies = []
     answers = []
     clock = time.perf_counter
-    phi_closure = getattr(ge, "_square_closure", None)  # None: no Phi step
 
-    def timed_closure(*args):
-        start = clock()
-        found = phi_closure(*args)
-        totals[PHI] += clock() - start
-        return found
+    def timed(stage, run, arg):
+        # a split stage's helper is wrapped for the stage alone and its first
+        # call timed; a sylow2 without the helper times the stage whole
+        name, first, _ = SPLITS.get(stage, ("", "", ""))
+        helper = getattr(ge, name, None)
+        spans = []
+
+        def timed_helper(*args):
+            start = clock()
+            found = helper(*args)
+            spans.append(clock() - start)
+            return found
+
+        if helper is not None:
+            setattr(ge, name, timed_helper)
+        try:
+            start = clock()
+            result = run(arg)
+            totals[stage] += clock() - start
+        finally:
+            if helper is not None:
+                setattr(ge, name, helper)
+        if spans:
+            totals[first] += spans[0]
+        return result
 
     for elements in inputs:
-        ge._square_closure = timed_closure
-        start = clock()
-        H = ge.generate(elements)
-        totals["generate"] += clock() - start
-        ge._square_closure = phi_closure
+        H = timed("generate", ge.generate, elements)
         for stage in STAGES[1:]:
-            run = read_elements if stage == ELEMENT_SET else getattr(ge, stage)
-            start = clock()
-            run(H)
-            totals[stage] += clock() - start
+            timed(stage, read_elements if stage == ELEMENT_SET else getattr(ge, stage), H)
         start = clock()
         answers.append(query(elements))
         latencies.append(clock() - start)
-    totals[DOUBLING] = totals["generate"] - totals[PHI]
+    for stage, (_, first, rest) in SPLITS.items():
+        totals[rest] = totals[stage] - totals[first]
     totals[QUERY] = sum(latencies)
     return totals, latencies, answers
 
@@ -129,7 +155,6 @@ def main(argv: list[str]) -> int:
     queries = [q for _, q in pooled]
     inputs = [[lattice.parse(h) for h in q["elements"]] for q in queries]
     strata = {order: [] for order, _ in pooled}  # each pass's stratum medians
-    steps = (PHI, DOUBLING) if hasattr(ge, "_square_closure") else ()
     runs = []
     wrong = 0
     for _ in range(args.repeat):
@@ -145,8 +170,10 @@ def main(argv: list[str]) -> int:
 
     print(f"{len(queries)} queries, {len(runs)} passes, sylow2 from {args.src}")
     print(f"{'stage':<22}{'median ms':>10}  [lowest, highest]")
-    for stage in (STAGES[0], *steps, *STAGES[1:], QUERY):
-        print(f"{stage:<22}{spread([1e3 * totals[stage] for totals in runs])}")
+    for stage in (*STAGES, QUERY):
+        name, *steps = SPLITS.get(stage, ("",))
+        for row in (stage, *steps) if hasattr(ge, name) else (stage,):
+            print(f"{row:<22}{spread([1e3 * totals[row] for totals in runs])}")
     sizes = collections.Counter(order for order, _ in pooled)
     print(f"{'order':<8}{'queries':>8}{'median query ms':>16}  [lowest, highest]")
     for order, ms in strata.items():
