@@ -23,14 +23,16 @@ order builds nothing. A derived subgroup (squares, commutator, Frattini)
 is bounded by the order of its parent, so the queries that build one take no
 cap. Each EnumeratedGroup also memoizes its squares, commutator and Frattini
 subgroups, so the Frattini rank, the derived series and the fingerprint reuse
-what an earlier query built. A group that _dimino or generate built also
-keeps its cosets there, each the joined keys of one coset: exponent and
-center_size read the elements from them in slabs of at most _SLAB keys, a few
-C calls per slab instead of a few per element. For a group that generate
-built, exponent squares G^2, which holds every square, and then reads the
-doubling buffers only until one element outlives G^2's exponent. Concurrent queries on one
-group may build a memo entry or the element set twice, but each is stored
-whole by one assignment, so none of them observes a partial value.
+what an earlier query built. Every group the engine returns comes from
+_dimino or generate and also keeps its cosets there, each the joined keys of
+one coset: exponent and center_size read the elements from them in slabs of
+at most _SLAB keys, a few C calls per slab instead of a few per element (an
+EnumeratedGroup constructed from an element set alone is cut from that set).
+For a group that generate built, exponent squares G^2, which holds every
+square, and then reads the doubling buffers only until one element outlives
+G^2's exponent. Concurrent queries on one group may build a memo entry or the
+element set twice, but each is stored whole by one assignment, so none of
+them observes a partial value.
 """
 from __future__ import annotations
 
@@ -85,9 +87,6 @@ class GeneratorSet:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def labels(self) -> list[str]:
-        return [label for label, _ in self.elements]
 
     def permutation_entries(self) -> list[tuple[str, Permutation]]:
         return [
@@ -221,15 +220,9 @@ def _dimino(
 
 def _slabs(G: EnumeratedGroup) -> Iterator[bytes]:
     """G's keys, joined, in slabs of _SLAB keys (the last one shorter): G's
-    cosets cut by _cut. A group without cosets in its memo (from
-    group_from_elements) is cut from its element set."""
-    cosets = G._memo.get("cosets")
-    if cosets is None:
-        elements = iter(G.elements)
-        while batch := list(itertools.islice(elements, _SLAB)):
-            yield b"".join(batch)
-        return
-    yield from _cut(cosets, G.degree)
+    cosets cut by _cut, or, for a group that keeps no cosets, its element
+    set joined and cut."""
+    return _cut(G._memo.get("cosets") or [b"".join(G.elements)], G.degree)
 
 
 def _cut(cosets: Iterable[bytes], degree: int) -> Iterator[bytes]:
@@ -309,19 +302,18 @@ def generate(
 
 
 def group_from_elements(
-    keys: Iterable[bytes],
-    degree: int,
-    cap: int = DEFAULT_CAP,
-    verify: bool = True,
+    keys: Iterable[bytes], degree: int, cap: int = DEFAULT_CAP
 ) -> EnumeratedGroup:
-    """Wrap an element set known (or checked) to be a subgroup; a reduced
-    generating subset is recorded as its generator keys. The set may be
-    unclosed when verify is False, so the group keeps no cosets."""
+    """The group whose element set is keys, which must be closed: _dimino's
+    closure of the sorted keys, so a reduced generating subset is recorded
+    as its generator keys and the group keeps its cosets. The degree must
+    pass generate's check."""
+    _normalize_generators((), degree)
     keyset = frozenset(keys)
     closed = _dimino(sorted(keyset), degree, cap)
-    if verify and closed.elements != keyset:
+    if closed.elements != keyset:
         raise ValueError("element set is not closed")
-    return EnumeratedGroup(degree, closed.gen_keys, keyset)
+    return closed
 
 
 def contains(G: EnumeratedGroup, x: Permutation | bytes) -> bool:
@@ -525,10 +517,6 @@ def homomorphism_check(
     )
 
 
-def element_order(x: Permutation | bytes) -> int:
-    return (Permutation(x) if isinstance(x, bytes) else x).order()
-
-
 @functools.cache
 def _identity_block(degree: int) -> bytes:
     # the offset form of 256 // degree identity keys, after 256 % degree zeros
@@ -621,7 +609,7 @@ def exponent(G: EnumeratedGroup) -> int:
         steps = _squarings(G)
         if steps is not None:
             return 1 << steps
-    return math.lcm(*(element_order(k) for k in G.elements))
+    return math.lcm(*(Permutation._of_key(k).order() for k in G.elements))
 
 
 def is_abelian(G: EnumeratedGroup) -> bool:
@@ -698,4 +686,4 @@ def even_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
     """The subgroup of even permutations (the sign map's kernel)."""
     keys = list(G.elements)
     evens = {key for key, odd in zip(keys, key_parities(keys)) if not odd}
-    return group_from_elements(evens, G.degree, verify=False)
+    return group_from_elements(evens, G.degree)

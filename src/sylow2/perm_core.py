@@ -10,7 +10,6 @@ byte, it stores a tuple. Permutations are immutable, hashable and thread-safe.
 from __future__ import annotations
 
 import math
-import re
 from typing import Iterable, Sequence
 
 KEY_DEGREE = 256
@@ -197,11 +196,6 @@ def is_even(p: Permutation) -> bool:
     return parity_bit(p) == 0
 
 
-def parity(p: Permutation) -> str:
-    """"even" or "odd"."""
-    return "odd" if parity_bit(p) else "even"
-
-
 def cycle_notation(p: Permutation) -> str:
     """One-line cycle notation, e.g. ``(1 2)(7 8)``; the identity is ``()``.
 
@@ -212,26 +206,6 @@ def cycle_notation(p: Permutation) -> str:
     if not nontrivial:
         return "()"
     return "".join("(" + " ".join(str(x) for x in c) + ")" for c in nontrivial)
-
-
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
-
-def parse_cycle_notation(text: str, degree: int | None = None) -> Permutation:
-    """Inverse of :func:`cycle_notation`. ``degree`` defaults to the largest
-    point mentioned; ``"()"`` needs an explicit degree."""
-    stripped = text.replace(" ", "")
-    if not stripped or _CYCLE_RE.sub("", stripped):
-        raise ValueError(f"bad cycle notation: {text!r}")
-    cycs = []
-    for body in _CYCLE_RE.findall(text):
-        points = [int(tok) for tok in body.split()]
-        if points:
-            cycs.append(tuple(points))
-    n = degree if degree is not None else max((max(c) for c in cycs), default=0)
-    if n < 1:
-        raise ValueError("degree required for the identity permutation")
-    return Permutation.from_cycles(n, cycs)
 
 
 def legendre_nu2(n: int) -> int:

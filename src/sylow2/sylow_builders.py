@@ -269,10 +269,6 @@ class OrderRatioReport:
     checks: tuple[RatioCheck, ...]
     orientation_note: str
 
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
     def failures(self) -> list[RatioCheck]:
         return [c for c in self.checks if not c.ok]
 

@@ -27,8 +27,8 @@ Lanes. The kernels lane_action, lane_transport, lane_portraits and
 lane_kinds act on one portrait per bit (bit-slicing: Biham, "A fast new DES
 implementation in software", FSE 1997): lanes[l] packs level l in fields of
 `width` bits, bit j of field v being portrait j's state at vertex v. With
-width 1 that is Portrait.levels, and compose, to_permutation, vertex_images,
-from_permutation and classify_element are the kernels' one-lane calls.
+width 1 that is Portrait.levels, and compose, to_permutation, from_permutation
+and classify_element are the kernels' one-lane calls.
 """
 
 from __future__ import annotations
@@ -117,22 +117,6 @@ class Portrait:
     def is_identity(self) -> bool:
         return all(m == 0 for m in self.levels)
 
-    def state(self, level: int, position: int) -> bool:
-        """Whether the vertex at (level, position) carries an active state."""
-        if not 0 <= level < self.depth:
-            raise ValueError(f"level {level} outside 0..{self.depth - 1}")
-        VertexAddress(level, position)
-        return bool(self.levels[level] >> (position - 1) & 1)
-
-    def active_vertices(self) -> list[VertexAddress]:
-        out = []
-        for l, mask in enumerate(self.levels):
-            while mask:
-                low = mask & -mask
-                out.append(VertexAddress(l, low.bit_length()))
-                mask ^= low
-        return out
-
 
 def identity(k: int) -> Portrait:
     """The all-zero portrait of depth k; acts trivially on the leaves."""
@@ -185,12 +169,6 @@ def lane_transport(lanes: Sequence[int], b: Portrait, width: int = 1) -> tuple[i
     return tuple(product)
 
 
-def vertex_images(a: Portrait) -> tuple[tuple[int, ...], ...]:
-    """Per-level vertex action: entry l maps each 0-based position of level l
-    to its image position; entry k is the 0-based leaf action."""
-    return tuple(map(tuple, lane_action(a.levels)))
-
-
 def to_permutation(a: Portrait) -> Permutation:
     """The leaf action on {1, ..., 2^k}."""
     return Permutation._of_key(_as_key(lane_action(a.levels)[a.depth]))
@@ -203,35 +181,11 @@ def compose(a: Portrait, b: Portrait) -> Portrait:
     return Portrait._unchecked(a.depth, lane_transport(a.levels, b))
 
 
-def inverse(a: Portrait) -> Portrait:
-    """The portrait with each state bit relocated to its image vertex, so
-    that compose(a, inverse(a)) is the identity."""
-    return Portrait(a.depth, tuple(
-        sum((mask >> v & 1) << w for v, w in enumerate(img))
-        for mask, img in zip(a.levels, vertex_images(a))
-    ))
-
-
 def level_index(a: Portrait, l: int) -> int:
     """Number of active states on level l."""
     if not 0 <= l < a.depth:
         raise ValueError(f"level {l} outside 0..{a.depth - 1}")
     return a.levels[l].bit_count()
-
-
-def vp_distance(a: Portrait) -> int:
-    """Maximal tree distance between two level-(k-1) vertices with active
-    states; 0 when fewer than two such vertices exist.
-
-    Two positions at depth k-1 whose msb-first addresses first differ at bit
-    t are 2*(k-1-t) apart, so the maximum over the active set is twice the
-    bit length of min XOR max.
-    """
-    mask = a.levels[a.depth - 1]
-    if mask.bit_count() < 2:
-        return 0
-    lowest, highest = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
-    return 2 * (lowest ^ highest).bit_length()
 
 
 def lane_fold(lane: int, fields: int, width: int, op=operator.xor) -> int:
@@ -283,29 +237,6 @@ def to_text(a: Portrait) -> str:
         bits = "".join("1" if mask >> p & 1 else "0" for p in range(1 << l))
         parts.append(f"L{l}={bits}")
     return ";".join(parts)
-
-
-def from_text(text: str) -> Portrait:
-    """Parse the :func:`to_text` form; the round trip is bit-exact."""
-    fields = text.strip().split(";")
-    if not fields or not fields[0].startswith("k="):
-        raise ValueError(f"bad portrait text: {text!r}")
-    try:
-        k = int(fields[0][2:])
-    except ValueError:
-        raise ValueError(f"bad depth in {text!r}") from None
-    if len(fields) != k + 1:
-        raise ValueError(f"expected {k} level fields, got {len(fields) - 1}")
-    masks = []
-    for l, field in enumerate(fields[1:]):
-        prefix = f"L{l}="
-        if not field.startswith(prefix):
-            raise ValueError(f"expected {prefix}... at level {l}, got {field!r}")
-        bits = field[len(prefix):]
-        if len(bits) != 1 << l or set(bits) - {"0", "1"}:
-            raise ValueError(f"level {l} needs {1 << l} bits, got {bits!r}")
-        masks.append(sum(1 << p for p, ch in enumerate(bits) if ch == "1"))
-    return Portrait(k, tuple(masks))
 
 
 def from_permutation(p: Permutation) -> Portrait:

@@ -1,9 +1,10 @@
 """_dimino's and generate's coset buffers and the slab kernels that read them,
 exponent and center_size, against brute-force oracles: random generator sets
 of small groups placed on random points of many degrees, 2-groups and others,
-read in slabs of several sizes, and the same groups rebuilt by
-group_from_elements, which keeps no cosets. Also generate's doubling layout
-and its element set, which is built only when first read."""
+read in slabs of several sizes, and the same element sets taken whole by
+EnumeratedGroup, which then keeps no cosets. Also generate's doubling layout
+and its element set, which is built only when first read, and the cosets of
+even_subgroup."""
 
 import math
 from unittest import mock
@@ -122,7 +123,7 @@ def _outcome(closure, *args, **kwargs):
 def _groups(degree, gens):
     """The generated group, and the same elements with no cosets kept."""
     G = ge.generate([Permutation(g) for g in gens], degree=degree)
-    bare = ge.group_from_elements(G.elements, degree)
+    bare = ge.EnumeratedGroup(degree, G.gen_keys, G.elements)
     assert "cosets" in G._memo and "cosets" not in bare._memo
     return G, bare
 
@@ -221,12 +222,23 @@ def test_slabs_cut_the_cosets_in_order():
             slabs = list(ge._slabs(G))
         assert b"".join(slabs) == keys
         assert all(len(s) == slab * 8 for s in slabs[:-1]) and 0 < len(slabs[-1]) <= slab * 8
-    bare = ge.group_from_elements(G.elements, 8)
+    bare = ge.EnumeratedGroup(8, G.gen_keys, G.elements)
     with mock.patch.object(ge, "_SLAB", 5):
         slabs = list(ge._slabs(bare))
     assert sorted(s[i:i + 8] for s in slabs for i in range(0, len(s), 8)) == G.sorted_keys()
     assert [len(s) // 8 for s in slabs] == [5] * 25 + [3]
     assert list(ge._slabs(ge.generate((), degree=3))) == [bytes(range(3))]
+
+
+def test_even_subgroup_keeps_its_cosets():
+    H = ge.even_subgroup(ge.generate(syl2_S_generators(8)))
+    bare = ge.EnumeratedGroup(8, H.gen_keys, H.elements)
+    assert "cosets" in H._memo and "cosets" not in bare._memo
+    keys = b"".join(H._memo["cosets"])
+    assert sorted(keys[i:i + 8] for i in range(0, len(keys), 8)) == bare.sorted_keys()
+    assert H.order == 64
+    assert ge.exponent(H) == ge.exponent(bare)
+    assert ge.center_size(H) == ge.center_size(bare)
 
 
 def _layout(G):

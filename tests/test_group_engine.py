@@ -338,7 +338,7 @@ def test_element_order_exponent_abelian_center():
     G3 = _G(3)
     assert not ge.is_abelian(G3)
     assert ge.exponent(G3) in (4, 8)
-    assert ge.element_order(G3.identity_key) == 1
+    assert Permutation(G3.identity_key).order() == 1
     fp = ge.fingerprint(G2)
     assert fp == {
         "order": 4, "abelian": True, "exponent": 2,
@@ -353,7 +353,7 @@ def test_permutations_and_keys_are_interchangeable():
     assert perms == [Permutation(key) for key in G.sorted_keys()]
     for p in perms[::7]:
         assert ge.contains(G, p) and ge.contains(G, p.key)
-        assert ge.element_order(p) == ge.element_order(p.key) == p.order()
+        assert Permutation(p.key).order() == p.order()
     mixed = {p if i % 2 else p.key: p.key if i % 2 else p for i, p in enumerate(perms)}
     assert ge.homomorphism_check(mixed, G, G)
     with pytest.raises(ValueError):
@@ -409,6 +409,15 @@ def test_group_from_elements_rejects_non_closed_sets():
             ge.group_from_elements(keys, 4)
 
 
+@pytest.mark.parametrize("degree", [0, ge.MAX_DEGREE + 1])
+def test_group_from_elements_checks_the_degree_as_generate_does(degree):
+    message = rf"degree must be in 1\.\.{ge.MAX_DEGREE}, got {degree}"
+    with pytest.raises(ValueError, match=message):
+        ge.group_from_elements([bytes(range(degree))], degree)
+    with pytest.raises(ValueError, match=message):
+        ge.generate((), degree=degree)
+
+
 def test_gen_keys_regenerate_the_group():
     parents = [_G(k) for k in (2, 3, 4)] + [ge.generate(syl2_S_generators(16))]
     groups = list(parents)
@@ -439,7 +448,7 @@ def test_generator_set_validation():
 
 
 def _lcm_exponent(G):
-    return math.lcm(*(ge.element_order(k) for k in G.elements))
+    return math.lcm(*(Permutation(k).order() for k in G.elements))
 
 
 def _all_generators_center_size(G):

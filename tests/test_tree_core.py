@@ -44,6 +44,8 @@ def test_portrait_validation():
         tc.from_states(3, [(2, 1), (2, 1)])
     with pytest.raises(ValueError):
         tc.from_states(3, [(3, 1)])
+    with pytest.raises(ValueError):
+        tc.VertexAddress(2, 5)
 
 
 def test_hand_checked_leaf_actions():
@@ -52,6 +54,8 @@ def test_hand_checked_leaf_actions():
     assert cycle_notation(tc.to_permutation(alpha(2, 3))) == "(1 2)"
     assert cycle_notation(tc.to_permutation(tau(3))) == "(1 2)(7 8)"
     assert cycle_notation(tc.to_permutation(tau_set([1, 2], 3))) == "(1 2)(3 4)"
+    assert tau(3) == tc.from_states(3, [(2, 1), (2, 4)])
+    assert tc.to_text(tc.Portrait(3, (1, 0b00, 0b1001))) == "k=3;L0=1;L1=00;L2=1001"
 
 
 def test_generators_are_involutions():
@@ -73,14 +77,6 @@ def test_compose_homomorphism_exhaustive_small_depths():
 def test_compose_depth_mismatch():
     with pytest.raises(ValueError):
         tc.compose(tc.identity(2), tc.identity(3))
-
-
-def test_inverse_exhaustive_depth3():
-    for p in tc.iter_portraits(3):
-        assert tc.compose(p, tc.inverse(p)).is_identity()
-        assert tc.compose(tc.inverse(p), p).is_identity()
-    assert tc.inverse(tc.identity(4)) == tc.identity(4)
-    assert tc.inverse(alpha(0, 3)) == alpha(0, 3)
 
 
 def test_single_state_cycle_structure():
@@ -109,32 +105,15 @@ def test_level_index():
             assert tc.level_index(a, l) == (1 if l == i else 0)
     with pytest.raises(ValueError):
         tc.level_index(e, 3)
-
-
-def test_vp_distance():
-    assert tc.vp_distance(tau(3)) == 4
-    assert tc.vp_distance(tau(4)) == 6
-    assert tc.vp_distance(tau_set([1, 2], 3)) == 2
-    assert tc.vp_distance(tc.identity(3)) == 0
-    assert tc.vp_distance(alpha(2, 3)) == 0  # single state
-
-
-def test_conjugation_preserves_vp_distance_depth3():
-    # conjugation relocates the states of a last-level-only element by a tree
-    # automorphism, which is an isometry; elements with states on upper
-    # levels move last-level vertices around and enjoy no such invariance
-    portraits = list(tc.iter_portraits(3))
-    last_level_only = [
-        tc.Portrait(3, (0, 0, mask)) for mask in range(16)
-    ]
-    for x in last_level_only:
-        d = tc.vp_distance(x)
-        n = tc.level_index(x, 2)
-        for g in portraits:
-            conj = tc.compose(tc.compose(g, x), tc.inverse(g))
-            assert conj.levels[0] == 0 and conj.levels[1] == 0
-            assert tc.vp_distance(conj) == d
-            assert tc.level_index(conj, 2) == n
+    # conjugation moves the states of a last-level-only element along the
+    # last level, so their number stays
+    for g in tc.iter_portraits(3):
+        g_inverse = tc.from_permutation(tc.to_permutation(g).inverse())
+        for mask in range(16):
+            x = tc.Portrait(3, (0, 0, mask))
+            conj = tc.compose(tc.compose(g, x), g_inverse)
+            assert conj.levels[:2] == (0, 0)
+            assert tc.level_index(conj, 2) == tc.level_index(x, 2)
 
 
 def test_classify_element():
@@ -185,7 +164,8 @@ def test_even_half_count_subgroup_closed_depth3():
     ]
     for g in even_elements:
         for x in both_even:
-            assert tc.compose(tc.compose(g, x), tc.inverse(g)) in member
+            g_inverse = tc.from_permutation(tc.to_permutation(g).inverse())
+            assert tc.compose(tc.compose(g, x), g_inverse) in member
 
 
 def test_odd_t_factor_parity_random_words_depth3():
@@ -236,9 +216,9 @@ def test_lane_kernels_agree_with_their_one_lane_calls():
                 assert levels == tc.compose(a, b).levels
         for j, a in enumerate(portraits):
             # a vertex image at level l has l address bits, one per field
-            assert tuple(
-                tuple(_lane_of(row, j, l, width) for row in level) for l, level in enumerate(images)
-            ) == tc.vertex_images(a)
+            assert [
+                [_lane_of(row, j, l, width) for row in level] for l, level in enumerate(images)
+            ] == tc.lane_action(a.levels)
 
 
 def _unpacked(lanes, width):
@@ -309,21 +289,6 @@ def test_faithfulness_exhaustive_small_depths():
         assert len(images) == 1 << ((1 << k) - 1)
 
 
-def test_text_round_trip():
-    sample = tc.Portrait(3, (1, 0b00, 0b1001))
-    assert tc.to_text(sample) == "k=3;L0=1;L1=00;L2=1001"
-    for p in tc.iter_portraits(3):
-        assert tc.from_text(tc.to_text(p)) == p
-    assert tc.from_text("k=2;L0=0;L1=10") == tc.Portrait(2, (0, 1))
-
-
-def test_text_parse_errors():
-    for bad in ("", "k=2;L0=0", "k=2;L0=0;L1=1", "k=2;L0=0;L2=10", "k=x;L0=0",
-                "k=2;L0=2;L1=00", "k=1;L0=0;L1=00"):
-        with pytest.raises(ValueError):
-            tc.from_text(bad)
-
-
 def test_from_permutation_round_trip_depth3():
     for p in tc.iter_portraits(3):
         assert tc.from_permutation(tc.to_permutation(p)) == p
@@ -335,13 +300,6 @@ def _portraits(draw, max_depth, min_depth=1):
     return tc.Portrait(k, tuple(
         draw(st.integers(min_value=0, max_value=(1 << (1 << l)) - 1)) for l in range(k)
     ))
-
-
-@given(_portraits(max_depth=6))
-def test_text_round_trip_property(p):
-    text = tc.to_text(p)
-    assert tc.from_text(text) == p
-    assert tc.to_text(tc.from_text(text)) == text
 
 
 @given(_portraits(max_depth=8))
@@ -363,15 +321,3 @@ def test_from_permutation_rejects_non_automorphisms():
         tc.from_permutation(Permutation.identity(6))  # not a power of two
     with pytest.raises(ValueError):
         tc.from_permutation(Permutation.from_cycles(8, [(1, 5)]))
-
-
-def test_active_vertices_and_state():
-    p = tau(3)
-    addresses = [(v.level, v.position) for v in p.active_vertices()]
-    assert addresses == [(2, 1), (2, 4)]
-    assert p.state(2, 1) and p.state(2, 4)
-    assert not p.state(0, 1)
-    with pytest.raises(ValueError):
-        p.state(3, 1)
-    with pytest.raises(ValueError):
-        tc.VertexAddress(2, 5)
