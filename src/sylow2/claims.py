@@ -17,7 +17,6 @@ import json
 import operator
 import time
 from dataclasses import asdict, dataclass, field, fields
-from datetime import datetime, timezone
 from typing import Callable
 
 from . import group_engine, perm_core, sylow_builders, tree_core
@@ -246,7 +245,7 @@ def _run_order_gk(ctx: ClaimContext, k: int):
 @_per_unit("elements_checked")
 def _run_evenness(ctx: ClaimContext, k: int):
     G = tree_group(ctx, k)
-    keys = list(G.elements)
+    keys = list(group_engine.iter_keys(G))
     odd = list(itertools.compress(keys, group_engine.key_parities(keys)))
     return G.order, {"odd_element": repr(Permutation._of_key(min(odd)))} if odd else None
 
@@ -568,5 +567,7 @@ def run_claims(ids: list[str], ctx: ClaimContext, version: str) -> VerificationR
         records.append(
             ClaimRecord(claim_id, claim.statement, parameters, status, witnesses, elapsed_ms)
         )
-    timestamp = datetime.now(timezone.utc).isoformat()
+    # UTC, as YYYY-MM-DDTHH:MM:SS.ffffff+00:00, without importing datetime
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    timestamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + f".{micros:06d}+00:00"
     return VerificationReport(version, timestamp, ctx.parameters(), records)

@@ -18,8 +18,15 @@ is limited to MAX_DEGREE = 255 points and group orders to the enumeration cap
 An enumerated group's degree, generator keys (gen_keys), order and element
 set never change after construction. A group that generate built holds only
 its order and its coset buffers until its element set is first read; the set
-is then built once and stored (EnumeratedGroup.__getattr__), and reading the
-order builds nothing. A derived subgroup (squares, commutator, Frattini)
+is then built once and stored (EnumeratedGroup.__getattr__). Only an explicit
+read of G.elements, equality, hashing and repr build it. The order, exponent,
+center_size and the sweeps that list every element (iter_keys: evenness,
+even_subgroup, squares_subgroup) read the coset buffers instead. contains
+reads G^2's set, once per coset of G^2: x lies in G exactly when x r lies in
+G^2 for the representative r of one coset. Where G^2 has fewer elements than
+cosets, as for W_k, whose G^2 is trivial, contains reads G's set instead.
+is_subgroup calls contains for each element of the subgroup.
+A derived subgroup (squares, commutator, Frattini)
 is bounded by the order of its parent, so the queries that build one take no
 cap. Each EnumeratedGroup also memoizes its squares, commutator and Frattini
 subgroups, so the Frattini rank, the derived series and the fingerprint reuse
@@ -112,8 +119,9 @@ class EnumeratedGroup:
     order: int = field(init=False, repr=False, compare=False)
     # subgroups built from this group, by construction name (see _memoized),
     # the joined keys of its cosets under "cosets" if _dimino or generate
-    # built it, and G^2 under "square_closure" if generate built it
-    _memo: dict[str, EnumeratedGroup | list[bytes]] = field(
+    # built it, and G^2 under "square_closure" and, once read, the joined
+    # representatives modulo G^2 under "representatives" if generate built it
+    _memo: dict[str, EnumeratedGroup | list[bytes] | bytes] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -125,10 +133,10 @@ class EnumeratedGroup:
         # that generate built lacks one, its element set
         if name != "elements":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        squares = self._memo["square_closure"]
-        doublings = self._memo["cosets"][len(squares._memo["cosets"]):]
         # G^2's keys are reused; only the doubling buffers are split
-        elements = squares.elements.union(*(_keys(coset, self.degree) for coset in doublings))
+        elements = self._memo["square_closure"].elements.union(
+            *(_keys(coset, self.degree) for coset in _doublings(self))
+        )
         object.__setattr__(self, "elements", elements)
         return elements
 
@@ -216,6 +224,11 @@ def _dimino(
     group = EnumeratedGroup(degree, tuple(gens), frozenset(members))
     group._memo["cosets"] = cosets
     return group
+
+
+def _doublings(G: EnumeratedGroup) -> list[bytes]:
+    # the coset buffers that generate added to G^2's, one per doubling
+    return G._memo["cosets"][len(G._memo["square_closure"]._memo["cosets"]):]
 
 
 def _slabs(G: EnumeratedGroup) -> Iterator[bytes]:
@@ -316,17 +329,55 @@ def group_from_elements(
     return closed
 
 
+def iter_keys(G: EnumeratedGroup) -> Iterator[bytes]:
+    """G's keys, each once: its element set if that is built, and otherwise
+    the keys of its coset buffers, so listing a group that generate built
+    does not build its element set."""
+    if "elements" in vars(G):
+        return iter(G.elements)
+    return itertools.chain.from_iterable(_keys(coset, G.degree) for coset in G._memo["cosets"])
+
+
+def _representatives(G: EnumeratedGroup) -> bytes:
+    """One representative of each coset of G^2 in a group that generate
+    built, joined and memoized: the identity, then the first key of each
+    stretch of |G^2| keys of the doubling buffers. Each such stretch is a
+    coset of G^2, since G^2 is normal and each buffer is the translate of
+    whole cosets of G^2."""
+    found = G._memo.get("representatives")
+    if found is None:
+        d = G.degree
+        stretch = G._memo["square_closure"].order * d
+        found = G._memo["representatives"] = bytes(range(d)) + b"".join(
+            coset[i:i + d] for coset in _doublings(G) for i in range(0, len(coset), stretch)
+        )
+    return found
+
+
 def contains(G: EnumeratedGroup, x: Permutation | bytes) -> bool:
+    """Whether x is an element of G. For a group that generate built, while
+    its element set is unbuilt and |G : G^2| <= |G^2|, this reads only G^2's
+    set: G/G^2 is elementary abelian, so x lies in G exactly when x r lies in
+    G^2 for one of G's representatives r modulo G^2 (_representatives), and
+    all the x r come from one translate of the joined representatives by x's
+    table. Otherwise, as for W_k, whose G^2 is trivial, it looks x up in G's
+    element set, which is then built if it is not yet."""
     key = x if isinstance(x, bytes) else x.key
     if len(key) != G.degree:
         raise ValueError(f"degree mismatch: element on {len(key)} points, group on {G.degree}")
-    return key in G.elements
+    squares = G._memo.get("square_closure")
+    if "elements" in vars(G) or squares is None or G.order > squares.order ** 2:
+        return key in G.elements
+    moved = _representatives(G).translate(_table(key))
+    return not squares.elements.isdisjoint(_keys(moved, G.degree))
 
 
 def is_subgroup(H: EnumeratedGroup, G: EnumeratedGroup) -> bool:
+    """Whether every element of H lies in G: contains(G, h) for each key h
+    of H (iter_keys), so neither element set need be built."""
     if H.degree != G.degree:
         raise ValueError("degree mismatch")
-    return H.elements <= G.elements
+    return all(contains(G, h) for h in iter_keys(H))
 
 
 def is_normal(H: EnumeratedGroup, G: EnumeratedGroup) -> bool:
@@ -370,7 +421,7 @@ def verify_semidirect(
         good = is_subgroup(H, G)
         checks.append((label, good))
         if not good:
-            stray = next(k for k in H.sorted_keys() if k not in G.elements)
+            stray = next(k for k in H.sorted_keys() if not contains(G, k))
             witnesses.append((label, repr(Permutation._of_key(stray))))
 
     normal = is_normal(W, G)
@@ -442,7 +493,7 @@ def squares_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
     needed."""
     pad = _PADS[G.degree]
     # x + pad is x's translate table, so x.translate(x + pad) == _mul(x, x)
-    squares = {x.translate(x + pad) for x in G.elements}
+    squares = {x.translate(x + pad) for x in iter_keys(G)}
     return _dimino(sorted(squares), G.degree, G.order)
 
 
@@ -576,23 +627,21 @@ def _squarings(G: EnumeratedGroup) -> int | None:
     say t times. G^2 holds every square, so G takes t or t + 1 squarings,
     and t + 1 exactly when some element is not the identity after t. Only
     the doubling buffers can hold such an element, so they are scanned,
-    each squared at most t times, up to the first slab that holds one. Each
-    stretch of |G^2| keys of a buffer is a coset of G^2, and the slab of
-    their first keys, one representative per coset, is scanned first: where
-    such an element exists, a representative is most often one. Any other
-    group squares all its elements."""
+    each squared at most t times, up to the first slab that holds one. The
+    slab of G's representatives modulo G^2 (_representatives, which contains
+    also reads) is scanned first: where such an element exists, a
+    representative is most often one. Any other group squares all its
+    elements."""
     d = G.degree
     most = d.bit_length() - 1
     squares = G._memo.get("square_closure")
     if squares is None:
         return _steps(_slabs(G), d, most)
     t = _steps(_slabs(squares), d, most)
-    doublings = G._memo["cosets"][len(squares._memo["cosets"]):]
+    doublings = _doublings(G)
     if t is None or not doublings:
         return t
-    stretch = squares.order * d
-    heads = b"".join(coset[i:i + d] for coset in doublings for i in range(0, len(coset), stretch))
-    if _steps(itertools.chain([heads], _cut(doublings, d)), d, t) is not None:
+    if _steps(itertools.chain([_representatives(G)], _cut(doublings, d)), d, t) is not None:
         return t
     return t + 1 if t < most else None
 
@@ -684,6 +733,6 @@ def key_parities(keys: Sequence[bytes]) -> bytes:
 
 def even_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
     """The subgroup of even permutations (the sign map's kernel)."""
-    keys = list(G.elements)
+    keys = list(iter_keys(G))
     evens = {key for key, odd in zip(keys, key_parities(keys)) if not odd}
     return group_from_elements(evens, G.degree)

@@ -1,9 +1,11 @@
 """tools/lattice_stages.py, the per-stage timer of the subgroup-lattice
-queries, run through one_pass on the first query of each pool stratum and
-through its main's argument check."""
+queries, run through set_up and one_pass on the first query of each pool
+stratum, through its main on a pool of those queries, and through its main's
+argument check."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,6 +45,47 @@ def test_one_pass_times_every_stage_and_answers_as_recorded():
     # each exponent
     assert ge._square_closure.__name__ == "_square_closure"
     assert ge._steps.__name__ == "_steps"
+
+
+def _first_queries():
+    strata = json.loads(lattice_stages.POOL.read_text())["strata"]
+    return {order: [stratum[0]] for order, stratum in strata.items()}
+
+
+def test_set_up_builds_the_parents_and_tests_every_member():
+    pooled = [
+        (q["parent"], [Permutation(bytes.fromhex(h)) for h in q["elements"]])
+        for stratum in _first_queries().values() for q in stratum
+    ]
+    seconds, members = lattice_stages.set_up(ge, lattice.enumerate_parents, pooled)
+    assert seconds > 0 and members
+    # a transposition lies in Syl_2(S_16) and not in G_4, its even half
+    swap = Permutation.transposition(16, 1, 2)
+    assert lattice_stages.set_up(ge, lattice.enumerate_parents, [("S_16", [swap])])[1]
+    assert not lattice_stages.set_up(ge, lattice.enumerate_parents, [("G_4", [swap])])[1]
+
+
+def _main_on(strata, tmp_path, monkeypatch):
+    pool = tmp_path / "pool.json"
+    pool.write_text(json.dumps({"strata": strata}))
+    monkeypatch.setattr(lattice_stages, "POOL", pool)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts src and benchmark first
+    return lattice_stages.main(["--repeat", "1"])
+
+
+def test_main_prints_the_set_up_row_first(tmp_path, monkeypatch, capsys):
+    assert _main_on(_first_queries(), tmp_path, monkeypatch) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1].startswith("stage") and rows[2].startswith("set-up ")
+    assert rows[3].startswith("generate ")
+
+
+def test_main_exits_1_on_an_element_outside_its_parent(tmp_path, monkeypatch, capsys):
+    strata = _first_queries()
+    # the 2^7 query's elements are odd, so they lie outside G_4
+    strata["7"][0]["parent"] = "G_4"
+    assert _main_on(strata, tmp_path, monkeypatch) == 1
+    assert "a pooled element is not in its parent" in capsys.readouterr().err
 
 
 def test_repeat_below_one_exits_2():

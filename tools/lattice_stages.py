@@ -3,9 +3,12 @@
     python3 tools/lattice_stages.py [--repeat N] [--src DIR]
 
 Reads the query pool benchmark/reference/lattice_pool.json (240
-subgroups that 2-4 random elements of G_4 or Syl_2(S_16) generate) and, for
-each query, generates its subgroup H and runs these stages on it, in order,
-one call each:
+subgroups that 2-4 random elements of G_4 or Syl_2(S_16) generate). Each
+pass first times the set-up of benchmark/lattice.py's prepare: generate on
+s_beta(4) and on syl2_S_generators(16), the two parents, and contains on
+every pooled element with the parent its query names. Then, for each query,
+it generates its subgroup H and runs these stages on it, in order, one call
+each:
 
     generate, element set, squares_subgroup, commutator_subgroup,
     frattini_subgroup, derived_series, exponent, center_size
@@ -29,17 +32,17 @@ lists the squares. The whole query of benchmark/lattice.py
 fingerprint) is then timed on a fresh H, and its answers are checked against
 the pool's recorded ones.
 
-Prints each stage's total over the pool and the whole queries' total, in ms,
-as the median of N passes (default 3) with the lowest and highest in
-brackets; a sylow2 whose generate has no Phi step, or whose exponent does not
-square Phi first, prints no rows for that stage's two steps. Then, for each
-pool stratum (the subgroup order, as its log2), it prints the median
-whole-query ms of its queries, again as the median of the passes with the
-lowest and highest. The benchmark's query_p50_ms falls in the
-2^12 stratum and its query_p90_ms in the 2^14 one.
+Prints the set-up's time, each stage's total over the pool and the whole
+queries' total, in ms, as the median of N passes (default 3) with the lowest
+and highest in brackets; a sylow2 whose generate has no Phi step, or whose
+exponent does not square Phi first, prints no rows for that stage's two
+steps. Then, for each pool stratum (the subgroup order, as its log2), it
+prints the median whole-query ms of its queries, again as the median of the
+passes with the lowest and highest. The benchmark's query_p50_ms falls in
+the 2^12 stratum and its query_p90_ms in the 2^14 one.
 --src runs the sylow2 package of another checkout's src/ directory.
 Uses the standard library only and writes no file. Exits 0 when every answer
-matches and 1 when one does not.
+matches and every pooled element lies in its parent, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 POOL = ROOT / "benchmark" / "reference" / "lattice_pool.json"
+SETUP = "set-up"
 ELEMENT_SET = "element set"
 STAGES = (
     "generate",
@@ -82,6 +86,16 @@ def load_queries(pool_path: Path) -> list[tuple[str, dict]]:
     """(stratum, query) for every query of the pool, smallest stratum first."""
     strata = json.loads(pool_path.read_text())["strata"]
     return [(order, q) for order in sorted(strata, key=int) for q in strata[order]]
+
+
+def set_up(ge, enumerate_parents, pooled: list[tuple[str, list]]) -> tuple[float, bool]:
+    """Seconds to build the parent groups and test each pooled element's
+    membership in its parent, as lattice.py's prepare does, and whether
+    every element is a member. pooled holds (parent name, elements)."""
+    start = time.perf_counter()
+    parents = enumerate_parents()
+    members = all(ge.contains(parents[name], p) for name, elements in pooled for p in elements)
+    return time.perf_counter() - start, members
 
 
 def read_elements(H):
@@ -154,23 +168,25 @@ def main(argv: list[str]) -> int:
     pooled = load_queries(POOL)
     queries = [q for _, q in pooled]
     inputs = [[lattice.parse(h) for h in q["elements"]] for q in queries]
+    parents = [(q["parent"], elements) for q, elements in zip(queries, inputs)]
     strata = {order: [] for order, _ in pooled}  # each pass's stratum medians
     runs = []
     wrong = 0
     for _ in range(args.repeat):
+        seconds, members = set_up(ge, lattice.enumerate_parents, parents)
         totals, latencies, answers = one_pass(ge, lattice.query, inputs)
-        runs.append(totals)
+        runs.append({SETUP: seconds, **totals})
         for order, ms in strata.items():
             ms.append(statistics.median(
                 [1e3 * t for (o, _), t in zip(pooled, latencies) if o == order]
             ))
         wrong = sum(a != q["expected"] for a, q in zip(answers, queries))
-        if wrong:
+        if wrong or not members:
             break
 
     print(f"{len(queries)} queries, {len(runs)} passes, sylow2 from {args.src}")
     print(f"{'stage':<22}{'median ms':>10}  [lowest, highest]")
-    for stage in (*STAGES, QUERY):
+    for stage in (SETUP, *STAGES, QUERY):
         name, *steps = SPLITS.get(stage, ("",))
         for row in (stage, *steps) if hasattr(ge, name) else (stage,):
             print(f"{row:<22}{spread([1e3 * totals[row] for totals in runs])}")
@@ -178,10 +194,11 @@ def main(argv: list[str]) -> int:
     print(f"{'order':<8}{'queries':>8}{'median query ms':>16}  [lowest, highest]")
     for order, ms in strata.items():
         print(f"{'2^' + order:<8}{sizes[order]:>8}{spread(ms):>16}")
+    if not members:
+        print("a pooled element is not in its parent", file=sys.stderr)
     if wrong:
         print(f"{wrong} of {len(queries)} answers differ from the pool's", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if wrong or not members else 0
 
 
 if __name__ == "__main__":
