@@ -15,31 +15,23 @@ Elements are canonicalized as the byte keys of perm_core: byte i holds the
 0-based image of point i+1, and a product is one bytes.translate. The degree
 is limited to MAX_DEGREE = 255 points and group orders to the enumeration cap
 (default 2^20), which is all the desk-scale checks need.
-An enumerated group's degree, generator keys (gen_keys), order and element
-set never change after construction. A group that generate built holds only
-its order and its coset buffers until its element set is first read; the set
-is then built once and stored (EnumeratedGroup.__getattr__). Only an explicit
-read of G.elements, equality, hashing and repr build it. The order, exponent,
-center_size and the sweeps that list every element (iter_keys: evenness,
-even_subgroup, squares_subgroup) read the coset buffers instead. contains
-reads G^2's set, once per coset of G^2: x lies in G exactly when x r lies in
-G^2 for the representative r of one coset. Where G^2 has fewer elements than
-cosets, as for W_k, whose G^2 is trivial, contains reads G's set instead.
-is_subgroup calls contains for each element of the subgroup.
-A derived subgroup (squares, commutator, Frattini)
-is bounded by the order of its parent, so the queries that build one take no
-cap. Each EnumeratedGroup also memoizes its squares, commutator and Frattini
-subgroups, so the Frattini rank, the derived series and the fingerprint reuse
-what an earlier query built. Every group the engine returns comes from
-_dimino or generate and also keeps its cosets there, each the joined keys of
-one coset: exponent and center_size read the elements from them in slabs of
-at most _SLAB keys, a few C calls per slab instead of a few per element (an
-EnumeratedGroup constructed from an element set alone is cut from that set).
-For a group that generate built, exponent squares G^2, which holds every
-square, and then reads the doubling buffers only until one element outlives
-G^2's exponent. Concurrent queries on one group may build a memo entry or the
-element set twice, but each is stored whole by one assignment, so none of
-them observes a partial value.
+
+An EnumeratedGroup is its coset buffers, each the joined keys of one coset:
+_dimino's cosets, or generate's G^2 followed by one doubling buffer per
+accepted generator. Its order is their total length, and its element set is
+derived from them when first read and then kept. The queries read the
+buffers instead: iter_keys splits them, exponent and center_size cut them
+into slabs of at most _SLAB keys (_cut), a few C calls per slab instead of a
+few per element, and contains and exponent read G^2 and one representative
+of each coset of G^2 (_representatives) where generate kept them.
+
+A derived subgroup (squares, commutator, Frattini) is bounded by the order
+of its parent, so the queries that build one take no cap. Each group also
+memoizes its squares, commutator and Frattini subgroups, so the Frattini
+rank, the derived series and the fingerprint reuse what an earlier query
+built. Concurrent queries on one group may build a memo entry or the element
+set twice, but each is stored whole by one assignment, so none of them
+observes a partial value.
 """
 from __future__ import annotations
 
@@ -102,43 +94,57 @@ class GeneratorSet:
         ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class EnumeratedGroup:
-    """A fully enumerated permutation group: canonical byte keys for every
-    element, plus the keys of the generators it came from.
+    """A fully enumerated permutation group, held as its coset buffers: the
+    joined byte keys of each coset, every element once, plus the keys of the
+    generators it came from. square_closure is G^2 for a group that generate
+    built, whose buffers are G^2's and then one doubling buffer per accepted
+    generator; it is None for a group that _dimino built.
 
-    EnumeratedGroup(degree, gen_keys, elements) takes the element set whole.
-    A group that generate built has no element set until one is read:
-    __getattr__ then builds it from G^2's set and the doubling buffers, and
-    stores it, so later reads are plain attribute reads. Equality, hashing
-    and repr read the whole element set; order reads none."""
+    The order (the buffers' total length) and the element set are derived
+    when first read and then kept. Equality, hashing and repr are over
+    the degree, gen_keys and the element set, so they build it; repr lists
+    the elements sorted, so equal groups have equal reprs."""
 
     degree: int
     gen_keys: tuple[bytes, ...]
-    elements: frozenset[bytes]
-    order: int = field(init=False, repr=False, compare=False)
-    # subgroups built from this group, by construction name (see _memoized),
-    # the joined keys of its cosets under "cosets" if _dimino or generate
-    # built it, and G^2 under "square_closure" and, once read, the joined
-    # representatives modulo G^2 under "representatives" if generate built it
-    _memo: dict[str, EnumeratedGroup | list[bytes] | bytes] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    cosets: tuple[bytes, ...]
+    square_closure: EnumeratedGroup | None = None
+    # memoized queries: subgroups built from this group, by construction name
+    # (see _memoized), and, once read, the joined representatives modulo G^2
+    # under "representatives" (see _representatives)
+    _memo: dict[str, EnumeratedGroup | bytes] = field(default_factory=dict, init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "order", len(self.elements))
+    @functools.cached_property
+    def order(self) -> int:
+        return sum(map(len, self.cosets)) // self.degree
 
-    def __getattr__(self, name: str):
-        # called only for a missing attribute; of the fields only a group
-        # that generate built lacks one, its element set
-        if name != "elements":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        # G^2's keys are reused; only the doubling buffers are split
-        elements = self._memo["square_closure"].elements.union(
-            *(_keys(coset, self.degree) for coset in _doublings(self))
+    @functools.cached_property
+    def elements(self) -> frozenset[bytes]:
+        """G^2's set and the keys of the doubling buffers for a group that
+        generate built, so G^2's keys are reused; otherwise the keys of all
+        its buffers."""
+        if self.square_closure is None:
+            return frozenset(iter_keys(self))
+        doublings = (_keys(coset, self.degree) for coset in _doublings(self))
+        return self.square_closure.elements.union(*doublings)
+
+    def __eq__(self, other):
+        if type(other) is not EnumeratedGroup:
+            return NotImplemented
+        return (self.degree, self.gen_keys, self.elements) == (
+            other.degree, other.gen_keys, other.elements
         )
-        object.__setattr__(self, "elements", elements)
-        return elements
+
+    def __hash__(self):
+        return hash((self.degree, self.gen_keys, self.elements))
+
+    def __repr__(self):
+        return (
+            f"EnumeratedGroup(degree={self.degree!r}, gen_keys={self.gen_keys!r}, "
+            f"elements=frozenset({sorted(self.elements)!r}))"
+        )
 
     @property
     def identity_key(self) -> bytes:
@@ -184,7 +190,8 @@ def _dimino(
     representatives are tested, and each new coset is disjoint from the
     elements already found. A coset is one translate of H's joined keys by
     x's table, split into keys gcd(|H|, 256) at a time; the returned group
-    keeps the joined cosets in its memo. Each accepted g also queues
+    is built from the joined cosets and keeps the member set the closure
+    built as its element set. Each accepted g also queues
     s g s^-1 for each s in conjugators, so in the end sHs^-1 = H: H is the
     normal closure of the candidates under <conjugators> (Seress,
     Permutation Group Algorithms, 2003).
@@ -221,21 +228,15 @@ def _dimino(
                 cosets.append(coset)
                 order += size
                 reps.append(x)
-    group = EnumeratedGroup(degree, tuple(gens), frozenset(members))
-    group._memo["cosets"] = cosets
+    group = EnumeratedGroup(degree, tuple(gens), tuple(cosets))
+    # the member set is the element set, cached so that it is not re-split
+    object.__setattr__(group, "elements", frozenset(members))
     return group
 
 
-def _doublings(G: EnumeratedGroup) -> list[bytes]:
+def _doublings(G: EnumeratedGroup) -> tuple[bytes, ...]:
     # the coset buffers that generate added to G^2's, one per doubling
-    return G._memo["cosets"][len(G._memo["square_closure"]._memo["cosets"]):]
-
-
-def _slabs(G: EnumeratedGroup) -> Iterator[bytes]:
-    """G's keys, joined, in slabs of _SLAB keys (the last one shorter): G's
-    cosets cut by _cut, or, for a group that keeps no cosets, its element
-    set joined and cut."""
-    return _cut(G._memo.get("cosets") or [b"".join(G.elements)], G.degree)
+    return G.cosets[len(G.square_closure.cosets):]
 
 
 def _cut(cosets: Iterable[bytes], degree: int) -> Iterator[bytes]:
@@ -287,15 +288,15 @@ def generate(
     For a 2-group G^2 is the Frattini subgroup (the Burnside basis theorem),
     and it is memoized as frattini_subgroup(G).
 
-    The result keeps its order and its coset buffers, G^2's and then one of
-    |H| keys per accepted generator; its element set is built when first
-    read (see EnumeratedGroup). The element set is independent of generator
-    order. Raises CapExceededError (carrying the partial count) instead of
-    silently truncating.
+    The result is built from its coset buffers, G^2's and then one of |H|
+    keys per accepted generator, and keeps G^2 as its square_closure; its
+    element set, independent of generator order, is built when first read
+    (see EnumeratedGroup). Raises CapExceededError (carrying the partial
+    count) instead of silently truncating.
     """
     gen_keys, degree = _normalize_generators(gens, degree)
     squares = _square_closure(gen_keys, degree, cap)
-    cosets, reps, order = list(squares._memo["cosets"]), [bytes(range(degree))], squares.order
+    cosets, reps, order = list(squares.cosets), [bytes(range(degree))], squares.order
     for g in gen_keys:
         table = _table(g)
         moved = [r.translate(table) for r in reps]  # g r for each representative r
@@ -306,11 +307,9 @@ def generate(
         cosets.append(b"".join(cosets).translate(table))
         reps += moved
         order *= 2
-    memo = {"cosets": cosets, "square_closure": squares}
+    group = EnumeratedGroup(degree, gen_keys, tuple(cosets), squares)
     if not order & (order - 1):
-        memo[frattini_subgroup.__name__] = squares
-    group = object.__new__(EnumeratedGroup)  # every field but the element set
-    vars(group).update(degree=degree, gen_keys=gen_keys, order=order, _memo=memo)
+        group._memo[frattini_subgroup.__name__] = squares
     return group
 
 
@@ -330,12 +329,9 @@ def group_from_elements(
 
 
 def iter_keys(G: EnumeratedGroup) -> Iterator[bytes]:
-    """G's keys, each once: its element set if that is built, and otherwise
-    the keys of its coset buffers, so listing a group that generate built
+    """G's keys, each once, split from its coset buffers, so listing a group
     does not build its element set."""
-    if "elements" in vars(G):
-        return iter(G.elements)
-    return itertools.chain.from_iterable(_keys(coset, G.degree) for coset in G._memo["cosets"])
+    return itertools.chain.from_iterable(_keys(coset, G.degree) for coset in G.cosets)
 
 
 def _representatives(G: EnumeratedGroup) -> bytes:
@@ -347,7 +343,7 @@ def _representatives(G: EnumeratedGroup) -> bytes:
     found = G._memo.get("representatives")
     if found is None:
         d = G.degree
-        stretch = G._memo["square_closure"].order * d
+        stretch = G.square_closure.order * d
         found = G._memo["representatives"] = bytes(range(d)) + b"".join(
             coset[i:i + d] for coset in _doublings(G) for i in range(0, len(coset), stretch)
         )
@@ -355,18 +351,18 @@ def _representatives(G: EnumeratedGroup) -> bytes:
 
 
 def contains(G: EnumeratedGroup, x: Permutation | bytes) -> bool:
-    """Whether x is an element of G. For a group that generate built, while
-    its element set is unbuilt and |G : G^2| <= |G^2|, this reads only G^2's
-    set: G/G^2 is elementary abelian, so x lies in G exactly when x r lies in
-    G^2 for one of G's representatives r modulo G^2 (_representatives), and
-    all the x r come from one translate of the joined representatives by x's
-    table. Otherwise, as for W_k, whose G^2 is trivial, it looks x up in G's
+    """Whether x is an element of G. For a group that generate built with
+    |G : G^2| <= |G^2|, this reads only G^2's set: G/G^2 is elementary
+    abelian, so x lies in G exactly when x r lies in G^2 for one of G's
+    representatives r modulo G^2 (_representatives), and all the x r come
+    from one translate of the joined representatives by x's table.
+    Otherwise, as for W_k, whose G^2 is trivial, it looks x up in G's
     element set, which is then built if it is not yet."""
     key = x if isinstance(x, bytes) else x.key
     if len(key) != G.degree:
         raise ValueError(f"degree mismatch: element on {len(key)} points, group on {G.degree}")
-    squares = G._memo.get("square_closure")
-    if "elements" in vars(G) or squares is None or G.order > squares.order ** 2:
+    squares = G.square_closure
+    if squares is None or G.order > squares.order ** 2:
         return key in G.elements
     moved = _representatives(G).translate(_table(key))
     return not squares.elements.isdisjoint(_keys(moved, G.degree))
@@ -630,14 +626,14 @@ def _squarings(G: EnumeratedGroup) -> int | None:
     each squared at most t times, up to the first slab that holds one. The
     slab of G's representatives modulo G^2 (_representatives, which contains
     also reads) is scanned first: where such an element exists, a
-    representative is most often one. Any other group squares all its
-    elements."""
+    representative is most often one. A group that _dimino built squares all
+    its elements."""
     d = G.degree
     most = d.bit_length() - 1
-    squares = G._memo.get("square_closure")
+    squares = G.square_closure
     if squares is None:
-        return _steps(_slabs(G), d, most)
-    t = _steps(_slabs(squares), d, most)
+        return _steps(_cut(G.cosets, d), d, most)
+    t = _steps(_cut(squares.cosets, d), d, most)
     doublings = _doublings(G)
     if t is None or not doublings:
         return t
@@ -680,7 +676,7 @@ def center_size(G: EnumeratedGroup) -> int:
         i = next((p for p, image in enumerate(g) if p != image), 0)
         tests.append((g, g + pad, g[i], i))
     count = 0
-    for slab in _slabs(G):
+    for slab in _cut(G.cosets, d):
         misses = 0
         for _, g_table, gi, i in tests:
             # the image of i under x g, against it under g x, for each x

@@ -1,10 +1,11 @@
 """_dimino's and generate's coset buffers and the slab kernels that read them,
 exponent and center_size, against brute-force oracles: random generator sets
 of small groups placed on random points of many degrees, 2-groups and others,
-read in slabs of several sizes, and the same element sets taken whole by
-EnumeratedGroup, which then keeps no cosets. Also generate's doubling layout
-and its element set, which is built only when first read, and the cosets of
-even_subgroup."""
+read in slabs of several sizes, and the same element sets built into an
+EnumeratedGroup as one sorted buffer with no G^2, which exponent squares
+whole. Also generate's doubling layout and its element set, which is built
+only when first read, the cosets of even_subgroup, and groups rebuilt from
+their buffers by EnumeratedGroup's constructor."""
 
 import math
 from unittest import mock
@@ -120,11 +121,17 @@ def _outcome(closure, *args, **kwargs):
         return ("cap", exc.cap, exc.partial_count)
 
 
+def _bare(G):
+    """G's elements as one sorted buffer, with no G^2 kept."""
+    return ge.EnumeratedGroup(G.degree, G.gen_keys, (b"".join(sorted(G.elements)),))
+
+
 def _groups(degree, gens):
-    """The generated group, and the same elements with no cosets kept."""
+    """The generated group, and the same elements as one buffer with no G^2."""
     G = ge.generate([Permutation(g) for g in gens], degree=degree)
-    bare = ge.EnumeratedGroup(degree, G.gen_keys, G.elements)
-    assert "cosets" in G._memo and "cosets" not in bare._memo
+    bare = _bare(G)
+    assert G.square_closure is not None and bare.square_closure is None
+    assert len(bare.cosets) == 1 and bare.order == G.order
     return G, bare
 
 
@@ -136,7 +143,7 @@ def test_dimino_matches_a_naive_closure(case, cap):
     if isinstance(outcome, ge.EnumeratedGroup):
         assert outcome.elements == _naive_closure(gens, degree, cap)
         # the kept cosets hold every element once
-        keys = b"".join(outcome._memo["cosets"])
+        keys = b"".join(outcome.cosets)
         assert {keys[i:i + degree] for i in range(0, len(keys), degree)} == outcome.elements
         assert len(keys) == outcome.order * degree
     else:
@@ -174,7 +181,7 @@ def test_s4_grows_by_cosets_of_three_and_six_keys():
         Permutation.from_cycles(4, [(1, 2, 3, 4)]),
     )
     S4 = ge._dimino([three.key, two.key, four.key], 4, ge.DEFAULT_CAP)
-    assert [len(c) // 4 for c in S4._memo["cosets"]] == [1, 1, 1, 3, 6, 6, 6]
+    assert [len(c) // 4 for c in S4.cosets] == [1, 1, 1, 3, 6, 6, 6]
     assert S4.order == 24 and ge.exponent(S4) == 12 and ge.center_size(S4) == 1
     for cap in (5, 6, 23):
         outcome = _outcome(ge._dimino, S4.gen_keys, 4, cap)
@@ -182,7 +189,7 @@ def test_s4_grows_by_cosets_of_three_and_six_keys():
     # generate builds S_4^2 = A_4 first, then extends it by one coset of A_4
     generated = ge.generate([three, two, four])
     assert generated.elements == S4.elements
-    assert [len(c) // 4 for c in generated._memo["cosets"]] == [1, 1, 1, 3, 3, 3, 12]
+    assert [len(c) // 4 for c in generated.cosets] == [1, 1, 1, 3, 3, 3, 12]
 
 
 @settings(max_examples=150)
@@ -207,7 +214,7 @@ def test_generate_matches_a_naive_closure(case, cap):
         assert outcome.elements == _naive_closure(gens, degree, cap)
         assert outcome.gen_keys == tuple(gens)
         # the kept cosets hold every element once
-        keys = b"".join(outcome._memo["cosets"])
+        keys = b"".join(outcome.cosets)
         assert {keys[i:i + degree] for i in range(0, len(keys), degree)} == outcome.elements
         assert len(keys) == outcome.order * degree
     else:
@@ -216,25 +223,26 @@ def test_generate_matches_a_naive_closure(case, cap):
 
 def test_slabs_cut_the_cosets_in_order():
     G = ge.generate(syl2_S_generators(8))
-    keys = b"".join(G._memo["cosets"])
+    keys = b"".join(G.cosets)
     for slab in SLABS:
         with mock.patch.object(ge, "_SLAB", slab):
-            slabs = list(ge._slabs(G))
+            slabs = list(ge._cut(G.cosets, 8))
         assert b"".join(slabs) == keys
         assert all(len(s) == slab * 8 for s in slabs[:-1]) and 0 < len(slabs[-1]) <= slab * 8
-    bare = ge.EnumeratedGroup(8, G.gen_keys, G.elements)
+    bare = _bare(G)
     with mock.patch.object(ge, "_SLAB", 5):
-        slabs = list(ge._slabs(bare))
+        slabs = list(ge._cut(bare.cosets, 8))
     assert sorted(s[i:i + 8] for s in slabs for i in range(0, len(s), 8)) == G.sorted_keys()
     assert [len(s) // 8 for s in slabs] == [5] * 25 + [3]
-    assert list(ge._slabs(ge.generate((), degree=3))) == [bytes(range(3))]
+    assert list(ge._cut(ge.generate((), degree=3).cosets, 3)) == [bytes(range(3))]
 
 
 def test_even_subgroup_keeps_its_cosets():
     H = ge.even_subgroup(ge.generate(syl2_S_generators(8)))
-    bare = ge.EnumeratedGroup(8, H.gen_keys, H.elements)
-    assert "cosets" in H._memo and "cosets" not in bare._memo
-    keys = b"".join(H._memo["cosets"])
+    bare = _bare(H)
+    # _dimino built H: its cosets, not one sorted buffer, and no G^2
+    assert len(H.cosets) > 1 and H.square_closure is None
+    keys = b"".join(H.cosets)
     assert sorted(keys[i:i + 8] for i in range(0, len(keys), 8)) == bare.sorted_keys()
     assert H.order == 64
     assert ge.exponent(H) == ge.exponent(bare)
@@ -243,8 +251,8 @@ def test_even_subgroup_keeps_its_cosets():
 
 def _layout(G):
     """G^2's coset sizes, and the sizes of generate's doubling buffers."""
-    base = len(G._memo["square_closure"]._memo["cosets"])
-    sizes = [len(c) // G.degree for c in G._memo["cosets"]]
+    base = len(G.square_closure.cosets)
+    sizes = [len(c) // G.degree for c in G.cosets]
     return sizes[:base], sizes[base:]
 
 
@@ -253,8 +261,8 @@ def _layout(G):
 def test_each_generator_outside_the_group_adds_one_buffer_of_the_group(case):
     degree, gens = case
     G = ge.generate([Permutation(g) for g in gens], degree=degree)
-    squares = G._memo["square_closure"]
-    assert G._memo["cosets"][:len(squares._memo["cosets"])] == squares._memo["cosets"]
+    squares = G.square_closure
+    assert G.cosets[:len(squares.cosets)] == squares.cosets
     # generator i doubles the group exactly when it lies outside <G^2, gens[:i]>
     expected, members = [], squares.elements
     for i, g in enumerate(gens):
@@ -300,12 +308,40 @@ def test_the_element_set_is_built_when_first_read():
     assert [len(c) // 8 for c in split] == [8, 16, 32]
     assert elements == _naive_closure(G.gen_keys, 8, ge.DEFAULT_CAP)
     # G^2's key objects are reused
-    squares = G._memo["square_closure"]
+    squares = G.square_closure
     assert {id(k) for k in squares.elements} <= {id(k) for k in elements}
-    eager = ge.EnumeratedGroup(G.degree, G.gen_keys, frozenset(elements))
+    eager = _bare(G)
     assert G == eager and hash(G) == hash(eager) and repr(G) == repr(eager)
     # equality with a fresh group builds its element set
     fresh = ge.generate(s_beta(3))
     assert fresh == G and "elements" in vars(fresh)
     with pytest.raises(AttributeError):
         G.missing
+
+
+_G3 = (8, [g.key for _, g in s_beta(3).permutation_entries()])
+_SYL2_S8 = (8, _SYL2_S8_GENS)
+
+
+@pytest.mark.parametrize(
+    "case", [_W4, _A4, _G3, _S4, _SYL2_S8], ids=["W_4", "A_4", "G_3", "S_4", "Syl_2(S_8)"]
+)
+def test_a_group_rebuilt_from_its_buffers_is_the_same_group(case):
+    degree, gens = case
+    G = ge.generate([Permutation(g) for g in gens], degree=degree)
+    rebuilt = ge.EnumeratedGroup(G.degree, G.gen_keys, G.cosets, G.square_closure)
+    # the memo holds memoized queries only, never the group's structure
+    for group in (G, rebuilt, G.square_closure):
+        assert not {"cosets", "square_closure"} & group._memo.keys()
+    assert rebuilt.order == G.order and rebuilt.elements == G.elements
+    assert rebuilt == G and hash(rebuilt) == hash(G) and repr(rebuilt) == repr(G)
+    assert ge.exponent(rebuilt) == ge.exponent(G)
+    assert ge.center_size(rebuilt) == ge.center_size(G)
+    # each member with its first and last images swapped, and with its first
+    # image repeated: outside G for some members
+    swapped = {bytes([x[-1], *x[1:-1], x[0]]) for x in G.elements}
+    repeated = {x[:1] + x[:-1] for x in G.elements}
+    outside = (swapped | repeated) - G.elements
+    assert outside
+    for x in [*G.elements, *outside]:
+        assert ge.contains(rebuilt, x) == ge.contains(G, x) == (x in G.elements)

@@ -589,11 +589,11 @@ def test_derived_subgroups_of_an_unclosed_element_set_stop_at_its_order():
     # {1, g} for an 8-cycle g is not closed: the squares (and so the Frattini
     # subgroup) generate the 4 powers of g^2, past the parent's order 2
     g = Permutation.from_cycles(8, [tuple(range(1, 9))])
-    cyclic = ge.EnumeratedGroup(8, (g.key,), frozenset({bytes(range(8)), g.key}))
+    cyclic = ge.EnumeratedGroup(8, (g.key,), (b"".join(sorted({bytes(range(8)), g.key})),))
     # {1, (1 2)} listed with generators (1 2) and (2 3): their commutator is
     # a 3-cycle, and its normal closure passes the parent's order 2
     a, b = Permutation.transposition(3, 1, 2), Permutation.transposition(3, 2, 3)
-    swapped = ge.EnumeratedGroup(3, (a.key, b.key), frozenset({bytes(range(3)), a.key}))
+    swapped = ge.EnumeratedGroup(3, (a.key, b.key), (b"".join(sorted({bytes(range(3)), a.key})),))
     for malformed, build in (
         (cyclic, ge.squares_subgroup),
         (cyclic, ge.frattini_subgroup),
@@ -604,12 +604,12 @@ def test_derived_subgroups_of_an_unclosed_element_set_stop_at_its_order():
         assert info.value.cap == 2
     # the exponent squares the listed elements, with no closure to stop it,
     # whether squares_subgroup ran first (above) or not
-    fresh = ge.EnumeratedGroup(8, (g.key,), frozenset({bytes(range(8)), g.key}))
+    fresh = ge.EnumeratedGroup(8, (g.key,), (b"".join(sorted({bytes(range(8)), g.key})),))
     assert ge.exponent(cyclic) == ge.exponent(fresh) == 8
     # an element of odd order in a set of power-of-two size: no 2-element of
     # degree 3 has order above 2, so exponent stops squaring after one step
     c = Permutation.from_cycles(3, [(1, 2, 3)])
-    odd = ge.EnumeratedGroup(3, (c.key,), frozenset({bytes(range(3)), c.key}))
+    odd = ge.EnumeratedGroup(3, (c.key,), (b"".join(sorted({bytes(range(3)), c.key})),))
     assert ge.exponent(odd) == 3
     with pytest.raises(ge.CapExceededError) as info:
         ge.squares_subgroup(fresh)
@@ -625,9 +625,11 @@ def test_an_element_past_the_bound_of_its_squares_falls_back_to_the_element_orde
     swap, c = Permutation.transposition(3, 1, 2), Permutation.from_cycles(3, [(1, 2, 3)])
     squares = ge.generate([swap])
     c_swap = ge._mul(c.key, swap.key)
-    malformed = ge.EnumeratedGroup(3, (swap.key, c.key), squares.elements | {c.key, c_swap})
-    malformed._memo.update(cosets=[*squares._memo["cosets"], c.key + c_swap], square_closure=squares)
+    malformed = ge.EnumeratedGroup(
+        3, (swap.key, c.key), (*squares.cosets, c.key + c_swap), square_closure=squares
+    )
     assert malformed.order == 4 and ge._squarings(squares) == 1
+    assert malformed.elements == squares.elements | {c.key, c_swap}
     assert ge.exponent(malformed) == 6
 
 

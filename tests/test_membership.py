@@ -54,7 +54,7 @@ _MEMBERS = {name: _closure(gens, degree) for name, (gens, degree) in _FAMILIES.i
 
 
 def _reads_the_set(G: ge.EnumeratedGroup) -> bool:
-    squares = G._memo["square_closure"]
+    squares = G.square_closure
     return G.order > squares.order ** 2
 
 
@@ -145,14 +145,14 @@ def _load(name, path):
 def _element_set_builds():
     """Record (degree, order) of every element set built inside the block."""
     builds = []
-    read = ge.EnumeratedGroup.__getattr__
+    prop = vars(ge.EnumeratedGroup)["elements"]  # the cached_property
+    build = prop.func
 
-    def spy(group, name):
-        if name == "elements":
-            builds.append((group.degree, group.order))
-        return read(group, name)
+    def spy(group):
+        builds.append((group.degree, group.order))
+        return build(group)
 
-    with mock.patch.object(ge.EnumeratedGroup, "__getattr__", spy):
+    with mock.patch.object(prop, "func", spy):
         yield builds
 
 

@@ -1,6 +1,6 @@
 """List the functions of src/sylow2 that no command, tool or workload enters.
 
-    python3 tools/reach.py
+    python3 tools/reach.py [--lines MODULE]
 
 Runs, in this one process and under one sys.settrace hook, everything the
 library is for:
@@ -16,13 +16,22 @@ library is for:
 Each argv must end with its expected exit code. Then it prints every
 function or method of src/sylow2 that none of them entered, apart from
 ALLOWED, which gives the reason each of its entries is kept; and every entry
-of ALLOWED that names no function or that something entered. Exits 0 when
-it prints nothing, and 1 otherwise. Uses the standard library only; the
-files it writes go to a temporary directory that it removes.
+of ALLOWED that names no function or that something entered.
+
+With --lines MODULE it traces lines instead of calls, in the frames whose
+code lives in src/sylow2 only, and prints each executable line of
+src/sylow2/MODULE.py that none of the runs reached, as MODULE:LINE and its
+text, apart from the lines of raise statements (the argument guards). No
+allow-list applies.
+
+Exits 0 when it prints nothing, and 1 otherwise. Uses the standard library
+only; the files it writes go to a temporary directory that it removes.
 """
 
 from __future__ import annotations
 
+import argparse
+import ast
 import contextlib
 import importlib.util
 import io
@@ -34,10 +43,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+PACKAGE = SRC / "sylow2"
 POOL = ROOT / "benchmark" / "reference" / "lattice_pool.json"
 
 # entered by no command, tool or workload, and kept: module.qualname -> why
 _VALUE_TYPE = "part of Permutation's value type; tests and failure witnesses use it"
+_GROUP_VALUE = "EnumeratedGroup's value semantics over degree, gen_keys and elements; tests use it"
 ALLOWED = {
     "perm_core.Permutation.identity": _VALUE_TYPE,
     "perm_core.Permutation.from_cycles": _VALUE_TYPE,
@@ -59,6 +70,9 @@ ALLOWED = {
     "claims.VerificationReport.from_json": "the report reader of the README, which ROADMAP item 1 extends",
     "claims.ClaimRecord.from_json_dict": "called by VerificationReport.from_json",
     "group_engine.frattini_subgroup": "builds Phi only for a group that generate did not build",
+    "group_engine.EnumeratedGroup.__eq__": _GROUP_VALUE,
+    "group_engine.EnumeratedGroup.__hash__": _GROUP_VALUE,
+    "group_engine.EnumeratedGroup.__repr__": _GROUP_VALUE,
 }
 
 _OK, _USAGE = 0, 2
@@ -141,43 +155,95 @@ def _exercise(tmp: Path) -> list[str]:
     return wrong
 
 
-def _functions(code: types.CodeType):
-    """The named functions compiled into code, nested ones included."""
+def _codes(code: types.CodeType):
+    """code and every code object compiled into it, nested ones included."""
+    yield code
     for const in code.co_consts:
         if isinstance(const, types.CodeType):
-            if not const.co_name.startswith("<"):  # not a lambda or comprehension
-                yield const
-            yield from _functions(const)
+            yield from _codes(const)
 
 
-def main() -> int:
+def _functions(code: types.CodeType):
+    """The named functions compiled into code: not the module, a lambda or a
+    comprehension."""
+    return (c for c in _codes(code) if not c.co_name.startswith("<"))
+
+
+def _traced(trace) -> list[str]:
+    """_exercise's lines, run with sylow2 imported, under sys.settrace(trace)."""
     sys.path.insert(0, str(SRC))
-    entered: set[types.CodeType] = set()
-
-    def trace(frame, event, arg):
-        entered.add(frame.f_code)  # a call event; no line tracing
-
     with tempfile.TemporaryDirectory() as tmp:
         sys.settrace(trace)
         try:
             import sylow2  # import-time calls count as entered
 
-            wrong = _exercise(Path(tmp))
+            return _exercise(Path(tmp))
         finally:
             sys.settrace(None)
 
+
+def _unentered() -> list[str]:
+    entered: set[types.CodeType] = set()
+
+    def trace(frame, event, arg):
+        entered.add(frame.f_code)  # a call event; no line tracing
+
+    wrong = _traced(trace)
     seen = {(c.co_filename, c.co_firstlineno, c.co_qualname) for c in entered}
     unreached = set()
-    for path in sorted(Path(sylow2.__file__).parent.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         for code in _functions(compile(path.read_text(), str(path), "exec")):
             if (str(path), code.co_firstlineno, code.co_qualname) not in seen:
                 unreached.add(f"{path.stem}.{code.co_qualname}")
     lines = wrong + [f"not entered: {name}" for name in sorted(unreached - ALLOWED.keys())]
     lines += [f"allowed but entered or absent: {name}" for name in sorted(ALLOWED.keys() - unreached)]
+    return lines
+
+
+def _unrun_lines(module: str) -> list[str]:
+    path = PACKAGE / f"{module}.py"
+    source = path.read_text()
+    ran: set[int] = set()
+    package, filename = str(PACKAGE), str(path)
+
+    def in_package(frame, event, arg):
+        if event == "line" and frame.f_code.co_filename == filename:
+            ran.add(frame.f_lineno)
+        return in_package
+
+    def trace(frame, event, arg):
+        return in_package if frame.f_code.co_filename.startswith(package) else None
+
+    wrong = _traced(trace)
+    executable = {
+        line
+        for code in _codes(compile(source, filename, "exec"))
+        for _, _, line in code.co_lines()
+        if line  # 0 or None: no source line
+    }
+    raises = {
+        line
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise)
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+    text = source.splitlines()
+    unrun = sorted(executable - ran - raises)
+    return wrong + [f"{module}:{line}: {text[line - 1].strip()}" for line in unrun]
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--lines", metavar="MODULE", choices=sorted(p.stem for p in PACKAGE.glob("*.py")),
+        help="list the unrun lines of src/sylow2/MODULE.py instead of the unentered functions",
+    )
+    args = parser.parse_args(argv)
+    lines = _unrun_lines(args.lines) if args.lines else _unentered()
     for line in lines:
         print(line)
     return 1 if lines else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
