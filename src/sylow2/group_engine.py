@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence, Union
