@@ -16,6 +16,7 @@ from pathlib import Path
 from . import __version__, claims, group_engine, sylow_builders, tree_core
 from .perm_core import cycle_notation
 
+
 def _write_json(path: str, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 

@@ -7,9 +7,9 @@ _dimino is the one closure. Given conjugators it builds normal closures too,
 as the commutator and Frattini subgroups need. The same candidates and
 conjugators, in the same order, always give the same generators. generate
 calls it once, for G^2, the normal closure of the generators' squares and
-pairwise commutators (Phi(G) for a 2-group, which generate memoizes), and
-then doubles G^2 by whole halves: G/G^2 is elementary abelian, so each
-generator not yet in the group adds one coset of everything found so far.
+pairwise commutators (Phi(G) for a 2-group), keeps it as the result's
+square_closure, and doubles G^2 by whole halves: G/G^2 is elementary
+abelian, so each generator not yet in the group adds one coset of all found.
 
 Elements are canonicalized as the byte keys of perm_core: byte i holds the
 0-based image of point i+1, and a product is one bytes.translate. The degree
@@ -25,13 +25,15 @@ into slabs of at most _SLAB keys (_cut), a few C calls per slab instead of a
 few per element, and contains and exponent read G^2 and one representative
 of each coset of G^2 (_representatives) where generate kept them.
 
-A derived subgroup (squares, commutator, Frattini) is bounded by the order
-of its parent, so the queries that build one take no cap. Each group also
-memoizes its squares, commutator and Frattini subgroups, so the Frattini
-rank, the derived series and the fingerprint reuse what an earlier query
-built. Concurrent queries on one group may build a memo entry or the element
-set twice, but each is stored whole by one assignment, so none of them
-observes a partial value.
+generate is the one group builder of the library. A derived subgroup
+(squares, commutator, Frattini) is bounded by the order of its parent, so
+the queries that build one take no cap. The Frattini subgroup of a group
+that generate built is its square_closure; each group also memoizes its
+squares and commutator subgroups and its representatives modulo G^2, so the
+Frattini rank, the derived series and the fingerprint reuse what an earlier
+query built. Concurrent queries on one group may build a memo entry or the
+element set twice, but each is stored whole by one assignment, so none of
+them observes a partial value.
 """
 from __future__ import annotations
 
@@ -110,9 +112,8 @@ class EnumeratedGroup:
     gen_keys: tuple[bytes, ...]
     cosets: tuple[bytes, ...]
     square_closure: EnumeratedGroup | None = None
-    # memoized queries: subgroups built from this group, by construction name
-    # (see _memoized), and, once read, the joined representatives modulo G^2
-    # under "representatives" (see _representatives)
+    # memoized queries, by function name (see _memoized): subgroups built from
+    # this group, and the joined representatives modulo G^2 (_representatives)
     _memo: dict[str, EnumeratedGroup | bytes] = field(default_factory=dict, init=False)
 
     @functools.cached_property
@@ -285,7 +286,7 @@ def generate(
     one of H's representatives r modulo G^2: one lookup per representative,
     and when g is accepted those products are the new representatives.
     For a 2-group G^2 is the Frattini subgroup (the Burnside basis theorem),
-    and it is memoized as frattini_subgroup(G).
+    which frattini_subgroup(G) returns.
 
     The result is built from its coset buffers, G^2's and then one of |H|
     keys per accepted generator, and keeps G^2 as its square_closure; its
@@ -306,25 +307,7 @@ def generate(
         cosets.append(b"".join(cosets).translate(table))
         reps += moved
         order *= 2
-    group = EnumeratedGroup(degree, gen_keys, tuple(cosets), squares)
-    if not order & (order - 1):
-        group._memo[frattini_subgroup.__name__] = squares
-    return group
-
-
-def group_from_elements(
-    keys: Iterable[bytes], degree: int, cap: int = DEFAULT_CAP
-) -> EnumeratedGroup:
-    """The group whose element set is keys, which must be closed: _dimino's
-    closure of the sorted keys, so a reduced generating subset is recorded
-    as its generator keys and the group keeps its cosets. The degree must
-    pass generate's check."""
-    _normalize_generators((), degree)
-    keyset = frozenset(keys)
-    closed = _dimino(sorted(keyset), degree, cap)
-    if closed.elements != keyset:
-        raise ValueError("element set is not closed")
-    return closed
+    return EnumeratedGroup(degree, gen_keys, tuple(cosets), squares)
 
 
 def iter_keys(G: EnumeratedGroup) -> Iterator[bytes]:
@@ -333,35 +316,44 @@ def iter_keys(G: EnumeratedGroup) -> Iterator[bytes]:
     return itertools.chain.from_iterable(_keys(coset, G.degree) for coset in G.cosets)
 
 
+def _memoized(build):
+    """Keep build(G), which depends on G alone, in G's memo."""
+
+    @functools.wraps(build)
+    def construct(G: EnumeratedGroup):
+        found = G._memo.get(build.__name__)
+        if found is None:
+            found = G._memo[build.__name__] = build(G)
+        return found
+
+    return construct
+
+
+@_memoized
 def _representatives(G: EnumeratedGroup) -> bytes:
     """One representative of each coset of G^2 in a group that generate
-    built, joined and memoized: the identity, then the first key of each
-    stretch of |G^2| keys of the doubling buffers. Each such stretch is a
-    coset of G^2, since G^2 is normal and each buffer is the translate of
-    whole cosets of G^2."""
-    found = G._memo.get("representatives")
-    if found is None:
-        d = G.degree
-        stretch = G.square_closure.order * d
-        found = G._memo["representatives"] = bytes(range(d)) + b"".join(
-            coset[i:i + d] for coset in _doublings(G) for i in range(0, len(coset), stretch)
-        )
-    return found
+    built, joined: the identity, then the first key of each stretch of |G^2|
+    keys of the doubling buffers. Each such stretch is a coset of G^2, since
+    G^2 is normal and each buffer is the translate of whole cosets of G^2."""
+    d = G.degree
+    stretch = G.square_closure.order * d
+    return bytes(range(d)) + b"".join(
+        coset[i:i + d] for coset in _doublings(G) for i in range(0, len(coset), stretch)
+    )
 
 
 def contains(G: EnumeratedGroup, x: Permutation | bytes) -> bool:
-    """Whether x is an element of G. For a group that generate built with
-    |G : G^2| <= |G^2|, this reads only G^2's set: G/G^2 is elementary
-    abelian, so x lies in G exactly when x r lies in G^2 for one of G's
-    representatives r modulo G^2 (_representatives), and all the x r come
-    from one translate of the joined representatives by x's table.
-    Otherwise, as for W_k, whose G^2 is trivial, it looks x up in G's
-    element set, which is then built if it is not yet."""
+    """Whether x is an element of G. For a group that generate built, this
+    reads only G^2's set: G/G^2 is elementary abelian, so x lies in G
+    exactly when x r lies in G^2 for one of G's representatives r modulo G^2
+    (_representatives), and all the x r come from one translate of the
+    joined representatives by x's table. For a group without G^2, such as
+    one that _dimino built, it looks x up in G's element set."""
     key = x if isinstance(x, bytes) else x.key
     if len(key) != G.degree:
         raise ValueError(f"degree mismatch: element on {len(key)} points, group on {G.degree}")
     squares = G.square_closure
-    if squares is None or G.order > squares.order ** 2:
+    if squares is None:
         return key in G.elements
     moved = _representatives(G).translate(_table(key))
     return not squares.elements.isdisjoint(_keys(moved, G.degree))
@@ -441,19 +433,6 @@ def verify_semidirect(
     return SubgroupRelation(ok, tuple(checks), tuple(witnesses))
 
 
-def _memoized(build):
-    """Keep build(G), a subgroup of G, in G's memo."""
-
-    @functools.wraps(build)
-    def construct(G: EnumeratedGroup):
-        found = G._memo.get(build.__name__)
-        if found is None:
-            found = G._memo[build.__name__] = build(G)
-        return found
-
-    return construct
-
-
 def _commutators(gen_keys: Sequence[bytes]) -> set[bytes]:
     # [a, b] = a b a^-1 b^-1 for each ordered pair of generators
     pairs = [(g, _inv(g)) for g in gen_keys]
@@ -492,17 +471,19 @@ def squares_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
     return _dimino(sorted(squares), G.degree, G.order)
 
 
-@_memoized
 def frattini_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
     """Frattini subgroup of a finite 2-group: G^2 [G, G], the normal closure
     of the generators' squares and pairwise commutators under G's generators
     (_square_closure; the Burnside basis theorem; Holt, Eick and O'Brien,
-    Handbook of Computational Group Theory, 2005). generate stores it in
-    the memo of each 2-group it builds. It reads neither the squares nor the
-    commutator subgroup, so comparing it with the closure of every element's
-    square (squares_subgroup) checks one build against another."""
+    Handbook of Computational Group Theory, 2005). For a group that generate
+    built this is its square_closure; any other group is closed anew on each
+    call. It reads neither the squares nor the commutator subgroup, so
+    comparing it with the closure of every element's square
+    (squares_subgroup) checks one build against another."""
     if G.order & (G.order - 1):
         raise ValueError(f"group of order {G.order} is not a 2-group")
+    if G.square_closure is not None:
+        return G.square_closure
     return _square_closure(G.gen_keys, G.degree, G.order)
 
 
@@ -724,10 +705,3 @@ def key_parities(keys: Sequence[bytes]) -> bytes:
             parity ^= ((col_j | high) - col_i) & high
         out += (parity >> 8).to_bytes(2 * lanes, "little")[0::2]
     return bytes(out)
-
-
-def even_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
-    """The subgroup of even permutations (the sign map's kernel)."""
-    keys = list(iter_keys(G))
-    evens = {key for key, odd in zip(keys, key_parities(keys)) if not odd}
-    return group_from_elements(evens, G.degree)

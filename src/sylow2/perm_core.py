@@ -128,8 +128,10 @@ class Permutation:
     def __pow__(self, exponent: int) -> "Permutation":
         base = self if exponent >= 0 else self.inverse()
         result = Permutation.identity(self.degree)
-        for _ in range(abs(exponent)):
-            result = result * base
+        for bit in reversed(bin(abs(exponent))[2:]):  # square-and-multiply, low bit first
+            if bit == "1":
+                result = result * base
+            base = base * base
         return result
 
     def is_identity(self) -> bool:

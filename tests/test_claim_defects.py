@@ -2,7 +2,9 @@
 fail, and its failures must name the units the defect breaks. The guards
 that keep a sweep from passing on nothing are tested here too."""
 
+import contextlib
 import dataclasses
+import io
 
 from sylow2 import cli
 from sylow2 import claims as cl
@@ -147,6 +149,32 @@ def test_boxtimes_checks_the_paper_table_at_n_12(monkeypatch):
     record = _run_one("boxtimes")
     assert record.status == "fail"
     assert record.witnesses["failures"] == {"12": {"expected": 512, "got": 64}}
+
+
+def test_a_wrong_sign_fails_boxtimes_and_parity_extension_but_not_the_run(monkeypatch):
+    # one non-identity even key of degree 6 called odd: the filter side of
+    # boxtimes_group loses it, so the two constructions disagree
+    even_key = min(sb.boxtimes_group(6).elements - {bytes(range(6))})
+    key_parities = ge.key_parities
+
+    def one_sign_wrong(keys):
+        return bytes(odd or key == even_key for key, odd in zip(keys, key_parities(keys)))
+
+    monkeypatch.setattr(ge, "key_parities", one_sign_wrong)
+    mismatch = {
+        "construction_mismatch": "even-subgroup constructions disagree for n=6: "
+        "filter gives 7, corrected generators give 8"
+    }
+    report = cl.run_claims(sorted(cl.CLAIMS), cl.ClaimContext(), version="test")
+    records = {record.claim_id: record for record in report.claims}
+    # every other claim keeps its verdict, and the run ends as a failed one
+    assert {c for c, record in records.items() if record.status == "fail"} == {
+        "boxtimes", "parity-extension"
+    }
+    assert records["boxtimes"].witnesses["failures"] == {"6": mismatch}
+    assert records["parity-extension"].witnesses["failures"] == mismatch
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--all"]) == 1
 
 
 # --- generator words and non-vacuity guards ---------------------------------

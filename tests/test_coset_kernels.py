@@ -4,8 +4,8 @@ of small groups placed on random points of many degrees, 2-groups and others,
 read in slabs of several sizes, and the same element sets built into an
 EnumeratedGroup as one sorted buffer with no G^2, which exponent squares
 whole. Also generate's doubling layout and its element set, which is built
-only when first read, the cosets of even_subgroup, and groups rebuilt from
-their buffers by EnumeratedGroup's constructor."""
+only when first read, the cosets of an even subgroup that _dimino closes,
+and groups rebuilt from their buffers by EnumeratedGroup's constructor."""
 
 import math
 from unittest import mock
@@ -238,7 +238,9 @@ def test_slabs_cut_the_cosets_in_order():
 
 
 def test_even_subgroup_keeps_its_cosets():
-    H = ge.even_subgroup(ge.generate(syl2_S_generators(8)))
+    G = ge.generate(syl2_S_generators(8))
+    keys = G.sorted_keys()
+    H = ge._dimino([key for key, odd in zip(keys, ge.key_parities(keys)) if not odd], 8, G.order)
     bare = _bare(H)
     # _dimino built H: its cosets, not one sorted buffer, and no G^2
     assert len(H.cosets) > 1 and H.square_closure is None

@@ -70,6 +70,9 @@ def test_generate_takes_degrees_1_to_255():
     assert ge.generate([Permutation.transposition(255, 1, 255)]).order == 2
     with pytest.raises(ValueError, match=r"degree must be in 1\.\.255, got 256"):
         ge.generate([Permutation.identity(256)])
+    for degree in (0, ge.MAX_DEGREE + 1):
+        with pytest.raises(ValueError, match=rf"degree must be in 1\.\.{ge.MAX_DEGREE}, got {degree}"):
+            ge.generate((), degree=degree)
 
 
 def test_contains_and_subgroup_predicates():
@@ -191,20 +194,22 @@ def test_squares_and_frattini():
 
 
 def test_frattini_rejects_non_two_group():
-    # generate keeps G^2 as the Frattini subgroup of 2-groups only
+    # G^2 is the Frattini subgroup of 2-groups only
     for gens, order in ((_cycles(3, [(1, 2, 3)]), 3), (_cycles(4, [(1, 2)], [(1, 2, 3, 4)]), 24)):
         G = ge.generate(gens)
-        assert G.order == order and "frattini_subgroup" not in G._memo
+        assert G.order == order
         with pytest.raises(ValueError):
             ge.frattini_subgroup(G)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_generate_memoizes_the_frattini_subgroup_of_a_two_group(k):
+    # generate keeps G^2, which frattini_subgroup returns; a group without
+    # it (here G's buffers alone) has its Frattini subgroup closed anew
     G = _G(k)
-    phi = G._memo["frattini_subgroup"]
-    assert ge.frattini_subgroup(G) is phi
-    rebuilt = ge.frattini_subgroup.__wrapped__(G)
+    phi = ge.frattini_subgroup(G)
+    assert phi is G.square_closure
+    rebuilt = ge.frattini_subgroup(ge.EnumeratedGroup(G.degree, G.gen_keys, G.cosets))
     assert (phi.elements, phi.gen_keys) == (rebuilt.elements, rebuilt.gen_keys)
 
 
@@ -389,33 +394,19 @@ def test_key_parities_on_whole_groups():
     assert [sum(ge.key_parities(G.sorted_keys())) for G in groups] == [0, 0, 0, 1 << 14]
 
 
+def _even_half(G):
+    """G's even keys, closed by _dimino into a group that keeps its cosets."""
+    keys = G.sorted_keys()
+    evens = [key for key, odd in zip(keys, ge.key_parities(keys)) if not odd]
+    return ge._dimino(evens, G.degree, G.order)
+
+
 def test_even_subgroup_of_syl2_s4():
     G = ge.generate(syl2_S_generators(4))
-    H = ge.even_subgroup(G)
-    assert H.order == 4
+    H = _even_half(G)
+    assert H.order == 4 and H.square_closure is None
     assert ge.is_subgroup(H, G)
     assert all(is_even(Permutation(key)) for key in H.elements)
-
-
-def test_group_from_elements_rejects_non_closed_sets():
-    G = _G(2)
-    assert ge.group_from_elements(G.elements, 4).elements == G.elements
-    broken = set(G.elements)
-    broken.discard(max(broken))
-    broken.add(bytes((1, 0, 2, 3)))
-    without_identity = set(G.elements) - {G.identity_key}
-    for keys in (broken, set(), without_identity):
-        with pytest.raises(ValueError):
-            ge.group_from_elements(keys, 4)
-
-
-@pytest.mark.parametrize("degree", [0, ge.MAX_DEGREE + 1])
-def test_group_from_elements_checks_the_degree_as_generate_does(degree):
-    message = rf"degree must be in 1\.\.{ge.MAX_DEGREE}, got {degree}"
-    with pytest.raises(ValueError, match=message):
-        ge.group_from_elements([bytes(range(degree))], degree)
-    with pytest.raises(ValueError, match=message):
-        ge.generate((), degree=degree)
 
 
 def test_gen_keys_regenerate_the_group():
@@ -423,7 +414,7 @@ def test_gen_keys_regenerate_the_group():
     groups = list(parents)
     for G in parents:
         groups += [ge.squares_subgroup(G), ge.commutator_subgroup(G), ge.frattini_subgroup(G)]
-    groups.append(ge.even_subgroup(ge.generate(syl2_S_generators(8))))
+    groups.append(_even_half(ge.generate(syl2_S_generators(8))))
     for H in groups:
         assert all(type(g) is bytes and len(g) == H.degree for g in H.gen_keys)
         regenerated = ge.generate([Permutation(g) for g in H.gen_keys], degree=H.degree)

@@ -1,8 +1,8 @@
 """contains and is_subgroup against a naive closure, on both of contains'
-paths: the representatives modulo G^2 for a group that generate built with
-|G : G^2| <= |G^2|, and the element set otherwise. Also the element sets
-that membership leaves unbuilt: the lattice workload's parents and G_4 in a
-default verify --all."""
+paths: the representatives modulo G^2 for a group that generate built, and
+the element set for a group that keeps no G^2, such as one that _dimino
+built. Also the element sets that membership leaves unbuilt: the lattice
+workload's parents and G_4 in a default verify --all."""
 
 import contextlib
 import importlib.util
@@ -37,9 +37,9 @@ def _keys(perms) -> list[bytes]:
     return [p.key for _, p in perms.permutation_entries()]
 
 
-# named generator sets on both sides of contains: W_4, S_2 and the Klein
-# group, whose G^2 is trivial, read the element set; A_4 (G^2 = A_4), S_4,
-# G_3, Syl_2(S_8) and the trivial group read the representatives
+# named generator sets, each built on both sides of contains: generate keeps
+# G^2 and reads the representatives, also for W_4, S_2 and the Klein group,
+# whose G^2 is trivial; _dimino keeps no G^2 and reads the element set
 _FAMILIES = {
     "trivial": ([], 5),
     "S_2": ([bytes([1, 0])], 2),
@@ -51,17 +51,20 @@ _FAMILIES = {
     "Syl_2(S_8)": (_keys(syl2_S_generators(8)), 8),
 }
 _MEMBERS = {name: _closure(gens, degree) for name, (gens, degree) in _FAMILIES.items()}
+_BUILDERS = {
+    "generate": lambda gens, degree: ge.generate([Permutation(g) for g in gens], degree=degree),
+    "_dimino": lambda gens, degree: ge._dimino(gens, degree, ge.DEFAULT_CAP),
+}
 
 
 def _reads_the_set(G: ge.EnumeratedGroup) -> bool:
-    squares = G.square_closure
-    return G.order > squares.order ** 2
+    return G.square_closure is None
 
 
 def test_the_families_cover_both_paths():
-    sides = {name: _reads_the_set(ge.generate([Permutation(g) for g in gens], degree=d))
-             for name, (gens, d) in _FAMILIES.items()}
-    assert {name for name, side in sides.items() if side} == {"S_2", "Klein", "W_4"}
+    for name, (gens, d) in _FAMILIES.items():
+        assert not _reads_the_set(_BUILDERS["generate"](gens, d)), name
+        assert _reads_the_set(_BUILDERS["_dimino"](gens, d)), name
 
 
 def _candidate(draw, degree: int, members: list[bytes]) -> bytes:
@@ -83,11 +86,16 @@ def _candidate(draw, degree: int, members: list[bytes]) -> bytes:
 
 
 @settings(max_examples=60)
-@given(data=st.data(), name=st.sampled_from(sorted(_FAMILIES)))
-def test_contains_matches_a_naive_closure_on_named_groups(data, name):
+@given(
+    data=st.data(),
+    name=st.sampled_from(sorted(_FAMILIES)),
+    builder=st.sampled_from(sorted(_BUILDERS)),
+)
+def test_contains_matches_a_naive_closure_on_named_groups(data, name, builder):
     gens, degree = _FAMILIES[name]
     members = _MEMBERS[name]
-    G = ge.generate([Permutation(g) for g in gens], degree=degree)
+    G = _BUILDERS[builder](gens, degree)
+    assert G.order == len(members)
     candidates = [_candidate(data.draw, degree, sorted(members)) for _ in range(8)]
     assert [ge.contains(G, x) for x in candidates] == [x in members for x in candidates]
     # the representatives' path leaves the element set unbuilt
@@ -180,7 +188,9 @@ def test_default_verify_all_never_builds_g4s_element_set():
 @pytest.mark.parametrize("name", ["W_4", "S_2"])
 def test_the_set_side_builds_the_set_once(name):
     gens, degree = _FAMILIES[name]
-    G = ge.generate([Permutation(g) for g in gens], degree=degree)
+    # generate's buffers without its G^2: the set is built on first read
+    generated = _BUILDERS["generate"](gens, degree)
+    G = ge.EnumeratedGroup(degree, generated.gen_keys, generated.cosets)
     with _element_set_builds() as builds:
         assert ge.contains(G, bytes(range(degree)))
         assert ge.contains(G, bytes(range(degree)))

@@ -101,6 +101,27 @@ def test_inverse_and_power():
         assert (p ** p.order()).is_identity()
 
 
+def test_power_matches_repeated_products():
+    rng = random.Random(11)
+    for _ in range(10):
+        images = list(range(7))
+        rng.shuffle(images)
+        p = Permutation(images)
+        for e in range(-5, 6):
+            base = p if e >= 0 else p.inverse()
+            expected = Permutation.identity(7)
+            for _ in range(abs(e)):
+                expected = expected * base
+            assert p ** e == expected
+
+
+def test_huge_power_takes_logarithmically_many_products():
+    t = Permutation.transposition(5, 2, 4)
+    assert t ** (10**18 + 1) == t
+    assert (t ** (10**18)).is_identity()
+    assert t ** -(10**18 + 1) == t
+
+
 def test_order_is_lcm_of_cycle_lengths():
     p = Permutation.from_cycles(7, [(1, 2), (3, 4, 5)])
     assert p.order() == 6

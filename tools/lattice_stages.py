@@ -16,8 +16,8 @@ each:
 A stage that reuses what an earlier one built finds it in H's memo, as it does
 inside a lattice query: derived_series reads [H, H], and exponent and
 center_size read the cosets generate kept. generate builds Phi(H) first and
-memoizes it, so the frattini_subgroup stage only reads generate's memo; what
-Phi costs shows in generate's two steps, which are timed apart: the Phi
+keeps it as H.square_closure, which the frattini_subgroup stage only returns;
+what Phi costs shows in generate's two steps, which are timed apart: the Phi
 closure (the normal closure of the generators' squares and commutators) and
 the doubling of Phi (the extension to H). exponent's two steps are timed
 apart too: the squaring of Phi (how many squarings Phi's elements take) and

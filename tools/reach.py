@@ -69,7 +69,6 @@ ALLOWED = {
     ),
     "claims.VerificationReport.from_json": "the report reader of the README, which ROADMAP item 1 extends",
     "claims.ClaimRecord.from_json_dict": "called by VerificationReport.from_json",
-    "group_engine.frattini_subgroup": "builds Phi only for a group that generate did not build",
     "group_engine.EnumeratedGroup.__eq__": _GROUP_VALUE,
     "group_engine.EnumeratedGroup.__hash__": _GROUP_VALUE,
     "group_engine.EnumeratedGroup.__repr__": _GROUP_VALUE,
