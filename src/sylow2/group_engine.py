@@ -1,7 +1,8 @@
 """Exhaustive machinery for small finite permutation groups: coset-by-coset
 closure enumeration (Dimino's algorithm, after Butler, Fundamental
-Algorithms for Permutation Groups, 1991), subgroup predicates, commutator /
-squares / Frattini subgroups, generating rank and derived series.
+Algorithms for Permutation Groups, 1991), subgroup predicates, the
+semidirect-product check, commutator / squares / Frattini subgroups,
+generating rank and derived series.
 
 _dimino is the one closure. Given conjugators it builds normal closures too,
 as the commutator and Frattini subgroups need. The same candidates and
@@ -19,11 +20,12 @@ is limited to MAX_DEGREE = 255 points and group orders to the enumeration cap
 An EnumeratedGroup is its coset buffers, each the joined keys of one coset:
 _dimino's cosets, or generate's G^2 followed by one doubling buffer per
 accepted generator. Its order is their total length, and its element set is
-derived from them when first read and then kept. The queries read the
-buffers instead: iter_keys splits them, exponent and center_size cut them
-into slabs of at most _SLAB keys (_cut), a few C calls per slab instead of a
-few per element, and contains and exponent read G^2 and one representative
-of each coset of G^2 (_representatives) where generate kept them.
+the keys of all of them, split when first read and then kept (_dimino hands
+over the member set it built instead). The queries read the buffers instead:
+iter_keys splits them, exponent and center_size cut them into slabs of at
+most _SLAB keys (_cut), a few C calls per slab instead of a few per element,
+and contains and exponent read G^2 and one representative of each coset of
+G^2 (_representatives) where generate kept them.
 
 generate is the one group builder of the library. A derived subgroup
 (squares, commutator, Frattini) is bounded by the order of its parent, so
@@ -42,7 +44,7 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from . import tree_core
 from .perm_core import _PADS, Permutation, _inv, _table
@@ -103,10 +105,11 @@ class EnumeratedGroup:
     built, whose buffers are G^2's and then one doubling buffer per accepted
     generator; it is None for a group that _dimino built.
 
-    The order (the buffers' total length) and the element set are derived
-    when first read and then kept. Equality, hashing and repr are over
-    the degree, gen_keys and the element set, so they build it; repr lists
-    the elements sorted, so equal groups have equal reprs."""
+    The order (the buffers' total length) and the element set (the keys of
+    every buffer) are derived when first read and then kept. Equality,
+    hashing and repr are over the degree, gen_keys and the element set, so
+    they build it; repr lists the elements sorted, so equal groups have
+    equal reprs."""
 
     degree: int
     gen_keys: tuple[bytes, ...]
@@ -122,13 +125,7 @@ class EnumeratedGroup:
 
     @functools.cached_property
     def elements(self) -> frozenset[bytes]:
-        """G^2's set and the keys of the doubling buffers for a group that
-        generate built, so G^2's keys are reused; otherwise the keys of all
-        its buffers."""
-        if self.square_closure is None:
-            return frozenset(iter_keys(self))
-        doublings = (_keys(coset, self.degree) for coset in _doublings(self))
-        return self.square_closure.elements.union(*doublings)
+        return frozenset(iter_keys(self))
 
     def __eq__(self, other):
         if type(other) is not EnumeratedGroup:
@@ -379,58 +376,41 @@ def is_normal(H: EnumeratedGroup, G: EnumeratedGroup) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SubgroupRelation:
-    """Outcome of a structural check, with per-condition verdicts and
-    counterexample witnesses for the failed ones."""
-
-    ok: bool
-    checks: tuple[tuple[str, bool], ...]
-    witnesses: tuple[tuple[str, str], ...] = ()
-
-
 def verify_semidirect(
     B: EnumeratedGroup, W: EnumeratedGroup, G: EnumeratedGroup
-) -> SubgroupRelation:
+) -> tuple[dict[str, bool], dict[str, str]]:
     """Internal semidirect decomposition G = B x| W: W normal in G, B and W
-    intersect trivially, and |B| |W| = |G|. Precondition violations are
-    reported as failed checks, not exceptions.
+    intersect trivially, and |B| |W| = |G|. Returns the verdict of each
+    condition and a counterexample witness for each failed one; G = B x| W
+    when every verdict holds. Precondition violations are reported as failed
+    checks, not exceptions.
     """
-    checks: list[tuple[str, bool]] = []
-    witnesses: list[tuple[str, str]] = []
     if not (B.degree == W.degree == G.degree):
-        checks.append(("same_degree", False))
-        witnesses.append(("same_degree", f"degrees {B.degree}, {W.degree}, {G.degree}"))
-        return SubgroupRelation(False, tuple(checks), tuple(witnesses))
-    checks.append(("same_degree", True))
+        return {"same_degree": False}, {"same_degree": f"degrees {B.degree}, {W.degree}, {G.degree}"}
+    checks, witnesses = {"same_degree": True}, {}
 
     for label, H in (("b_subgroup", B), ("w_subgroup", W)):
-        good = is_subgroup(H, G)
-        checks.append((label, good))
-        if not good:
+        checks[label] = is_subgroup(H, G)
+        if not checks[label]:
             stray = next(k for k in H.sorted_keys() if not contains(G, k))
-            witnesses.append((label, repr(Permutation._of_key(stray))))
+            witnesses[label] = repr(Permutation._of_key(stray))
 
-    normal = is_normal(W, G)
-    checks.append(("w_normal", normal))
-    if not normal:
-        witnesses.append(("w_normal", "a generator conjugate of W escapes W"))
+    checks["w_normal"] = is_normal(W, G)
+    if not checks["w_normal"]:
+        witnesses["w_normal"] = "a generator conjugate of W escapes W"
 
     meet = B.elements & W.elements
-    trivial = meet == {G.identity_key}
-    checks.append(("trivial_intersection", trivial))
-    if not trivial:
+    checks["trivial_intersection"] = meet == {G.identity_key}
+    if not checks["trivial_intersection"]:
         nontrivial = sorted(meet - {G.identity_key})
-        sample = repr(Permutation._of_key(nontrivial[0])) if nontrivial else "identity missing"
-        witnesses.append(("trivial_intersection", sample))
+        witnesses["trivial_intersection"] = (
+            repr(Permutation._of_key(nontrivial[0])) if nontrivial else "identity missing"
+        )
 
-    product_ok = B.order * W.order == G.order
-    checks.append(("order_product", product_ok))
-    if not product_ok:
-        witnesses.append(("order_product", f"{B.order} * {W.order} != {G.order}"))
-
-    ok = all(v for _, v in checks)
-    return SubgroupRelation(ok, tuple(checks), tuple(witnesses))
+    checks["order_product"] = B.order * W.order == G.order
+    if not checks["order_product"]:
+        witnesses["order_product"] = f"{B.order} * {W.order} != {G.order}"
+    return checks, witnesses
 
 
 def _commutators(gen_keys: Sequence[bytes]) -> set[bytes]:
@@ -516,32 +496,6 @@ def derived_length(G: EnumeratedGroup) -> int:
     if series[-1].order != 1:
         raise ValueError("group is not solvable")
     return len(series) - 1
-
-
-def homomorphism_check(
-    mapping: Mapping[Permutation | bytes, Permutation | bytes],
-    G: EnumeratedGroup,
-    H: EnumeratedGroup,
-) -> bool:
-    """Whether map(xy) == map(x) map(y) for all x, y in G; the mapping must
-    be defined on all of G and land in H. Exact: it checks that map(e) is
-    H's identity and map(x s) == map(x) map(s) for every x in G and s in
-    G.gen_keys. By induction, map(x s1...sm) == map(x) map(s1)...map(sm),
-    and every element of a finite group is such a word in its generators.
-    """
-    table = {
-        x if isinstance(x, bytes) else x.key: y if isinstance(y, bytes) else y.key
-        for x, y in mapping.items()
-    }
-    if set(table) != set(G.elements):
-        raise ValueError("mapping must be defined on exactly the elements of G")
-    if any(v not in H.elements for v in table.values()):
-        raise ValueError("mapping has values outside H")
-    if table[G.identity_key] != H.identity_key:
-        return False
-    return all(
-        table[_mul(x, s)] == _mul(table[x], table[s]) for s in G.gen_keys for x in G.elements
-    )
 
 
 @functools.cache

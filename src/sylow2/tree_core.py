@@ -28,7 +28,8 @@ lane_kinds act on one portrait per bit (bit-slicing: Biham, "A fast new DES
 implementation in software", FSE 1997): lanes[l] packs level l in fields of
 `width` bits, bit j of field v being portrait j's state at vertex v. With
 width 1 that is Portrait.levels, and compose, to_permutation, from_permutation
-and classify_element are the kernels' one-lane calls.
+and classify_element are the kernels' one-lane calls; classify_element gives
+the ElementKind of its one lane.
 """
 
 from __future__ import annotations
@@ -45,40 +46,10 @@ from .perm_core import Permutation, _as_key
 MAX_DEPTH = 16
 
 
-@dataclass(frozen=True)
-class VertexAddress:
-    """A vertex: level in 0..k, position 1-based within the level."""
-
-    level: int
-    position: int
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"negative level {self.level}")
-        if not 1 <= self.position <= 1 << self.level:
-            raise ValueError(
-                f"position {self.position} outside 1..{1 << self.level} on level {self.level}"
-            )
-
-
 class ElementKind(Enum):
     TYPE_T = "T"
     TYPE_C = "C"
     NEITHER = "neither"
-
-
-@dataclass(frozen=True)
-class ElementClass:
-    """Classification of an automorphism by its last-level state pattern.
-
-    ``first_half_states`` / ``second_half_states`` count the active states at
-    level k-1 among positions 1..2^(k-2) and 2^(k-2)+1..2^(k-1); they are the
-    witnesses behind a TYPE_T or TYPE_C verdict and are None otherwise.
-    """
-
-    kind: ElementKind
-    first_half_states: int | None = None
-    second_half_states: int | None = None
 
 
 @dataclass(frozen=True)
@@ -130,7 +101,8 @@ def from_states(k: int, active: Iterable[tuple[int, int]]) -> Portrait:
     for level, position in active:
         if not 0 <= level < k:
             raise ValueError(f"level {level} outside 0..{k - 1}")
-        VertexAddress(level, position)
+        if not 1 <= position <= 1 << level:
+            raise ValueError(f"position {position} outside 1..{1 << level} on level {level}")
         bit = 1 << (position - 1)
         if masks[level] & bit:
             raise ValueError(f"duplicate state at level {level}, position {position}")
@@ -217,16 +189,12 @@ def lane_kind(masks: tuple[int, int], lane: int = 0) -> ElementKind:
     return ElementKind.TYPE_C if c >> lane & 1 else ElementKind.NEITHER
 
 
-def classify_element(a: Portrait) -> ElementClass:
+def classify_element(a: Portrait) -> ElementKind:
     """Type T: states only on level k-1, with an odd number of them in each
     half of that level. Type C: the same odd/odd half counts, with arbitrary
     states above. Anything else is NEITHER.
     """
-    kind = lane_kind(lane_kinds(a.levels))
-    if kind is ElementKind.NEITHER:
-        return ElementClass(kind)
-    half, last = 1 << (a.depth - 2), a.levels[a.depth - 1]
-    return ElementClass(kind, (last & (1 << half) - 1).bit_count(), (last >> half).bit_count())
+    return lane_kind(lane_kinds(a.levels))
 
 
 def to_text(a: Portrait) -> str:

@@ -53,8 +53,8 @@ def test_02_evenness():
 def test_03_semidirect_structure():
     ok = True
     for k in (2, 3, 4):
-        rel = ge.verify_semidirect(_B(k), _W(k), _G(k))
-        ok = ok and rel.ok
+        checks, _ = ge.verify_semidirect(_B(k), _W(k), _G(k))
+        ok = ok and all(checks.values())
     arithmetic = (_B(4).order, _W(4).order, _G(4).order)
     ok = ok and arithmetic == (2 ** 7, 2 ** 7, 2 ** 14)
     _finish("03 semidirect", ok, f"k=4 arithmetic 2^7*2^7=2^14 -> {arithmetic}")
@@ -114,7 +114,7 @@ def test_06_frattini_level_property():
             portrait = tc.from_permutation(Permutation(key))
             if any(tc.level_index(portrait, l) % 2 for l in range(k - 1)):
                 violations += 1
-            elif tc.classify_element(portrait).kind is tc.ElementKind.TYPE_T:
+            elif tc.classify_element(portrait) is tc.ElementKind.TYPE_T:
                 violations += 1
         coverage[k] = (len(samples), violations)
         ok = ok and violations == 0
@@ -124,16 +124,16 @@ def test_06_frattini_level_property():
 def test_07_t_nonclosure():
     t_set = [
         p for p in tc.iter_portraits(3)
-        if tc.classify_element(p).kind is tc.ElementKind.TYPE_T
+        if tc.classify_element(p) is tc.ElementKind.TYPE_T
     ]
     pairs = 0
     violations = 0
     for x in t_set:
-        if tc.classify_element(tc.compose(x, x)).kind is tc.ElementKind.TYPE_T:
+        if tc.classify_element(tc.compose(x, x)) is tc.ElementKind.TYPE_T:
             violations += 1
         for y in t_set:
             pairs += 1
-            if tc.classify_element(tc.compose(x, y)).kind is tc.ElementKind.TYPE_T:
+            if tc.classify_element(tc.compose(x, y)) is tc.ElementKind.TYPE_T:
                 violations += 1
     ok = violations == 0 and pairs == len(t_set) ** 2 and len(t_set) == 4
     _finish("07 t-nonclosure", ok, f"|T|={len(t_set)} pairs={pairs} violations={violations}")

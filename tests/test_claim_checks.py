@@ -195,7 +195,7 @@ def _per_sample_witnesses(ctx):
         for key in samples:
             portrait = tc.from_permutation(Permutation(key))
             odd_levels = [l for l in range(k - 1) if tc.level_index(portrait, l) % 2]
-            kind = tc.classify_element(portrait).kind
+            kind = tc.classify_element(portrait)
             if odd_levels or kind is tc.ElementKind.TYPE_T:
                 failures[str(k)] = {
                     "element": repr(Permutation(key)),

@@ -3,7 +3,6 @@ fail, and its failures must name the units the defect breaks. The guards
 that keep a sweep from passing on nothing are tested here too."""
 
 import contextlib
-import dataclasses
 import io
 
 from sylow2 import cli
@@ -11,6 +10,7 @@ from sylow2 import claims as cl
 from sylow2 import group_engine as ge
 from sylow2 import sylow_builders as sb
 from sylow2 import tree_core as tc
+from sylow2.perm_core import Permutation
 
 
 def _run_one(claim_id, **ctx):
@@ -177,6 +177,94 @@ def test_a_wrong_sign_fails_boxtimes_and_parity_extension_but_not_the_run(monkey
         assert cli.main(["verify", "--all"]) == 1
 
 
+def test_t_nonclosure_fails_when_every_portrait_is_of_type_t(monkeypatch):
+    monkeypatch.setattr(tc, "classify_element", lambda p: tc.ElementKind.TYPE_T)
+    record = _run_one("t-nonclosure")
+    assert record.status == "fail"
+    texts = [tc.to_text(p) for p in tc.iter_portraits(3)]
+    expected = {}
+    for x in texts:
+        expected.update((f"{x} . {y}", "product in T") for y in texts)
+        expected[x] = "square in T"
+    expected["t_size"] = {"expected": 4, "got": 128}
+    assert record.witnesses == {"t_size": 128, "pairs_checked": 128 * 128, "failures": expected}
+
+
+def test_tau_ij_generation_re_evaluates_each_word(monkeypatch):
+    # tau itself is tau_(1,4), so only the word for (1,4) still evaluates right
+    monkeypatch.setattr(sb, "tau_ij_word", lambda i, j, k: ["tau"])
+    record = _run_one("tau-ij-generation")
+    assert record.status == "fail"
+    pairs = ["(1,2)", "(1,3)", "(1,4)", "(2,3)", "(2,4)", "(3,4)"]
+    assert record.witnesses == {
+        "words": dict.fromkeys(pairs, ["tau"]),
+        "failures": {pair: ["tau"] for pair in pairs if pair != "(1,4)"},
+    }
+
+
+_H6_FINGERPRINT = {"order": 8, "abelian": False, "exponent": 4, "derived_length": 2, "center_size": 2}
+_IMAGE_DIFFERS = "extension image differs from the block-built group"
+
+
+def test_parity_extension_fails_when_it_maps_everything_to_the_identity(monkeypatch):
+    monkeypatch.setattr(sb, "parity_extension", lambda sigma, n: Permutation.identity(n))
+    record = _run_one("parity-extension")
+    assert record.status == "fail"
+    assert record.witnesses == {
+        "pairs_checked": 64,
+        "fingerprint": _H6_FINGERPRINT,
+        "failures": {"injectivity": "image collision", "image": _IMAGE_DIFFERS},
+    }
+
+
+def test_parity_extension_fails_when_it_fixes_the_even_permutations(monkeypatch):
+    # the transposition after the m points goes onto every even sigma and off every odd one
+    extend = sb.parity_extension
+    monkeypatch.setattr(
+        sb, "parity_extension",
+        lambda sigma, n: extend(sigma, n) * Permutation.transposition(n, sigma.degree + 1, sigma.degree + 2),
+    )
+    record = _run_one("parity-extension")
+    assert record.status == "fail"
+    # every pair breaks the product rule; the witness is the last pair checked
+    assert record.witnesses == {
+        "pairs_checked": 64,
+        "fingerprint": _H6_FINGERPRINT,
+        "failures": {
+            "homomorphism": "Permutation[(1 4)(2 3)], Permutation[(1 4)(2 3)]",
+            "image": _IMAGE_DIFFERS,
+        },
+    }
+
+
+def test_fingerprint_claims_fail_on_a_wrong_exponent_and_abelian_flag(monkeypatch):
+    fingerprint = ge.fingerprint
+    monkeypatch.setattr(
+        ge, "fingerprint",
+        lambda G: {**fingerprint(G), "abelian": False, "exponent": 2 * fingerprint(G)["exponent"]},
+    )
+    parity = _run_one("parity-extension")
+    assert parity.status == "fail"
+    assert parity.witnesses == {
+        "pairs_checked": 64,
+        "fingerprint": {**_H6_FINGERPRINT, "exponent": 8},
+        "failures": {"fingerprint_exponent": {"expected": 4, "got": 8}},
+    }
+    small = _run_one("small-fingerprints")
+    assert small.status == "fail"
+    assert small.witnesses == {
+        "G2_fingerprint": {"order": 4, "abelian": False, "exponent": 4, "derived_length": 1, "center_size": 4},
+        "A7_exponent": 3,
+        "A6_exponent": 3,
+        "failures": {
+            "G2_abelian": {"expected": True, "got": False},
+            "G2_exponent": {"expected": 2, "got": 4},
+        },
+    }
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--all"]) == 1
+
+
 # --- generator words and non-vacuity guards ---------------------------------
 
 
@@ -210,11 +298,7 @@ def test_tau_ij_generation_fails_unless_it_checks_six_pairs(monkeypatch):
 
 
 def test_t_nonclosure_fails_when_no_element_is_of_type_t(monkeypatch):
-    classify = tc.classify_element
-    monkeypatch.setattr(
-        tc, "classify_element",
-        lambda p: dataclasses.replace(classify(p), kind=tc.ElementKind.NEITHER),
-    )
+    monkeypatch.setattr(tc, "classify_element", lambda p: tc.ElementKind.NEITHER)
     record = _run_one("t-nonclosure")
     assert record.status == "fail"
     assert record.witnesses["t_size"] == 0

@@ -306,12 +306,10 @@ def test_the_element_set_is_built_when_first_read():
     with mock.patch.object(ge, "_keys", lambda coset, degree: split.append(coset) or keys(coset, degree)):
         elements = G.elements
     assert vars(G)["elements"] is elements is G.elements
-    # only the three doubling buffers are split, not G^2's cosets
-    assert [len(c) // 8 for c in split] == [8, 16, 32]
+    # every buffer is split once: G^2's cosets, then the three doubling buffers
+    assert split == list(G.cosets)
+    assert [len(c) // 8 for c in split[-3:]] == [8, 16, 32]
     assert elements == _naive_closure(G.gen_keys, 8, ge.DEFAULT_CAP)
-    # G^2's key objects are reused
-    squares = G.square_closure
-    assert {id(k) for k in squares.elements} <= {id(k) for k in elements}
     eager = _bare(G)
     assert G == eager and hash(G) == hash(eager) and repr(G) == repr(eager)
     # equality with a fresh group builds its element set

@@ -6,9 +6,10 @@ Runs, in this one process and under one sys.settrace hook, everything the
 library is for:
 
 - the CLI, through sylow2.cli.main: verify --all at the defaults, --cap 1,
-  --cap 10, --max-k 5 and --strict; verify --claim; order; decompose; gens
-  for all four families, including --n 300 and --k 9; some of them with
-  --json; and the argvs that end in a usage or parameter error;
+  --cap 10, --max-k 5 and --strict, and --cap 10 --strict (a failed run);
+  verify --claim; order; decompose; gens for all four families, including
+  --n 300 for syl2_S and syl2_A and --k 9; some of them with --json; and the
+  argvs that end in a usage or parameter error;
 - tools/report_diff.py's main on two of those reports;
 - benchmark/lattice.py's prepare and complete (which calls query) on the
   first query of each stratum of benchmark/reference/lattice_pool.json.
@@ -63,10 +64,6 @@ ALLOWED = {
     "tree_core.Portrait.is_identity": "the portrait counterpart of Permutation.is_identity",
     "tree_core.level_index": "the scalar oracle the frattini-level lane kernels are tested against",
     "tree_core.from_permutation": "the scalar oracle lane_portraits is tested against",
-    "group_engine.homomorphism_check": (
-        "exact homomorphism test; parity-extension keeps its own loop, whose "
-        "pairs_checked witness the reference report pins"
-    ),
     "claims.VerificationReport.from_json": "the report reader of the README, which ROADMAP item 1 extends",
     "claims.ClaimRecord.from_json_dict": "called by VerificationReport.from_json",
     "group_engine.EnumeratedGroup.__eq__": _GROUP_VALUE,
@@ -74,7 +71,7 @@ ALLOWED = {
     "group_engine.EnumeratedGroup.__repr__": _GROUP_VALUE,
 }
 
-_OK, _USAGE = 0, 2
+_OK, _FAILED, _USAGE = 0, 1, 2
 
 
 def _argvs(tmp: Path) -> list[tuple[list[str], int]]:
@@ -85,6 +82,7 @@ def _argvs(tmp: Path) -> list[tuple[list[str], int]]:
         (["verify", "--all", "--cap", "10"], _OK),
         (["verify", "--all", "--max-k", "5"], _OK),
         (["verify", "--all", "--strict"], _OK),
+        (["verify", "--all", "--cap", "10", "--strict"], _FAILED),
         (["verify", "--claim", "order-gk", "--k", "3", "--n", "6", "--seed", "7"], _OK),
         (["order", "--n", "12", "--kind", "A", "--json", str(tmp / "order.json")], _OK),
         (["decompose", "--n", "22", "--json", str(tmp / "decompose.json")], _OK),
@@ -92,6 +90,7 @@ def _argvs(tmp: Path) -> list[tuple[list[str], int]]:
         (["gens", "--family", "s_beta", "--k", "3", "--json", str(tmp / "gens.json")], _OK),
         (["gens", "--family", "syl2_S", "--n", "300"], _OK),
         (["gens", "--family", "syl2_A", "--n", "10"], _OK),
+        (["gens", "--family", "syl2_A", "--n", "300"], _OK),
     ]
     errors = [
         [],
