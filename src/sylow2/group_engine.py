@@ -43,11 +43,10 @@ import functools
 import itertools
 import math
 import struct
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, Union
 
 from . import tree_core
-from .perm_core import _PADS, Permutation, _inv, _table
+from .perm_core import _PADS, Permutation, _immutable, _inv, _table
 
 DEFAULT_CAP = 1 << 20
 MAX_DEGREE = 255
@@ -66,26 +65,35 @@ class CapExceededError(Exception):
         self.partial_count = partial_count
 
 
-@dataclass(frozen=True)
 class GeneratorSet:
     """A named, ordered list of labelled generators sharing one degree.
 
     Entries hold either a Permutation or a Portrait; portraits act on the
-    2^depth leaves of their tree.
+    2^depth leaves of their tree. Immutable, and equal only to a GeneratorSet.
     """
 
-    name: str
-    degree: int
-    elements: tuple[tuple[str, GeneratorElement], ...]
-
-    def __post_init__(self):
-        labels = [label for label, _ in self.elements]
+    def __init__(self, name: str, degree: int, elements: tuple[tuple[str, GeneratorElement], ...]):
+        labels = [label for label, _ in elements]
         if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate generator labels in {self.name!r}")
-        for label, elem in self.elements:
+            raise ValueError(f"duplicate generator labels in {name!r}")
+        for label, elem in elements:
             d = elem.leaf_count if isinstance(elem, tree_core.Portrait) else elem.degree
-            if d != self.degree:
-                raise ValueError(f"generator {label!r} acts on {d} points, expected {self.degree}")
+            if d != degree:
+                raise ValueError(f"generator {label!r} acts on {d} points, expected {degree}")
+        self.__dict__.update(name=name, degree=degree, elements=elements)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.degree, self.elements) == (other.name, other.degree, other.elements)
+
+    def __hash__(self):
+        return hash((self.name, self.degree, self.elements))
+
+    def __repr__(self):
+        return f"GeneratorSet(name={self.name!r}, degree={self.degree!r}, elements={self.elements!r})"
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -97,7 +105,6 @@ class GeneratorSet:
         ]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class EnumeratedGroup:
     """A fully enumerated permutation group, held as its coset buffers: the
     joined byte keys of each coset, every element once, plus the keys of the
@@ -109,15 +116,16 @@ class EnumeratedGroup:
     every buffer) are derived when first read and then kept. Equality,
     hashing and repr are over the degree, gen_keys and the element set, so
     they build it; repr lists the elements sorted, so equal groups have
-    equal reprs."""
+    equal reprs. A group is immutable: only its caches write its dict."""
 
-    degree: int
-    gen_keys: tuple[bytes, ...]
-    cosets: tuple[bytes, ...]
-    square_closure: EnumeratedGroup | None = None
-    # memoized queries, by function name (see _memoized): subgroups built from
-    # this group, and the joined representatives modulo G^2 (_representatives)
-    _memo: dict[str, EnumeratedGroup | bytes] = field(default_factory=dict, init=False)
+    def __init__(self, degree: int, gen_keys: tuple[bytes, ...], cosets: tuple[bytes, ...],
+                 square_closure: EnumeratedGroup | None = None):
+        # _memo holds memoized queries, by function name (see _memoized): subgroups built
+        # from this group, and the joined representatives modulo G^2 (_representatives)
+        self.__dict__.update(degree=degree, gen_keys=gen_keys, cosets=cosets,
+                             square_closure=square_closure, _memo={})
+
+    __setattr__ = __delattr__ = _immutable
 
     @functools.cached_property
     def order(self) -> int:
@@ -253,12 +261,16 @@ def _cut(cosets: Iterable[bytes], degree: int) -> Iterator[bytes]:
 def _normalize_generators(
     gens: GeneratorSet | Iterable[GeneratorElement], degree: int | None
 ) -> tuple[tuple[bytes, ...], int]:
+    own = None  # the degree the generators act on: a GeneratorSet's, or the first one's
     if isinstance(gens, GeneratorSet):
-        gens, degree = [e for _, e in gens.elements], gens.degree
+        gens, own = [e for _, e in gens.elements], gens.degree
     perms = [tree_core.to_permutation(e) if isinstance(e, tree_core.Portrait) else e for e in gens]
-    if perms:
-        degree = perms[0].degree
-    elif degree is None:
+    own = perms[0].degree if perms else own
+    if degree is None:
+        degree = own
+    elif own not in (None, degree):
+        raise ValueError(f"degree={degree} given for generators on {own} points")
+    if degree is None:
         raise ValueError("degree required for an empty generator list")
     if any(p.degree != degree for p in perms):
         raise ValueError(f"generators on different degrees {sorted({p.degree for p in perms})}")

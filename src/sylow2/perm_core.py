@@ -33,6 +33,11 @@ def _inv(key: bytes | tuple[int, ...]) -> bytes | tuple[int, ...]:
     return _as_key(sorted(range(len(key)), key=key.__getitem__))
 
 
+def _immutable(self, name, value=None):
+    # __setattr__ and __delattr__ of the library's immutable values
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class Permutation:
     """A permutation of {1, ..., n}.
 
@@ -62,8 +67,7 @@ class Permutation:
         _set_key(p, key)
         return p
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":

@@ -15,8 +15,7 @@ parity-corrected generator set, and the two are checked against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import group_engine, tree_core
 from .group_engine import (
@@ -143,8 +142,7 @@ def syl2_order(n: int, kind: str) -> int:
     return e if kind == "S" else max(e - 1, 0)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Binary decomposition of n: exponents of the set bits, decreasing."""
 
     n: int
@@ -251,8 +249,7 @@ def parity_extension(sigma: Permutation, n: int) -> Permutation:
     return Permutation(images)
 
 
-@dataclass(frozen=True)
-class RatioCheck:
+class RatioCheck(NamedTuple):
     label: str
     k: int
     lhs: int
@@ -263,8 +260,7 @@ class RatioCheck:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class OrderRatioReport:
+class OrderRatioReport(NamedTuple):
     k_max: int
     checks: tuple[RatioCheck, ...]
     orientation_note: str

@@ -37,11 +37,10 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
-from .perm_core import Permutation, _as_key
+from .perm_core import Permutation, _as_key, _immutable
 
 MAX_DEPTH = 16
 
@@ -52,27 +51,24 @@ class ElementKind(Enum):
     NEITHER = "neither"
 
 
-@dataclass(frozen=True)
 class Portrait:
     """An automorphism of the depth-k tree as per-level state bitmasks.
 
     ``levels[l]`` has bit p-1 set iff the vertex at position p of level l
     carries an active state. Equal bit content means equal automorphism; the
     converse (faithfulness of the leaf action) is exercised by the tests
-    rather than assumed.
+    rather than assumed. Immutable, and equal only to a Portrait.
     """
 
-    depth: int
-    levels: tuple[int, ...]
-
-    def __post_init__(self):
-        if not 1 <= self.depth <= MAX_DEPTH:
-            raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {self.depth}")
-        if len(self.levels) != self.depth:
-            raise ValueError(f"expected {self.depth} levels, got {len(self.levels)}")
-        for l, mask in enumerate(self.levels):
+    def __init__(self, depth: int, levels: tuple[int, ...]):
+        if not 1 <= depth <= MAX_DEPTH:
+            raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
+        if len(levels) != depth:
+            raise ValueError(f"expected {depth} levels, got {len(levels)}")
+        for l, mask in enumerate(levels):
             if not 0 <= mask < (1 << (1 << l)):
                 raise ValueError(f"level {l} mask {mask} out of range")
+        self.__dict__.update(depth=depth, levels=levels)
 
     @classmethod
     def _unchecked(cls, depth: int, levels: tuple[int, ...]) -> "Portrait":
@@ -80,6 +76,19 @@ class Portrait:
         p = object.__new__(cls)
         p.__dict__.update(depth=depth, levels=levels)
         return p
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.depth, self.levels) == (other.depth, other.levels)
+
+    def __hash__(self):
+        return hash((self.depth, self.levels))
+
+    def __repr__(self):
+        return f"Portrait(depth={self.depth!r}, levels={self.levels!r})"
 
     @property
     def leaf_count(self) -> int:

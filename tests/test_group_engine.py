@@ -1,6 +1,9 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,6 +61,58 @@ def test_cap_exceeded_reports_partial_count():
         ge.generate(s_beta(4), cap=100)
     assert info.value.partial_count == 100
     assert info.value.cap == 100
+
+
+def test_generate_rejects_a_degree_its_generators_do_not_act_on():
+    t = Permutation.transposition(4, 1, 2)
+    given_8 = r"degree=8 given for generators on 4 points"
+    with pytest.raises(ValueError, match=given_8):
+        ge.generate([t], degree=8)
+    with pytest.raises(ValueError, match=given_8):
+        ge.generate(ge.GeneratorSet("t", 4, (("t", t),)), degree=8)
+    with pytest.raises(ValueError, match=given_8):  # an empty set still has its degree
+        ge.generate(ge.GeneratorSet("none", 4, ()), degree=8)
+    assert ge.generate([t], degree=4).order == 2
+    assert ge.generate(ge.GeneratorSet("t", 4, (("t", t),)), degree=4).order == 2
+    assert ge.generate(ge.GeneratorSet("none", 4, ()), degree=None).degree == 4
+
+
+def test_importing_the_library_loads_no_dataclasses():
+    # a fresh interpreter, so that no other test's imports count
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys; before = set(sys.modules); import sylow2; print(*sorted(set(sys.modules) - before))"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+                         env={"PYTHONPATH": str(src), "PATH": ""})
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stdout.split())
+    assert "sylow2.group_engine" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_portraits_and_generator_sets_are_immutable_values():
+    a, b = tc.from_states(2, [(1, 2)]), tc.Portrait(2, (0, 2))
+    assert a == b and a is not b and hash(a) == hash(b) == hash((2, (0, 2)))
+    assert a != tc.Portrait(2, (1, 2)) and a != tc.Portrait(2, (0, 1))
+    assert a != (2, (0, 2)) and (2, (0, 2)) != a
+    assert repr(a) == "Portrait(depth=2, levels=(0, 2))"
+    t = Permutation.transposition(4, 1, 2)
+    gs, same = (ge.GeneratorSet("gs", 4, (("b", b), ("t", t))) for _ in range(2))
+    assert gs == same and gs is not same and hash(gs) == hash(same) == hash(("gs", 4, gs.elements))
+    assert gs != ge.GeneratorSet("other", 4, gs.elements)
+    assert gs != ge.GeneratorSet("gs", 4, gs.elements[:1])
+    assert gs != ("gs", 4, gs.elements) and ("gs", 4, gs.elements) != gs
+    assert repr(gs) == (
+        "GeneratorSet(name='gs', degree=4, elements=(('b', Portrait(depth=2, levels=(0, 2))), "
+        "('t', Permutation[(1 2)])))"
+    )
+    G = ge.generate(gs)
+    for value, name in ((a, "depth"), (a, "memo"), (gs, "elements"), (G, "order"), (G, "square_closure"),
+                        (t, "_key")):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(value, name)
+    assert (a.depth, gs.degree, G.order, G.square_closure.order, t.key) == (2, 4, 4, 1, bytes([1, 0, 2, 3]))
 
 
 def test_degree_limit():

@@ -50,6 +50,7 @@ POOL = ROOT / "benchmark" / "reference" / "lattice_pool.json"
 # entered by no command, tool or workload, and kept: module.qualname -> why
 _VALUE_TYPE = "part of Permutation's value type; tests and failure witnesses use it"
 _GROUP_VALUE = "EnumeratedGroup's value semantics over degree, gen_keys and elements; tests use it"
+_FIELD_VALUE = "the field-wise value semantics of an immutable record; tests use it"
 ALLOWED = {
     "perm_core.Permutation.identity": _VALUE_TYPE,
     "perm_core.Permutation.from_cycles": _VALUE_TYPE,
@@ -59,9 +60,11 @@ ALLOWED = {
     "perm_core.Permutation.is_identity": _VALUE_TYPE,
     "perm_core.Permutation.order": _VALUE_TYPE + "; exponent's fallback calls it",
     "perm_core.Permutation.__repr__": "writes the counterexamples of a failing claim",
-    "perm_core.Permutation.__setattr__": "the immutability guard; only a wrong write reaches it",
+    "perm_core._immutable": "the immutability guard of every value type; only a wrong write reaches it",
     "perm_core.cycle_type": "Permutation.order reads the cycle lengths from it",
     "tree_core.Portrait.is_identity": "the portrait counterpart of Permutation.is_identity",
+    "tree_core.Portrait.__hash__": _FIELD_VALUE,
+    "tree_core.Portrait.__repr__": _FIELD_VALUE,
     "tree_core.level_index": "the scalar oracle the frattini-level lane kernels are tested against",
     "tree_core.from_permutation": "the scalar oracle lane_portraits is tested against",
     "claims.VerificationReport.from_json": "the report reader of the README, which ROADMAP item 1 extends",
@@ -69,6 +72,9 @@ ALLOWED = {
     "group_engine.EnumeratedGroup.__eq__": _GROUP_VALUE,
     "group_engine.EnumeratedGroup.__hash__": _GROUP_VALUE,
     "group_engine.EnumeratedGroup.__repr__": _GROUP_VALUE,
+    "group_engine.GeneratorSet.__eq__": _FIELD_VALUE,
+    "group_engine.GeneratorSet.__hash__": _FIELD_VALUE,
+    "group_engine.GeneratorSet.__repr__": _FIELD_VALUE,
 }
 
 _OK, _FAILED, _USAGE = 0, 1, 2
