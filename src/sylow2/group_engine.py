@@ -1,16 +1,22 @@
-"""Exhaustive machinery for small finite permutation groups: coset-by-coset
+"""Exhaustive machinery for small permutation 2-groups: coset-by-coset
 closure enumeration (Dimino's algorithm, after Butler, Fundamental
 Algorithms for Permutation Groups, 1991), subgroup predicates, the
 semidirect-product check, commutator / squares / Frattini subgroups,
 generating rank and derived series.
 
+Every group is a 2-group: EnumeratedGroup's constructor, which every
+builder goes through, refuses an order that is not a power of two, and a
+closed group is a 2-group exactly when its order is a power of two. So the
+Frattini subgroup is G^2, the exponent is a power of two and the derived
+series ends at the trivial group.
+
 _dimino is the one closure. Given conjugators it builds normal closures too,
 as the commutator and Frattini subgroups need. The same candidates and
 conjugators, in the same order, always give the same generators. generate
 calls it once, for G^2, the normal closure of the generators' squares and
-pairwise commutators (Phi(G) for a 2-group), keeps it as the result's
-square_closure, and doubles G^2 by whole halves: G/G^2 is elementary
-abelian, so each generator not yet in the group adds one coset of all found.
+pairwise commutators (Phi(G)), keeps it as the result's square_closure, and
+doubles G^2 by whole halves: G/G^2 is elementary abelian, so each generator
+not yet in the group adds one coset of all found.
 
 Elements are canonicalized as the byte keys of perm_core: byte i holds the
 0-based image of point i+1, and a product is one bytes.translate. The degree
@@ -72,7 +78,8 @@ class GeneratorSet:
     2^depth leaves of their tree. Immutable, and equal only to a GeneratorSet.
     """
 
-    def __init__(self, name: str, degree: int, elements: tuple[tuple[str, GeneratorElement], ...]):
+    def __init__(self, name: str, degree: int, elements: Iterable[tuple[str, GeneratorElement]]):
+        elements = tuple(elements)
         labels = [label for label, _ in elements]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate generator labels in {name!r}")
@@ -106,14 +113,15 @@ class GeneratorSet:
 
 
 class EnumeratedGroup:
-    """A fully enumerated permutation group, held as its coset buffers: the
+    """A fully enumerated permutation 2-group, held as its coset buffers: the
     joined byte keys of each coset, every element once, plus the keys of the
     generators it came from. square_closure is G^2 for a group that generate
     built, whose buffers are G^2's and then one doubling buffer per accepted
     generator; it is None for a group that _dimino built.
 
-    The order (the buffers' total length) and the element set (the keys of
-    every buffer) are derived when first read and then kept. Equality,
+    The order is the buffers' total length; the constructor reads it, and
+    raises ValueError unless it is a power of two. The element set (the keys
+    of every buffer) is derived when first read and then kept. Equality,
     hashing and repr are over the degree, gen_keys and the element set, so
     they build it; repr lists the elements sorted, so equal groups have
     equal reprs. A group is immutable: only its caches write its dict."""
@@ -124,6 +132,8 @@ class EnumeratedGroup:
         # from this group, and the joined representatives modulo G^2 (_representatives)
         self.__dict__.update(degree=degree, gen_keys=gen_keys, cosets=cosets,
                              square_closure=square_closure, _memo={})
+        if self.order.bit_count() != 1:
+            raise ValueError(f"a group of order {self.order} is not a 2-group")
 
     __setattr__ = __delattr__ = _immutable
 
@@ -464,16 +474,14 @@ def squares_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
 
 
 def frattini_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
-    """Frattini subgroup of a finite 2-group: G^2 [G, G], the normal closure
-    of the generators' squares and pairwise commutators under G's generators
+    """The Frattini subgroup G^2 [G, G], the normal closure of the
+    generators' squares and pairwise commutators under G's generators
     (_square_closure; the Burnside basis theorem; Holt, Eick and O'Brien,
     Handbook of Computational Group Theory, 2005). For a group that generate
     built this is its square_closure; any other group is closed anew on each
     call. It reads neither the squares nor the commutator subgroup, so
     comparing it with the closure of every element's square
     (squares_subgroup) checks one build against another."""
-    if G.order & (G.order - 1):
-        raise ValueError(f"group of order {G.order} is not a 2-group")
     if G.square_closure is not None:
         return G.square_closure
     return _square_closure(G.gen_keys, G.degree, G.order)
@@ -481,33 +489,22 @@ def frattini_subgroup(G: EnumeratedGroup) -> EnumeratedGroup:
 
 def quotient_rank(G: EnumeratedGroup) -> int:
     """log2 of |G / Frattini(G)|; by the Burnside basis theorem this is the
-    size of every minimal generating set of a 2-group."""
-    phi = frattini_subgroup(G)
-    index, remainder = divmod(G.order, phi.order)
-    if remainder or index & (index - 1):
-        raise ValueError(f"Frattini index {G.order}/{phi.order} is not a power of 2")
-    return index.bit_length() - 1
+    size of every minimal generating set of G."""
+    return (G.order // frattini_subgroup(G).order).bit_length() - 1
 
 
 def derived_series(G: EnumeratedGroup) -> list[EnumeratedGroup]:
-    """G, [G, G], [[G, G], [G, G]], ... down to the point where the series
-    stabilizes (the trivial group, for the solvable groups handled here)."""
+    """G, [G, G], [[G, G], [G, G]], ... down to the trivial group. Each
+    commutator subgroup is a closed 2-group, so past G the series strictly
+    shrinks."""
     series = [G]
-    current = G
-    while current.order > 1:
-        nxt = commutator_subgroup(current)
-        if nxt.order == current.order:
-            break
-        series.append(nxt)
-        current = nxt
+    while series[-1].order > 1:
+        series.append(commutator_subgroup(series[-1]))
     return series
 
 
 def derived_length(G: EnumeratedGroup) -> int:
-    series = derived_series(G)
-    if series[-1].order != 1:
-        raise ValueError("group is not solvable")
-    return len(series) - 1
+    return len(derived_series(G)) - 1
 
 
 @functools.cache
@@ -526,10 +523,10 @@ def _offsets(degree: int, keys: int) -> int:
     return int.from_bytes((block * (keys * degree // width + 1))[:keys * degree], "little")
 
 
-def _steps(slabs: Iterable[bytes], degree: int, most: int) -> int | None:
+def _steps(slabs: Iterable[bytes], degree: int, most: int) -> int:
     """The number of times the keys of the slabs must be squared to leave
-    only the identity, or None if some key is not the identity after `most`
-    squarings; it returns at the first slab that holds such a key.
+    only the identity, or most + 1 if some key is not the identity after
+    `most` squarings; it returns at the first slab that holds such a key.
 
     The keys are squared a slab at a time, in offset form: the slab is cut
     into blocks of 256 // degree keys, each block starts with 256 % degree
@@ -551,19 +548,17 @@ def _steps(slabs: Iterable[bytes], degree: int, most: int) -> int | None:
         squarings = 0
         while blocks:
             if squarings == most:
-                return None
+                return most + 1
             blocks = list(filter(ident.__ne__, map(bytes.translate, blocks, blocks)))
             squarings += 1
         steps = max(steps, squarings)
     return steps
 
 
-def _squarings(G: EnumeratedGroup) -> int | None:
+def _squarings(G: EnumeratedGroup) -> int:
     """The number of times G's elements must be squared to leave only the
-    identity, or None if some element is not the identity after
-    degree.bit_length() - 1 squarings: no 2-element of degree d has order
-    above 2^(d.bit_length() - 1), so the order of such an element has an odd
-    factor.
+    identity, or more than degree.bit_length() - 1 if some element is not
+    the identity after that many squarings.
 
     A group that generate built squares G^2 first (_steps on its slabs):
     say t times. G^2 holds every square, so G takes t or t + 1 squarings,
@@ -581,26 +576,23 @@ def _squarings(G: EnumeratedGroup) -> int | None:
         return _steps(_cut(G.cosets, d), d, most)
     t = _steps(_cut(squares.cosets, d), d, most)
     doublings = _doublings(G)
-    if t is None or not doublings:
+    if not doublings:
         return t
-    if _steps(itertools.chain([_representatives(G)], _cut(doublings, d)), d, t) is not None:
-        return t
-    return t + 1 if t < most else None
+    return _steps(itertools.chain([_representatives(G)], _cut(doublings, d)), d, t)
 
 
 def exponent(G: EnumeratedGroup) -> int:
-    """The least common multiple of the element orders. In a 2-group every
-    element order is a power of two, so the exponent is 2^s for the number s
-    of times the elements must be squared to leave only the identity
+    """The least common multiple of the element orders: 2^s for the number
+    s of times the elements must be squared to leave only the identity
     (_squarings; for a group that generate built, from the squarings of G^2
-    and a scan of the doubling buffers). An element set of power-of-two size
-    that holds an element whose order has an odd factor, which no group does,
-    falls back to the element orders."""
-    if not G.order & (G.order - 1):
-        steps = _squarings(G)
-        if steps is not None:
-            return 1 << steps
-    return math.lcm(*(Permutation._of_key(k).order() for k in G.elements))
+    and a scan of the doubling buffers). No 2-element of degree d has order
+    above 2^(d.bit_length() - 1), so an element set that needs more
+    squarings holds an element whose order has an odd factor, which no
+    2-group does: it raises ValueError."""
+    steps = _squarings(G)
+    if steps >= G.degree.bit_length():
+        raise ValueError(f"the set of {G.order} keys holds an element whose order has an odd factor")
+    return 1 << steps
 
 
 def is_abelian(G: EnumeratedGroup) -> bool:

@@ -1,4 +1,4 @@
-"""Permutations of {1, ..., n}: composition, parity, cycle structure, and the
+"""Permutations of {1, ..., n}: composition, parity, cycle notation, and the
 2-adic valuation of factorials.
 
 Points are 1-based in every public interface. A permutation stores its 0-based
@@ -9,7 +9,6 @@ byte, it stores a tuple. Permutations are immutable, hashable and thread-safe.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 KEY_DEGREE = 256
@@ -141,9 +140,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(y == i for i, y in enumerate(self._key))
 
-    def order(self) -> int:
-        return math.lcm(*cycle_type(self))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self._key == other._key
 
@@ -175,18 +171,6 @@ def cycles(p: Permutation, include_fixed: bool = False) -> list[tuple[int, ...]]
         if len(cyc) > 1 or include_fixed:
             out.append(tuple(cyc))
     return out
-
-
-def cycle_type(p: Permutation) -> tuple[int, ...]:
-    """Cycle lengths in decreasing order; lengths sum to the degree.
-
-    >>> cycle_type(Permutation.identity(3))
-    (1, 1, 1)
-    >>> cycle_type(Permutation.transposition(4, 1, 2))
-    (2, 1, 1)
-    """
-    lengths = [len(c) for c in cycles(p, include_fixed=True)]
-    return tuple(sorted(lengths, reverse=True))
 
 
 def parity_bit(p: Permutation) -> int:

@@ -202,14 +202,15 @@ def _parity_fix(n: int) -> Permutation:
 
 def syl2_A_generators(n: int) -> GeneratorSet:
     """Parity-corrected generators for the even subgroup: each odd generator
-    g of Syl_2(S_n) is replaced by g*h, with h one fixed odd transposition."""
+    g of Syl_2(S_n) is replaced by g*h, with h one fixed odd transposition.
+    The generator h itself, whose g*h is the identity, is left out."""
     base = syl2_S_generators(n)
     h = _parity_fix(n)
     entries = []
     for label, perm in base.permutation_entries():
         if is_even(perm):
             entries.append((label, perm))
-        else:
+        elif perm != h:
             entries.append((f"{label}*h", perm * h))
     return GeneratorSet(f"Syl2_A(n={n})", n, tuple(entries))
 

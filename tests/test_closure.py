@@ -1,13 +1,16 @@
 """Dimino's coset-by-coset closure, its element set and the generators it
 accepts, against two oracles: a breadth-first closure and a greedy reduction
-that re-closes after every accepted generator. Plus the cap boundaries of
-generate."""
+that re-closes after every accepted generator, on random subgroups of
+conjugates of Syl_2(S_8) and Syl_2(S_16). Random generators in S_5 and S_6
+check that a closure whose order is not a power of two is refused. Plus the
+cap boundaries of generate."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import relabel
 from sylow2 import group_engine as ge
-from sylow2.sylow_builders import s_beta
+from sylow2.sylow_builders import s_beta, syl2_S_generators
 
 
 def _bfs_closure(gen_keys, degree, cap):
@@ -39,20 +42,32 @@ def _naive_reduce(keys, degree, cap):
     return gens
 
 
+def _bfs_group(gen_keys, degree, cap):
+    """The breadth-first closure, refused as EnumeratedGroup refuses it where
+    its order is not a power of two."""
+    elements = _bfs_closure(gen_keys, degree, cap)
+    if len(elements).bit_count() != 1:
+        raise ValueError(f"a group of order {len(elements)} is not a 2-group")
+    return elements
+
+
 def _dimino_elements(keys, degree, cap):
     return ge._dimino(keys, degree, cap).elements
 
 
 def _outcome(fn, *args):
-    """The result, or the cap error's (cap, partial_count)."""
+    """The result, the cap error's (cap, partial_count), or the refusal."""
     try:
         return fn(*args)
     except ge.CapExceededError as exc:
         return ("cap", exc.cap, exc.partial_count)
+    except ValueError as exc:
+        return ("refused", str(exc))
 
 
 _G3_KEYS = ge.generate(s_beta(3)).sorted_keys()
 _G4_KEYS = ge.generate(s_beta(4)).sorted_keys()
+_SYL2_KEYS = {d: ge.generate(syl2_S_generators(d)).sorted_keys() for d in (8, 16)}
 
 
 @st.composite
@@ -61,9 +76,42 @@ def _symmetric_case(draw):
     return degree, draw(st.lists(st.permutations(range(degree)).map(bytes), max_size=5))
 
 
+@st.composite
+def _two_group_case(draw):
+    """Up to five random elements of Syl_2(S_8) or Syl_2(S_16), all
+    conjugated by one random permutation of the points."""
+    degree = draw(st.sampled_from(sorted(_SYL2_KEYS)))
+    points = draw(st.permutations(range(degree)))
+    keys = draw(st.lists(st.sampled_from(_SYL2_KEYS[degree]), max_size=5))
+    return degree, [relabel(key, points) for key in keys]
+
+
 @settings(max_examples=60)
 @given(_symmetric_case(), st.integers(min_value=0, max_value=800))
 def test_closure_matches_bfs_in_s5_s6(case, cap):
+    degree, keys = case
+    assert _outcome(_dimino_elements, keys, degree, cap) == _outcome(
+        _bfs_group, keys, degree, cap
+    )
+
+
+@settings(max_examples=60)
+@given(_symmetric_case())
+def test_reduce_matches_naive_reduce_in_s5_s6(case):
+    degree, keys = case
+    members = _bfs_closure(keys, degree, ge.DEFAULT_CAP)
+    if len(members).bit_count() != 1:
+        with pytest.raises(ValueError, match=f"a group of order {len(members)} is not a 2-group"):
+            ge._dimino(sorted(set(keys)), degree, ge.DEFAULT_CAP)
+        return
+    H = ge._dimino(sorted(set(keys)), degree, ge.DEFAULT_CAP)
+    assert list(H.gen_keys) == _naive_reduce(keys, degree, ge.DEFAULT_CAP)
+    assert H.elements == members
+
+
+@settings(max_examples=60)
+@given(_two_group_case(), st.one_of(st.just(ge.DEFAULT_CAP), st.integers(0, 1 << 10)))
+def test_closure_matches_bfs_in_syl2_s8_s16(case, cap):
     degree, keys = case
     assert _outcome(_dimino_elements, keys, degree, cap) == _outcome(
         _bfs_closure, keys, degree, cap
@@ -71,8 +119,8 @@ def test_closure_matches_bfs_in_s5_s6(case, cap):
 
 
 @settings(max_examples=60)
-@given(_symmetric_case())
-def test_reduce_matches_naive_reduce_in_s5_s6(case):
+@given(_two_group_case())
+def test_reduce_matches_naive_reduce_in_syl2_s8_s16(case):
     degree, keys = case
     H = ge._dimino(sorted(set(keys)), degree, ge.DEFAULT_CAP)
     assert list(H.gen_keys) == _naive_reduce(keys, degree, ge.DEFAULT_CAP)

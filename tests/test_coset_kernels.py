@@ -1,18 +1,19 @@
 """_dimino's and generate's coset buffers and the slab kernels that read them,
 exponent and center_size, against brute-force oracles: random generator sets
-of small groups placed on random points of many degrees, 2-groups and others,
-read in slabs of several sizes, and the same element sets built into an
-EnumeratedGroup as one sorted buffer with no G^2, which exponent squares
-whole. Also generate's doubling layout and its element set, which is built
-only when first read, the cosets of an even subgroup that _dimino closes,
-and groups rebuilt from their buffers by EnumeratedGroup's constructor."""
+of small 2-groups placed on random points of many degrees, read in slabs of
+several sizes, and the same element sets built into an EnumeratedGroup as
+one sorted buffer with no G^2, which exponent squares whole. Also generate's
+doubling layout and its element set, which is built only when first read,
+the cosets of an even subgroup that _dimino closes, groups rebuilt from
+their buffers by EnumeratedGroup's constructor, and the closure of S_4,
+which the constructor refuses."""
 
-import math
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import lcm_exponent
 from sylow2 import group_engine as ge
 from sylow2.perm_core import Permutation
 from sylow2.sylow_builders import s_beta, syl2_S_generators, w_subgroup_generators
@@ -28,25 +29,24 @@ def _elements(gens):
     return ge.generate(gens).sorted_keys()
 
 
-# small groups on their own points, whose random elements make the generators
+# small 2-groups on their own points, whose random elements make the generators
 _BASES = {
     "S_2": _elements([Permutation.transposition(2, 1, 2)]),
-    "S_3": _elements([Permutation.from_cycles(3, [(1, 2, 3)]), Permutation.transposition(3, 1, 2)]),
-    "S_4": _elements(
-        [Permutation.from_cycles(4, [(1, 2, 3, 4)]), Permutation.transposition(4, 1, 2)]
-    ),
+    "C_4": _elements([Permutation.from_cycles(4, [(1, 2, 3, 4)])]),
+    "Syl_2(S_4)": _elements(syl2_S_generators(4)),
     "Syl_2(S_8)": _elements(syl2_S_generators(8)),
 }
 
 
-# S_3 and S_4 whole, the non-2-groups that generate extends by a coset of
-# S_3^2 = A_3 and of S_4^2 = A_4
-_S3 = (3, [Permutation.from_cycles(3, [(1, 2, 3)]).key, Permutation.transposition(3, 1, 2).key])
-_S4 = (4, [Permutation.from_cycles(4, [(1, 2, 3, 4)]).key, Permutation.transposition(4, 1, 2).key])
+# the dihedral Syl_2(S_4) whole, whose G^2 of order 2 generate doubles twice,
+# and the cyclic C_8, whose G^2 = C_4 its one generator doubles
+_D8 = (4, [Permutation.from_cycles(4, [(1, 2, 3, 4)]).key, Permutation.transposition(4, 1, 3).key])
+_C8 = (8, [Permutation.from_cycles(8, [tuple(range(1, 9))]).key])
 # W_4, elementary abelian, whose trivial G^2 each of its 7 generators
-# doubles, and A_4, its own G^2, which no generator doubles
+# doubles, and C_4 listed as r^2, r: r^2 lies in G^2 and doubles nothing
 _W4 = (16, [g.key for _, g in w_subgroup_generators(4).permutation_entries()])
-_A4 = (4, [Permutation.from_cycles(4, [(1, 2, 3)]).key, Permutation.from_cycles(4, [(1, 2), (3, 4)]).key])
+_R = Permutation.from_cycles(4, [(1, 2, 3, 4)])
+_C4 = (4, [(_R * _R).key, _R.key])
 
 # Syl_2(S_8) on the last 8 of 17 points: 15 keys to a block, so its 128
 # elements end in a partial block
@@ -159,7 +159,7 @@ def test_dimino_matches_a_naive_closure(case, cap):
 @_at_every_slab(_W4, (1, []), _EXPONENT_OF_ITS_SQUARES)
 def test_exponent_is_the_lcm_of_the_element_orders(case, slab):
     G, bare = _groups(*case)
-    lcm = math.lcm(*(Permutation(x).order() for x in G.elements))
+    lcm = lcm_exponent(G.elements)
     with mock.patch.object(ge, "_SLAB", slab):
         assert ge.exponent(G) == ge.exponent(bare) == lcm
 
@@ -180,33 +180,42 @@ def test_s4_grows_by_cosets_of_three_and_six_keys():
         Permutation.transposition(4, 1, 2),
         Permutation.from_cycles(4, [(1, 2, 3, 4)]),
     )
-    S4 = ge._dimino([three.key, two.key, four.key], 4, ge.DEFAULT_CAP)
-    assert [len(c) // 4 for c in S4.cosets] == [1, 1, 1, 3, 6, 6, 6]
-    assert S4.order == 24 and ge.exponent(S4) == 12 and ge.center_size(S4) == 1
+    gens = [three.key, two.key, four.key]
+    # _dimino closes S_4 coset by coset, and EnumeratedGroup refuses the
+    # result: its order, 24, is not a power of two
+    layouts, group = [], ge.EnumeratedGroup
+
+    def spy(degree, gen_keys, cosets, *rest):
+        layouts.append([len(c) // degree for c in cosets])
+        return group(degree, gen_keys, cosets, *rest)
+
+    with mock.patch.object(ge, "EnumeratedGroup", spy):
+        with pytest.raises(ValueError, match=r"^a group of order 24 is not a 2-group$"):
+            ge._dimino(gens, 4, ge.DEFAULT_CAP)
+    assert layouts == [[1, 1, 1, 3, 6, 6, 6]]
     for cap in (5, 6, 23):
-        outcome = _outcome(ge._dimino, S4.gen_keys, 4, cap)
-        assert outcome == _outcome(_naive_closure, S4.gen_keys, 4, cap) == ("cap", cap, cap)
-    # generate builds S_4^2 = A_4 first, then extends it by one coset of A_4
-    generated = ge.generate([three, two, four])
-    assert generated.elements == S4.elements
-    assert [len(c) // 4 for c in generated.cosets] == [1, 1, 1, 3, 3, 3, 12]
+        outcome = _outcome(ge._dimino, gens, 4, cap)
+        assert outcome == _outcome(_naive_closure, gens, 4, cap) == ("cap", cap, cap)
+    # generate closes S_4^2 = A_4 first, and is refused there
+    with pytest.raises(ValueError, match=r"^a group of order 12 is not a 2-group$"):
+        ge.generate([three, two, four])
 
 
 @settings(max_examples=150)
 @given(_generator_sets(), st.one_of(st.just(ge.DEFAULT_CAP), st.integers(0, 200)))
 @example((3, []), 0)
-@example(_S3, ge.DEFAULT_CAP)
-@example(_S3, 4)
-@example(_S4, ge.DEFAULT_CAP)
-@example(_S4, 12)
+@example(_D8, ge.DEFAULT_CAP)
+@example(_D8, 4)
+@example(_C8, ge.DEFAULT_CAP)
+@example(_C8, 4)
 @example(_W4, ge.DEFAULT_CAP)
 @example(_W4, 0)
 @example(_W4, 1)
 @example(_W4, 100)
 @example(_W4, 64)
 @example(_W4, 127)
-@example(_A4, ge.DEFAULT_CAP)
-@example(_A4, 7)
+@example(_C4, ge.DEFAULT_CAP)
+@example(_C4, 3)
 def test_generate_matches_a_naive_closure(case, cap):
     degree, gens = case
     outcome = _outcome(ge.generate, [Permutation(g) for g in gens], cap, degree=degree)
@@ -291,9 +300,14 @@ def test_a_generator_already_in_the_group_adds_no_buffer():
 
 
 def test_w4_doubles_at_every_generator_and_a4_at_none():
-    W4, A4 = (ge.generate([Permutation(g) for g in gens]) for _, gens in (_W4, _A4))
+    W4, C4 = (ge.generate([Permutation(g) for g in gens]) for _, gens in (_W4, _C4))
     assert _layout(W4) == ([1], [1, 2, 4, 8, 16, 32, 64])
-    assert _layout(A4) == ([1, 1, 1, 3, 3, 3], [])
+    assert _layout(C4) == ([1, 1], [2])
+    # A_4 is its own G^2, so none of its generators would double it: generate
+    # closes that G^2, of order 12, and is refused before any doubling
+    a4 = [Permutation.from_cycles(4, [(1, 2, 3)]), Permutation.from_cycles(4, [(1, 2), (3, 4)])]
+    with pytest.raises(ValueError, match=r"^a group of order 12 is not a 2-group$"):
+        ge.generate(a4)
 
 
 def test_the_element_set_is_built_when_first_read():
@@ -324,7 +338,7 @@ _SYL2_S8 = (8, _SYL2_S8_GENS)
 
 
 @pytest.mark.parametrize(
-    "case", [_W4, _A4, _G3, _S4, _SYL2_S8], ids=["W_4", "A_4", "G_3", "S_4", "Syl_2(S_8)"]
+    "case", [_W4, _C8, _G3, _D8, _SYL2_S8], ids=["W_4", "C_8", "G_3", "Syl_2(S_4)", "Syl_2(S_8)"]
 )
 def test_a_group_rebuilt_from_its_buffers_is_the_same_group(case):
     degree, gens = case

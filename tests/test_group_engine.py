@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 import subprocess
 import sys
@@ -8,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import lcm_exponent
 from sylow2 import group_engine as ge
 from sylow2 import tree_core as tc
 from sylow2.perm_core import Permutation, is_even
@@ -75,6 +75,31 @@ def test_generate_rejects_a_degree_its_generators_do_not_act_on():
     assert ge.generate([t], degree=4).order == 2
     assert ge.generate(ge.GeneratorSet("t", 4, (("t", t),)), degree=4).order == 2
     assert ge.generate(ge.GeneratorSet("none", 4, ()), degree=None).degree == 4
+
+
+def test_enumerated_group_and_generate_refuse_non_two_groups():
+    s3 = [Permutation.from_cycles(3, [(1, 2, 3)]), Permutation.transposition(3, 1, 2)]
+    a4 = [Permutation.from_cycles(4, [(1, 2, 3)]), Permutation.from_cycles(4, [(1, 2), (3, 4)])]
+    all_of_s3 = [bytes(p) for p in itertools.permutations(range(3))]
+    all_of_a4 = [bytes(p) for p in itertools.permutations(range(4)) if is_even(Permutation(p))]
+    # generate is refused at G^2: A_3 inside S_3, and A_4, its own G^2
+    for gens, elements, squares in ((s3, all_of_s3, 3), (a4, all_of_a4, 12)):
+        with pytest.raises(ValueError) as info:
+            ge.generate(gens)
+        assert str(info.value) == f"a group of order {squares} is not a 2-group"
+        with pytest.raises(ValueError) as info:
+            ge.EnumeratedGroup(gens[0].degree, tuple(g.key for g in gens), (b"".join(elements),))
+        assert str(info.value) == f"a group of order {len(elements)} is not a 2-group"
+    with pytest.raises(ValueError, match=r"^a group of order 0 is not a 2-group$"):
+        ge.EnumeratedGroup(3, (), ())
+
+
+def test_generator_sets_keep_a_list_of_entries_as_a_tuple():
+    t = Permutation.transposition(4, 1, 2)
+    listed, given = ge.GeneratorSet("t", 4, [("t", t)]), ge.GeneratorSet("t", 4, (("t", t),))
+    assert type(listed.elements) is tuple and listed.elements == (("t", t),)
+    assert listed == given and hash(listed) == hash(given)
+    assert ge.generate(listed).order == 2
 
 
 def test_importing_the_library_loads_no_dataclasses():
@@ -248,15 +273,6 @@ def test_squares_and_frattini():
     assert ge.frattini_subgroup(klein).order == 1
 
 
-def test_frattini_rejects_non_two_group():
-    # G^2 is the Frattini subgroup of 2-groups only
-    for gens, order in ((_cycles(3, [(1, 2, 3)]), 3), (_cycles(4, [(1, 2)], [(1, 2, 3, 4)]), 24)):
-        G = ge.generate(gens)
-        assert G.order == order
-        with pytest.raises(ValueError):
-            ge.frattini_subgroup(G)
-
-
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_generate_memoizes_the_frattini_subgroup_of_a_two_group(k):
     # generate keeps G^2, which frattini_subgroup returns; a group without
@@ -294,15 +310,6 @@ def test_derived_series():
     for outer, inner in zip(series, series[1:]):
         assert ge.is_subgroup(inner, outer)
         assert ge.is_normal(inner, outer)
-
-
-def test_derived_series_stops_at_a_perfect_group():
-    # A_5 is its own commutator subgroup, so the series stops at once
-    A5 = ge.generate([Permutation.from_cycles(5, [(1, 2, 3)]), Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])])
-    assert A5.order == 60
-    assert [D.order for D in ge.derived_series(A5)] == [60]
-    with pytest.raises(ValueError, match="group is not solvable"):
-        ge.derived_length(A5)
 
 
 def test_lagrange_for_computed_subgroups():
@@ -365,7 +372,6 @@ def test_element_order_exponent_abelian_center():
     G3 = _G(3)
     assert not ge.is_abelian(G3)
     assert ge.exponent(G3) in (4, 8)
-    assert Permutation(G3.identity_key).order() == 1
     fp = ge.fingerprint(G2)
     assert fp == {
         "order": 4, "abelian": True, "exponent": 2,
@@ -380,7 +386,7 @@ def test_permutations_and_keys_are_interchangeable():
     assert perms == [Permutation(key) for key in G.sorted_keys()]
     for p in perms[::7]:
         assert ge.contains(G, p) and ge.contains(G, p.key)
-        assert Permutation(p.key).order() == p.order()
+        assert Permutation(p.key) == p
     with pytest.raises(ValueError):
         ge.contains(G, Permutation.identity(9))
 
@@ -458,10 +464,6 @@ def test_generator_set_validation():
 # --- exponent and centre against the element-by-element formulas -----------
 
 
-def _lcm_exponent(G):
-    return math.lcm(*(Permutation(k).order() for k in G.elements))
-
-
 def _all_generators_center_size(G):
     gen_keys = G.gen_keys
     return sum(
@@ -490,32 +492,17 @@ def _two_group_subsets(draw):
 def test_exponent_and_center_match_oracles_on_two_groups(keys):
     H = ge.generate([Permutation(k) for k in keys])
     assert H.order & (H.order - 1) == 0
-    assert ge.exponent(H) == _lcm_exponent(H)
+    assert ge.exponent(H) == lcm_exponent(H.elements)
     assert ge.center_size(H) == _all_generators_center_size(H)
 
 
 def test_exponent_and_center_match_oracles_on_whole_two_groups():
     for gens in (s_beta(2), s_beta(3), s_beta(4), syl2_S_generators(16)):
         G = ge.generate(gens)
-        assert ge.exponent(G) == _lcm_exponent(G)
+        assert ge.exponent(G) == lcm_exponent(G.elements)
         assert ge.center_size(G) == _all_generators_center_size(G)
     trivial = ge.generate((), degree=3)
     assert (ge.exponent(trivial), ge.center_size(trivial)) == (1, 1)
-
-
-def test_exponent_and_center_of_non_two_groups():
-    # orders 6, 24 and 6 take the lcm fallback of exponent
-    cases = {
-        "S_3": ([[(1, 2)], [(1, 2, 3)]], 6, 1),
-        "S_4": ([[(1, 2)], [(1, 2, 3, 4)]], 12, 1),
-        "C_6": ([[(1, 2, 3), (4, 5)]], 6, 6),
-    }
-    for name, (cycles, expo, center) in cases.items():
-        degree = max(max(c) for gen in cycles for c in gen)
-        G = ge.generate([Permutation.from_cycles(degree, gen) for gen in cycles])
-        assert G.order & (G.order - 1), name
-        assert ge.exponent(G) == _lcm_exponent(G) == expo, name
-        assert ge.center_size(G) == _all_generators_center_size(G) == center, name
 
 
 def _one_image_center_size(G):
@@ -545,7 +532,7 @@ def test_center_size_cases_of_the_one_image_check():
         "identity generator": ([Permutation.identity(4), r, s], 2),
         "generator listed twice": ([r, s, r], 2),
         "identity on one point": ([Permutation.identity(1)], 1),
-        "S_4": (_cycles(4, [(1, 2)], [(1, 2, 3, 4)]), 1),
+        "abelian, so every element passes": (_cycles(6, [(1, 2, 3, 4)], [(5, 6)]), 8),
     }
     for name, (gens, center) in cases.items():
         G = ge.generate(gens)
@@ -621,18 +608,19 @@ def test_derived_subgroups_of_an_unclosed_element_set_stop_at_its_order():
     # degree 3 has order above 2, so exponent stops squaring after one step
     c = Permutation.from_cycles(3, [(1, 2, 3)])
     odd = ge.EnumeratedGroup(3, (c.key,), (b"".join(sorted({bytes(range(3)), c.key})),))
-    assert ge.exponent(odd) == 3
+    with pytest.raises(ValueError, match="odd factor"):
+        ge.exponent(odd)
     with pytest.raises(ge.CapExceededError) as info:
         ge.squares_subgroup(fresh)
     assert info.value.cap == 2
 
 
-def test_an_element_past_the_bound_of_its_squares_falls_back_to_the_element_orders():
+def test_an_element_past_the_bound_of_its_squares_raises():
     # {1, (1 2), (1 2 3), (1 2 3)(1 2)}, unclosed, laid out as generate lays
     # out a group: G^2 = {1, (1 2)} takes one squaring, the bound at degree 3,
     # and the 3-cycle of the doubling buffer outlives it. One more squaring
-    # would pass the bound, so no 2-element has that order: the exponent is
-    # the lcm of the element orders, not 2^2
+    # would pass the bound, so no 2-element has that order: the set is no
+    # 2-group, and its exponent is refused, not 2^2
     swap, c = Permutation.transposition(3, 1, 2), Permutation.from_cycles(3, [(1, 2, 3)])
     squares = ge.generate([swap])
     c_swap = ge._mul(c.key, swap.key)
@@ -641,7 +629,34 @@ def test_an_element_past_the_bound_of_its_squares_falls_back_to_the_element_orde
     )
     assert malformed.order == 4 and ge._squarings(squares) == 1
     assert malformed.elements == squares.elements | {c.key, c_swap}
-    assert ge.exponent(malformed) == 6
+    with pytest.raises(ValueError, match="odd factor"):
+        ge.exponent(malformed)
+
+
+@pytest.mark.parametrize("degree", [3, 4, 8, 255])
+def test_exponent_of_a_set_that_holds_a_three_cycle_raises(degree):
+    # no 2-element has order 3, so squaring never leaves the identity: the
+    # bound on the squarings ends the scan, whatever the degree
+    ident = bytes(range(degree))
+    c = bytes([1, 2, 0]) + ident[3:]
+    swap = bytes([1, 0]) + ident[2:]
+    for keys in ({ident, c}, {ident, swap, c, ge._mul(c, swap)}):
+        malformed = ge.EnumeratedGroup(degree, (c,), (b"".join(sorted(keys)),))
+        with pytest.raises(ValueError) as info:
+            ge.exponent(malformed)
+        assert str(info.value) == f"the set of {len(keys)} keys holds an element whose order has an odd factor"
+
+
+def test_derived_series_of_an_unclosed_element_set_returns():
+    # {1, r}, with r = (1 2 3 4) but not r^2, listed with generators r and
+    # s = (1 3) of D_8: [D_8, D_8] = {1, r^2} is as large as the set, and the
+    # series goes on below it, through closed 2-groups only
+    r, s = Permutation.from_cycles(4, [(1, 2, 3, 4)]), Permutation.transposition(4, 1, 3)
+    unclosed = ge.EnumeratedGroup(4, (r.key, s.key), (b"".join(sorted({bytes(range(4)), r.key})),))
+    series = ge.derived_series(unclosed)
+    assert [D.order for D in series] == [2, 2, 1]
+    assert series[1].elements == {bytes(range(4)), (r * r).key}
+    assert ge.derived_length(unclosed) == 2
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

@@ -14,6 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import relabel
 from sylow2 import cli
 from sylow2 import group_engine as ge
 from sylow2.perm_core import Permutation
@@ -39,13 +40,14 @@ def _keys(perms) -> list[bytes]:
 
 # named generator sets, each built on both sides of contains: generate keeps
 # G^2 and reads the representatives, also for W_4, S_2 and the Klein group,
-# whose G^2 is trivial; _dimino keeps no G^2 and reads the element set
+# whose G^2 is trivial, and C_8, whose G^2 is half of it; _dimino keeps no
+# G^2 and reads the element set
 _FAMILIES = {
     "trivial": ([], 5),
     "S_2": ([bytes([1, 0])], 2),
     "Klein": ([bytes([1, 0, 3, 2]), bytes([2, 3, 0, 1])], 4),
-    "A_4": ([bytes([1, 2, 0, 3]), bytes([0, 2, 3, 1])], 4),
-    "S_4": ([bytes([1, 2, 3, 0]), bytes([1, 0, 2, 3])], 4),
+    "C_8": ([bytes([1, 2, 3, 4, 5, 6, 7, 0])], 8),
+    "Syl_2(S_4)": ([bytes([1, 2, 3, 0]), bytes([2, 1, 0, 3])], 4),
     "W_4": (_keys(w_subgroup_generators(4)), 16),
     "G_3": (_keys(s_beta(3)), 8),
     "Syl_2(S_8)": (_keys(syl2_S_generators(8)), 8),
@@ -105,6 +107,12 @@ def test_contains_matches_a_naive_closure_on_named_groups(data, name, builder):
     assert [ge.contains(G, x) for x in candidates] == [x in members for x in candidates]
 
 
+# the elements of Syl_2(S_d) for d up to 6
+_SYL2_KEYS = {1: [bytes(1)]} | {
+    d: ge.generate(syl2_S_generators(d)).sorted_keys() for d in range(2, 7)
+}
+
+
 @settings(max_examples=40)
 @given(
     data=st.data(),
@@ -112,9 +120,10 @@ def test_contains_matches_a_naive_closure_on_named_groups(data, name, builder):
     count=st.integers(0, 3),
 )
 def test_contains_matches_a_naive_closure_on_random_generators(data, degree, count):
-    # random permutations of up to 6 points: 2-groups and others, with G^2
-    # trivial, proper or the whole group
-    gens = [bytes(data.draw(st.permutations(range(degree)))) for _ in range(count)]
+    # random elements of Syl_2(S_d), d up to 6, conjugated by one random
+    # permutation of the points: 2-groups with G^2 trivial or proper
+    points = data.draw(st.permutations(range(degree)))
+    gens = [relabel(data.draw(st.sampled_from(_SYL2_KEYS[degree])), points) for _ in range(count)]
     members = _closure(gens, degree)
     G = ge.generate([Permutation(g) for g in gens], degree=degree)
     assert G.order == len(members)

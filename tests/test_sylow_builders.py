@@ -128,6 +128,21 @@ def test_syl2_a_generators_are_even():
             assert is_even(perm), label
 
 
+def test_syl2_a_generators_generate_the_even_half_without_the_identity():
+    # for n = 2, 3 mod 4 the last odd generator is the parity fix h itself,
+    # whose h*h is the identity: it is left out
+    for n in range(2, 21):
+        entries = sb.syl2_A_generators(n).permutation_entries()
+        assert all(not perm.is_identity() for _, perm in entries), n
+        S = ge.generate(sb.syl2_S_generators(n))
+        A = ge.generate(sb.syl2_A_generators(n))
+        # even generators inside Syl_2(S_n), generating half of it: its even half
+        assert all(is_even(perm) and ge.contains(S, perm) for _, perm in entries), n
+        assert A.order * 2 == S.order == 1 << legendre_nu2(n), n
+        if n <= 10:
+            assert A.elements == {p.key for p in S.permutations() if is_even(p)}, n
+
+
 def test_boxtimes_orders():
     assert sb.boxtimes_group(12).order == 512
     assert sb.boxtimes_group(6).order == 8

@@ -58,10 +58,8 @@ ALLOWED = {
     "perm_core.Permutation.inverse": _VALUE_TYPE,
     "perm_core.Permutation.__pow__": _VALUE_TYPE,
     "perm_core.Permutation.is_identity": _VALUE_TYPE,
-    "perm_core.Permutation.order": _VALUE_TYPE + "; exponent's fallback calls it",
     "perm_core.Permutation.__repr__": "writes the counterexamples of a failing claim",
     "perm_core._immutable": "the immutability guard of every value type; only a wrong write reaches it",
-    "perm_core.cycle_type": "Permutation.order reads the cycle lengths from it",
     "tree_core.Portrait.is_identity": "the portrait counterpart of Permutation.is_identity",
     "tree_core.Portrait.__hash__": _FIELD_VALUE,
     "tree_core.Portrait.__repr__": _FIELD_VALUE,
