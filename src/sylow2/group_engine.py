@@ -23,15 +23,16 @@ Elements are canonicalized as the byte keys of perm_core: byte i holds the
 is limited to MAX_DEGREE = 255 points and group orders to the enumeration cap
 (default 2^20), which is all the desk-scale checks need.
 
-An EnumeratedGroup is its coset buffers, each the joined keys of one coset:
-_dimino's cosets, or generate's G^2 followed by one doubling buffer per
-accepted generator. Its order is their total length, and its element set is
-the keys of all of them, split when first read and then kept (_dimino hands
-over the member set it built instead). The queries read the buffers instead:
-iter_keys splits them, exponent and center_size cut them into slabs of at
-most _SLAB keys (_cut), a few C calls per slab instead of a few per element,
-and contains and exponent read G^2 and one representative of each coset of
-G^2 (_representatives) where generate kept them.
+An EnumeratedGroup is its buffers of joined keys, each holding a power of
+two of them: the one buffer of a closure that _dimino built, or generate's G^2
+followed by one doubling buffer per accepted generator. Its order is their
+total length, and its element set is the keys of all of them, split when
+first read and then kept (_dimino hands over the member set it built
+instead). The queries read the buffers instead: iter_keys splits them,
+exponent and center_size take a buffer at a time, a few C calls per buffer
+instead of a few per element, and contains and exponent read G^2 and one
+representative of each coset of G^2 (_representatives) where generate kept
+them.
 
 generate is the one group builder of the library. A derived subgroup
 (squares, commutator, Frattini) is bounded by the order of its parent, so
@@ -57,7 +58,6 @@ from .perm_core import _PADS, Permutation, _immutable, _inv, _table
 DEFAULT_CAP = 1 << 20
 MAX_DEGREE = 255
 _PARITY_BATCH = 512  # keys whose signs key_parities finds together
-_SLAB = 4096  # the most keys exponent and center_size hold joined at once
 
 GeneratorElement = Union[Permutation, tree_core.Portrait]
 
@@ -113,11 +113,11 @@ class GeneratorSet:
 
 
 class EnumeratedGroup:
-    """A fully enumerated permutation 2-group, held as its coset buffers: the
-    joined byte keys of each coset, every element once, plus the keys of the
-    generators it came from. square_closure is G^2 for a group that generate
-    built, whose buffers are G^2's and then one doubling buffer per accepted
-    generator; it is None for a group that _dimino built.
+    """A fully enumerated permutation 2-group, held as buffers of joined byte
+    keys, every element once, plus the keys of the generators it came from.
+    square_closure is G^2 for a group that generate built, whose buffers are
+    G^2's one buffer and then one doubling buffer per accepted generator; it
+    is None for a group that _dimino built, which is one buffer.
 
     The order is the buffers' total length; the constructor reads it, and
     raises ValueError unless it is a power of two. The element set (the keys
@@ -205,8 +205,8 @@ def _dimino(
     representatives are tested, and each new coset is disjoint from the
     elements already found. A coset is one translate of H's joined keys by
     x's table, split into keys gcd(|H|, 256) at a time; the returned group
-    is built from the joined cosets and keeps the member set the closure
-    built as its element set. Each accepted g also queues
+    holds the cosets joined as its one buffer and keeps the member set the
+    closure built as its element set. Each accepted g also queues
     s g s^-1 for each s in conjugators, so in the end sHs^-1 = H: H is the
     normal closure of the candidates under <conjugators> (Seress,
     Permutation Group Algorithms, 2003).
@@ -243,45 +243,26 @@ def _dimino(
                 cosets.append(coset)
                 order += size
                 reps.append(x)
-    group = EnumeratedGroup(degree, tuple(gens), tuple(cosets))
+    group = EnumeratedGroup(degree, tuple(gens), (b"".join(cosets),))
     # the member set is the element set, cached so that it is not re-split
     object.__setattr__(group, "elements", frozenset(members))
     return group
 
 
 def _doublings(G: EnumeratedGroup) -> tuple[bytes, ...]:
-    # the coset buffers that generate added to G^2's, one per doubling
-    return G.cosets[len(G.square_closure.cosets):]
+    # the buffers that generate added after G^2's one, one per doubling
+    return G.cosets[1:]
 
 
-def _cut(cosets: Iterable[bytes], degree: int) -> Iterator[bytes]:
-    """The keys of the cosets, joined, in slabs of _SLAB keys (the last one
-    shorter): the cosets in order, small ones merged and large ones cut."""
-    size = _SLAB * degree
-    pending = bytearray()
-    for coset in cosets:
-        pending += coset
-        while len(pending) >= size:
-            yield bytes(pending[:size])
-            del pending[:size]
-    if pending:
-        yield bytes(pending)
-
-
-def _normalize_generators(
-    gens: GeneratorSet | Iterable[GeneratorElement], degree: int | None
-) -> tuple[tuple[bytes, ...], int]:
-    own = None  # the degree the generators act on: a GeneratorSet's, or the first one's
+def _normalize_generators(gens: GeneratorSet | Iterable[GeneratorElement]) -> tuple[tuple[bytes, ...], int]:
+    # the degree the generators act on: a GeneratorSet's, or the first one's
     if isinstance(gens, GeneratorSet):
-        gens, own = [e for _, e in gens.elements], gens.degree
-    perms = [tree_core.to_permutation(e) if isinstance(e, tree_core.Portrait) else e for e in gens]
-    own = perms[0].degree if perms else own
-    if degree is None:
-        degree = own
-    elif own not in (None, degree):
-        raise ValueError(f"degree={degree} given for generators on {own} points")
-    if degree is None:
-        raise ValueError("degree required for an empty generator list")
+        degree, perms = gens.degree, [p for _, p in gens.permutation_entries()]
+    else:
+        perms = [tree_core.to_permutation(e) if isinstance(e, tree_core.Portrait) else e for e in gens]
+        if not perms:
+            raise ValueError("an empty generator list has no degree; give a GeneratorSet")
+        degree = perms[0].degree
     if any(p.degree != degree for p in perms):
         raise ValueError(f"generators on different degrees {sorted({p.degree for p in perms})}")
     if not 1 <= degree <= MAX_DEGREE:
@@ -289,12 +270,7 @@ def _normalize_generators(
     return tuple(p.key for p in perms), degree
 
 
-def generate(
-    gens: GeneratorSet | Iterable[GeneratorElement],
-    cap: int = DEFAULT_CAP,
-    *,
-    degree: int | None = None,
-) -> EnumeratedGroup:
+def generate(gens: GeneratorSet | Iterable[GeneratorElement], cap: int = DEFAULT_CAP) -> EnumeratedGroup:
     """Closure of the generators under composition, built in two steps.
     The first is G^2, the normal closure of the generators' squares and
     pairwise commutators under the generators (_square_closure). G/G^2 is
@@ -307,13 +283,15 @@ def generate(
     For a 2-group G^2 is the Frattini subgroup (the Burnside basis theorem),
     which frattini_subgroup(G) returns.
 
-    The result is built from its coset buffers, G^2's and then one of |H|
+    The result is built from its buffers, G^2's one and then one of |H|
     keys per accepted generator, and keeps G^2 as its square_closure; its
     element set, independent of generator order, is built when first read
-    (see EnumeratedGroup). Raises CapExceededError (carrying the partial
-    count) instead of silently truncating.
+    (see EnumeratedGroup). The degree is a GeneratorSet's, or that of the
+    first element of a list, so an empty list raises ValueError. Raises
+    CapExceededError (carrying the partial count) instead of silently
+    truncating.
     """
-    gen_keys, degree = _normalize_generators(gens, degree)
+    gen_keys, degree = _normalize_generators(gens)
     squares = _square_closure(gen_keys, degree, cap)
     cosets, reps, order = list(squares.cosets), [bytes(range(degree))], squares.order
     for g in gen_keys:
@@ -330,7 +308,7 @@ def generate(
 
 
 def iter_keys(G: EnumeratedGroup) -> Iterator[bytes]:
-    """G's keys, each once, split from its coset buffers, so listing a group
+    """G's keys, each once, split from its buffers, so listing a group
     does not build its element set."""
     return itertools.chain.from_iterable(_keys(coset, G.degree) for coset in G.cosets)
 
@@ -516,20 +494,20 @@ def _identity_block(degree: int) -> bytes:
 
 @functools.lru_cache(maxsize=16)
 def _offsets(degree: int, keys: int) -> int:
-    # added to the int of `keys` joined keys, puts them in offset form; a
-    # 2-group's slabs hold a power of two keys, so few sizes recur
+    # added to the int of `keys` joined keys, puts them in offset form; every
+    # buffer holds a power of two keys, so few sizes recur
     width = 256 - 256 % degree
     block = bytes(256 % degree + p - p % degree for p in range(width))
     return int.from_bytes((block * (keys * degree // width + 1))[:keys * degree], "little")
 
 
-def _steps(slabs: Iterable[bytes], degree: int, most: int) -> int:
-    """The number of times the keys of the slabs must be squared to leave
+def _steps(buffers: Iterable[bytes], degree: int, most: int) -> int:
+    """The number of times the keys of the buffers must be squared to leave
     only the identity, or most + 1 if some key is not the identity after
-    `most` squarings; it returns at the first slab that holds such a key.
+    `most` squarings; it returns at the first buffer that holds such a key.
 
-    The keys are squared a slab at a time, in offset form: the slab is cut
-    into blocks of 256 // degree keys, each block starts with 256 % degree
+    The keys are squared a buffer at a time, in offset form: the buffer is
+    cut into blocks of 256 // degree keys, each block starts with 256 % degree
     zero bytes, and each key's bytes are raised by the key's offset in the
     block. A block then maps each key's points into that key's own bytes, so
     it is its own translate table: translating it by itself squares all its
@@ -539,9 +517,9 @@ def _steps(slabs: Iterable[bytes], degree: int, most: int) -> int:
     ident = _identity_block(d)
     lead, width = ident[:256 % d], 256 - 256 % d
     steps = 0
-    for slab in slabs:
-        size = len(slab)
-        form = (int.from_bytes(slab, "little") + _offsets(d, size // d)).to_bytes(size, "little")
+    for buffer in buffers:
+        size = len(buffer)
+        form = (int.from_bytes(buffer, "little") + _offsets(d, size // d)).to_bytes(size, "little")
         blocks = [lead + form[start:start + width] for start in range(0, size, width)]
         blocks[-1] += ident[len(blocks[-1]):]  # identity keys fill the last block
         blocks = list(filter(ident.__ne__, blocks))
@@ -560,25 +538,23 @@ def _squarings(G: EnumeratedGroup) -> int:
     identity, or more than degree.bit_length() - 1 if some element is not
     the identity after that many squarings.
 
-    A group that generate built squares G^2 first (_steps on its slabs):
+    A group that generate built squares G^2 first (_steps on its buffer):
     say t times. G^2 holds every square, so G takes t or t + 1 squarings,
     and t + 1 exactly when some element is not the identity after t. Only
     the doubling buffers can hold such an element, so they are scanned,
-    each squared at most t times, up to the first slab that holds one. The
-    slab of G's representatives modulo G^2 (_representatives, which contains
-    also reads) is scanned first: where such an element exists, a
-    representative is most often one. A group that _dimino built squares all
-    its elements."""
+    each squared at most t times, up to the first buffer that holds one.
+    G's representatives modulo G^2 (_representatives, which contains also
+    reads) are scanned first, as one buffer: where such an element exists,
+    a representative is most often one. The trivial group, with no doubling
+    buffer, has the identity as its one representative and t = 0. A group
+    that _dimino built squares all its elements."""
     d = G.degree
     most = d.bit_length() - 1
     squares = G.square_closure
     if squares is None:
-        return _steps(_cut(G.cosets, d), d, most)
-    t = _steps(_cut(squares.cosets, d), d, most)
-    doublings = _doublings(G)
-    if not doublings:
-        return t
-    return _steps(itertools.chain([_representatives(G)], _cut(doublings, d)), d, t)
+        return _steps(G.cosets, d, most)
+    t = _steps(squares.cosets, d, most)
+    return _steps(itertools.chain([_representatives(G)], _doublings(G)), d, t)
 
 
 def exponent(G: EnumeratedGroup) -> int:
@@ -601,10 +577,10 @@ def is_abelian(G: EnumeratedGroup) -> bool:
 
 def center_size(G: EnumeratedGroup) -> int:
     """The number of elements that commute with every generator, found a
-    slab of elements at a time. For each generator g, every element x of the
-    slab is first tested at one point i that g moves (0 if g is the
+    buffer of elements at a time. For each generator g, every element x of
+    the buffer is first tested at one point i that g moves (0 if g is the
     identity): x[g[i]] and g[x[i]] are the images of i under x g and g x,
-    and their columns over the slab are compared at once. The equality is
+    and their columns over the buffer are compared at once. The equality is
     necessary, so only the elements that pass it for every generator have
     the whole products compared."""
     d = G.degree
@@ -614,17 +590,17 @@ def center_size(G: EnumeratedGroup) -> int:
         i = next((p for p, image in enumerate(g) if p != image), 0)
         tests.append((g, g + pad, g[i], i))
     count = 0
-    for slab in _cut(G.cosets, d):
+    for buffer in G.cosets:
         misses = 0
         for _, g_table, gi, i in tests:
             # the image of i under x g, against it under g x, for each x
-            misses |= int.from_bytes(slab[gi::d], "little") ^ int.from_bytes(
-                slab[i::d].translate(g_table), "little"
+            misses |= int.from_bytes(buffer[gi::d], "little") ^ int.from_bytes(
+                buffer[i::d].translate(g_table), "little"
             )
-        passed = misses.to_bytes(len(slab) // d, "little")  # 0 where x passes
+        passed = misses.to_bytes(len(buffer) // d, "little")  # 0 where x passes
         j = passed.find(0)
         while j >= 0:
-            x = slab[j * d:j * d + d]
+            x = buffer[j * d:j * d + d]
             # _mul(x, g) == _mul(g, x)
             count += all(g.translate(x + pad) == x.translate(g_table) for g, g_table, _, _ in tests)
             j = passed.find(0, j + 1)

@@ -83,13 +83,15 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        """Build from disjoint cycles of 1-based points."""
+        """Build from disjoint non-empty cycles of 1-based integer points."""
         imgs = list(range(n))
         seen: set[int] = set()
         for cyc in cycles:
+            if not cyc:
+                raise ValueError("empty cycle")
             for x in cyc:
-                if not 1 <= x <= n:
-                    raise ValueError(f"point {x} outside 1..{n}")
+                if type(x) is not int or not 1 <= x <= n:
+                    raise ValueError(f"point {x!r} is not an integer in 1..{n}")
                 if x in seen:
                     raise ValueError(f"point {x} repeated across cycles")
                 seen.add(x)

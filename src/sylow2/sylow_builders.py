@@ -181,9 +181,10 @@ def _blocks(n: int) -> list[tuple[int, int]]:
 
 def syl2_S_generators(n: int) -> GeneratorSet:
     """Generators of Syl_2(S_n): the tree generators of each binary block,
-    embedded on its consecutive points. Size-1 blocks contribute nothing."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    embedded on its consecutive points. Size-1 blocks contribute nothing.
+    A block of 2^k points needs a tree of depth k <= tree_core.MAX_DEPTH."""
+    if not 2 <= n < 2 << tree_core.MAX_DEPTH:
+        raise ValueError(f"need 2 <= n < {2 << tree_core.MAX_DEPTH}, got {n}")
     entries = []
     for offset, size in _blocks(n):
         k = size.bit_length() - 1

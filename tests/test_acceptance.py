@@ -83,7 +83,7 @@ def test_05_minimality_via_burnside():
         commutators = ge.commutator_subgroup(G)
         phi = ge.frattini_subgroup(G)
         union_gens = [Permutation(g) for g in squares.gen_keys + commutators.gen_keys]
-        union = ge.generate(union_gens, degree=G.degree) if union_gens else phi
+        union = ge.generate(union_gens) if union_gens else phi
         subset_hits = 0
         for subset in itertools.combinations(sb.s_beta(k).permutation_entries(), k - 1):
             sub = ge.generate([p for _, p in subset])

@@ -253,6 +253,15 @@ def test_cli_gens_past_256_points(argv, header, line, capsys):
     assert len(lines) == 1 + int(header.split(": ")[1].split()[0])
 
 
+def test_cli_gens_refuses_n_past_the_deepest_tree(capsys):
+    # 2^17 points would need a tree of depth 17, one past tree_core.MAX_DEPTH
+    for family in ("syl2_S", "syl2_A"):
+        assert cli.main(["gens", "--family", family, "--n", "131072"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: need 2 <= n < 131072, got 131072\n"
+        assert captured.out == ""
+
+
 def test_cli_gens_json(tmp_path, capsys):
     out = tmp_path / "gens.json"
     assert cli.main(["gens", "--k", "2", "--family", "s_alpha", "--json", str(out)]) == 0

@@ -8,28 +8,9 @@ cap boundaries of generate."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import relabel
+from oracles import closure, relabel
 from sylow2 import group_engine as ge
 from sylow2.sylow_builders import s_beta, syl2_S_generators
-
-
-def _bfs_closure(gen_keys, degree, cap):
-    ident = bytes(range(degree))
-    gens = [g for g in dict.fromkeys(gen_keys) if g != ident]
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = bytes(map(x.__getitem__, g))
-                if y not in elements:
-                    if len(elements) >= cap:
-                        raise ge.CapExceededError(cap, len(elements))
-                    elements.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return elements
 
 
 def _naive_reduce(keys, degree, cap):
@@ -38,14 +19,14 @@ def _naive_reduce(keys, degree, cap):
     for key in sorted(set(keys)):
         if key not in have:
             gens.append(key)
-            have = _bfs_closure(gens, degree, cap)
+            have = closure(gens, degree, cap)
     return gens
 
 
 def _bfs_group(gen_keys, degree, cap):
     """The breadth-first closure, refused as EnumeratedGroup refuses it where
     its order is not a power of two."""
-    elements = _bfs_closure(gen_keys, degree, cap)
+    elements = closure(gen_keys, degree, cap)
     if len(elements).bit_count() != 1:
         raise ValueError(f"a group of order {len(elements)} is not a 2-group")
     return elements
@@ -99,7 +80,7 @@ def test_closure_matches_bfs_in_s5_s6(case, cap):
 @given(_symmetric_case())
 def test_reduce_matches_naive_reduce_in_s5_s6(case):
     degree, keys = case
-    members = _bfs_closure(keys, degree, ge.DEFAULT_CAP)
+    members = closure(keys, degree, ge.DEFAULT_CAP)
     if len(members).bit_count() != 1:
         with pytest.raises(ValueError, match=f"a group of order {len(members)} is not a 2-group"):
             ge._dimino(sorted(set(keys)), degree, ge.DEFAULT_CAP)
@@ -114,7 +95,7 @@ def test_reduce_matches_naive_reduce_in_s5_s6(case):
 def test_closure_matches_bfs_in_syl2_s8_s16(case, cap):
     degree, keys = case
     assert _outcome(_dimino_elements, keys, degree, cap) == _outcome(
-        _bfs_closure, keys, degree, cap
+        closure, keys, degree, cap
     )
 
 
@@ -124,7 +105,7 @@ def test_reduce_matches_naive_reduce_in_syl2_s8_s16(case):
     degree, keys = case
     H = ge._dimino(sorted(set(keys)), degree, ge.DEFAULT_CAP)
     assert list(H.gen_keys) == _naive_reduce(keys, degree, ge.DEFAULT_CAP)
-    assert H.elements == _bfs_closure(keys, degree, ge.DEFAULT_CAP)
+    assert H.elements == closure(keys, degree, ge.DEFAULT_CAP)
 
 
 @settings(max_examples=40)
@@ -132,7 +113,7 @@ def test_reduce_matches_naive_reduce_in_syl2_s8_s16(case):
 def test_reduce_of_g3_subgroups_matches_naive_reduce(keys):
     # reduce the whole subgroup the subset generates, as the Frattini and
     # commutator constructions do
-    subgroup = _bfs_closure(keys, 8, ge.DEFAULT_CAP)
+    subgroup = closure(keys, 8, ge.DEFAULT_CAP)
     assert _dimino_elements(keys, 8, ge.DEFAULT_CAP) == subgroup
     H = ge._dimino(sorted(subgroup), 8, ge.DEFAULT_CAP)
     assert list(H.gen_keys) == _naive_reduce(subgroup, 8, ge.DEFAULT_CAP)
@@ -142,7 +123,7 @@ def test_reduce_of_g3_subgroups_matches_naive_reduce(keys):
 @settings(max_examples=12)
 @given(st.lists(st.sampled_from(_G4_KEYS), min_size=2, max_size=4, unique=True))
 def test_closure_and_reduce_of_g4_subsets_match_oracles(keys):
-    subgroup = _bfs_closure(keys, 16, ge.DEFAULT_CAP)
+    subgroup = closure(keys, 16, ge.DEFAULT_CAP)
     assert _dimino_elements(keys, 16, ge.DEFAULT_CAP) == subgroup
     H = ge._dimino(sorted(keys), 16, ge.DEFAULT_CAP)
     assert list(H.gen_keys) == _naive_reduce(keys, 16, ge.DEFAULT_CAP)

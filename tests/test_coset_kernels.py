@@ -1,19 +1,20 @@
-"""_dimino's and generate's coset buffers and the slab kernels that read them,
-exponent and center_size, against brute-force oracles: random generator sets
-of small 2-groups placed on random points of many degrees, read in slabs of
-several sizes, and the same element sets built into an EnumeratedGroup as
-one sorted buffer with no G^2, which exponent squares whole. Also generate's
-doubling layout and its element set, which is built only when first read,
-the cosets of an even subgroup that _dimino closes, groups rebuilt from
-their buffers by EnumeratedGroup's constructor, and the closure of S_4,
-which the constructor refuses."""
+"""_dimino's and generate's buffers and the kernels that read them a buffer
+at a time, exponent and center_size, against brute-force oracles: random
+generator sets of small 2-groups placed on random points of many degrees,
+and the same element sets built into an EnumeratedGroup as one sorted buffer
+with no G^2. Also the layouts: a closure that _dimino built is one buffer,
+and generate's group is G^2's one buffer and then its doubling buffers. Also
+generate's element set, which is built only when first read, the even
+subgroup that _dimino closes, groups rebuilt from their buffers by
+EnumeratedGroup's constructor, and the closure of S_4, which the constructor
+refuses."""
 
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import lcm_exponent
+from oracles import closure, generated, lcm_exponent
 from sylow2 import group_engine as ge
 from sylow2.perm_core import Permutation
 from sylow2.sylow_builders import s_beta, syl2_S_generators, w_subgroup_generators
@@ -21,8 +22,6 @@ from sylow2.sylow_builders import s_beta, syl2_S_generators, w_subgroup_generato
 # 256 // d keys share a block of exponent's offset form: 256 at d = 1, one at
 # d = 255, and a partial last block wherever d does not divide 256
 DEGREES = [1, 2, 3, 5, 7, 12, 16, 17, 20, 255]
-# slab lengths: one key, lengths that cut inside cosets, and the default
-SLABS = [1, 3, 5, 64, ge._SLAB]
 
 
 def _elements(gens):
@@ -63,16 +62,6 @@ _EXPONENT_OF_ITS_SQUARES = (8, [
 ])
 
 
-def _at_every_slab(*cases):
-    """@example(case, slab) for each case and each slab length of SLABS."""
-    def apply(test):
-        for case in cases:
-            for slab in SLABS:
-                test = example(case, slab)(test)
-        return test
-    return apply
-
-
 @st.composite
 def _generator_sets(draw):
     """(degree, generator keys): one or two copies of small groups on
@@ -95,25 +84,6 @@ def _generator_sets(draw):
     return degree, gens
 
 
-def _naive_closure(gens, degree, cap):
-    """Breadth-first closure, one element at a time; past the cap it reports
-    the count it stopped at, as _dimino does."""
-    elements = {bytes(range(degree))}
-    frontier = list(elements)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = ge._mul(g, x)
-                if y not in elements:
-                    if len(elements) >= cap:
-                        raise ge.CapExceededError(cap, len(elements))
-                    elements.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return elements
-
-
 def _outcome(closure, *args, **kwargs):
     try:
         return closure(*args, **kwargs)
@@ -128,7 +98,7 @@ def _bare(G):
 
 def _groups(degree, gens):
     """The generated group, and the same elements as one buffer with no G^2."""
-    G = ge.generate([Permutation(g) for g in gens], degree=degree)
+    G = generated(gens, degree)
     bare = _bare(G)
     assert G.square_closure is not None and bare.square_closure is None
     assert len(bare.cosets) == 1 and bare.order == G.order
@@ -141,37 +111,35 @@ def test_dimino_matches_a_naive_closure(case, cap):
     degree, gens = case
     outcome = _outcome(ge._dimino, gens, degree, cap)
     if isinstance(outcome, ge.EnumeratedGroup):
-        assert outcome.elements == _naive_closure(gens, degree, cap)
-        # the kept cosets hold every element once
+        assert outcome.elements == closure(gens, degree, cap)
+        # the kept buffers hold every element once
         keys = b"".join(outcome.cosets)
         assert {keys[i:i + degree] for i in range(0, len(keys), degree)} == outcome.elements
         assert len(keys) == outcome.order * degree
     else:
-        assert outcome == _outcome(_naive_closure, gens, degree, cap)
+        assert outcome == _outcome(closure, gens, degree, cap)
 
 
 @settings(max_examples=150)
-@given(_generator_sets(), st.sampled_from(SLABS))
-@example(_LAST_8_OF_17, 5)
-@example(_LAST_8_OF_17, ge._SLAB)
+@given(_generator_sets())
+@example(_LAST_8_OF_17)
 # W_4, whose trivial G^2 takes no squaring, so the first doubling buffer
 # decides; the trivial group, with no doubling buffer; and a full scan
-@_at_every_slab(_W4, (1, []), _EXPONENT_OF_ITS_SQUARES)
-def test_exponent_is_the_lcm_of_the_element_orders(case, slab):
+@example(_W4)
+@example((1, []))
+@example(_EXPONENT_OF_ITS_SQUARES)
+def test_exponent_is_the_lcm_of_the_element_orders(case):
     G, bare = _groups(*case)
-    lcm = lcm_exponent(G.elements)
-    with mock.patch.object(ge, "_SLAB", slab):
-        assert ge.exponent(G) == ge.exponent(bare) == lcm
+    assert ge.exponent(G) == ge.exponent(bare) == lcm_exponent(G.elements)
 
 
 @settings(max_examples=150)
-@given(_generator_sets(), st.sampled_from(SLABS))
-@example(_LAST_8_OF_17, 5)
-def test_center_size_counts_the_elements_that_commute_with_every_generator(case, slab):
+@given(_generator_sets())
+@example(_LAST_8_OF_17)
+def test_center_size_counts_the_elements_that_commute_with_every_generator(case):
     G, bare = _groups(*case)
     count = sum(all(ge._mul(x, g) == ge._mul(g, x) for g in G.gen_keys) for x in G.elements)
-    with mock.patch.object(ge, "_SLAB", slab):
-        assert ge.center_size(G) == ge.center_size(bare) == count
+    assert ge.center_size(G) == ge.center_size(bare) == count
 
 
 def test_s4_grows_by_cosets_of_three_and_six_keys():
@@ -192,10 +160,10 @@ def test_s4_grows_by_cosets_of_three_and_six_keys():
     with mock.patch.object(ge, "EnumeratedGroup", spy):
         with pytest.raises(ValueError, match=r"^a group of order 24 is not a 2-group$"):
             ge._dimino(gens, 4, ge.DEFAULT_CAP)
-    assert layouts == [[1, 1, 1, 3, 6, 6, 6]]
+    assert layouts == [[24]]
     for cap in (5, 6, 23):
         outcome = _outcome(ge._dimino, gens, 4, cap)
-        assert outcome == _outcome(_naive_closure, gens, 4, cap) == ("cap", cap, cap)
+        assert outcome == _outcome(closure, gens, 4, cap) == ("cap", cap, cap)
     # generate closes S_4^2 = A_4 first, and is refused there
     with pytest.raises(ValueError, match=r"^a group of order 12 is not a 2-group$"):
         ge.generate([three, two, four])
@@ -218,32 +186,16 @@ def test_s4_grows_by_cosets_of_three_and_six_keys():
 @example(_C4, 3)
 def test_generate_matches_a_naive_closure(case, cap):
     degree, gens = case
-    outcome = _outcome(ge.generate, [Permutation(g) for g in gens], cap, degree=degree)
+    outcome = _outcome(generated, gens, degree, cap)
     if isinstance(outcome, ge.EnumeratedGroup):
-        assert outcome.elements == _naive_closure(gens, degree, cap)
+        assert outcome.elements == closure(gens, degree, cap)
         assert outcome.gen_keys == tuple(gens)
-        # the kept cosets hold every element once
+        # the kept buffers hold every element once
         keys = b"".join(outcome.cosets)
         assert {keys[i:i + degree] for i in range(0, len(keys), degree)} == outcome.elements
         assert len(keys) == outcome.order * degree
     else:
-        assert outcome == _outcome(_naive_closure, gens, degree, cap)
-
-
-def test_slabs_cut_the_cosets_in_order():
-    G = ge.generate(syl2_S_generators(8))
-    keys = b"".join(G.cosets)
-    for slab in SLABS:
-        with mock.patch.object(ge, "_SLAB", slab):
-            slabs = list(ge._cut(G.cosets, 8))
-        assert b"".join(slabs) == keys
-        assert all(len(s) == slab * 8 for s in slabs[:-1]) and 0 < len(slabs[-1]) <= slab * 8
-    bare = _bare(G)
-    with mock.patch.object(ge, "_SLAB", 5):
-        slabs = list(ge._cut(bare.cosets, 8))
-    assert sorted(s[i:i + 8] for s in slabs for i in range(0, len(s), 8)) == G.sorted_keys()
-    assert [len(s) // 8 for s in slabs] == [5] * 25 + [3]
-    assert list(ge._cut(ge.generate((), degree=3).cosets, 3)) == [bytes(range(3))]
+        assert outcome == _outcome(closure, gens, degree, cap)
 
 
 def test_even_subgroup_keeps_its_cosets():
@@ -251,9 +203,9 @@ def test_even_subgroup_keeps_its_cosets():
     keys = G.sorted_keys()
     H = ge._dimino([key for key, odd in zip(keys, ge.key_parities(keys)) if not odd], 8, G.order)
     bare = _bare(H)
-    # _dimino built H: its cosets, not one sorted buffer, and no G^2
-    assert len(H.cosets) > 1 and H.square_closure is None
-    keys = b"".join(H.cosets)
+    # _dimino built H: its cosets joined in one buffer, not sorted, and no G^2
+    assert len(H.cosets) == 1 and H.cosets != bare.cosets and H.square_closure is None
+    keys = H.cosets[0]
     assert sorted(keys[i:i + 8] for i in range(0, len(keys), 8)) == bare.sorted_keys()
     assert H.order == 64
     assert ge.exponent(H) == ge.exponent(bare)
@@ -261,27 +213,40 @@ def test_even_subgroup_keeps_its_cosets():
 
 
 def _layout(G):
-    """G^2's coset sizes, and the sizes of generate's doubling buffers."""
-    base = len(G.square_closure.cosets)
+    """The sizes of G^2's one buffer and of generate's doubling buffers."""
     sizes = [len(c) // G.degree for c in G.cosets]
-    return sizes[:base], sizes[base:]
+    return sizes[:1], sizes[1:]
 
 
 @settings(max_examples=60)
 @given(_generator_sets())
 def test_each_generator_outside_the_group_adds_one_buffer_of_the_group(case):
     degree, gens = case
-    G = ge.generate([Permutation(g) for g in gens], degree=degree)
+    G = generated(gens, degree)
     squares = G.square_closure
-    assert G.cosets[:len(squares.cosets)] == squares.cosets
     # generator i doubles the group exactly when it lies outside <G^2, gens[:i]>
     expected, members = [], squares.elements
     for i, g in enumerate(gens):
         if g not in members:
             expected.append(len(members))
-            members = _naive_closure([*squares.gen_keys, *gens[:i + 1]], degree, ge.DEFAULT_CAP)
+            members = closure([*squares.gen_keys, *gens[:i + 1]], degree)
     assert _layout(G)[1] == expected
     assert G.order == len(members)
+
+
+@settings(max_examples=60)
+@given(_generator_sets())
+def test_a_closure_is_one_buffer_and_opens_the_generated_group(case):
+    degree, gens = case
+    G = generated(gens, degree)
+    squares = G.square_closure
+    # the closures that _dimino builds: G^2, the commutator and squares
+    # subgroups, and the generators' group closed directly
+    for H in (squares, ge.commutator_subgroup(G), ge.squares_subgroup(G),
+              ge._dimino(gens, degree, ge.DEFAULT_CAP)):
+        assert len(H.cosets) == 1 and len(H.cosets[0]) == H.order * degree
+    assert G.cosets[0] == squares.cosets[0]
+    assert all((len(c) // degree).bit_count() == 1 for c in G.cosets)
 
 
 def test_a_generator_already_in_the_group_adds_no_buffer():
@@ -302,7 +267,7 @@ def test_a_generator_already_in_the_group_adds_no_buffer():
 def test_w4_doubles_at_every_generator_and_a4_at_none():
     W4, C4 = (ge.generate([Permutation(g) for g in gens]) for _, gens in (_W4, _C4))
     assert _layout(W4) == ([1], [1, 2, 4, 8, 16, 32, 64])
-    assert _layout(C4) == ([1, 1], [2])
+    assert _layout(C4) == ([2], [2])
     # A_4 is its own G^2, so none of its generators would double it: generate
     # closes that G^2, of order 12, and is refused before any doubling
     a4 = [Permutation.from_cycles(4, [(1, 2, 3)]), Permutation.from_cycles(4, [(1, 2), (3, 4)])]
@@ -320,10 +285,10 @@ def test_the_element_set_is_built_when_first_read():
     with mock.patch.object(ge, "_keys", lambda coset, degree: split.append(coset) or keys(coset, degree)):
         elements = G.elements
     assert vars(G)["elements"] is elements is G.elements
-    # every buffer is split once: G^2's cosets, then the three doubling buffers
+    # every buffer is split once: G^2's one buffer, then the three doubling buffers
     assert split == list(G.cosets)
     assert [len(c) // 8 for c in split[-3:]] == [8, 16, 32]
-    assert elements == _naive_closure(G.gen_keys, 8, ge.DEFAULT_CAP)
+    assert elements == closure(G.gen_keys, 8)
     eager = _bare(G)
     assert G == eager and hash(G) == hash(eager) and repr(G) == repr(eager)
     # equality with a fresh group builds its element set
@@ -342,7 +307,7 @@ _SYL2_S8 = (8, _SYL2_S8_GENS)
 )
 def test_a_group_rebuilt_from_its_buffers_is_the_same_group(case):
     degree, gens = case
-    G = ge.generate([Permutation(g) for g in gens], degree=degree)
+    G = generated(gens, degree)
     rebuilt = ge.EnumeratedGroup(G.degree, G.gen_keys, G.cosets, G.square_closure)
     # the memo holds memoized queries only, never the group's structure
     for group in (G, rebuilt, G.square_closure):

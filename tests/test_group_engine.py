@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import lcm_exponent
+from oracles import generated, lcm_exponent
 from sylow2 import group_engine as ge
 from sylow2 import tree_core as tc
 from sylow2.perm_core import Permutation, is_even
@@ -25,9 +25,12 @@ def _G(k):
 
 
 def test_generate_empty_is_trivial():
-    G = ge.generate((), degree=4)
+    G = ge.generate(ge.GeneratorSet("none", 4, ()))
     assert G.order == 1
     assert G.identity_key in G.elements
+    # a bare empty list carries no degree
+    with pytest.raises(ValueError, match=r"^an empty generator list has no degree; give a GeneratorSet$"):
+        ge.generate(())
 
 
 def test_generate_known_orders():
@@ -61,20 +64,6 @@ def test_cap_exceeded_reports_partial_count():
         ge.generate(s_beta(4), cap=100)
     assert info.value.partial_count == 100
     assert info.value.cap == 100
-
-
-def test_generate_rejects_a_degree_its_generators_do_not_act_on():
-    t = Permutation.transposition(4, 1, 2)
-    given_8 = r"degree=8 given for generators on 4 points"
-    with pytest.raises(ValueError, match=given_8):
-        ge.generate([t], degree=8)
-    with pytest.raises(ValueError, match=given_8):
-        ge.generate(ge.GeneratorSet("t", 4, (("t", t),)), degree=8)
-    with pytest.raises(ValueError, match=given_8):  # an empty set still has its degree
-        ge.generate(ge.GeneratorSet("none", 4, ()), degree=8)
-    assert ge.generate([t], degree=4).order == 2
-    assert ge.generate(ge.GeneratorSet("t", 4, (("t", t),)), degree=4).order == 2
-    assert ge.generate(ge.GeneratorSet("none", 4, ()), degree=None).degree == 4
 
 
 def test_enumerated_group_and_generate_refuse_non_two_groups():
@@ -142,7 +131,7 @@ def test_portraits_and_generator_sets_are_immutable_values():
 
 def test_degree_limit():
     with pytest.raises(ValueError):
-        ge.generate((), degree=300)
+        ge.generate(ge.GeneratorSet("none", 300, ()))
 
 
 def test_generate_takes_degrees_1_to_255():
@@ -152,7 +141,7 @@ def test_generate_takes_degrees_1_to_255():
         ge.generate([Permutation.identity(256)])
     for degree in (0, ge.MAX_DEGREE + 1):
         with pytest.raises(ValueError, match=rf"degree must be in 1\.\.{ge.MAX_DEGREE}, got {degree}"):
-            ge.generate((), degree=degree)
+            ge.generate(ge.GeneratorSet("none", degree, ()))
 
 
 def test_contains_and_subgroup_predicates():
@@ -165,7 +154,7 @@ def test_contains_and_subgroup_predicates():
     with pytest.raises(ValueError):
         ge.contains(G, Permutation.identity(4))
     with pytest.raises(ValueError):
-        ge.is_subgroup(ge.generate((), degree=4), G)
+        ge.is_subgroup(ge.generate(ge.GeneratorSet("none", 4, ())), G)
 
 
 def test_normality_positive_and_negative():
@@ -205,7 +194,7 @@ def test_verify_semidirect_negative_controls():
     assert "trivial_intersection" in failed
     assert witnesses
 
-    other = ge.generate((), degree=4)
+    other = ge.generate(ge.GeneratorSet("none", 4, ()))
     checks, witnesses = ge.verify_semidirect(other, G, G)
     assert not all(checks.values())
     assert checks["same_degree"] is False
@@ -301,7 +290,7 @@ def test_frattini_quotient_has_exponent_two():
 
 
 def test_derived_series():
-    trivial = ge.generate((), degree=2)
+    trivial = ge.generate(ge.GeneratorSet("none", 2, ()))
     assert ge.derived_length(trivial) == 0
     assert ge.derived_length(_G(2)) == 1  # Klein group is abelian
     series = ge.derived_series(_G(3))
@@ -443,7 +432,7 @@ def test_gen_keys_regenerate_the_group():
     groups.append(_even_half(ge.generate(syl2_S_generators(8))))
     for H in groups:
         assert all(type(g) is bytes and len(g) == H.degree for g in H.gen_keys)
-        regenerated = ge.generate([Permutation(g) for g in H.gen_keys], degree=H.degree)
+        regenerated = generated(H.gen_keys, H.degree)
         assert regenerated.elements == H.elements
 
 
@@ -501,7 +490,7 @@ def test_exponent_and_center_match_oracles_on_whole_two_groups():
         G = ge.generate(gens)
         assert ge.exponent(G) == lcm_exponent(G.elements)
         assert ge.center_size(G) == _all_generators_center_size(G)
-    trivial = ge.generate((), degree=3)
+    trivial = ge.generate(ge.GeneratorSet("none", 3, ()))
     assert (ge.exponent(trivial), ge.center_size(trivial)) == (1, 1)
 
 
@@ -537,7 +526,7 @@ def test_center_size_cases_of_the_one_image_check():
     for name, (gens, center) in cases.items():
         G = ge.generate(gens)
         assert ge.center_size(G) == _all_generators_center_size(G) == center, name
-    trivial = ge.generate((), degree=1)
+    trivial = ge.generate(ge.GeneratorSet("none", 1, ()))
     assert ge.center_size(trivial) == _all_generators_center_size(trivial) == 1
     # in Syl_2(S_8), (7 8) passes the one-image check of every generator but
     # does not commute with (1 5)(2 6)(3 7)(4 8): the check alone overcounts

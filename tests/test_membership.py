@@ -14,24 +14,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import relabel
+from oracles import closure, generated, relabel
 from sylow2 import cli
 from sylow2 import group_engine as ge
-from sylow2.perm_core import Permutation
 from sylow2.sylow_builders import s_beta, syl2_S_generators, w_subgroup_generators
 
 _ROOT = Path(__file__).resolve().parent.parent
-
-
-def _closure(gens: list[bytes], degree: int) -> set[bytes]:
-    # every product of generators, one Permutation product at a time
-    found = {bytes(range(degree))}
-    frontier = list(found)
-    while frontier:
-        products = {(Permutation(g) * Permutation(x)).key for x in frontier for g in gens}
-        frontier = list(products - found)
-        found |= products
-    return found
 
 
 def _keys(perms) -> list[bytes]:
@@ -52,9 +40,9 @@ _FAMILIES = {
     "G_3": (_keys(s_beta(3)), 8),
     "Syl_2(S_8)": (_keys(syl2_S_generators(8)), 8),
 }
-_MEMBERS = {name: _closure(gens, degree) for name, (gens, degree) in _FAMILIES.items()}
+_MEMBERS = {name: closure(gens, degree) for name, (gens, degree) in _FAMILIES.items()}
 _BUILDERS = {
-    "generate": lambda gens, degree: ge.generate([Permutation(g) for g in gens], degree=degree),
+    "generate": generated,
     "_dimino": lambda gens, degree: ge._dimino(gens, degree, ge.DEFAULT_CAP),
 }
 
@@ -124,12 +112,12 @@ def test_contains_matches_a_naive_closure_on_random_generators(data, degree, cou
     # permutation of the points: 2-groups with G^2 trivial or proper
     points = data.draw(st.permutations(range(degree)))
     gens = [relabel(data.draw(st.sampled_from(_SYL2_KEYS[degree])), points) for _ in range(count)]
-    members = _closure(gens, degree)
-    G = ge.generate([Permutation(g) for g in gens], degree=degree)
+    members = closure(gens, degree)
+    G = generated(gens, degree)
     assert G.order == len(members)
     candidates = [_candidate(data.draw, degree, sorted(members)) for _ in range(8)]
     assert [ge.contains(G, x) for x in candidates] == [x in members for x in candidates]
-    H = ge.generate([Permutation(x) for x in candidates if x in members], degree=degree)
+    H = generated([x for x in candidates if x in members], degree)
     assert ge.is_subgroup(H, G)
 
 

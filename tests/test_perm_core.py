@@ -47,6 +47,19 @@ def test_rejects_bool_images():
         Permutation([True, False])
 
 
+@pytest.mark.parametrize("cycles, message", [
+    ([()], "empty cycle"),  # raised IndexError once
+    ([(1, 2.0)], "point 2.0 is not an integer in 1..4"),  # raised TypeError once
+    ([(True, 2)], "point True is not an integer in 1..4"),
+    ([(1, 5)], "point 5 is not an integer in 1..4"),
+    ([(1, 2), (2, 3)], "point 2 repeated across cycles"),
+])
+def test_from_cycles_refuses_bad_cycles_in_one_line(cycles, message):
+    with pytest.raises(ValueError) as info:
+        Permutation.from_cycles(4, cycles)
+    assert str(info.value) == message
+
+
 def test_key_holds_the_images_as_bytes():
     p = Permutation.from_cycles(5, [(1, 3, 5)])
     assert p.key == bytes(p.images) == bytes([2, 1, 4, 3, 0])
