@@ -251,61 +251,6 @@ def parity_extension(sigma: Permutation, n: int) -> Permutation:
     return Permutation(images)
 
 
-class RatioCheck(NamedTuple):
-    label: str
-    k: int
-    lhs: int
-    rhs: int
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs == self.rhs
-
-
-class OrderRatioReport(NamedTuple):
-    k_max: int
-    checks: tuple[RatioCheck, ...]
-    orientation_note: str
-
-    def failures(self) -> list[RatioCheck]:
-        return [c for c in self.checks if not c.ok]
-
-
-def order_ratio_checks(k_max: int) -> OrderRatioReport:
-    """Arithmetic relations between Sylow 2-orders at nearby degrees, checked
-    for every k up to k_max via the factorial valuation:
-
-    - the exponent steps up by exactly 1 from A_{4k+1} to A_{4k+3};
-    - adding an odd point changes nothing: orders at 2k+1 and 2k match,
-      for both the symmetric and the alternating family;
-    - from A_{4k-2} to A_{4k} the exponent grows by nu2(4k), a gap that
-      depends only on the power of 2 in k (the larger group sits at 4k).
-    """
-    if k_max < 1:
-        raise ValueError(f"need k_max >= 1, got {k_max}")
-    checks = []
-    for k in range(1, k_max + 1):
-        checks.append(RatioCheck(
-            "A(4k+3) minus A(4k+1)", k,
-            syl2_order(4 * k + 3, "A") - syl2_order(4 * k + 1, "A"), 1))
-        checks.append(RatioCheck(
-            "A(2k+1) equals A(2k)", k,
-            syl2_order(2 * k + 1, "A"), syl2_order(2 * k, "A")))
-        checks.append(RatioCheck(
-            "S(2k+1) equals S(2k)", k,
-            syl2_order(2 * k + 1, "S"), syl2_order(2 * k, "S")))
-        m = 4 * k
-        nu2_of_4k = (m & -m).bit_length() - 1  # valuation of the integer 4k
-        checks.append(RatioCheck(
-            "A(4k) minus A(4k-2)", k,
-            syl2_order(m, "A") - syl2_order(m - 2, "A"), nu2_of_4k))
-    note = (
-        "the exponent gap between degrees 4k and 4k-2 equals nu2(4k); "
-        "the order at 4k is the larger of the two"
-    )
-    return OrderRatioReport(k_max, tuple(checks), note)
-
-
 def w_subgroup_generators(k: int) -> GeneratorSet:
     """Adjacent last-level pairs tau_{i,i+1}: a basis of the even-weight
     state subgroup on level k-1, elementary abelian of order

@@ -6,6 +6,7 @@ import random
 import time
 from functools import lru_cache
 
+from sylow2 import claims as cl
 from sylow2 import group_engine as ge
 from sylow2 import sylow_builders as sb
 from sylow2 import tree_core as tc
@@ -211,8 +212,9 @@ def test_13_order_ratio_remarks():
         ok = ok and sb.syl2_order(4 * k + 3, "A") - sb.syl2_order(4 * k + 1, "A") == 1
         ok = ok and sb.syl2_order(2 * k + 1, "A") == sb.syl2_order(2 * k, "A")
         ok = ok and sb.syl2_order(2 * k + 1, "S") == sb.syl2_order(2 * k, "S")
-    ok = ok and not sb.order_ratio_checks(25).failures()
-    _finish("13 order-ratios", ok, "k=1..25")
+    [record] = cl.run_claims(["order-ratios"], cl.ClaimContext(), version="test").claims
+    ok = ok and record.status == "pass"
+    _finish("13 order-ratios", ok, f"k=1..25 claim={record.status}")
 
 
 def test_14_portrait_algebra_oracle():

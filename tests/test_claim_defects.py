@@ -96,6 +96,24 @@ def test_order_ratios_and_boxtimes_fail_on_a_constant_sylow_exponent(monkeypatch
     assert set(boxtimes.witnesses["failures"]) == {"4", "8", "12"}
 
 
+def test_order_ratios_names_the_two_relations_a_raised_a7_exponent_breaks(monkeypatch):
+    record = _run_one("order-ratios")
+    assert record.status == "pass"
+    assert record.witnesses["checks"] == 100 and "4k" in record.witnesses["note"]
+    syl2_order = sb.syl2_order
+    monkeypatch.setattr(
+        sb, "syl2_order", lambda n, kind: syl2_order(n, kind) + ((n, kind) == (7, "A"))
+    )
+    record = _run_one("order-ratios")
+    assert record.status == "fail"
+    # A_7 is 4k+3 at k = 1 and 2k+1 at k = 3, and no other relation reads it
+    assert record.witnesses["failures"] == {
+        "A(4k+3) minus A(4k+1) @ k=1": {"lhs": 2, "rhs": 1},
+        "A(2k+1) equals A(2k) @ k=3": {"lhs": 4, "rhs": 3},
+    }
+    assert record.witnesses["checks"] == 100
+
+
 def test_small_fingerprints_fails_on_a_wrong_sylow_exponent(monkeypatch):
     monkeypatch.setattr(sb, "syl2_order", lambda n, kind: 4)
     record = _run_one("small-fingerprints")

@@ -5,6 +5,7 @@ argument check."""
 
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -65,12 +66,12 @@ def test_set_up_builds_the_parents_and_tests_every_member():
     assert not lattice_stages.set_up(ge, lattice.enumerate_parents, [("G_4", [swap])])[1]
 
 
-def _main_on(strata, tmp_path, monkeypatch):
+def _main_on(strata, tmp_path, monkeypatch, *argv):
     pool = tmp_path / "pool.json"
     pool.write_text(json.dumps({"strata": strata}))
     monkeypatch.setattr(lattice_stages, "POOL", pool)
     monkeypatch.setattr(sys, "path", list(sys.path))  # main puts src and benchmark first
-    return lattice_stages.main(["--repeat", "1"])
+    return lattice_stages.main(["--repeat", "1", *argv])
 
 
 def test_main_prints_the_set_up_row_first(tmp_path, monkeypatch, capsys):
@@ -92,3 +93,47 @@ def test_repeat_below_one_exits_2():
     with pytest.raises(SystemExit) as info:
         lattice_stages.main(["--repeat", "0"])
     assert info.value.code == 2
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone, as under `| head`: every write fails."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    flush = write
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("parent, code", [(None, 0), ("G_4", 1)])
+def test_a_closed_stdout_keeps_the_exit_code_of_the_answers(parent, code, tmp_path, monkeypatch, capsys):
+    strata = _first_queries()
+    if parent:  # the 2^7 query's odd elements, outside G_4
+        strata["7"][0]["parent"] = parent
+    out = tmp_path / "stdout"
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert _main_on(strata, tmp_path, monkeypatch) == code
+        # the stdout descriptor now leads to the null device, so the flush at exit cannot fail
+        os.write(fd, b"lost")
+    finally:
+        os.close(fd)
+    assert out.read_bytes() == b""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("a pooled element is not in its parent" in err) == bool(code)
+
+
+def test_a_src_without_sylow2_exits_2_with_one_message(tmp_path, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as info:
+        _main_on(_first_queries(), tmp_path, monkeypatch, "--src", str(tmp_path / "nonexistent"))
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith("nonexistent holds no sylow2 package")
+    assert "Traceback" not in err

@@ -7,6 +7,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from sylow2 import __version__
 from sylow2 import claims as cl
 
@@ -54,4 +56,19 @@ def test_a_changed_witness_is_printed_by_its_path(tmp_path, capsys):
 
 def test_a_json_list_is_not_a_report(tmp_path, capsys):
     assert _diff(tmp_path, _report(), json.dumps([1, 2])) == 2
-    assert "not a sylow2 verify report" in capsys.readouterr().err
+    assert "a report is a JSON object, not list" in capsys.readouterr().err
+
+
+def _with_one_bad_claim():  # a whole report whose one claim has no field the reader needs
+    return json.dumps({**_report().to_json_dict(), "claims": [{"a": 1}]})
+
+
+@pytest.mark.parametrize("new, error", [
+    (lambda: json.dumps({"claims": [{"a": 1}]}), "unsupported report format None"),
+    (_with_one_bad_claim, "report is missing the field 'status'"),
+])
+def test_a_claims_list_that_the_report_reader_refuses_is_not_a_report(tmp_path, capsys, new, error):
+    assert _diff(tmp_path, _report(), new()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path / 'new.json'}: {error}\n"

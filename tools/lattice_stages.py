@@ -42,7 +42,10 @@ passes with the lowest and highest. The benchmark's query_p50_ms falls in
 the 2^12 stratum and its query_p90_ms in the 2^14 one.
 --src runs the sylow2 package of another checkout's src/ directory.
 Uses the standard library only and writes no file. Exits 0 when every answer
-matches and every pooled element lies in its parent, and 1 otherwise.
+matches and every pooled element lies in its parent, 1 otherwise, and 2 on
+an argument error, such as a --src that holds no sylow2. A reader that
+closes the output early (`| head`) ends no run in a traceback and changes
+no exit code.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from __future__ import annotations
 import argparse
 import collections
 import json
+import os
 import statistics
 import sys
 import time
@@ -161,6 +165,8 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    if not (args.src / "sylow2" / "__init__.py").is_file():
+        parser.error(f"--src {args.src} holds no sylow2 package")
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "benchmark")]
     import lattice
     from sylow2 import group_engine as ge
@@ -184,16 +190,25 @@ def main(argv: list[str]) -> int:
         if wrong or not members:
             break
 
-    print(f"{len(queries)} queries, {len(runs)} passes, sylow2 from {args.src}")
-    print(f"{'stage':<22}{'median ms':>10}  [lowest, highest]")
+    lines = [
+        f"{len(queries)} queries, {len(runs)} passes, sylow2 from {args.src}",
+        f"{'stage':<22}{'median ms':>10}  [lowest, highest]",
+    ]
     for stage in (SETUP, *STAGES, QUERY):
         name, *steps = SPLITS.get(stage, ("",))
         for row in (stage, *steps) if hasattr(ge, name) else (stage,):
-            print(f"{row:<22}{spread([1e3 * totals[row] for totals in runs])}")
+            lines.append(f"{row:<22}{spread([1e3 * totals[row] for totals in runs])}")
     sizes = collections.Counter(order for order, _ in pooled)
-    print(f"{'order':<8}{'queries':>8}{'median query ms':>16}  [lowest, highest]")
+    lines.append(f"{'order':<8}{'queries':>8}{'median query ms':>16}  [lowest, highest]")
     for order, ms in strata.items():
-        print(f"{'2^' + order:<8}{sizes[order]:>8}{spread(ms):>16}")
+        lines.append(f"{'2^' + order:<8}{sizes[order]:>8}{spread(ms):>16}")
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:  # the reader closed stdout early: the table is lost, the exit code is not
+        # point stdout at the null device, so the flush at exit finds no closed pipe either
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
     if not members:
         print("a pooled element is not in its parent", file=sys.stderr)
     if wrong:

@@ -65,8 +65,6 @@ ALLOWED = {
     "tree_core.Portrait.__repr__": _FIELD_VALUE,
     "tree_core.level_index": "the scalar oracle the frattini-level lane kernels are tested against",
     "tree_core.from_permutation": "the scalar oracle lane_portraits is tested against",
-    "claims.VerificationReport.from_json": "the report reader of the README, which ROADMAP item 1 extends",
-    "claims.ClaimRecord.from_json_dict": "called by VerificationReport.from_json",
     "group_engine.EnumeratedGroup.__eq__": _GROUP_VALUE,
     "group_engine.EnumeratedGroup.__hash__": _GROUP_VALUE,
     "group_engine.EnumeratedGroup.__repr__": _GROUP_VALUE,

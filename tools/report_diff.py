@@ -2,25 +2,30 @@
 
     python tools/report_diff.py OLD.json NEW.json
 
-The report's `timestamp` and every claim's `runtime_ms` are dropped; any
-other difference is printed as one line per differing path. Exits 0 when
-the reports agree, 1 when they differ, and 2 when a file cannot be read as
-such a report. Uses the standard library only.
+Each file must first load as a report through
+sylow2.claims.VerificationReport.from_json, the reader of the sylow2 in this
+checkout's src/. The raw JSON is then compared, so fields that reader does
+not keep still show. The report's `timestamp` and every claim's
+`runtime_ms` are dropped; any other difference is printed as one line per
+differing path. Exits 0 when the reports agree, 1 when they differ, and 2
+when a file cannot be read as such a report.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from sylow2.claims import VerificationReport  # noqa: E402
 
 
-def comparable(report) -> dict:
-    """The report without its timestamp and its claims' runtime_ms."""
-    claims = report.get("claims") if isinstance(report, dict) else None
-    if not isinstance(claims, list) or not all(isinstance(c, dict) for c in claims):
-        raise ValueError("not a sylow2 verify report")
+def comparable(report: dict) -> dict:
+    """A report that from_json accepted, without its timestamp and its
+    claims' runtime_ms."""
     kept = {key: value for key, value in report.items() if key != "timestamp"}
-    kept["claims"] = [{key: value for key, value in c.items() if key != "runtime_ms"} for c in claims]
+    kept["claims"] = [{key: value for key, value in c.items() if key != "runtime_ms"} for c in report["claims"]]
     return kept
 
 
@@ -52,7 +57,9 @@ def main(argv: list[str]) -> int:
     for name in argv:
         try:
             with open(name) as handle:
-                reports.append(comparable(json.load(handle)))
+                text = handle.read()
+            VerificationReport.from_json(text)
+            reports.append(comparable(json.loads(text)))
         except (OSError, ValueError) as exc:
             print(f"error: {name}: {exc}", file=sys.stderr)
             return 2
