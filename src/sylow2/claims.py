@@ -4,7 +4,8 @@
 Every claim is deterministic for a fixed context (ranges, cap, seed); no
 claim samples, so the seed changes no verdict or witness. Any claim, per-k
 or not, reports "skipped-cap" when a unit it checks needs an enumeration
-past the cap, rather than failing or truncating silently. The per-n and
+past the cap, rather than failing or truncating silently; a counterexample
+found before a group passed the cap still fails the claim. The per-n and
 per-element sweeps (legendre, evenness, frattini-level, portrait-oracle) run
 on lane-packed ints, one n or one element per lane.
 """
@@ -32,6 +33,19 @@ STATUSES = ("pass", "fail", "skipped-cap")
 BOXTIMES_DEGREES = (4, 6, 7, 8, 12)
 
 
+# the JSON type of each field that a report and each of its claim records must hold
+_REPORT_TYPES = {"version": str, "timestamp": str, "parameters": dict, "claims": list}
+_CLAIM_TYPES = {"claim_id": str, "statement": str, "parameters": dict, "witnesses": dict, "runtime_ms": int}
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number",
+               bool: "a boolean", type(None): "null"}
+
+
+def _check_types(data: dict, types: dict, owner: str) -> None:
+    for name, kind in types.items():
+        if type(data[name]) is not kind:  # exact, so a bool is no integer
+            raise ValueError(f"{owner} field {name!r} must be {_JSON_NAMES[kind]}, not {_JSON_NAMES[type(data[name])]}")
+
+
 @dataclass
 class ClaimRecord:
     claim_id: str
@@ -48,6 +62,7 @@ class ClaimRecord:
     def from_json_dict(cls, data: dict) -> "ClaimRecord":
         if data["status"] not in STATUSES:
             raise ValueError(f"claim {data['claim_id']!r} has unknown status {data['status']!r}")
+        _check_types(data, _CLAIM_TYPES, "claim")
         return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
@@ -83,6 +98,7 @@ class VerificationReport:
         if data.get("format") != REPORT_FORMAT:
             raise ValueError(f"unsupported report format {data.get('format')!r}")
         try:
+            _check_types(data, _REPORT_TYPES, "report")
             claims = [ClaimRecord.from_json_dict(c) for c in data["claims"]]
             return cls(data["version"], data["timestamp"], data["parameters"], claims)
         except KeyError as exc:
@@ -159,27 +175,6 @@ def _block_group(ctx: ClaimContext, n: int) -> EnumeratedGroup:  # the even bloc
     return ctx.group(f"Syl2(A_{n})", lambda cap: sylow_builders.boxtimes_group(n, cap=cap))
 
 
-def _sweep(units, check, key: str = "k"):
-    """Run check(unit) on each unit of a claim (a tree depth k or a degree n).
-
-    check returns (witness, failure); a witness of None is left out and a
-    falsy failure is no failure. A unit whose enumeration passes the cap
-    becomes a skip entry instead. Returns the witnesses and failures keyed by
-    str(unit), and the skip entries."""
-    found, failures, skipped = {}, {}, []
-    for unit in units:
-        try:
-            witness, failure = check(unit)
-        except CapExceededError as exc:
-            skipped.append({key: unit, "partial_count": exc.partial_count})
-            continue
-        if witness is not None:
-            found[str(unit)] = witness
-        if failure:
-            failures[str(unit)] = failure
-    return found, failures, skipped
-
-
 def _record(parameters: dict, witnesses: dict, failures: dict, skipped: list = ()):
     """A runner's (status, parameters, witnesses): the failures and the cap
     skips, when there are any, join the witnesses and decide the status."""
@@ -198,12 +193,25 @@ def _k_range(ctx: ClaimContext) -> range:
 def _per_unit(name: str, units=_k_range, key: str = "k", **parameters):
     """Turn check(ctx, unit) -> (witness, failure) into a runner that sweeps
     units(ctx), each k in 2..max_k unless given, lists them in the record's
-    parameters under key, and keeps the witnesses under one name."""
+    parameters under key, and keeps the witnesses under one name (a None
+    witness is left out; a falsy failure is none). A unit past the cap is a
+    skip entry: each check asks for its groups before it checks anything
+    (minimality's subset closures lie inside G_k), so a skip drops nothing."""
 
     def runner_of(check):
         def runner(ctx: ClaimContext):
             swept = list(units(ctx))
-            found, failures, skipped = _sweep(swept, lambda unit: check(ctx, unit), key)
+            found, failures, skipped = {}, {}, []
+            for unit in swept:
+                try:
+                    witness, failure = check(ctx, unit)
+                except CapExceededError as exc:
+                    skipped.append({key: unit, "partial_count": exc.partial_count})
+                    continue
+                if witness is not None:
+                    found[str(unit)] = witness
+                if failure:
+                    failures[str(unit)] = failure
             return _record({key: swept, **parameters}, {name: found}, failures, skipped)
 
         return runner
@@ -445,58 +453,53 @@ def _run_boxtimes(ctx: ClaimContext, n: int):
 
 @_claim("parity-extension", "Appending a parity-controlled transposition embeds Syl2(S_4) onto the even block group inside A_6.")
 def _run_parity_extension(ctx: ClaimContext):
-    def check(n):  # the embedding of Syl2(S_4) into A_n, n = 6
-        failures = {}
+    n = 6  # the embedding of Syl2(S_4) into A_n
+    parameters, failures = {"domain": "Syl2(S_4)", "target": "A_6"}, {}
+    try:
         S4 = ctx.group("Syl2(S_4)", lambda cap: group_engine.generate(sylow_builders.syl2_S_generators(4), cap=cap))
-        elements = list(S4.permutations())
-        images = {p: sylow_builders.parity_extension(p, n) for p in elements}
-        image_keys = {v.key for v in images.values()}
-        if len(image_keys) != len(elements):
-            failures["injectivity"] = "image collision"
-        for p in elements:
-            for q in elements:
-                lhs = sylow_builders.parity_extension(p * q, n)
-                rhs = images[p] * images[q]
-                if lhs != rhs and "homomorphism" not in failures:  # the first failing pair
-                    failures["homomorphism"] = f"{p!r}, {q!r}"
-        witnesses = {"pairs_checked": len(elements) ** 2}
-        try:
-            H = _block_group(ctx, n)
-        except RuntimeError as exc:  # without H, no image or fingerprint to compare
-            failures["construction_mismatch"] = str(exc)
-            return witnesses, failures
-        if image_keys != H.elements:
-            failures["image"] = "extension image differs from the block-built group"
-        fp = witnesses["fingerprint"] = group_engine.fingerprint(H)
-        expected_fp = {"order": 8, "abelian": False, "exponent": 4}
-        for field_name, value in expected_fp.items():
-            if fp[field_name] != value:
-                failures[f"fingerprint_{field_name}"] = {"expected": value, "got": fp[field_name]}
-        return witnesses, failures
-
-    found, failures, skipped = _sweep([6], check, key="n")
-    parameters = {"domain": "Syl2(S_4)", "target": "A_6"}
-    return _record(parameters, found.get("6", {}), failures.get("6", {}), skipped)
+    except CapExceededError as exc:
+        return _record(parameters, {}, failures, [{"n": n, "partial_count": exc.partial_count}])
+    elements = list(S4.permutations())
+    images = {p: sylow_builders.parity_extension(p, n) for p in elements}
+    image_keys = {v.key for v in images.values()}
+    if len(image_keys) != len(elements):
+        failures["injectivity"] = "image collision"
+    for p in elements:
+        for q in elements:
+            lhs = sylow_builders.parity_extension(p * q, n)
+            rhs = images[p] * images[q]
+            if lhs != rhs and "homomorphism" not in failures:  # the first failing pair
+                failures["homomorphism"] = f"{p!r}, {q!r}"
+    witnesses = {"pairs_checked": len(elements) ** 2}
+    try:
+        H = _block_group(ctx, n)
+    except CapExceededError as exc:  # the failures found on Syl2(S_4) still fail the claim
+        return _record(parameters, {}, failures, [{"n": n, "partial_count": exc.partial_count}])
+    except RuntimeError as exc:  # without H, no image or fingerprint to compare
+        failures["construction_mismatch"] = str(exc)
+        return _record(parameters, witnesses, failures)
+    if image_keys != H.elements:
+        failures["image"] = "extension image differs from the block-built group"
+    fp = witnesses["fingerprint"] = group_engine.fingerprint(H)
+    expected_fp = {"order": 8, "abelian": False, "exponent": 4}
+    for field_name, value in expected_fp.items():
+        if fp[field_name] != value:
+            failures[f"fingerprint_{field_name}"] = {"expected": value, "got": fp[field_name]}
+    return _record(parameters, witnesses, failures)
 
 
 @_claim("small-fingerprints", "The depth-2 group is the Klein four-group, and the A_7 and A_6 Sylow exponents are both 3.")
 def _run_small_fingerprints(ctx: ClaimContext):
+    # the exponents need no group, so G_2 past the cap leaves their failure standing
+    e7, e6 = sylow_builders.syl2_order(7, "A"), sylow_builders.syl2_order(6, "A")
+    failures = {} if e7 == e6 == 3 else {"order_exponents": {"A_7": e7, "A_6": e6}}
+    try:
+        fp = group_engine.fingerprint(tree_group(ctx, 2))
+    except CapExceededError as exc:
+        return _record({}, {}, failures, [{"k": 2, "partial_count": exc.partial_count}])
     expected = {"order": 4, "abelian": True, "exponent": 2, "derived_length": 1}
-
-    def check(k):  # the group of depth k = 2, and the exponents beside it
-        fp = group_engine.fingerprint(tree_group(ctx, k))
-        failures = {
-            f"G2_{field_name}": {"expected": value, "got": fp[field_name]}
-            for field_name, value in expected.items() if fp[field_name] != value
-        }
-        e7 = sylow_builders.syl2_order(7, "A")
-        e6 = sylow_builders.syl2_order(6, "A")
-        if not (e7 == e6 == 3):
-            failures["order_exponents"] = {"A_7": e7, "A_6": e6}
-        return {"G2_fingerprint": fp, "A7_exponent": e7, "A6_exponent": e6}, failures
-
-    found, failures, skipped = _sweep([2], check)
-    return _record({}, found.get("2", {}), failures.get("2", {}), skipped)
+    failures.update({f"G2_{name}": {"expected": want, "got": fp[name]} for name, want in expected.items() if fp[name] != want})
+    return _record({}, {"G2_fingerprint": fp, "A7_exponent": e7, "A6_exponent": e6}, failures)
 
 
 # order-ratios checks four relations between the Sylow 2-order exponents of

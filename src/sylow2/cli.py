@@ -101,10 +101,8 @@ def _cmd_gens(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    max_k = args.k if args.k is not None else args.max_k
-    max_n = args.n if args.n is not None else args.max_n
     # ClaimContext refuses a k, n or cap out of range before the other checks
-    ctx = claims.ClaimContext(max_k=max_k, max_n=max_n, cap=args.cap, seed=args.seed)
+    ctx = claims.ClaimContext(max_k=args.max_k, max_n=args.max_n, cap=args.cap, seed=args.seed)
 
     if args.all:
         ids = claims.claim_ids()
@@ -170,11 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run claim checkers and emit a report")
     p_verify.add_argument("--claim", metavar="ID")
     p_verify.add_argument("--all", action="store_true")
-    p_verify.add_argument("--k", type=int, help="upper k for tree-group claims")
-    p_verify.add_argument("--n", type=int, help="upper n for block claims")
     # the defaults are ClaimContext's: a dataclass keeps each field's default on the class
-    p_verify.add_argument("--max-k", type=int, default=claims.ClaimContext.max_k, dest="max_k")
-    p_verify.add_argument("--max-n", type=int, default=claims.ClaimContext.max_n, dest="max_n")
+    p_verify.add_argument("--max-k", "--k", type=int, default=claims.ClaimContext.max_k, dest="max_k")
+    p_verify.add_argument("--max-n", "--n", type=int, default=claims.ClaimContext.max_n, dest="max_n")
     p_verify.add_argument("--cap", type=int, default=claims.ClaimContext.cap)
     p_verify.add_argument("--seed", type=int, default=claims.ClaimContext.seed)
     p_verify.add_argument("--strict", action="store_true",

@@ -131,6 +131,22 @@ def test_small_fingerprints_checks_the_a6_exponent_on_its_own(monkeypatch):
     assert record.witnesses["failures"] == {"order_exponents": {"A_7": 3, "A_6": 2}}
 
 
+def test_small_fingerprints_keeps_an_exponent_failure_when_g2_passes_the_cap(monkeypatch):
+    syl2_order = sb.syl2_order
+    monkeypatch.setattr(
+        sb, "syl2_order", lambda n, kind: syl2_order(n, kind) + ((n, kind) == (7, "A"))
+    )
+    report = cl.run_claims(["small-fingerprints"], cl.ClaimContext(cap=1), version="test")
+    [record] = report.claims
+    # the exponents need no group, so the skipped G_2 leaves their failure standing
+    assert record.status == "fail"
+    assert record.witnesses == {
+        "failures": {"order_exponents": {"A_7": 4, "A_6": 3}},
+        "skipped": [{"k": 2, "partial_count": 1}],
+    }
+    assert report.exit_code() == 1
+
+
 def test_boxtimes_checks_the_paper_table_apart_from_syl2_order(monkeypatch):
     # at n = 6 the group and syl2_order agree on 2^2; only the table says 2^3
     boxtimes_group, syl2_order = sb.boxtimes_group, sb.syl2_order
@@ -242,17 +258,24 @@ def test_parity_extension_fails_when_it_fixes_the_even_permutations(monkeypatch)
         sb, "parity_extension",
         lambda sigma, n: extend(sigma, n) * Permutation.transposition(n, sigma.degree + 1, sigma.degree + 2),
     )
-    record = _run_one("parity-extension")
-    assert record.status == "fail"
     # every pair breaks the product rule; the witness is the first pair checked
-    assert record.witnesses == {
-        "pairs_checked": 64,
-        "fingerprint": _H6_FINGERPRINT,
-        "failures": {
-            "homomorphism": "Permutation[()], Permutation[()]",
-            "image": _IMAGE_DIFFERS,
+    homomorphism = {"homomorphism": "Permutation[()], Permutation[()]"}
+    expected = {
+        ge.DEFAULT_CAP: {
+            "pairs_checked": 64,
+            "fingerprint": _H6_FINGERPRINT,
+            "failures": {**homomorphism, "image": _IMAGE_DIFFERS},
         },
+        # Syl2(S_4) fits in 10 elements and the block group does not: the
+        # pairs checked before the block group passed the cap still fail the claim
+        10: {"failures": homomorphism, "skipped": [{"n": 6, "partial_count": 0}]},
     }
+    for cap, witnesses in expected.items():
+        report = cl.run_claims(["parity-extension"], cl.ClaimContext(cap=cap), version="test")
+        [record] = report.claims
+        assert record.status == "fail"
+        assert record.witnesses == witnesses
+        assert report.exit_code() == 1
 
 
 def test_fingerprint_claims_fail_on_a_wrong_exponent_and_abelian_flag(monkeypatch):

@@ -273,16 +273,25 @@ def test_cli_gens_json(tmp_path, capsys):
 
 
 def test_cli_verify_single_claim(tmp_path, capsys):
-    code = cli.main([
-        "verify", "--claim", "order-Gk", "--k", "3",
-        "--json", str(tmp_path / "r.json"),
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "order-gk" in out
-    report = cl.VerificationReport.from_json((tmp_path / "r.json").read_text())
-    assert report.claims[0].status == "pass"
-    assert report.parameters["max_k"] == 3
+    parameters = []
+    # --k and --n spell --max-k and --max-n, and the last value given wins
+    for limits in (
+        ["--k", "3", "--n", "8"],
+        ["--max-k", "3", "--max-n", "8"],
+        ["--k", "2", "--max-k", "3", "--n", "8"],
+    ):
+        code = cli.main([
+            "verify", "--claim", "order-Gk", *limits,
+            "--json", str(tmp_path / "r.json"),
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "order-gk" in out
+        report = cl.VerificationReport.from_json((tmp_path / "r.json").read_text())
+        assert report.claims[0].status == "pass"
+        parameters.append(report.parameters)
+    assert parameters[0]["max_k"] == 3 and parameters[0]["max_n"] == 8
+    assert parameters[0] == parameters[1] == parameters[2]
 
 
 def test_cli_verify_defaults_are_the_claim_context_defaults(tmp_path, capsys):
@@ -312,6 +321,36 @@ def test_report_from_json_rejects_an_unknown_status():
     data["claims"][0]["status"] = "weird"
     with pytest.raises(ValueError, match="^claim 'boxtimes' has unknown status 'weird'$"):
         cl.VerificationReport.from_json(json.dumps(data))
+
+
+# (the report or its first claim, the field, a value of the wrong JSON type, the refusal)
+_WRONGLY_TYPED = [
+    ("report", "claims", "", "report field 'claims' must be a list, not a string"),
+    ("report", "claims", {}, "report field 'claims' must be a list, not an object"),
+    ("report", "parameters", [1], "report field 'parameters' must be an object, not a list"),
+    ("report", "parameters", "x", "report field 'parameters' must be an object, not a string"),
+    ("report", "version", 1, "report field 'version' must be a string, not an integer"),
+    ("report", "timestamp", None, "report field 'timestamp' must be a string, not null"),
+    ("claim", "claim_id", [], "claim field 'claim_id' must be a string, not a list"),
+    ("claim", "statement", 1, "claim field 'statement' must be a string, not an integer"),
+    ("claim", "parameters", [], "claim field 'parameters' must be an object, not a list"),
+    ("claim", "witnesses", 3, "claim field 'witnesses' must be an object, not an integer"),
+    ("claim", "runtime_ms", "z", "claim field 'runtime_ms' must be an integer, not a string"),
+    ("claim", "runtime_ms", True, "claim field 'runtime_ms' must be an integer, not a boolean"),
+    ("claim", "runtime_ms", 1.0, "claim field 'runtime_ms' must be an integer, not a number"),
+]
+
+
+@pytest.mark.parametrize(
+    "owner, name, value, message", _WRONGLY_TYPED,
+    ids=[f"{owner}.{name}={value!r}" for owner, name, value, _ in _WRONGLY_TYPED],
+)
+def test_report_from_json_rejects_a_wrongly_typed_field(owner, name, value, message):
+    data = _report_data()
+    (data if owner == "report" else data["claims"][0])[name] = value
+    with pytest.raises(ValueError) as info:
+        cl.VerificationReport.from_json(json.dumps(data))
+    assert str(info.value) == message
 
 
 def test_report_from_json_rejects_deep_nesting_in_one_line():

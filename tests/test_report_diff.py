@@ -63,9 +63,14 @@ def _with_one_bad_claim():  # a whole report whose one claim has no field the re
     return json.dumps({**_report().to_json_dict(), "claims": [{"a": 1}]})
 
 
+def _with_claims_as_a_string():
+    return json.dumps({**_report().to_json_dict(), "claims": ""})
+
+
 @pytest.mark.parametrize("new, error", [
     (lambda: json.dumps({"claims": [{"a": 1}]}), "unsupported report format None"),
     (_with_one_bad_claim, "report is missing the field 'status'"),
+    (_with_claims_as_a_string, "report field 'claims' must be a list, not a string"),
 ])
 def test_a_claims_list_that_the_report_reader_refuses_is_not_a_report(tmp_path, capsys, new, error):
     assert _diff(tmp_path, _report(), new()) == 2
