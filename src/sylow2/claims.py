@@ -34,7 +34,7 @@ BOXTIMES_DEGREES = (4, 6, 7, 8, 12)
 
 
 # the JSON type of each field that a report and each of its claim records must hold
-_REPORT_TYPES = {"version": str, "timestamp": str, "parameters": dict, "claims": list}
+_REPORT_TYPES = {"version": str, "timestamp": str, "parameters": dict, "claims": list, "summary": dict}
 _CLAIM_TYPES = {"claim_id": str, "statement": str, "parameters": dict, "witnesses": dict, "runtime_ms": int}
 _JSON_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number",
                bool: "a boolean", type(None): "null"}
@@ -99,12 +99,17 @@ class VerificationReport:
             raise ValueError(f"unsupported report format {data.get('format')!r}")
         try:
             _check_types(data, _REPORT_TYPES, "report")
+            for i, c in enumerate(data["claims"]):
+                if type(c) is not dict:
+                    raise ValueError(f"claim entry {i} must be an object, not {_JSON_NAMES[type(c)]}")
             claims = [ClaimRecord.from_json_dict(c) for c in data["claims"]]
-            return cls(data["version"], data["timestamp"], data["parameters"], claims)
+            report = cls(data["version"], data["timestamp"], data["parameters"], claims)
+            if data["summary"] != report.summary():
+                raise ValueError(f"report summary {data['summary']} does not match its claims' counts {report.summary()}")
+            _check_types(data["summary"], dict.fromkeys(STATUSES, int), "summary")  # != took true for 1
+            return report
         except KeyError as exc:
             raise ValueError(f"report is missing the field {exc.args[0]!r}") from None
-        except TypeError as exc:
-            raise ValueError(f"malformed report: {exc}") from None
 
     def summary(self) -> dict:
         counts = dict.fromkeys(STATUSES, 0)

@@ -23,16 +23,13 @@ Elements are canonicalized as the byte keys of perm_core: byte i holds the
 is limited to MAX_DEGREE = 255 points and group orders to the enumeration cap
 (default 2^20), which is all the desk-scale checks need.
 
-An EnumeratedGroup is its buffers of joined keys, each holding a power of
-two of them: the one buffer of a closure that _dimino built, or generate's G^2
-followed by one doubling buffer per accepted generator. Its order is their
-total length, and its element set is the keys of all of them, split when
-first read and then kept (_dimino hands over the member set it built
-instead). The queries read the buffers instead: iter_keys splits them,
-exponent and center_size take a buffer at a time, a few C calls per buffer
-instead of a few per element, and contains and exponent read G^2 and one
-representative of each coset of G^2 (_representatives) where generate kept
-them.
+An EnumeratedGroup is one buffer of joined keys, every element once; its
+order is the buffer's length over the degree, and generate's buffer starts
+with G^2's and doubles once per accepted generator. The element set is the
+buffer's keys, split when first read and then kept (_dimino hands over the
+member set it built). The queries read the buffer whole instead, a few C
+calls per group instead of a few per element, and contains and exponent
+read G^2 and one representative of each coset of G^2 (_representatives).
 
 generate is the one group builder of the library. A derived subgroup
 (squares, commutator, Frattini) is bounded by the order of its parent, so
@@ -112,34 +109,39 @@ class GeneratorSet:
         ]
 
 
+def _check_degree(degree: int) -> None:
+    if not 1 <= degree <= MAX_DEGREE:
+        raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
+
+
 class EnumeratedGroup:
-    """A fully enumerated permutation 2-group, held as buffers of joined byte
-    keys, every element once, plus the keys of the generators it came from.
-    square_closure is G^2 for a group that generate built, whose buffers are
-    G^2's one buffer and then one doubling buffer per accepted generator; it
-    is None for a group that _dimino built, which is one buffer.
+    """A fully enumerated permutation 2-group: one buffer of joined byte
+    keys, every element once, and the keys of the generators it came from.
+    square_closure is G^2 for a group that generate built, whose buffer
+    starts with G^2's; it is None for a group that _dimino built.
 
-    The order is the buffers' total length; the constructor reads it, and
-    raises ValueError unless it is a power of two. The element set (the keys
-    of every buffer) is derived when first read and then kept. Equality,
-    hashing and repr are over the degree, gen_keys and the element set, so
-    they build it; repr lists the elements sorted, so equal groups have
-    equal reprs. A group is immutable: only its caches write its dict."""
+    The constructor raises ValueError for a degree outside 1..MAX_DEGREE, a
+    buffer that is no whole number of keys, or an order (its number of keys)
+    that is not a power of two. The element set is derived when first read
+    and then kept. Equality, hashing and repr are over the degree, gen_keys
+    and the element set, so they build it; repr lists the elements sorted,
+    so equal groups have equal reprs. A group is immutable: only its caches
+    write its dict."""
 
-    def __init__(self, degree: int, gen_keys: tuple[bytes, ...], cosets: tuple[bytes, ...],
+    def __init__(self, degree: int, gen_keys: tuple[bytes, ...], buffer: bytes,
                  square_closure: EnumeratedGroup | None = None):
+        _check_degree(degree)
+        order, partial = divmod(len(buffer), degree)
+        if partial:
+            raise ValueError(f"a buffer of {len(buffer)} bytes is no whole number of keys of degree {degree}")
+        if order.bit_count() != 1:
+            raise ValueError(f"a group of order {order} is not a 2-group")
         # _memo holds memoized queries, by function name (see _memoized): subgroups built
         # from this group, and the joined representatives modulo G^2 (_representatives)
-        self.__dict__.update(degree=degree, gen_keys=gen_keys, cosets=cosets,
+        self.__dict__.update(degree=degree, gen_keys=gen_keys, buffer=buffer, order=order,
                              square_closure=square_closure, _memo={})
-        if self.order.bit_count() != 1:
-            raise ValueError(f"a group of order {self.order} is not a 2-group")
 
     __setattr__ = __delattr__ = _immutable
-
-    @functools.cached_property
-    def order(self) -> int:
-        return sum(map(len, self.cosets)) // self.degree
 
     @functools.cached_property
     def elements(self) -> frozenset[bytes]:
@@ -184,10 +186,10 @@ def _splitter(degree: int, count: int) -> struct.Struct:
     return struct.Struct(f"{degree}s" * count)
 
 
-def _keys(coset: bytes, degree: int) -> Iterator[bytes]:
-    """The keys of one coset buffer, split gcd(keys, 256) at a time."""
-    split = _splitter(degree, math.gcd(len(coset) // degree, 256)).iter_unpack
-    return itertools.chain.from_iterable(split(coset))
+def _keys(buffer: bytes, degree: int) -> Iterator[bytes]:
+    """The keys of a buffer of joined keys, split gcd(keys, 256) at a time."""
+    split = _splitter(degree, math.gcd(len(buffer) // degree, 256)).iter_unpack
+    return itertools.chain.from_iterable(split(buffer))
 
 
 def _dimino(
@@ -204,12 +206,12 @@ def _dimino(
     whole cosets {_mul(x, h) : h in H}: only generators times coset
     representatives are tested, and each new coset is disjoint from the
     elements already found. A coset is one translate of H's joined keys by
-    x's table, split into keys gcd(|H|, 256) at a time; the returned group
-    holds the cosets joined as its one buffer and keeps the member set the
-    closure built as its element set. Each accepted g also queues
-    s g s^-1 for each s in conjugators, so in the end sHs^-1 = H: H is the
-    normal closure of the candidates under <conjugators> (Seress,
-    Permutation Group Algorithms, 2003).
+    x's table, split into keys gcd(|H|, 256) at a time and appended to the
+    one buffer, which is H at the next generator; the returned group holds
+    it and keeps the member set the closure built as its element set. Each
+    accepted g also queues s g s^-1 for each s in conjugators, so in the end
+    sHs^-1 = H: H is the normal closure of the candidates under
+    <conjugators> (Seress, Permutation Group Algorithms, 2003).
 
     Returns that group, with the accepted generators as its gen_keys; the
     same inputs in the same order give the same generators. Raises
@@ -218,7 +220,7 @@ def _dimino(
     group past the cap.
     """
     ident = bytes(range(degree))
-    cosets, members, order = [ident], {ident}, 1
+    buffer, members, order = ident, {ident}, 1
     gens: list[bytes] = []
     tables: list[bytes] = []
     queue = list(candidates)
@@ -229,7 +231,7 @@ def _dimino(
         gens.append(g)
         tables.append(_table(g))
         queue += [_mul(_mul(s, g), si) for s, si in conjugations]
-        subgroup, size = b"".join(cosets), order
+        subgroup, size = buffer, order
         reps = [ident]
         for r in reps:  # reps grows while it is scanned
             for t in tables:
@@ -240,18 +242,13 @@ def _dimino(
                     raise CapExceededError(cap, max(cap, order))
                 coset = subgroup.translate(_table(x))
                 members.update(_keys(coset, degree))
-                cosets.append(coset)
+                buffer += coset
                 order += size
                 reps.append(x)
-    group = EnumeratedGroup(degree, tuple(gens), (b"".join(cosets),))
+    group = EnumeratedGroup(degree, tuple(gens), buffer)
     # the member set is the element set, cached so that it is not re-split
     object.__setattr__(group, "elements", frozenset(members))
     return group
-
-
-def _doublings(G: EnumeratedGroup) -> tuple[bytes, ...]:
-    # the buffers that generate added after G^2's one, one per doubling
-    return G.cosets[1:]
 
 
 def _normalize_generators(gens: GeneratorSet | Iterable[GeneratorElement]) -> tuple[tuple[bytes, ...], int]:
@@ -265,8 +262,7 @@ def _normalize_generators(gens: GeneratorSet | Iterable[GeneratorElement]) -> tu
         degree = perms[0].degree
     if any(p.degree != degree for p in perms):
         raise ValueError(f"generators on different degrees {sorted({p.degree for p in perms})}")
-    if not 1 <= degree <= MAX_DEGREE:
-        raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
+    _check_degree(degree)
     return tuple(p.key for p in perms), degree
 
 
@@ -275,42 +271,47 @@ def generate(gens: GeneratorSet | Iterable[GeneratorElement], cap: int = DEFAULT
     The first is G^2, the normal closure of the generators' squares and
     pairwise commutators under the generators (_square_closure). G/G^2 is
     then elementary abelian, so in the second step each generator g not yet
-    in the group H built so far doubles it: <H, g> = H u gH, one coset
-    buffer, the translate of H's joined keys by g's table. Every element of
-    G/G^2 is its own inverse, so g lies in H exactly when g r lies in G^2 for
-    one of H's representatives r modulo G^2: one lookup per representative,
+    in the group H built so far doubles it: <H, g> = H u gH, H's buffer
+    followed by its translate by g's table. Every element of G/G^2 is its
+    own inverse, so g lies in H exactly when g r lies in G^2 for one of H's
+    representatives r modulo G^2 (_meets): one lookup per representative,
     and when g is accepted those products are the new representatives.
     For a 2-group G^2 is the Frattini subgroup (the Burnside basis theorem),
     which frattini_subgroup(G) returns.
 
-    The result is built from its buffers, G^2's one and then one of |H|
-    keys per accepted generator, and keeps G^2 as its square_closure; its
-    element set, independent of generator order, is built when first read
-    (see EnumeratedGroup). The degree is a GeneratorSet's, or that of the
-    first element of a list, so an empty list raises ValueError. Raises
-    CapExceededError (carrying the partial count) instead of silently
-    truncating.
+    The result's buffer is G^2's, doubled once per accepted generator, and
+    it keeps G^2 as its square_closure; its element set, independent of
+    generator order, is built when first read (see EnumeratedGroup). The
+    degree is a GeneratorSet's, or that of the first element of a list, so
+    an empty list raises ValueError. Raises CapExceededError (carrying the
+    partial count) instead of silently truncating.
     """
     gen_keys, degree = _normalize_generators(gens)
     squares = _square_closure(gen_keys, degree, cap)
-    cosets, reps, order = list(squares.cosets), [bytes(range(degree))], squares.order
+    buffer, reps, order = squares.buffer, bytes(range(degree)), squares.order
     for g in gen_keys:
         table = _table(g)
-        moved = [r.translate(table) for r in reps]  # g r for each representative r
-        if not squares.elements.isdisjoint(moved):
+        moved = reps.translate(table)  # g r for each representative r
+        if _meets(squares, moved):
             continue
         if 2 * order > cap:
             raise CapExceededError(cap, max(cap, order))
-        cosets.append(b"".join(cosets).translate(table))
+        buffer += buffer.translate(table)
         reps += moved
         order *= 2
-    return EnumeratedGroup(degree, gen_keys, tuple(cosets), squares)
+    return EnumeratedGroup(degree, gen_keys, buffer, squares)
+
+
+def _meets(squares: EnumeratedGroup, moved: bytes) -> bool:
+    """Whether one of the joined keys x r lies in G^2 = squares, with r
+    running over the representatives modulo G^2 of a group G that holds
+    G^2: that is whether x lies in G, since G/G^2 is elementary abelian."""
+    return not squares.elements.isdisjoint(_keys(moved, squares.degree))
 
 
 def iter_keys(G: EnumeratedGroup) -> Iterator[bytes]:
-    """G's keys, each once, split from its buffers, so listing a group
-    does not build its element set."""
-    return itertools.chain.from_iterable(_keys(coset, G.degree) for coset in G.cosets)
+    """G's keys, each once, split from its buffer: no element set is built."""
+    return _keys(G.buffer, G.degree)
 
 
 def _memoized(build):
@@ -329,31 +330,27 @@ def _memoized(build):
 @_memoized
 def _representatives(G: EnumeratedGroup) -> bytes:
     """One representative of each coset of G^2 in a group that generate
-    built, joined: the identity, then the first key of each stretch of |G^2|
-    keys of the doubling buffers. Each such stretch is a coset of G^2, since
-    G^2 is normal and each buffer is the translate of whole cosets of G^2."""
-    d = G.degree
-    stretch = G.square_closure.order * d
-    return bytes(range(d)) + b"".join(
-        coset[i:i + d] for coset in _doublings(G) for i in range(0, len(coset), stretch)
-    )
+    built, joined: the first key of each stretch of |G^2| keys of its
+    buffer, the identity first. Each such stretch is a coset of G^2, since
+    G^2 is normal and each doubling translates whole cosets of G^2."""
+    d, buffer = G.degree, G.buffer
+    return b"".join(buffer[i:i + d] for i in range(0, len(buffer), G.square_closure.order * d))
 
 
 def contains(G: EnumeratedGroup, x: Permutation | bytes) -> bool:
     """Whether x is an element of G. For a group that generate built, this
     reads only G^2's set: G/G^2 is elementary abelian, so x lies in G
     exactly when x r lies in G^2 for one of G's representatives r modulo G^2
-    (_representatives), and all the x r come from one translate of the
-    joined representatives by x's table. For a group without G^2, such as
-    one that _dimino built, it looks x up in G's element set."""
+    (_representatives, _meets), and all the x r come from one translate of
+    the joined representatives by x's table. For a group without G^2, such
+    as one that _dimino built, it looks x up in G's element set."""
     key = x if isinstance(x, bytes) else x.key
     if len(key) != G.degree:
         raise ValueError(f"degree mismatch: element on {len(key)} points, group on {G.degree}")
     squares = G.square_closure
     if squares is None:
         return key in G.elements
-    moved = _representatives(G).translate(_table(key))
-    return not squares.elements.isdisjoint(_keys(moved, G.degree))
+    return _meets(squares, _representatives(G).translate(_table(key)))
 
 
 def is_subgroup(H: EnumeratedGroup, G: EnumeratedGroup) -> bool:
@@ -494,8 +491,8 @@ def _identity_block(degree: int) -> bytes:
 
 @functools.lru_cache(maxsize=16)
 def _offsets(degree: int, keys: int) -> int:
-    # added to the int of `keys` joined keys, puts them in offset form; every
-    # buffer holds a power of two keys, so few sizes recur
+    # added to the int of `keys` joined keys, puts them in offset form; the
+    # queries on one group ask for few sizes, so few recur
     width = 256 - 256 % degree
     block = bytes(256 % degree + p - p % degree for p in range(width))
     return int.from_bytes((block * (keys * degree // width + 1))[:keys * degree], "little")
@@ -541,27 +538,27 @@ def _squarings(G: EnumeratedGroup) -> int:
     A group that generate built squares G^2 first (_steps on its buffer):
     say t times. G^2 holds every square, so G takes t or t + 1 squarings,
     and t + 1 exactly when some element is not the identity after t. Only
-    the doubling buffers can hold such an element, so they are scanned,
-    each squared at most t times, up to the first buffer that holds one.
-    G's representatives modulo G^2 (_representatives, which contains also
-    reads) are scanned first, as one buffer: where such an element exists,
-    a representative is most often one. The trivial group, with no doubling
-    buffer, has the identity as its one representative and t = 0. A group
-    that _dimino built squares all its elements."""
+    the rest of G's buffer, past G^2's keys, can hold such an element, so
+    it is scanned, squared at most t times. G's representatives modulo G^2
+    (_representatives, which contains also reads) are scanned first, as a
+    buffer of their own: where such an element exists, a representative is
+    most often one. A group that _dimino built squares all its elements."""
     d = G.degree
     most = d.bit_length() - 1
     squares = G.square_closure
     if squares is None:
-        return _steps(G.cosets, d, most)
-    t = _steps(squares.cosets, d, most)
-    return _steps(itertools.chain([_representatives(G)], _doublings(G)), d, t)
+        return _steps([G.buffer], d, most)
+    t = _steps([squares.buffer], d, most)
+    rest = memoryview(G.buffer)[len(squares.buffer):]
+    # only the trivial group, with t = 0, has no rest; _steps takes no empty buffer
+    return _steps([_representatives(G), rest] if rest else [], d, t)
 
 
 def exponent(G: EnumeratedGroup) -> int:
     """The least common multiple of the element orders: 2^s for the number
     s of times the elements must be squared to leave only the identity
     (_squarings; for a group that generate built, from the squarings of G^2
-    and a scan of the doubling buffers). No 2-element of degree d has order
+    and a scan of the rest of its buffer). No 2-element of degree d has order
     above 2^(d.bit_length() - 1), so an element set that needs more
     squarings holds an element whose order has an odd factor, which no
     2-group does: it raises ValueError."""
@@ -576,34 +573,30 @@ def is_abelian(G: EnumeratedGroup) -> bool:
 
 
 def center_size(G: EnumeratedGroup) -> int:
-    """The number of elements that commute with every generator, found a
-    buffer of elements at a time. For each generator g, every element x of
-    the buffer is first tested at one point i that g moves (0 if g is the
-    identity): x[g[i]] and g[x[i]] are the images of i under x g and g x,
-    and their columns over the buffer are compared at once. The equality is
-    necessary, so only the elements that pass it for every generator have
-    the whole products compared."""
-    d = G.degree
+    """The number of elements that commute with every generator. For each
+    generator g, every element x of G's buffer is first tested at one point
+    i that g moves (0 if g is the identity): x[g[i]] and g[x[i]] are the
+    images of i under x g and g x, and their columns over the whole buffer
+    are compared at once. The equality is necessary, so only the elements
+    that pass it for every generator have the whole products compared."""
+    d, buffer = G.degree, G.buffer
     pad = _PADS[d]
-    tests = []
-    for g in G.gen_keys:
+    tests = [(g, g + pad) for g in G.gen_keys]
+    misses = 0
+    for g, g_table in tests:
         i = next((p for p, image in enumerate(g) if p != image), 0)
-        tests.append((g, g + pad, g[i], i))
+        # the image of i under x g, against it under g x, for each x
+        misses |= int.from_bytes(buffer[g[i]::d], "little") ^ int.from_bytes(
+            buffer[i::d].translate(g_table), "little"
+        )
+    passed = misses.to_bytes(G.order, "little")  # 0 where x passes
     count = 0
-    for buffer in G.cosets:
-        misses = 0
-        for _, g_table, gi, i in tests:
-            # the image of i under x g, against it under g x, for each x
-            misses |= int.from_bytes(buffer[gi::d], "little") ^ int.from_bytes(
-                buffer[i::d].translate(g_table), "little"
-            )
-        passed = misses.to_bytes(len(buffer) // d, "little")  # 0 where x passes
-        j = passed.find(0)
-        while j >= 0:
-            x = buffer[j * d:j * d + d]
-            # _mul(x, g) == _mul(g, x)
-            count += all(g.translate(x + pad) == x.translate(g_table) for g, g_table, _, _ in tests)
-            j = passed.find(0, j + 1)
+    j = passed.find(0)
+    while j >= 0:
+        x = buffer[j * d:j * d + d]
+        # _mul(x, g) == _mul(g, x)
+        count += all(g.translate(x + pad) == x.translate(g_table) for g, g_table in tests)
+        j = passed.find(0, j + 1)
     return count
 
 

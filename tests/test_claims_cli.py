@@ -327,6 +327,9 @@ def test_report_from_json_rejects_an_unknown_status():
 _WRONGLY_TYPED = [
     ("report", "claims", "", "report field 'claims' must be a list, not a string"),
     ("report", "claims", {}, "report field 'claims' must be a list, not an object"),
+    ("report", "claims", [1], "claim entry 0 must be an object, not an integer"),
+    ("report", "claims", ["x"], "claim entry 0 must be an object, not a string"),
+    ("report", "summary", [], "report field 'summary' must be an object, not a list"),
     ("report", "parameters", [1], "report field 'parameters' must be an object, not a list"),
     ("report", "parameters", "x", "report field 'parameters' must be an object, not a string"),
     ("report", "version", 1, "report field 'version' must be a string, not an integer"),
@@ -348,6 +351,26 @@ _WRONGLY_TYPED = [
 def test_report_from_json_rejects_a_wrongly_typed_field(owner, name, value, message):
     data = _report_data()
     (data if owner == "report" else data["claims"][0])[name] = value
+    with pytest.raises(ValueError) as info:
+        cl.VerificationReport.from_json(json.dumps(data))
+    assert str(info.value) == message
+
+
+_COUNTS = "{'pass': 14, 'fail': 0, 'skipped-cap': 0}"
+
+
+@pytest.mark.parametrize("summary, message", [
+    ({"pass": 99}, f"report summary {{'pass': 99}} does not match its claims' counts {_COUNTS}"),
+    ({"pass": 13, "fail": 1, "skipped-cap": 0},
+     f"report summary {{'pass': 13, 'fail': 1, 'skipped-cap': 0}} does not match its claims' counts {_COUNTS}"),
+    ({"pass": 14, "fail": 0, "skipped-cap": 0, "other": 0},
+     f"report summary {{'pass': 14, 'fail': 0, 'skipped-cap': 0, 'other': 0}} does not match its claims' counts {_COUNTS}"),
+    ({"pass": 14.0, "fail": 0, "skipped-cap": 0}, "summary field 'pass' must be an integer, not a number"),
+    ({"pass": 14, "fail": False, "skipped-cap": 0}, "summary field 'fail' must be an integer, not a boolean"),
+])
+def test_report_from_json_rejects_a_summary_that_is_not_the_claims_counts(summary, message):
+    data = _report_data()
+    data["summary"] = summary
     with pytest.raises(ValueError) as info:
         cl.VerificationReport.from_json(json.dumps(data))
     assert str(info.value) == message

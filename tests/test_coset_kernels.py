@@ -1,13 +1,13 @@
-"""_dimino's and generate's buffers and the kernels that read them a buffer
-at a time, exponent and center_size, against brute-force oracles: random
-generator sets of small 2-groups placed on random points of many degrees,
-and the same element sets built into an EnumeratedGroup as one sorted buffer
-with no G^2. Also the layouts: a closure that _dimino built is one buffer,
-and generate's group is G^2's one buffer and then its doubling buffers. Also
-generate's element set, which is built only when first read, the even
-subgroup that _dimino closes, groups rebuilt from their buffers by
-EnumeratedGroup's constructor, and the closure of S_4, which the constructor
-refuses."""
+"""_dimino's and generate's buffers and the kernels that read them whole,
+exponent and center_size, against brute-force oracles: random generator
+sets of small 2-groups placed on random points of many degrees, and the same
+element sets built into an EnumeratedGroup as one sorted buffer with no G^2.
+Also the layouts: every group is one buffer, and generate's starts with
+G^2's and doubles at each generator not yet in the group, appending the
+buffer's translate by that generator. Also generate's element set, which is
+built only when first read, the even subgroup that _dimino closes, groups
+rebuilt from their buffers by EnumeratedGroup's constructor, and the closure
+of S_4, which the constructor refuses."""
 
 from unittest import mock
 
@@ -54,8 +54,8 @@ _LAST_8_OF_17 = (17, [bytes(range(9)) + bytes(9 + i for i in g) for g in _SYL2_S
 
 
 # a group of order 64 and exponent 4 whose G^2, of order 16, has exponent 4
-# too: no element outlives G^2's squarings, so exponent scans every doubling
-# buffer
+# too: no element outlives G^2's squarings, so exponent scans the whole rest
+# of the buffer
 _EXPONENT_OF_ITS_SQUARES = (8, [
     Permutation.from_cycles(8, [(1, 8, 2, 7), (3, 6), (4, 5)]).key,
     Permutation.from_cycles(8, [(1, 3, 2, 4)]).key,
@@ -93,7 +93,7 @@ def _outcome(closure, *args, **kwargs):
 
 def _bare(G):
     """G's elements as one sorted buffer, with no G^2 kept."""
-    return ge.EnumeratedGroup(G.degree, G.gen_keys, (b"".join(sorted(G.elements)),))
+    return ge.EnumeratedGroup(G.degree, G.gen_keys, b"".join(sorted(G.elements)))
 
 
 def _groups(degree, gens):
@@ -101,7 +101,7 @@ def _groups(degree, gens):
     G = generated(gens, degree)
     bare = _bare(G)
     assert G.square_closure is not None and bare.square_closure is None
-    assert len(bare.cosets) == 1 and bare.order == G.order
+    assert bare.order == G.order
     return G, bare
 
 
@@ -112,8 +112,8 @@ def test_dimino_matches_a_naive_closure(case, cap):
     outcome = _outcome(ge._dimino, gens, degree, cap)
     if isinstance(outcome, ge.EnumeratedGroup):
         assert outcome.elements == closure(gens, degree, cap)
-        # the kept buffers hold every element once
-        keys = b"".join(outcome.cosets)
+        # the kept buffer holds every element once
+        keys = outcome.buffer
         assert {keys[i:i + degree] for i in range(0, len(keys), degree)} == outcome.elements
         assert len(keys) == outcome.order * degree
     else:
@@ -123,8 +123,8 @@ def test_dimino_matches_a_naive_closure(case, cap):
 @settings(max_examples=150)
 @given(_generator_sets())
 @example(_LAST_8_OF_17)
-# W_4, whose trivial G^2 takes no squaring, so the first doubling buffer
-# decides; the trivial group, with no doubling buffer; and a full scan
+# W_4, whose trivial G^2 takes no squaring, so the representatives decide;
+# the trivial group, which is its own G^2; and a full scan
 @example(_W4)
 @example((1, []))
 @example(_EXPONENT_OF_ITS_SQUARES)
@@ -153,14 +153,14 @@ def test_s4_grows_by_cosets_of_three_and_six_keys():
     # result: its order, 24, is not a power of two
     layouts, group = [], ge.EnumeratedGroup
 
-    def spy(degree, gen_keys, cosets, *rest):
-        layouts.append([len(c) // degree for c in cosets])
-        return group(degree, gen_keys, cosets, *rest)
+    def spy(degree, gen_keys, buffer, *rest):
+        layouts.append(len(buffer) // degree)
+        return group(degree, gen_keys, buffer, *rest)
 
     with mock.patch.object(ge, "EnumeratedGroup", spy):
         with pytest.raises(ValueError, match=r"^a group of order 24 is not a 2-group$"):
             ge._dimino(gens, 4, ge.DEFAULT_CAP)
-    assert layouts == [[24]]
+    assert layouts == [24]
     for cap in (5, 6, 23):
         outcome = _outcome(ge._dimino, gens, 4, cap)
         assert outcome == _outcome(closure, gens, 4, cap) == ("cap", cap, cap)
@@ -190,8 +190,8 @@ def test_generate_matches_a_naive_closure(case, cap):
     if isinstance(outcome, ge.EnumeratedGroup):
         assert outcome.elements == closure(gens, degree, cap)
         assert outcome.gen_keys == tuple(gens)
-        # the kept buffers hold every element once
-        keys = b"".join(outcome.cosets)
+        # the kept buffer holds every element once
+        keys = outcome.buffer
         assert {keys[i:i + degree] for i in range(0, len(keys), degree)} == outcome.elements
         assert len(keys) == outcome.order * degree
     else:
@@ -204,8 +204,8 @@ def test_even_subgroup_keeps_its_cosets():
     H = ge._dimino([key for key, odd in zip(keys, ge.key_parities(keys)) if not odd], 8, G.order)
     bare = _bare(H)
     # _dimino built H: its cosets joined in one buffer, not sorted, and no G^2
-    assert len(H.cosets) == 1 and H.cosets != bare.cosets and H.square_closure is None
-    keys = H.cosets[0]
+    assert H.buffer != bare.buffer and H.square_closure is None
+    keys = H.buffer
     assert sorted(keys[i:i + 8] for i in range(0, len(keys), 8)) == bare.sorted_keys()
     assert H.order == 64
     assert ge.exponent(H) == ge.exponent(bare)
@@ -213,9 +213,19 @@ def test_even_subgroup_keeps_its_cosets():
 
 
 def _layout(G):
-    """The sizes of G^2's one buffer and of generate's doubling buffers."""
-    sizes = [len(c) // G.degree for c in G.cosets]
-    return sizes[:1], sizes[1:]
+    """The order of G^2, whose buffer starts G's, and the order of the group
+    H at each doubling: the next |H| keys of G's buffer are its first |H|
+    translated by a generator, each doubling by a later one."""
+    d, buffer, squares = G.degree, G.buffer, G.square_closure
+    assert buffer[:len(squares.buffer)] == squares.buffer
+    gens, sizes, size = iter(G.gen_keys), [], squares.order
+    while size < G.order:
+        half = buffer[:size * d]
+        assert any(buffer[size * d:2 * size * d] == half.translate(ge._table(g)) for g in gens)
+        sizes.append(size)
+        size *= 2
+    assert size == G.order
+    return [squares.order], sizes
 
 
 @settings(max_examples=60)
@@ -244,9 +254,9 @@ def test_a_closure_is_one_buffer_and_opens_the_generated_group(case):
     # subgroups, and the generators' group closed directly
     for H in (squares, ge.commutator_subgroup(G), ge.squares_subgroup(G),
               ge._dimino(gens, degree, ge.DEFAULT_CAP)):
-        assert len(H.cosets) == 1 and len(H.cosets[0]) == H.order * degree
-    assert G.cosets[0] == squares.cosets[0]
-    assert all((len(c) // degree).bit_count() == 1 for c in G.cosets)
+        assert len(H.buffer) == H.order * degree
+    # each doubling is one generator's translate of the buffer before it
+    assert _layout(G)[0] == [squares.order]
 
 
 def test_a_generator_already_in_the_group_adds_no_buffer():
@@ -285,9 +295,9 @@ def test_the_element_set_is_built_when_first_read():
     with mock.patch.object(ge, "_keys", lambda coset, degree: split.append(coset) or keys(coset, degree)):
         elements = G.elements
     assert vars(G)["elements"] is elements is G.elements
-    # every buffer is split once: G^2's one buffer, then the three doubling buffers
-    assert split == list(G.cosets)
-    assert [len(c) // 8 for c in split[-3:]] == [8, 16, 32]
+    # the one buffer is split once, G^2's 8 keys and three doublings
+    assert split == [G.buffer] and len(G.buffer) == 64 * 8
+    assert _layout(G) == ([8], [8, 16, 32])
     assert elements == closure(G.gen_keys, 8)
     eager = _bare(G)
     assert G == eager and hash(G) == hash(eager) and repr(G) == repr(eager)
@@ -308,10 +318,10 @@ _SYL2_S8 = (8, _SYL2_S8_GENS)
 def test_a_group_rebuilt_from_its_buffers_is_the_same_group(case):
     degree, gens = case
     G = generated(gens, degree)
-    rebuilt = ge.EnumeratedGroup(G.degree, G.gen_keys, G.cosets, G.square_closure)
+    rebuilt = ge.EnumeratedGroup(G.degree, G.gen_keys, G.buffer, G.square_closure)
     # the memo holds memoized queries only, never the group's structure
     for group in (G, rebuilt, G.square_closure):
-        assert not {"cosets", "square_closure"} & group._memo.keys()
+        assert not {"buffer", "square_closure"} & group._memo.keys()
     assert rebuilt.order == G.order and rebuilt.elements == G.elements
     assert rebuilt == G and hash(rebuilt) == hash(G) and repr(rebuilt) == repr(G)
     assert ge.exponent(rebuilt) == ge.exponent(G)

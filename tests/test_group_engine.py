@@ -77,10 +77,10 @@ def test_enumerated_group_and_generate_refuse_non_two_groups():
             ge.generate(gens)
         assert str(info.value) == f"a group of order {squares} is not a 2-group"
         with pytest.raises(ValueError) as info:
-            ge.EnumeratedGroup(gens[0].degree, tuple(g.key for g in gens), (b"".join(elements),))
+            ge.EnumeratedGroup(gens[0].degree, tuple(g.key for g in gens), b"".join(elements))
         assert str(info.value) == f"a group of order {len(elements)} is not a 2-group"
     with pytest.raises(ValueError, match=r"^a group of order 0 is not a 2-group$"):
-        ge.EnumeratedGroup(3, (), ())
+        ge.EnumeratedGroup(3, (), b"")
 
 
 def test_generator_sets_keep_a_list_of_entries_as_a_tuple():
@@ -129,9 +129,29 @@ def test_portraits_and_generator_sets_are_immutable_values():
     assert (a.depth, gs.degree, G.order, G.square_closure.order, t.key) == (2, 4, 4, 1, bytes([1, 0, 2, 3]))
 
 
+def test_the_trivial_group_from_generate_has_exponent_one():
+    # the trivial group is its own G^2: no buffer past G^2's is left to scan
+    for G in (ge.generate(ge.GeneratorSet("none", 4, ())), ge.generate([Permutation.identity(255)])):
+        assert G.buffer == G.square_closure.buffer == G.identity_key
+        assert ge.exponent(G) == 1 and ge.center_size(G) == 1
+        assert ge.fingerprint(G)["exponent"] == 1
+
+
 def test_degree_limit():
     with pytest.raises(ValueError):
         ge.generate(ge.GeneratorSet("none", 300, ()))
+
+
+@pytest.mark.parametrize("degree, buffer, message", [
+    (0, b"", "degree must be in 1..255, got 0"),
+    (300, bytes(300), "degree must be in 1..255, got 300"),
+    # one identity key and 5 bytes more, which hold no whole key
+    (4, bytes(range(4)) + bytes(5), "a buffer of 9 bytes is no whole number of keys of degree 4"),
+])
+def test_the_constructor_refuses_a_bad_degree_and_a_partial_key(degree, buffer, message):
+    with pytest.raises(ValueError) as info:
+        ge.EnumeratedGroup(degree, (), buffer)
+    assert str(info.value) == message
 
 
 def test_generate_takes_degrees_1_to_255():
@@ -265,11 +285,11 @@ def test_squares_and_frattini():
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_generate_memoizes_the_frattini_subgroup_of_a_two_group(k):
     # generate keeps G^2, which frattini_subgroup returns; a group without
-    # it (here G's buffers alone) has its Frattini subgroup closed anew
+    # it (here G's buffer alone) has its Frattini subgroup closed anew
     G = _G(k)
     phi = ge.frattini_subgroup(G)
     assert phi is G.square_closure
-    rebuilt = ge.frattini_subgroup(ge.EnumeratedGroup(G.degree, G.gen_keys, G.cosets))
+    rebuilt = ge.frattini_subgroup(ge.EnumeratedGroup(G.degree, G.gen_keys, G.buffer))
     assert (phi.elements, phi.gen_keys) == (rebuilt.elements, rebuilt.gen_keys)
 
 
@@ -576,11 +596,11 @@ def test_derived_subgroups_of_an_unclosed_element_set_stop_at_its_order():
     # {1, g} for an 8-cycle g is not closed: the squares (and so the Frattini
     # subgroup) generate the 4 powers of g^2, past the parent's order 2
     g = Permutation.from_cycles(8, [tuple(range(1, 9))])
-    cyclic = ge.EnumeratedGroup(8, (g.key,), (b"".join(sorted({bytes(range(8)), g.key})),))
+    cyclic = ge.EnumeratedGroup(8, (g.key,), b"".join(sorted({bytes(range(8)), g.key})))
     # {1, (1 2)} listed with generators (1 2) and (2 3): their commutator is
     # a 3-cycle, and its normal closure passes the parent's order 2
     a, b = Permutation.transposition(3, 1, 2), Permutation.transposition(3, 2, 3)
-    swapped = ge.EnumeratedGroup(3, (a.key, b.key), (b"".join(sorted({bytes(range(3)), a.key})),))
+    swapped = ge.EnumeratedGroup(3, (a.key, b.key), b"".join(sorted({bytes(range(3)), a.key})))
     for malformed, build in (
         (cyclic, ge.squares_subgroup),
         (cyclic, ge.frattini_subgroup),
@@ -591,12 +611,12 @@ def test_derived_subgroups_of_an_unclosed_element_set_stop_at_its_order():
         assert info.value.cap == 2
     # the exponent squares the listed elements, with no closure to stop it,
     # whether squares_subgroup ran first (above) or not
-    fresh = ge.EnumeratedGroup(8, (g.key,), (b"".join(sorted({bytes(range(8)), g.key})),))
+    fresh = ge.EnumeratedGroup(8, (g.key,), b"".join(sorted({bytes(range(8)), g.key})))
     assert ge.exponent(cyclic) == ge.exponent(fresh) == 8
     # an element of odd order in a set of power-of-two size: no 2-element of
     # degree 3 has order above 2, so exponent stops squaring after one step
     c = Permutation.from_cycles(3, [(1, 2, 3)])
-    odd = ge.EnumeratedGroup(3, (c.key,), (b"".join(sorted({bytes(range(3)), c.key})),))
+    odd = ge.EnumeratedGroup(3, (c.key,), b"".join(sorted({bytes(range(3)), c.key})))
     with pytest.raises(ValueError, match="odd factor"):
         ge.exponent(odd)
     with pytest.raises(ge.CapExceededError) as info:
@@ -607,14 +627,14 @@ def test_derived_subgroups_of_an_unclosed_element_set_stop_at_its_order():
 def test_an_element_past_the_bound_of_its_squares_raises():
     # {1, (1 2), (1 2 3), (1 2 3)(1 2)}, unclosed, laid out as generate lays
     # out a group: G^2 = {1, (1 2)} takes one squaring, the bound at degree 3,
-    # and the 3-cycle of the doubling buffer outlives it. One more squaring
+    # and the 3-cycle past G^2's keys outlives it. One more squaring
     # would pass the bound, so no 2-element has that order: the set is no
     # 2-group, and its exponent is refused, not 2^2
     swap, c = Permutation.transposition(3, 1, 2), Permutation.from_cycles(3, [(1, 2, 3)])
     squares = ge.generate([swap])
     c_swap = ge._mul(c.key, swap.key)
     malformed = ge.EnumeratedGroup(
-        3, (swap.key, c.key), (*squares.cosets, c.key + c_swap), square_closure=squares
+        3, (swap.key, c.key), squares.buffer + c.key + c_swap, square_closure=squares
     )
     assert malformed.order == 4 and ge._squarings(squares) == 1
     assert malformed.elements == squares.elements | {c.key, c_swap}
@@ -630,7 +650,7 @@ def test_exponent_of_a_set_that_holds_a_three_cycle_raises(degree):
     c = bytes([1, 2, 0]) + ident[3:]
     swap = bytes([1, 0]) + ident[2:]
     for keys in ({ident, c}, {ident, swap, c, ge._mul(c, swap)}):
-        malformed = ge.EnumeratedGroup(degree, (c,), (b"".join(sorted(keys)),))
+        malformed = ge.EnumeratedGroup(degree, (c,), b"".join(sorted(keys)))
         with pytest.raises(ValueError) as info:
             ge.exponent(malformed)
         assert str(info.value) == f"the set of {len(keys)} keys holds an element whose order has an odd factor"
@@ -641,7 +661,7 @@ def test_derived_series_of_an_unclosed_element_set_returns():
     # s = (1 3) of D_8: [D_8, D_8] = {1, r^2} is as large as the set, and the
     # series goes on below it, through closed 2-groups only
     r, s = Permutation.from_cycles(4, [(1, 2, 3, 4)]), Permutation.transposition(4, 1, 3)
-    unclosed = ge.EnumeratedGroup(4, (r.key, s.key), (b"".join(sorted({bytes(range(4)), r.key})),))
+    unclosed = ge.EnumeratedGroup(4, (r.key, s.key), b"".join(sorted({bytes(range(4)), r.key})))
     series = ge.derived_series(unclosed)
     assert [D.order for D in series] == [2, 2, 1]
     assert series[1].elements == {bytes(range(4)), (r * r).key}

@@ -78,7 +78,7 @@ def test_generate_memoizes_the_frattini_subgroup_on_each_stratum():
         H = _generate(query["elements"])
         phi = frattini_subgroup(H)
         assert phi is H.square_closure, query["id"]
-        rebuilt = frattini_subgroup(ge.EnumeratedGroup(H.degree, H.gen_keys, H.cosets))
+        rebuilt = frattini_subgroup(ge.EnumeratedGroup(H.degree, H.gen_keys, H.buffer))
         assert (phi.elements, phi.gen_keys) == (rebuilt.elements, rebuilt.gen_keys), query["id"]
 
 
@@ -87,7 +87,7 @@ def test_a_pooled_query_builds_no_element_set():
         H = _generate(query["elements"])
         assert _query(H) == query["expected"], query["id"]
         assert "elements" not in vars(H), query["id"]
-        eager = ge.EnumeratedGroup(H.degree, H.gen_keys, (b"".join(sorted(H.elements)),))
+        eager = ge.EnumeratedGroup(H.degree, H.gen_keys, b"".join(sorted(H.elements)))
         assert H == eager and hash(H) == hash(eager) and repr(H) == repr(eager), query["id"]
         assert H.order == len(H.elements) == query["expected"]["order"]
 
@@ -95,7 +95,7 @@ def test_a_pooled_query_builds_no_element_set():
 def _all_element_exponent(H):
     """The exponent by squaring every element: the same elements with no G^2
     kept, which exponent reads whole."""
-    return ge.exponent(ge.EnumeratedGroup(H.degree, H.gen_keys, (b"".join(sorted(H.elements)),)))
+    return ge.exponent(ge.EnumeratedGroup(H.degree, H.gen_keys, b"".join(sorted(H.elements))))
 
 
 def _first_with_the_exponent_of_its_squares():
@@ -108,8 +108,8 @@ def _first_with_the_exponent_of_its_squares():
 
 
 def test_the_exponent_from_g2_is_the_all_element_exponent():
-    # the first query of each stratum, and a query whose doubling buffers
-    # are all scanned
+    # the first query of each stratum, and a query whose buffer past G^2 is
+    # scanned whole
     for query in (*_first_of_each_stratum(), _first_with_the_exponent_of_its_squares()):
         H = _generate(query["elements"])
         recorded = query["expected"]["fingerprint"]["exponent"]

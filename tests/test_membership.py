@@ -185,9 +185,9 @@ def test_default_verify_all_never_builds_g4s_element_set():
 @pytest.mark.parametrize("name", ["W_4", "S_2"])
 def test_the_set_side_builds_the_set_once(name):
     gens, degree = _FAMILIES[name]
-    # generate's buffers without its G^2: the set is built on first read
+    # generate's buffer without its G^2: the set is built on first read
     generated = _BUILDERS["generate"](gens, degree)
-    G = ge.EnumeratedGroup(degree, generated.gen_keys, generated.cosets)
+    G = ge.EnumeratedGroup(degree, generated.gen_keys, generated.buffer)
     with _element_set_builds() as builds:
         assert ge.contains(G, bytes(range(degree)))
         assert ge.contains(G, bytes(range(degree)))

@@ -77,3 +77,14 @@ def test_a_claims_list_that_the_report_reader_refuses_is_not_a_report(tmp_path, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {tmp_path / 'new.json'}: {error}\n"
+
+
+def test_a_summary_that_is_not_the_claims_counts_is_not_a_report(tmp_path, capsys):
+    new = json.dumps({**_report().to_json_dict(), "claims": [], "summary": {"pass": 99}})
+    assert _diff(tmp_path, _report(), new) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {tmp_path / 'new.json'}: report summary {{'pass': 99}} does not match "
+        "its claims' counts {'pass': 0, 'fail': 0, 'skipped-cap': 0}\n"
+    )

@@ -15,16 +15,16 @@ each:
 
 A stage that reuses what an earlier one built finds it in H's memo, as it does
 inside a lattice query: derived_series reads [H, H], and exponent and
-center_size read the cosets generate kept. generate builds Phi(H) first and
-keeps it as H.square_closure, which the frattini_subgroup stage only returns;
-what Phi costs shows in generate's two steps, which are timed apart: the Phi
-closure (the normal closure of the generators' squares and commutators) and
-the doubling of Phi (the extension to H). exponent's two steps are timed
-apart too: the squaring of Phi (how many squarings Phi's elements take) and
-the doubling scan (the search of the doubling buffers for an element that
-that many squarings leave other than the identity). generate builds no
-element set: the element set stage is the first read of H.elements, which
-builds it. On a sylow2 whose generate builds the set, that stage only reads
+center_size read the key buffer generate kept. generate builds Phi(H) first
+and keeps it as H.square_closure, which the frattini_subgroup stage only
+returns; what Phi costs shows in generate's two steps, which are timed
+apart: the Phi closure (the normal closure of the generators' squares and
+commutators) and the doubling of Phi (the extension to H). exponent's two
+steps are timed apart too: the squaring of Phi (how many squarings Phi's
+elements take) and the doubling scan (the search of the rest of H's buffer,
+past Phi's keys, for an element that that many squarings leave other than
+the identity). generate builds no element set: the element set stage is the
+first read of H.elements, which builds it. On a sylow2 whose generate builds the set, that stage only reads
 an attribute, and squares_subgroup, the one stage that lists the elements,
 times the same work on either. A lattice query neither reads H.elements nor
 lists the squares. The whole query of benchmark/lattice.py
