@@ -63,6 +63,8 @@ class ClaimRecord:
         if data["status"] not in STATUSES:
             raise ValueError(f"claim {data['claim_id']!r} has unknown status {data['status']!r}")
         _check_types(data, _CLAIM_TYPES, "claim")
+        if data["runtime_ms"] < 0:
+            raise ValueError(f"claim field 'runtime_ms' must be non-negative, not {data['runtime_ms']}")
         return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
@@ -103,6 +105,12 @@ class VerificationReport:
                 if type(c) is not dict:
                     raise ValueError(f"claim entry {i} must be an object, not {_JSON_NAMES[type(c)]}")
             claims = [ClaimRecord.from_json_dict(c) for c in data["claims"]]
+            for before, after in zip(claims, claims[1:]):  # run_claims writes each claim once, by id
+                if after.claim_id == before.claim_id:
+                    raise ValueError(f"report field 'claims' holds claim_id {after.claim_id!r} twice")
+                if after.claim_id < before.claim_id:
+                    raise ValueError(f"report field 'claims' is not in claim_id order: "
+                                     f"{after.claim_id!r} follows {before.claim_id!r}")
             report = cls(data["version"], data["timestamp"], data["parameters"], claims)
             if data["summary"] != report.summary():
                 raise ValueError(f"report summary {data['summary']} does not match its claims' counts {report.summary()}")
@@ -383,12 +391,16 @@ def _run_tau_ij_generation(ctx: ClaimContext):
     return _record({"k": k}, {"words": words}, failures)
 
 
-# The legendre claim packs a chunk of consecutive n into lanes of _LANE_BITS bits
-# of one int, so one shift, mask, add or subtract acts on all of it (SWAR: Warren,
-# Hacker's Delight, 2nd ed., 2012, ch. 5). No lane carries or borrows: n <= 10^6
-# < 2^20 and F(n) <= n fit in 24 bits, popcount(n) <= n keeps n - popcount(n) >= 0,
-# and each byte sum of the popcount is at most 24 < 2^8.
-_LEGENDRE_LANES = 6000
+# The legendre claim sweeps aligned blocks of 2^_LEGENDRE_BLOCK n, one n per lane of
+# _LANE_BITS bits of one int, so one shift, mask, add or subtract acts on a whole
+# block (SWAR: Warren, Hacker's Delight, 2nd ed., 2012, ch. 5). In the block (s, b)
+# of 2^b lanes, s a multiple of 2^b, lane r holds n = s + rev_b(r), where rev_b(r)
+# is r with its b bits reversed: the even n fill the lower half and the odd n the
+# upper, and lane r of either half holds an n whose floor(n / 2) is in lane r of the
+# block (s / 2, b - 1). No lane carries or borrows: n < 2^20 and F(n) <= n fit in 24
+# bits, popcount(n) <= n keeps n - popcount(n) >= 0, and each byte sum of the
+# popcount is at most 24 < 2^8.
+_LEGENDRE_BLOCK = 12
 _LANE_BITS = 24  # a whole number of bytes
 _LANE_ONES = (1 << _LANE_BITS) - 1
 
@@ -399,20 +411,33 @@ def _spread(word: int, lanes: int) -> int:  # the word in each lane
 
 
 @functools.cache
-def _iota(lanes: int) -> int:  # 0, 1, ..., lanes - 1, one per lane
-    return int.from_bytes(b"".join(i.to_bytes(_LANE_BITS // 8, "little") for i in range(lanes)), "little")
+def _rev_iota(b: int) -> int:  # rev_b(r) in lane r of 2^b lanes
+    if b == 0:
+        return 0
+    twice = _rev_iota(b - 1) << 1
+    return twice | (twice + _spread(1, 1 << b - 1)) << _LANE_BITS * (1 << b - 1)
 
 
-def _lane_floor_sums(start: int, lanes: int) -> int:
-    """Legendre's floor sums for n = start, start + 1, ..., lane by lane, by legendre_nu2's loop."""
-    return perm_core.floor_sums(start * _spread(1, lanes) + _iota(lanes), _spread(_LANE_ONES >> 1, lanes))
+def _lane_n(s: int, b: int) -> int:  # the n of each lane of the block (s, b)
+    return s * _spread(1, 1 << b) + _rev_iota(b)
 
 
-def _lane_identity(start: int, lanes: int) -> int:
-    """n - popcount(n) for n = start, start + 1, ..., lane by lane, by SWAR popcount."""
+def _lane_floor_sums(s: int, b: int) -> int:
+    """Legendre's floor sums F(n) for the n of the block (s, b), lane by lane. Both halves of
+    the block halve to the block (s / 2, b - 1), so F(n) = floor(n / 2) + F(floor(n / 2)) is one
+    add there and one shift; the block at s = 0 and one-lane blocks run legendre_nu2's loop."""
+    if s == 0 or b == 0:
+        return perm_core.floor_sums(_lane_n(s, b), _spread(_LANE_ONES >> 1, 1 << b))
+    half = _lane_floor_sums(s >> 1, b - 1) + _lane_n(s >> 1, b - 1)
+    return half | half << _LANE_BITS * (1 << b - 1)
+
+
+def _lane_identity(s: int, b: int) -> int:
+    """n - popcount(n) for the n of the block (s, b), lane by lane, by SWAR popcount."""
     # the lane's ones // 3, // 5, // 17 and // 255 are 0x55, 0x33, 0x0F and 0x01 in each byte;
     # times 0x01...01, the top byte of a lane sums the lane's bytes
-    n = start * _spread(1, lanes) + _iota(lanes)
+    lanes = 1 << b
+    n = _lane_n(s, b)
     x = n - ((n >> 1) & _spread(_LANE_ONES // 3, lanes))
     x = (x & _spread(_LANE_ONES // 5, lanes)) + ((x >> 2) & _spread(_LANE_ONES // 5, lanes))
     x = (x + (x >> 4)) & _spread(_LANE_ONES // 17, lanes)
@@ -427,15 +452,19 @@ def _run_legendre(ctx: ClaimContext):
         got = legendre_nu2(int(n_text))
         if got != expected:
             failures[n_text] = {"expected": expected, "got": got}
-    limit = 10 ** 6
-    # chunk by chunk, so no table of all 10^6 values is ever held
-    for start in range(0, limit + 1, _LEGENDRE_LANES):
-        lanes = min(_LEGENDRE_LANES, limit + 1 - start)
-        diff = _lane_floor_sums(start, lanes) ^ _lane_identity(start, lanes)
-        if diff:  # its lowest set bit lies in the lane of the smallest bad n
-            n = start + ((diff & -diff).bit_length() - 1) // _LANE_BITS
-            failures[str(n)] = {"identity": "nu2(n!) != n - popcount(n)"}
-            break
+    limit, b = 10 ** 6, _LEGENDRE_BLOCK
+    # block by block, so no table of all 10^6 values is ever held; the last block runs past limit
+    for s in range(0, limit + 1, 1 << b):
+        diff = _lane_floor_sums(s, b) ^ _lane_identity(s, b)
+        if diff:  # lanes are not in n order, so read the n of each lane that differs
+            size = _LANE_BITS // 8
+            ns, diffs = (x.to_bytes(size << b, "little") for x in (_lane_n(s, b), diff))
+            bad = [int.from_bytes(ns[i:i + size], "little")
+                   for i in range(0, len(ns), size) if any(diffs[i:i + size])]
+            bad = [n for n in bad if n <= limit]
+            if bad:
+                failures[str(min(bad))] = {"identity": "nu2(n!) != n - popcount(n)"}
+                break
     witnesses = {"spot_values": spot, "identity_checked_to": limit}
     return _record({"identity_limit": limit}, witnesses, failures)
 

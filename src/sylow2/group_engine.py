@@ -120,17 +120,20 @@ class EnumeratedGroup:
     square_closure is G^2 for a group that generate built, whose buffer
     starts with G^2's; it is None for a group that _dimino built.
 
-    The constructor raises ValueError for a degree outside 1..MAX_DEGREE, a
-    buffer that is no whole number of keys, or an order (its number of keys)
-    that is not a power of two. The element set is derived when first read
-    and then kept. Equality, hashing and repr are over the degree, gen_keys
-    and the element set, so they build it; repr lists the elements sorted,
-    so equal groups have equal reprs. A group is immutable: only its caches
-    write its dict."""
+    The constructor raises TypeError for a buffer that is not bytes (a
+    bytearray could change after construction), and ValueError for a degree
+    outside 1..MAX_DEGREE, a buffer that is no whole number of keys, or an
+    order (its number of keys) that is not a power of two. The element set
+    is derived when first read and then kept. Equality, hashing and repr
+    are over the degree, gen_keys and the element set, so they build it;
+    repr lists the elements sorted, so equal groups have equal reprs. A
+    group is immutable: only its caches write its dict."""
 
     def __init__(self, degree: int, gen_keys: tuple[bytes, ...], buffer: bytes,
                  square_closure: EnumeratedGroup | None = None):
         _check_degree(degree)
+        if type(buffer) is not bytes:
+            raise TypeError(f"a group's buffer must be bytes, not {type(buffer).__name__}")
         order, partial = divmod(len(buffer), degree)
         if partial:
             raise ValueError(f"a buffer of {len(buffer)} bytes is no whole number of keys of degree {degree}")

@@ -203,8 +203,9 @@ def cycle_notation(p: Permutation) -> str:
 def legendre_nu2(n: int) -> int:
     """Largest e with 2^e dividing n!, i.e. sum over i >= 1 of floor(n / 2^i).
 
-    Equals n - popcount(n). The ``legendre`` claim checks that identity to 10^6,
-    running floor_sums on 6000 n at once, one per 24-bit lane of an int.
+    Equals n - popcount(n). The ``legendre`` claim checks that identity to 10^6
+    in blocks of 4096 n, one per 24-bit lane of an int: floor_sums runs on the
+    block at 0 and on one-lane blocks, and the other sums come by halving.
 
     >>> legendre_nu2(8)
     7

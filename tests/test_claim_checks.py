@@ -5,8 +5,11 @@ one lane call per k over the distinct Frattini elements, and minimality's
 one squares subgroup per group; each claim failing on a planted defect, and
 portrait-oracle checking every pair on sound code."""
 
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -19,19 +22,20 @@ from sylow2 import tree_core as tc
 from sylow2.perm_core import Permutation, legendre_nu2
 
 LIMIT = 10 ** 6
-CHUNK = cl._LEGENDRE_LANES
+BLOCK = cl._LEGENDRE_BLOCK  # the sweep's blocks hold 2^BLOCK n each
 IDENTITY_FAILURE = {"identity": "nu2(n!) != n - popcount(n)"}
 
 
-def _chunk_of(n):
-    start = n - n % CHUNK
-    return start, min(start + CHUNK, LIMIT + 1)
+def _rev(r, b):
+    """r with its b bits reversed: lane r of the block (s, b) holds n = s + _rev(r, b), and
+    the n at offset r sits in lane _rev(r, b)."""
+    return int(format(r, f"0{b}b")[::-1], 2) if b else 0
 
 
-def _unpack(packed, lanes):
-    """The lanes of a packed int, lowest first."""
+def _unpack(packed, b):
+    """The 2^b lanes of a packed block, lowest first."""
     size = cl._LANE_BITS // 8
-    raw = packed.to_bytes(size * lanes, "little")
+    raw = packed.to_bytes(size << b, "little")
     return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
 
 
@@ -39,32 +43,37 @@ def _planted(side, bad):
     """The lane kernel of one side, one too high in the lane of n = bad."""
     kernel = getattr(cl, side)
 
-    def wrong_at_bad(start, lanes):
-        off_by_one = 1 << cl._LANE_BITS * (bad - start) if start <= bad < start + lanes else 0
-        return kernel(start, lanes) + off_by_one
+    def wrong_at_bad(s, b):
+        off_by_one = 1 << cl._LANE_BITS * _rev(bad - s, b) if s <= bad < s + (1 << b) else 0
+        return kernel(s, b) + off_by_one
 
     return wrong_at_bad
 
 
-def _matches(kernel, scalar, start, stop):
-    lanes = stop - start
-    return _unpack(kernel(start, lanes), lanes) == [scalar(n) for n in range(start, stop)]
+def _matches(kernel, scalar, s, b):
+    return _unpack(kernel(s, b), b) == [scalar(s + _rev(r, b)) for r in range(1 << b)]
+
+
+def _blocks(first, last):
+    """The starts of the sweep's blocks that hold first..last."""
+    return range(first - first % (1 << BLOCK), last + 1, 1 << BLOCK)
 
 
 def _matches_on_whole_chunks(kernel, scalar):
-    first, crossing, last = _chunk_of(0), _chunk_of(1 << 16), _chunk_of(LIMIT)
-    assert first == (0, CHUNK)
-    assert crossing[0] < 1 << 16 < crossing[1] - 1
-    assert last[1] == LIMIT + 1 and last[1] - last[0] < CHUNK
-    for start, stop in (first, crossing, last):
-        assert _matches(kernel, scalar, start, stop)
+    crossing, last = _blocks(60000, 65999), _blocks(996000, LIMIT)
+    # no block straddles 2^16, so check the blocks that end and start there
+    assert (1 << 16) - (1 << BLOCK) in crossing and 1 << 16 in crossing
+    assert last[-1] + (1 << BLOCK) > LIMIT + 1  # the last block runs past 10^6
+    for starts in (_blocks(0, 5999), crossing, last):
+        for s in starts:
+            assert _matches(kernel, scalar, s, BLOCK)
 
 
 def _matches_on_short_runs(kernel, scalar):
-    # every parity of start and length, down to the empty run
-    for start in range(70):
-        for stop in range(start, 80):
-            assert _matches(kernel, scalar, start, stop)
+    # every n < 80, in blocks of one lane up to 64 lanes
+    for b in range(7):
+        for s in range(0, 80, 1 << b):
+            assert _matches(kernel, scalar, s, b)
 
 
 def test_floor_sums_match_the_scalar_function_on_whole_chunks():
@@ -83,7 +92,16 @@ def test_identity_matches_n_minus_popcount_on_short_runs():
     _matches_on_short_runs(cl._lane_identity, lambda n: n - n.bit_count())
 
 
-@pytest.mark.parametrize("bad", [0, CHUNK - 1, 2 * CHUNK, LIMIT])
+@pytest.mark.parametrize("b", range(BLOCK + 1))
+def test_every_block_size_matches_the_scalar_functions(b):
+    # aligned starts near 0, the first start past 2^16 and the block that holds 10^6
+    for s in {m << b for m in (0, 1, 2, 3, 7, (1 << 16 >> b) + 1, LIMIT >> b)}:
+        assert _matches(cl._lane_n, lambda n: n, s, b)
+        assert _matches(cl._lane_floor_sums, legendre_nu2, s, b)
+        assert _matches(cl._lane_identity, lambda n: n - n.bit_count(), s, b)
+
+
+@pytest.mark.parametrize("bad", [0, 5999, 12000, LIMIT])
 def test_legendre_reports_the_first_wrong_floor_sum(monkeypatch, bad):
     monkeypatch.setattr(cl, "_lane_floor_sums", _planted("_lane_floor_sums", bad))
     status, parameters, witnesses = cl._run_legendre(cl.ClaimContext())
@@ -92,7 +110,7 @@ def test_legendre_reports_the_first_wrong_floor_sum(monkeypatch, bad):
     assert witnesses["failures"] == {str(bad): IDENTITY_FAILURE}
 
 
-@pytest.mark.parametrize("bad", [0, CHUNK - 1, 2 * CHUNK, LIMIT])
+@pytest.mark.parametrize("bad", [0, 5999, 12000, LIMIT])
 def test_legendre_reports_the_first_wrong_identity(monkeypatch, bad):
     monkeypatch.setattr(cl, "_lane_identity", _planted("_lane_identity", bad))
     status, parameters, witnesses = cl._run_legendre(cl.ClaimContext())
@@ -102,10 +120,28 @@ def test_legendre_reports_the_first_wrong_identity(monkeypatch, bad):
 
 
 def test_legendre_reports_the_smallest_of_two_wrong_lanes(monkeypatch):
-    monkeypatch.setattr(cl, "_lane_floor_sums", _planted("_lane_floor_sums", CHUNK + 7))
-    monkeypatch.setattr(cl, "_lane_identity", _planted("_lane_identity", CHUNK + 5))
+    monkeypatch.setattr(cl, "_lane_floor_sums", _planted("_lane_floor_sums", 6007))
+    monkeypatch.setattr(cl, "_lane_identity", _planted("_lane_identity", 6005))
     _, _, witnesses = cl._run_legendre(cl.ClaimContext())
-    assert witnesses["failures"] == {str(CHUNK + 5): IDENTITY_FAILURE}
+    assert witnesses["failures"] == {"6005": IDENTITY_FAILURE}
+
+
+def test_legendre_reports_the_smallest_n_not_the_lowest_lane(monkeypatch):
+    s = 5 << BLOCK
+    # s + 1 sits in lane 2^11 and s + 2^11 in lane 1, so the lowest wrong lane holds the larger n
+    assert (_rev(1, BLOCK), _rev(1 << BLOCK - 1, BLOCK)) == (1 << BLOCK - 1, 1)
+    monkeypatch.setattr(cl, "_lane_identity", _planted("_lane_identity", s + 1))
+    monkeypatch.setattr(cl, "_lane_identity", _planted("_lane_identity", s + (1 << BLOCK - 1)))
+    _, _, witnesses = cl._run_legendre(cl.ClaimContext())
+    assert witnesses["failures"] == {str(s + 1): IDENTITY_FAILURE}
+
+
+@pytest.mark.parametrize("bad, status", [
+    (LIMIT, "fail"), (LIMIT + 1, "pass"), (_blocks(LIMIT, LIMIT)[0] + (1 << BLOCK) - 1, "pass"),
+])
+def test_legendre_ignores_the_lanes_of_the_last_block_past_its_limit(monkeypatch, bad, status):
+    monkeypatch.setattr(cl, "_lane_identity", _planted("_lane_identity", bad))
+    assert cl._run_legendre(cl.ClaimContext())[0] == status
 
 
 def _adds_before_halving(h, low):  # nu2(n!) + n: wrong for every n >= 1
@@ -126,7 +162,7 @@ def _unmasked(h, low, floor_sums=pc.floor_sums):  # keeps the bit halved in from
         "8": {"expected": 7, "got": 15}, "22": {"expected": 19, "got": 41},
         "24": {"expected": 22, "got": 46}, "1": IDENTITY_FAILURE,
     }),
-    # right for a scalar n, so only the sweep sees it: lane 1's n = 1 spills into n = 0
+    # right for a scalar n, so only the sweep's block at 0 sees it: lane 1's n = 2048 spills into n = 0
     (_unmasked, {"0": IDENTITY_FAILURE}),
 ])
 def test_legendre_sweeps_the_library_floor_sum_loop(monkeypatch, loop, failures):
@@ -139,9 +175,9 @@ def test_legendre_sweeps_the_library_floor_sum_loop(monkeypatch, loop, failures)
 def test_legendre_reports_a_lane_wrong_only_in_its_top_bit(monkeypatch):
     kernel = cl._lane_identity
 
-    def top_bit_at_9(start, lanes):
-        top_bit = 1 << cl._LANE_BITS - 1 + cl._LANE_BITS * 9
-        return kernel(start, lanes) ^ (top_bit if start == 0 else 0)
+    def top_bit_at_9(s, b):
+        top_bit = 1 << cl._LANE_BITS - 1 + cl._LANE_BITS * _rev(9, b)
+        return kernel(s, b) ^ (top_bit if s == 0 else 0)
 
     monkeypatch.setattr(cl, "_lane_identity", top_bit_at_9)
     _, _, witnesses = cl._run_legendre(cl.ClaimContext())
@@ -158,6 +194,18 @@ def test_legendre_holds_one_chunk_at_a_time():
     assert status == "pass" and witnesses["identity_checked_to"] == LIMIT
     # a table of all 10^6 values would take about 40 MB
     assert peak < 4 * 1024 * 1024
+
+
+def test_importing_the_cli_builds_no_lane_table():
+    # a fresh interpreter, so that no other test's sweep counts; a table built at import
+    # slows every start-up, including the ones that never run legendre
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sylow2.cli; from sylow2 import claims as cl; "
+             "print(cl._rev_iota.cache_info().currsize, cl._spread.cache_info().currsize)")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+                         env={"PYTHONPATH": str(src), "PATH": ""})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "0"]
 
 
 # --- minimality --------------------------------------------------------------

@@ -154,6 +154,16 @@ def test_the_constructor_refuses_a_bad_degree_and_a_partial_key(degree, buffer, 
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("degree, buffer", [
+    (1, (b"\x00",)),  # the old tuple-of-keys form: it would give a group of order 1 that holds no key
+    (2, bytearray(b"\x00\x01\x01\x00")),  # its keys could be changed after construction
+], ids=["tuple", "bytearray"])
+def test_the_constructor_refuses_a_buffer_that_is_not_bytes(degree, buffer):
+    with pytest.raises(TypeError) as info:
+        ge.EnumeratedGroup(degree, (), buffer)
+    assert str(info.value) == f"a group's buffer must be bytes, not {type(buffer).__name__}"
+
+
 def test_generate_takes_degrees_1_to_255():
     assert ge.generate([Permutation.identity(1)]).order == 1
     assert ge.generate([Permutation.transposition(255, 1, 255)]).order == 2

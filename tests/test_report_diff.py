@@ -88,3 +88,25 @@ def test_a_summary_that_is_not_the_claims_counts_is_not_a_report(tmp_path, capsy
         f"error: {tmp_path / 'new.json'}: report summary {{'pass': 99}} does not match "
         "its claims' counts {'pass': 0, 'fail': 0, 'skipped-cap': 0}\n"
     )
+
+
+def _with_claims(*changes):
+    """The order-ratios report as JSON, its one claim record replaced by one copy per change
+    (each a dict of fields to override), with a summary that matches the copies."""
+    data = _report().to_json_dict()
+    (record,) = data["claims"]
+    claims = [{**record, **change} for change in changes]
+    return json.dumps({**data, "claims": claims, "summary": {"pass": len(claims), "fail": 0, "skipped-cap": 0}})
+
+
+@pytest.mark.parametrize("new, error", [
+    (lambda: _with_claims({"runtime_ms": -1}), "claim field 'runtime_ms' must be non-negative, not -1"),
+    (lambda: _with_claims({}, {}), "report field 'claims' holds claim_id 'order-ratios' twice"),
+    (lambda: _with_claims({}, {"claim_id": "legendre"}),
+     "report field 'claims' is not in claim_id order: 'legendre' follows 'order-ratios'"),
+], ids=["negative-runtime", "duplicate-claim-id", "out-of-order"])
+def test_a_claims_list_the_writer_never_writes_is_not_a_report(tmp_path, capsys, new, error):
+    assert _diff(tmp_path, _report(), new()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path / 'new.json'}: {error}\n"
