@@ -425,8 +425,9 @@ def _lane_n(s: int, b: int) -> int:  # the n of each lane of the block (s, b)
 def _lane_floor_sums(s: int, b: int) -> int:
     """Legendre's floor sums F(n) for the n of the block (s, b), lane by lane. Both halves of
     the block halve to the block (s / 2, b - 1), so F(n) = floor(n / 2) + F(floor(n / 2)) is one
-    add there and one shift; the block at s = 0 and one-lane blocks run legendre_nu2's loop."""
-    if s == 0 or b == 0:
+    add there and one shift. Blocks at s = 0 or a power of two run legendre_nu2's loop, so it
+    meets every bit length of the sweep; any other s halves to a one-lane block, which runs it too."""
+    if s & (s - 1) == 0 or b == 0:
         return perm_core.floor_sums(_lane_n(s, b), _spread(_LANE_ONES >> 1, 1 << b))
     half = _lane_floor_sums(s >> 1, b - 1) + _lane_n(s >> 1, b - 1)
     return half | half << _LANE_BITS * (1 << b - 1)

@@ -205,7 +205,8 @@ def legendre_nu2(n: int) -> int:
 
     Equals n - popcount(n). The ``legendre`` claim checks that identity to 10^6
     in blocks of 4096 n, one per 24-bit lane of an int: floor_sums runs on the
-    block at 0 and on one-lane blocks, and the other sums come by halving.
+    blocks at 0 and at each power of two, which hold n of every bit length up
+    to 20, and on one-lane blocks; the other sums come by halving.
 
     >>> legendre_nu2(8)
     7

@@ -156,6 +156,14 @@ def _unmasked(h, low, floor_sums=pc.floor_sums):  # keeps the bit halved in from
     return floor_sums(h, -1)
 
 
+def _halves_at_most_12_times(h, low):  # right below 2^13 only
+    total = 0
+    for _ in range(12):
+        h = (h >> 1) & low
+        total += h
+    return total
+
+
 @pytest.mark.parametrize("loop, failures", [
     # the spot values see this step too, but the sweep's first n is smaller
     (_adds_before_halving, {
@@ -164,6 +172,8 @@ def _unmasked(h, low, floor_sums=pc.floor_sums):  # keeps the bit halved in from
     }),
     # right for a scalar n, so only the sweep's block at 0 sees it: lane 1's n = 2048 spills into n = 0
     (_unmasked, {"0": IDENTITY_FAILURE}),
+    # right for every n of 13 bits or fewer, so only the block at the power of two 8192 sees it
+    (_halves_at_most_12_times, {"8192": IDENTITY_FAILURE}),
 ])
 def test_legendre_sweeps_the_library_floor_sum_loop(monkeypatch, loop, failures):
     monkeypatch.setattr(pc, "floor_sums", loop)
