@@ -15,10 +15,11 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import operator
 import time
-from dataclasses import asdict, dataclass, field, fields
-from typing import Callable
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 from . import group_engine, perm_core, sylow_builders, tree_core
 from .group_engine import CapExceededError, DEFAULT_CAP, EnumeratedGroup
@@ -33,91 +34,91 @@ STATUSES = ("pass", "fail", "skipped-cap")
 BOXTIMES_DEGREES = (4, 6, 7, 8, 12)
 
 
-# the JSON type of each field that a report and each of its claim records must hold
-_REPORT_TYPES = {"version": str, "timestamp": str, "parameters": dict, "claims": list, "summary": dict}
-_CLAIM_TYPES = {"claim_id": str, "statement": str, "parameters": dict, "witnesses": dict, "runtime_ms": int}
+# The report format, one table per level: every field the writer writes, with its JSON
+# type. The reader checks a level's fields in table order, so a claim entry with none of
+# them is missing its status, and refuses any field the table does not name.
+_REPORT_FIELDS = {"format": str, "version": str, "timestamp": str, "parameters": dict, "claims": list, "summary": dict}
+_CLAIM_FIELDS = {"status": str, "claim_id": str, "statement": str, "parameters": dict, "witnesses": dict, "runtime_ms": int}
 _JSON_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number",
                bool: "a boolean", type(None): "null"}
 
 
-def _check_types(data: dict, types: dict, owner: str) -> None:
-    for name, kind in types.items():
+def _fields(data, table: dict, owner: str, where: str) -> dict:
+    """data, once it is an object with exactly table's fields, each of its exact JSON type."""
+    if type(data) is not dict:
+        raise ValueError(f"{where} must be an object, not {_JSON_NAMES[type(data)]}")
+    for name, kind in table.items():
+        if name not in data:
+            raise ValueError(f"report is missing the field {name!r}")
         if type(data[name]) is not kind:  # exact, so a bool is no integer
             raise ValueError(f"{owner} field {name!r} must be {_JSON_NAMES[kind]}, not {_JSON_NAMES[type(data[name])]}")
+    if data.keys() != table.keys():  # it holds all of table's, and more
+        raise ValueError(f"{owner} has the unknown field {min(data.keys() - table.keys())!r}")
+    return data
 
 
-@dataclass
-class ClaimRecord:
-    claim_id: str
-    statement: str
-    parameters: dict
-    status: Status
-    witnesses: dict
-    runtime_ms: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ClaimRecord":
-        if data["status"] not in STATUSES:
-            raise ValueError(f"claim {data['claim_id']!r} has unknown status {data['status']!r}")
-        _check_types(data, _CLAIM_TYPES, "claim")
-        if data["runtime_ms"] < 0:
-            raise ValueError(f"claim field 'runtime_ms' must be non-negative, not {data['runtime_ms']}")
-        return cls(**{f.name: data[f.name] for f in fields(cls)})
+def _finite(literal: str) -> float:
+    """json's hook for a number with a fraction or an exponent, and for NaN and
+    +-Infinity: only a finite number is JSON, and writes back as a number."""
+    value = float(literal)
+    if math.isfinite(value):
+        return value
+    raise ValueError(f"report number {literal} is not finite")
 
 
-@dataclass
-class VerificationReport:
-    version: str
-    timestamp: str
-    parameters: dict
-    claims: list[ClaimRecord]
+def _status(witnesses: dict) -> Status:  # the one status rule, of the runners and of the reader
+    return "fail" if "failures" in witnesses else "skipped-cap" if "skipped" in witnesses else "pass"
+
+
+ClaimRecord = NamedTuple("ClaimRecord", _CLAIM_FIELDS.items())
+
+
+# a report keeps every field of its table but the two it derives: its format and its summary
+class VerificationReport(NamedTuple("VerificationReport", [
+    (name, kind) for name, kind in _REPORT_FIELDS.items() if name not in ("format", "summary")
+])):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "format": REPORT_FORMAT,
-            "version": self.version,
-            "timestamp": self.timestamp,
-            "parameters": self.parameters,
-            "claims": [c.to_json_dict() for c in self.claims],
-            "summary": self.summary(),
-        }
+        return {**self._asdict(), "format": REPORT_FORMAT, "claims": [c._asdict() for c in self.claims],
+                "summary": self.summary()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
-        """Load a report; malformed input raises a one-line ValueError."""
+        """Load a report; input the writer never writes raises a one-line ValueError."""
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_float=_finite, parse_constant=_finite)
         except RecursionError:
             raise ValueError("report JSON is nested too deeply") from None
         if not isinstance(data, dict):
             raise ValueError(f"a report is a JSON object, not {type(data).__name__}")
         if data.get("format") != REPORT_FORMAT:
             raise ValueError(f"unsupported report format {data.get('format')!r}")
-        try:
-            _check_types(data, _REPORT_TYPES, "report")
-            for i, c in enumerate(data["claims"]):
-                if type(c) is not dict:
-                    raise ValueError(f"claim entry {i} must be an object, not {_JSON_NAMES[type(c)]}")
-            claims = [ClaimRecord.from_json_dict(c) for c in data["claims"]]
-            for before, after in zip(claims, claims[1:]):  # run_claims writes each claim once, by id
-                if after.claim_id == before.claim_id:
-                    raise ValueError(f"report field 'claims' holds claim_id {after.claim_id!r} twice")
-                if after.claim_id < before.claim_id:
-                    raise ValueError(f"report field 'claims' is not in claim_id order: "
-                                     f"{after.claim_id!r} follows {before.claim_id!r}")
-            report = cls(data["version"], data["timestamp"], data["parameters"], claims)
-            if data["summary"] != report.summary():
-                raise ValueError(f"report summary {data['summary']} does not match its claims' counts {report.summary()}")
-            _check_types(data["summary"], dict.fromkeys(STATUSES, int), "summary")  # != took true for 1
-            return report
-        except KeyError as exc:
-            raise ValueError(f"report is missing the field {exc.args[0]!r}") from None
+        _fields(data, _REPORT_FIELDS, "report", "report")
+        claims = []
+        for i, entry in enumerate(data["claims"]):
+            c = ClaimRecord(**_fields(entry, _CLAIM_FIELDS, "claim", f"claim entry {i}"))
+            if c.status not in STATUSES:
+                raise ValueError(f"claim {c.claim_id!r} has unknown status {c.status!r}")
+            if c.status != _status(c.witnesses):
+                raise ValueError(f"claim {c.claim_id!r} has status {c.status!r}, but its witnesses make it "
+                                 f"{_status(c.witnesses)!r}")
+            if c.runtime_ms < 0:
+                raise ValueError(f"claim field 'runtime_ms' must be non-negative, not {c.runtime_ms}")
+            if claims and c.claim_id == claims[-1].claim_id:  # run_claims writes each claim once, by id
+                raise ValueError(f"report field 'claims' holds claim_id {c.claim_id!r} twice")
+            if claims and c.claim_id < claims[-1].claim_id:
+                raise ValueError(f"report field 'claims' is not in claim_id order: "
+                                 f"{c.claim_id!r} follows {claims[-1].claim_id!r}")
+            claims.append(c)
+        report = cls(data["version"], data["timestamp"], data["parameters"], claims)
+        if data["summary"] != report.summary():
+            raise ValueError(f"report summary {data['summary']} does not match its claims' counts {report.summary()}")
+        _fields(data["summary"], dict.fromkeys(STATUSES, int), "summary", "summary")  # != took true for 1
+        return report
 
     def summary(self) -> dict:
         counts = dict.fromkeys(STATUSES, 0)
@@ -195,8 +196,7 @@ def _record(parameters: dict, witnesses: dict, failures: dict, skipped: list = (
         witnesses["failures"] = failures
     if skipped:
         witnesses["skipped"] = skipped
-    status = "fail" if failures else "skipped-cap" if skipped else "pass"
-    return status, parameters, witnesses
+    return _status(witnesses), parameters, witnesses
 
 
 def _k_range(ctx: ClaimContext) -> range:
@@ -624,9 +624,8 @@ def run_claims(ids: list[str], ctx: ClaimContext, version: str) -> VerificationR
         start = time.perf_counter()
         status, parameters, witnesses = claim.runner(ctx)
         elapsed_ms = int((time.perf_counter() - start) * 1000)
-        records.append(
-            ClaimRecord(claim_id, claim.statement, parameters, status, witnesses, elapsed_ms)
-        )
+        records.append(ClaimRecord(status=status, claim_id=claim_id, statement=claim.statement,
+                                   parameters=parameters, witnesses=witnesses, runtime_ms=elapsed_ms))
     # UTC, as YYYY-MM-DDTHH:MM:SS.ffffff+00:00, without importing datetime
     seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
     timestamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + f".{micros:06d}+00:00"

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sylow2 import __version__, cli
+from sylow2 import __version__, cli, sylow_builders
 from sylow2 import claims as cl
 
 
@@ -33,10 +33,18 @@ def test_all_claims_pass_at_default_parameters():
     assert report.exit_code(strict=True) == 0
 
 
-def test_report_round_trip_is_byte_identical():
-    report = _full_report()
-    text = report.to_json()
-    assert cl.VerificationReport.from_json(text).to_json() == text
+def test_report_round_trip_is_byte_identical(monkeypatch):
+    reports = [_full_report()] + [
+        cl.run_claims(cl.claim_ids(), cl.ClaimContext(**ctx), version=__version__)
+        for ctx in ({"cap": 1}, {"cap": 10}, {"max_k": 2})
+    ]
+    # a planted defect: W_k built from the B_k generators fails w-structure
+    monkeypatch.setattr(sylow_builders, "w_subgroup_generators", sylow_builders.s_alpha)
+    reports.append(cl.run_claims(cl.claim_ids(), cl.ClaimContext(max_k=3), version=__version__))
+    assert {status for report in reports for status, count in report.summary().items() if count} == set(cl.STATUSES)
+    for report in reports:
+        text = report.to_json()
+        assert cl.VerificationReport.from_json(text).to_json() == text
 
 
 def test_runs_are_deterministic_modulo_timestamp():
@@ -423,10 +431,12 @@ def _mutated_report(draw):
 
 
 def _loads_or_raises_value_error(text):
+    """Whatever from_json accepts, it writes back as the text's canonical bytes."""
     try:
-        cl.VerificationReport.from_json(text)
+        report = cl.VerificationReport.from_json(text)
     except ValueError:
-        pass
+        return
+    assert report.to_json() == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 @settings(max_examples=100)

@@ -2,7 +2,6 @@
 --json` reports agree apart from their timings, run through its main on
 reports of the cheap order-ratios claim."""
 
-import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -34,10 +33,9 @@ def _diff(tmp_path, old, new):
 def test_reports_that_differ_only_in_timings_agree(tmp_path, capsys):
     old = _report()
     (record,) = old.claims
-    new = dataclasses.replace(
-        old,
+    new = old._replace(
         timestamp="2000-01-01T00:00:00+00:00",
-        claims=[dataclasses.replace(record, runtime_ms=record.runtime_ms + 1000)],
+        claims=[record._replace(runtime_ms=record.runtime_ms + 1000)],
     )
     assert new.to_json() != old.to_json()
     assert _diff(tmp_path, old, new) == 0
@@ -49,7 +47,7 @@ def test_a_changed_witness_is_printed_by_its_path(tmp_path, capsys):
     (record,) = old.claims
     checks = record.witnesses["checks"]
     witnesses = {**record.witnesses, "checks": checks + 1}
-    new = dataclasses.replace(old, claims=[dataclasses.replace(record, witnesses=witnesses)])
+    new = old._replace(claims=[record._replace(witnesses=witnesses)])
     assert _diff(tmp_path, old, new) == 1
     assert capsys.readouterr().out == f"$.claims[0].witnesses.checks: {checks} != {checks + 1}\n"
 
@@ -92,11 +90,16 @@ def test_a_summary_that_is_not_the_claims_counts_is_not_a_report(tmp_path, capsy
 
 def _with_claims(*changes):
     """The order-ratios report as JSON, its one claim record replaced by one copy per change
-    (each a dict of fields to override), with a summary that matches the copies."""
+    (each a dict of fields to set), with a summary that matches the copies."""
     data = _report().to_json_dict()
     (record,) = data["claims"]
     claims = [{**record, **change} for change in changes]
     return json.dumps({**data, "claims": claims, "summary": {"pass": len(claims), "fail": 0, "skipped-cap": 0}})
+
+
+def _with_failures():  # the passing record, its witnesses given a failure
+    (record,) = _report().claims
+    return _with_claims({"witnesses": {**record.witnesses, "failures": {"k": 1}}})
 
 
 @pytest.mark.parametrize("new, error", [
@@ -104,7 +107,16 @@ def _with_claims(*changes):
     (lambda: _with_claims({}, {}), "report field 'claims' holds claim_id 'order-ratios' twice"),
     (lambda: _with_claims({}, {"claim_id": "legendre"}),
      "report field 'claims' is not in claim_id order: 'legendre' follows 'order-ratios'"),
-], ids=["negative-runtime", "duplicate-claim-id", "out-of-order"])
+    (lambda: _with_claims({"seed": 0}), "claim has the unknown field 'seed'"),
+    (lambda: json.dumps({**_report().to_json_dict(), "notes": ""}), "report has the unknown field 'notes'"),
+    (_with_failures, "claim 'order-ratios' has status 'pass', but its witnesses make it 'fail'"),
+    (lambda: _with_claims({"status": "fail"}), "claim 'order-ratios' has status 'fail', but its witnesses make it 'pass'"),
+    (lambda: _with_claims({"runtime_ms": float("nan")}), "report number NaN is not finite"),
+    (lambda: _with_claims({"runtime_ms": float("inf")}), "report number Infinity is not finite"),
+    (lambda: _with_claims({"runtime_ms": 1}).replace('"runtime_ms": 1', '"runtime_ms": 1e400'),
+     "report number 1e400 is not finite"),
+], ids=["negative-runtime", "duplicate-claim-id", "out-of-order", "unknown-claim-field", "unknown-report-field",
+        "pass-with-failures", "fail-without-failures", "nan", "infinity", "overflowing-number"])
 def test_a_claims_list_the_writer_never_writes_is_not_a_report(tmp_path, capsys, new, error):
     assert _diff(tmp_path, _report(), new()) == 2
     captured = capsys.readouterr()

@@ -10,7 +10,9 @@ library is for:
   verify --claim; order; decompose; gens for all four families, including
   --n 300 for syl2_S and syl2_A and --k 9; some of them with --json; and the
   argvs that end in a usage or parameter error;
-- tools/report_diff.py's main on two of those reports;
+- tools/report_diff.py's main on two of those reports, and on one of them
+  hand-edited into a file that is no report (a claim's runtime_ms a
+  fraction);
 - benchmark/lattice.py's prepare and complete (which calls query) on the
   first query of each stratum of benchmark/reference/lattice_pool.json.
 
@@ -140,6 +142,12 @@ def _exercise(tmp: Path) -> list[str]:
     code = _quietly(report_diff.main, [str(tmp / "default.json"), str(tmp / "cap1.json")])
     if code not in (0, 1):
         wrong.append(f"report_diff: exit {code}, expected 0 or 1")
+    edited = json.loads((tmp / "default.json").read_text())
+    edited["claims"][0]["runtime_ms"] = 0.5
+    (tmp / "edited.json").write_text(json.dumps(edited))
+    code = _quietly(report_diff.main, [str(tmp / "default.json"), str(tmp / "edited.json")])
+    if code != _USAGE:
+        wrong.append(f"report_diff on a hand-edited report: exit {code}, expected {_USAGE}")
 
     lattice = _load("lattice", ROOT / "benchmark" / "lattice.py")
     strata = json.loads(POOL.read_text())["strata"]

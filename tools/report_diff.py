@@ -2,11 +2,11 @@
 
     python tools/report_diff.py OLD.json NEW.json
 
-Each file must first load as a report through
+Each file must load as a report through
 sylow2.claims.VerificationReport.from_json, the reader of the sylow2 in this
-checkout's src/. The raw JSON is then compared, so fields that reader does
-not keep still show. The report's `timestamp` and every claim's
-`runtime_ms` are dropped; any other difference is printed as one line per
+checkout's src/, which keeps every field a report holds. The loaded reports
+are compared without the report's `timestamp` and every claim's
+`runtime_ms`; any other difference is printed as one line per
 differing path. Exits 0 when the reports agree, 1 when they differ, and 2
 when a file cannot be read as such a report.
 """
@@ -22,8 +22,8 @@ from sylow2.claims import VerificationReport  # noqa: E402
 
 
 def comparable(report: dict) -> dict:
-    """A report that from_json accepted, without its timestamp and its
-    claims' runtime_ms."""
+    """A loaded report's JSON fields, without its timestamp and its claims'
+    runtime_ms."""
     kept = {key: value for key, value in report.items() if key != "timestamp"}
     kept["claims"] = [{key: value for key, value in c.items() if key != "runtime_ms"} for c in report["claims"]]
     return kept
@@ -57,9 +57,7 @@ def main(argv: list[str]) -> int:
     for name in argv:
         try:
             with open(name) as handle:
-                text = handle.read()
-            VerificationReport.from_json(text)
-            reports.append(comparable(json.loads(text)))
+                reports.append(comparable(VerificationReport.from_json(handle.read()).to_json_dict()))
         except (OSError, ValueError) as exc:
             print(f"error: {name}: {exc}", file=sys.stderr)
             return 2
