@@ -67,6 +67,9 @@ def _finite(literal: str) -> float:
 
 
 def _status(witnesses: dict) -> Status:  # the one status rule, of the runners and of the reader
+    for name, kind, noun in (("failures", dict, "object"), ("skipped", list, "list")):  # as _record adds them
+        if name in witnesses and not (type(witnesses[name]) is kind and witnesses[name]):
+            raise ValueError(f"claim witness {name!r} must be a non-empty {noun}")
     return "fail" if "failures" in witnesses else "skipped-cap" if "skipped" in witnesses else "pass"
 
 
@@ -103,9 +106,8 @@ class VerificationReport(NamedTuple("VerificationReport", [
             c = ClaimRecord(**_fields(entry, _CLAIM_FIELDS, "claim", f"claim entry {i}"))
             if c.status not in STATUSES:
                 raise ValueError(f"claim {c.claim_id!r} has unknown status {c.status!r}")
-            if c.status != _status(c.witnesses):
-                raise ValueError(f"claim {c.claim_id!r} has status {c.status!r}, but its witnesses make it "
-                                 f"{_status(c.witnesses)!r}")
+            if c.status != (made := _status(c.witnesses)):
+                raise ValueError(f"claim {c.claim_id!r} has status {c.status!r}, but its witnesses make it {made!r}")
             if c.runtime_ms < 0:
                 raise ValueError(f"claim field 'runtime_ms' must be non-negative, not {c.runtime_ms}")
             if claims and c.claim_id == claims[-1].claim_id:  # run_claims writes each claim once, by id
@@ -612,7 +614,7 @@ def resolve_claim_id(requested: str) -> str:
     lowered = requested.lower()
     if lowered in CLAIMS:
         return lowered
-    raise KeyError(requested)
+    raise ValueError(f"unknown claim {requested!r}; known claims: {', '.join(claim_ids())}")
 
 
 def run_claims(ids: list[str], ctx: ClaimContext, version: str) -> VerificationReport:

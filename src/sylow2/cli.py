@@ -1,9 +1,11 @@
 """Command-line front end: order/decompose queries, generator listings, and
 the claim verification harness with JSON reports.
 
-Exit codes: 0 all requested checks passed, 1 at least one claim failed (or,
-with --strict, was skipped over the cap), 2 usage or parameter error, or a
---json path that cannot be written.
+Each command prints its text and returns its exit code and its --json
+document; main writes that document after the text, and prints every refusal
+as one `error:` line. Exit codes: 0 all requested checks passed, 1 at least
+one claim failed (or, with --strict, was skipped over the cap), 2 usage or
+parameter error, or a --json path that cannot be written.
 """
 
 from __future__ import annotations
@@ -16,34 +18,20 @@ from pathlib import Path
 from . import __version__, claims, group_engine, sylow_builders, tree_core
 from .perm_core import cycle_notation
 
-
-def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _genset_json(gs: group_engine.GeneratorSet) -> dict:
-    generators = []
-    for label, elem in gs.elements:
-        entry: dict = {"label": label}
-        if isinstance(elem, tree_core.Portrait):
-            entry["cycles"] = cycle_notation(tree_core.to_permutation(elem))
-            entry["portrait"] = tree_core.to_text(elem)
-        else:
-            entry["cycles"] = cycle_notation(elem)
-        generators.append(entry)
-    return {"name": gs.name, "degree": gs.degree, "generators": generators}
+# family: (builder, the option that sizes it, the families that option sizes)
+_FAMILIES = {
+    "s_alpha": (sylow_builders.s_alpha, "k", "tree families"),
+    "s_beta": (sylow_builders.s_beta, "k", "tree families"),
+    "syl2_S": (sylow_builders.syl2_S_generators, "n", "syl2_S / syl2_A"),
+    "syl2_A": (sylow_builders.syl2_A_generators, "n", "syl2_S / syl2_A"),
+}
 
 
-def _print_genset(gs: group_engine.GeneratorSet) -> None:
-    print(f"{gs.name}: {len(gs)} generators on {gs.degree} points")
-    for entry in _genset_json(gs)["generators"]:
-        line = f"  {entry['label']:<16} {entry['cycles']}"
-        if "portrait" in entry:
-            line += f"   [{entry['portrait']}]"
-        print(line)
+def _json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _cmd_order(args) -> int:
+def _cmd_order(args) -> tuple[int, str]:
     exponent = sylow_builders.syl2_order(args.n, args.kind)
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digits and exponent >= (10 ** digits).bit_length():  # 2^e >= 10^digits: unprintable
@@ -51,12 +39,10 @@ def _cmd_order(args) -> int:
                          "limit of sys.get_int_max_str_digits()")
     order = 1 << exponent
     print(f"Syl_2({args.kind}_{args.n}): order 2^{exponent} = {order}")
-    if args.json:
-        _write_json(args.json, {"n": args.n, "kind": args.kind, "exponent": exponent, "order": order})
-    return 0
+    return 0, _json({"n": args.n, "kind": args.kind, "exponent": exponent, "order": order})
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> tuple[int, str]:
     dec = sylow_builders.decompose(args.n)
     exponents_s = [(1 << k) - 1 for k in dec.parts]
     total_s = sylow_builders.syl2_order(args.n, "S")
@@ -66,57 +52,41 @@ def _cmd_decompose(args) -> int:
     print(f"Syl_2(S_{args.n}): 2^{total_s}   Syl_2(A_{args.n}): 2^{total_a}")
     check = "ok" if sum(exponents_s) == total_s else "MISMATCH"
     print(f"exponent sum check: {sum(exponents_s)} vs nu2({args.n}!) = {total_s} -> {check}")
-    if args.json:
-        _write_json(args.json, {
-            "n": args.n,
-            "powers": list(dec.powers),
-            "exponents": list(dec.parts),
-            "block_exponents_S": exponents_s,
-            "exponent_S": total_s,
-            "exponent_A": total_a,
-        })
-    return 0 if check == "ok" else 1
+    return 0 if check == "ok" else 1, _json({
+        "n": args.n,
+        "powers": list(dec.powers),
+        "exponents": list(dec.parts),
+        "block_exponents_S": exponents_s,
+        "exponent_S": total_s,
+        "exponent_A": total_a,
+    })
 
 
-def _cmd_gens(args) -> int:
-    family = args.family
-    if family in ("s_alpha", "s_beta"):
-        if args.k is None:
-            print("error: --k is required for tree families", file=sys.stderr)
-            return 2
-        gs = sylow_builders.s_alpha(args.k) if family == "s_alpha" else sylow_builders.s_beta(args.k)
-    else:
-        if args.n is None:
-            print("error: --n is required for syl2_S / syl2_A", file=sys.stderr)
-            return 2
-        gs = (
-            sylow_builders.syl2_S_generators(args.n)
-            if family == "syl2_S"
-            else sylow_builders.syl2_A_generators(args.n)
-        )
-    _print_genset(gs)
-    if args.json:
-        _write_json(args.json, _genset_json(gs))
-    return 0
+def _cmd_gens(args) -> tuple[int, str]:
+    build, option, sized = _FAMILIES[args.family]
+    if getattr(args, option) is None:
+        raise ValueError(f"--{option} is required for {sized}")
+    gs = build(getattr(args, option))
+    print(f"{gs.name}: {len(gs)} generators on {gs.degree} points")
+    generators = []
+    for label, elem in gs.elements:
+        entry: dict = {"label": label}
+        if isinstance(elem, tree_core.Portrait):
+            entry["cycles"] = cycle_notation(tree_core.to_permutation(elem))
+            entry["portrait"] = tree_core.to_text(elem)
+        else:
+            entry["cycles"] = cycle_notation(elem)
+        generators.append(entry)
+        print(f"  {label:<16} {entry['cycles']}" + (f"   [{entry['portrait']}]" if "portrait" in entry else ""))
+    return 0, _json({"name": gs.name, "degree": gs.degree, "generators": generators})
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
     # ClaimContext refuses a k, n or cap out of range before the other checks
     ctx = claims.ClaimContext(max_k=args.max_k, max_n=args.max_n, cap=args.cap, seed=args.seed)
-
-    if args.all:
-        ids = claims.claim_ids()
-    elif args.claim:
-        try:
-            ids = [claims.resolve_claim_id(args.claim)]
-        except KeyError:
-            known = ", ".join(claims.claim_ids())
-            print(f"error: unknown claim {args.claim!r}; known claims: {known}", file=sys.stderr)
-            return 2
-    else:
-        print("error: pass --claim <id> or --all", file=sys.stderr)
-        return 2
-
+    if not (args.all or args.claim):
+        raise ValueError("pass --claim <id> or --all")
+    ids = claims.claim_ids() if args.all else [claims.resolve_claim_id(args.claim)]
     if args.json:
         # fail on an unwritable path now, not after every claim has run
         with open(args.json, "a"):
@@ -132,9 +102,7 @@ def _cmd_verify(args) -> int:
         f"summary: {counts['pass']} pass, {counts['fail']} fail, "
         f"{counts['skipped-cap']} skipped-cap"
     )
-    if args.json:
-        Path(args.json).write_text(report.to_json())
-    return report.exit_code(strict=args.strict)
+    return report.exit_code(strict=args.strict), report.to_json()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,21 +116,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_order = sub.add_parser("order", help="order of Syl_2(S_n) or Syl_2(A_n)")
     p_order.add_argument("--n", type=int, required=True)
     p_order.add_argument("--kind", choices=["S", "A"], required=True)
-    p_order.add_argument("--json", metavar="PATH")
     p_order.set_defaults(func=_cmd_order)
 
     p_dec = sub.add_parser("decompose", help="binary block decomposition of n")
     p_dec.add_argument("--n", type=int, required=True)
-    p_dec.add_argument("--json", metavar="PATH")
     p_dec.set_defaults(func=_cmd_decompose)
 
     p_gens = sub.add_parser("gens", help="print a generator family")
     p_gens.add_argument("--k", type=int)
     p_gens.add_argument("--n", type=int)
-    p_gens.add_argument(
-        "--family", choices=["s_alpha", "s_beta", "syl2_S", "syl2_A"], required=True
-    )
-    p_gens.add_argument("--json", metavar="PATH")
+    p_gens.add_argument("--family", choices=_FAMILIES, required=True)
     p_gens.set_defaults(func=_cmd_gens)
 
     p_verify = sub.add_parser("verify", help="run claim checkers and emit a report")
@@ -175,8 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=claims.ClaimContext.seed)
     p_verify.add_argument("--strict", action="store_true",
                           help="treat skipped-cap claims as failures")
-    p_verify.add_argument("--json", metavar="PATH")
     p_verify.set_defaults(func=_cmd_verify)
+    for p in (p_order, p_dec, p_gens, p_verify):  # last, so each --help lists --json last
+        p.add_argument("--json", metavar="PATH")
     return parser
 
 
@@ -187,7 +151,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        code, document = args.func(args)
+        if args.json:
+            Path(args.json).write_text(document)
+        return code
     except (ValueError, OSError, group_engine.CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -135,8 +135,9 @@ def test_verify_ignores_old_cache_and_writes_no_files(tmp_path, monkeypatch, cap
 
 def test_resolve_claim_id_case_insensitive():
     assert cl.resolve_claim_id("order-Gk") == "order-gk"
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError) as info:
         cl.resolve_claim_id("bogus")
+    assert str(info.value) == "unknown claim 'bogus'; known claims: " + ", ".join(cl.claim_ids())
 
 
 # --- command line ------------------------------------------------------------
@@ -451,26 +452,38 @@ def test_report_from_json_raises_only_value_error_on_a_mutated_report(text):
     _loads_or_raises_value_error(text)
 
 
-def test_cli_verify_requires_claim_or_all(capsys):
-    assert cli.main(["verify"]) == 2
-    assert "error" in capsys.readouterr().err
-
-
-def test_cli_verify_unknown_claim(capsys):
-    assert cli.main(["verify", "--claim", "nope"]) == 2
-    assert "unknown claim" in capsys.readouterr().err
-
-
-def test_cli_verify_bad_parameters(capsys):
-    assert cli.main(["verify", "--claim", "semidirect", "--k", "0"]) == 2
-    capsys.readouterr()
-    assert cli.main(["verify", "--all", "--max-n", "0"]) == 2
-    capsys.readouterr()
+# refusals of a parsed argv, each one `error:` line, no stdout and no --json file: (argv, part of that line)
+_REFUSALS = [
+    ("verify", "pass --claim <id> or --all"),
+    ("verify --claim nope", "unknown claim 'nope'; known claims: boxtimes, "),
+    ("verify --claim semidirect --k 0", "k must be in 2..7, got 0"),
+    ("verify --all --max-n 0", "n must be at least 4, got 0"),
     # 2^8 points no longer fit in a group key: refused before any claim runs
-    assert cli.main(["verify", "--all", "--max-k", "8", "--cap", "1000"]) == 2
-    captured = capsys.readouterr()
-    assert "2..7" in captured.err
-    assert captured.out == ""
+    ("verify --all --max-k 8 --cap 1000", "k must be in 2..7, got 8"),
+    ("gens --family s_alpha", "--k is required for tree families"),
+    ("gens --family syl2_A --k 3", "--n is required for syl2_S / syl2_A"),
+    ("gens --family s_beta --k 0", "need k >= 2, got 0"),
+    ("order --n -1 --kind S", "need n >= 1, got -1"),
+    ("order --n 0 --kind A", "need n >= 1, got 0"),
+    ("decompose --n 0", "need n >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, fragment", [pytest.param(a, f, id="-".join(a.replace("--", "").split())) for a, f in _REFUSALS]
+)
+@pytest.mark.parametrize("with_json", [False, True], ids=["text", "json"])
+def test_cli_refusal_is_one_error_line(argv, fragment, with_json, tmp_path, capsys):
+    path = tmp_path / "out.json"
+    assert cli.main(argv.split() + (["--json", str(path)] if with_json else [])) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert fragment in err
+    assert out == ""
+    assert not path.exists()
+
+
+def test_cli_verify_at_the_deepest_k_skips_past_the_cap(capsys):
     # the deepest accepted k: groups past the cap are skipped, not failed
     assert cli.main(["verify", "--all", "--max-k", "7", "--cap", "1000"]) == 0
     out = capsys.readouterr().out

@@ -102,6 +102,13 @@ def _with_failures():  # the passing record, its witnesses given a failure
     return _with_claims({"witnesses": {**record.witnesses, "failures": {"k": 1}}})
 
 
+def _with_witness(status, name, value):  # the passing record, given a status and one more witness
+    def new():
+        (record,) = _report().claims
+        return _with_claims({"status": status, "witnesses": {**record.witnesses, name: value}})
+    return new
+
+
 @pytest.mark.parametrize("new, error", [
     (lambda: _with_claims({"runtime_ms": -1}), "claim field 'runtime_ms' must be non-negative, not -1"),
     (lambda: _with_claims({}, {}), "report field 'claims' holds claim_id 'order-ratios' twice"),
@@ -115,8 +122,13 @@ def _with_failures():  # the passing record, its witnesses given a failure
     (lambda: _with_claims({"runtime_ms": float("inf")}), "report number Infinity is not finite"),
     (lambda: _with_claims({"runtime_ms": 1}).replace('"runtime_ms": 1', '"runtime_ms": 1e400'),
      "report number 1e400 is not finite"),
+    (_with_witness("fail", "failures", {}), "claim witness 'failures' must be a non-empty object"),
+    (_with_witness("fail", "failures", 5), "claim witness 'failures' must be a non-empty object"),
+    (_with_witness("skipped-cap", "skipped", []), "claim witness 'skipped' must be a non-empty list"),
+    (_with_witness("skipped-cap", "skipped", "x"), "claim witness 'skipped' must be a non-empty list"),
 ], ids=["negative-runtime", "duplicate-claim-id", "out-of-order", "unknown-claim-field", "unknown-report-field",
-        "pass-with-failures", "fail-without-failures", "nan", "infinity", "overflowing-number"])
+        "pass-with-failures", "fail-without-failures", "nan", "infinity", "overflowing-number",
+        "empty-failures", "failures-not-an-object", "empty-skipped", "skipped-not-a-list"])
 def test_a_claims_list_the_writer_never_writes_is_not_a_report(tmp_path, capsys, new, error):
     assert _diff(tmp_path, _report(), new()) == 2
     captured = capsys.readouterr()

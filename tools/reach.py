@@ -88,6 +88,7 @@ def _argvs(tmp: Path) -> list[tuple[list[str], int]]:
         (["verify", "--all", "--strict"], _OK),
         (["verify", "--all", "--cap", "10", "--strict"], _FAILED),
         (["verify", "--claim", "order-gk", "--k", "3", "--n", "6", "--seed", "7"], _OK),
+        (["verify", "--claim", "ORDER-GK", "--json", str(tmp / "claim.json")], _OK),
         (["order", "--n", "12", "--kind", "A", "--json", str(tmp / "order.json")], _OK),
         (["decompose", "--n", "22", "--json", str(tmp / "decompose.json")], _OK),
         (["gens", "--family", "s_alpha", "--k", "9"], _OK),
@@ -109,6 +110,7 @@ def _argvs(tmp: Path) -> list[tuple[list[str], int]]:
         ["decompose", "--n", "0"],
         ["gens", "--family", "s_alpha"],
         ["gens", "--family", "syl2_S"],
+        ["gens", "--family", "syl2_A", "--json", str(tmp / "x.json")],
         ["gens", "--family", "s_beta", "--k", "0"],
         ["gens", "--family", "syl2_A", "--n", "1"],
     ]
