@@ -399,9 +399,11 @@ def _run_tau_ij_generation(ctx: ClaimContext):
 # of 2^b lanes, s a multiple of 2^b, lane r holds n = s + rev_b(r), where rev_b(r)
 # is r with its b bits reversed: the even n fill the lower half and the odd n the
 # upper, and lane r of either half holds an n whose floor(n / 2) is in lane r of the
-# block (s / 2, b - 1). No lane carries or borrows: n < 2^20 and F(n) <= n fit in 24
-# bits, popcount(n) <= n keeps n - popcount(n) >= 0, and each byte sum of the
-# popcount is at most 24 < 2^8.
+# block (s / 2, b - 1). The floor-sum side halves lane by lane down to such blocks;
+# the identity side adds s - popcount(s) to one table per b, a SWAR popcount of the
+# rev_b(r), since s and rev_b(r) share no bit. No lane carries or borrows: n < 2^20
+# and F(n) <= n fit in 24 bits, popcount(n) <= n keeps n - popcount(n) >= 0, and each
+# byte sum of the popcount is at most 24 < 2^8.
 _LEGENDRE_BLOCK = 12
 _LANE_BITS = 24  # a whole number of bytes
 _LANE_ONES = (1 << _LANE_BITS) - 1
@@ -435,16 +437,24 @@ def _lane_floor_sums(s: int, b: int) -> int:
     return half | half << _LANE_BITS * (1 << b - 1)
 
 
-def _lane_identity(s: int, b: int) -> int:
-    """n - popcount(n) for the n of the block (s, b), lane by lane, by SWAR popcount."""
+@functools.cache
+def _rev_identity(b: int) -> int:
+    """rev_b(r) - popcount(rev_b(r)) in lane r of 2^b lanes, by SWAR popcount."""
     # the lane's ones // 3, // 5, // 17 and // 255 are 0x55, 0x33, 0x0F and 0x01 in each byte;
     # times 0x01...01, the top byte of a lane sums the lane's bytes
     lanes = 1 << b
-    n = _lane_n(s, b)
+    n = _rev_iota(b)
     x = n - ((n >> 1) & _spread(_LANE_ONES // 3, lanes))
     x = (x & _spread(_LANE_ONES // 5, lanes)) + ((x >> 2) & _spread(_LANE_ONES // 5, lanes))
     x = (x + (x >> 4)) & _spread(_LANE_ONES // 17, lanes)
     return n - ((x * (_LANE_ONES // 255) >> _LANE_BITS - 8) & _spread(0xFF, lanes))
+
+
+def _lane_identity(s: int, b: int) -> int:
+    """n - popcount(n) for the n of the block (s, b), lane by lane. The bits of s, a multiple
+    of 2^b, and of rev_b(r) < 2^b are disjoint, so n - popcount(n) is s - popcount(s) in every
+    lane plus the table of rev_b(r) - popcount(rev_b(r)) that all blocks of 2^b lanes share."""
+    return (s - s.bit_count()) * _spread(1, 1 << b) + _rev_identity(b)
 
 
 @_claim("legendre", "nu2(n!) matches the floor-sum formula, n - popcount(n), and the spot values 7, 19, 22 at n = 8, 22, 24.")

@@ -1,10 +1,11 @@
 """Command-line front end: order/decompose queries, generator listings, and
 the claim verification harness with JSON reports.
 
-Each command prints its text and returns its exit code and its --json
-document; main writes that document after the text, and prints every refusal
-as one `error:` line. Exit codes: 0 all requested checks passed, 1 at least
-one claim failed (or, with --strict, was skipped over the cap), 2 usage or
+Each command returns its exit code, its text lines and its --json document.
+main writes that document first and prints the text after it, so a --json
+path that cannot be written is refused before any output; main prints every
+refusal as one `error:` line. Exit codes: 0 all requested checks passed, 1 at
+least one claim failed (or, with --strict, was skipped over the cap), 2 usage or
 parameter error, or a --json path that cannot be written.
 """
 
@@ -31,28 +32,30 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _cmd_order(args) -> tuple[int, str]:
+def _cmd_order(args) -> tuple[int, list[str], str]:
     exponent = sylow_builders.syl2_order(args.n, args.kind)
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digits and exponent >= (10 ** digits).bit_length():  # 2^e >= 10^digits: unprintable
         raise ValueError(f"n={args.n} gives order 2^{exponent}, past the {digits}-digit "
                          "limit of sys.get_int_max_str_digits()")
     order = 1 << exponent
-    print(f"Syl_2({args.kind}_{args.n}): order 2^{exponent} = {order}")
-    return 0, _json({"n": args.n, "kind": args.kind, "exponent": exponent, "order": order})
+    text = [f"Syl_2({args.kind}_{args.n}): order 2^{exponent} = {order}"]
+    return 0, text, _json({"n": args.n, "kind": args.kind, "exponent": exponent, "order": order})
 
 
-def _cmd_decompose(args) -> tuple[int, str]:
+def _cmd_decompose(args) -> tuple[int, list[str], str]:
     dec = sylow_builders.decompose(args.n)
     exponents_s = [(1 << k) - 1 for k in dec.parts]
     total_s = sylow_builders.syl2_order(args.n, "S")
     total_a = sylow_builders.syl2_order(args.n, "A")
-    print(f"{args.n} = " + " + ".join(str(p) for p in dec.powers))
-    print(f"block sizes: {list(dec.powers)}  block exponents (S): {exponents_s}")
-    print(f"Syl_2(S_{args.n}): 2^{total_s}   Syl_2(A_{args.n}): 2^{total_a}")
     check = "ok" if sum(exponents_s) == total_s else "MISMATCH"
-    print(f"exponent sum check: {sum(exponents_s)} vs nu2({args.n}!) = {total_s} -> {check}")
-    return 0 if check == "ok" else 1, _json({
+    text = [
+        f"{args.n} = " + " + ".join(str(p) for p in dec.powers),
+        f"block sizes: {list(dec.powers)}  block exponents (S): {exponents_s}",
+        f"Syl_2(S_{args.n}): 2^{total_s}   Syl_2(A_{args.n}): 2^{total_a}",
+        f"exponent sum check: {sum(exponents_s)} vs nu2({args.n}!) = {total_s} -> {check}",
+    ]
+    return 0 if check == "ok" else 1, text, _json({
         "n": args.n,
         "powers": list(dec.powers),
         "exponents": list(dec.parts),
@@ -62,12 +65,12 @@ def _cmd_decompose(args) -> tuple[int, str]:
     })
 
 
-def _cmd_gens(args) -> tuple[int, str]:
+def _cmd_gens(args) -> tuple[int, list[str], str]:
     build, option, sized = _FAMILIES[args.family]
     if getattr(args, option) is None:
         raise ValueError(f"--{option} is required for {sized}")
     gs = build(getattr(args, option))
-    print(f"{gs.name}: {len(gs)} generators on {gs.degree} points")
+    text = [f"{gs.name}: {len(gs)} generators on {gs.degree} points"]
     generators = []
     for label, elem in gs.elements:
         entry: dict = {"label": label}
@@ -77,11 +80,11 @@ def _cmd_gens(args) -> tuple[int, str]:
         else:
             entry["cycles"] = cycle_notation(elem)
         generators.append(entry)
-        print(f"  {label:<16} {entry['cycles']}" + (f"   [{entry['portrait']}]" if "portrait" in entry else ""))
-    return 0, _json({"name": gs.name, "degree": gs.degree, "generators": generators})
+        text.append(f"  {label:<16} {entry['cycles']}" + (f"   [{entry['portrait']}]" if "portrait" in entry else ""))
+    return 0, text, _json({"name": gs.name, "degree": gs.degree, "generators": generators})
 
 
-def _cmd_verify(args) -> tuple[int, str]:
+def _cmd_verify(args) -> tuple[int, list[str], str]:
     # ClaimContext refuses a k, n or cap out of range before the other checks
     ctx = claims.ClaimContext(max_k=args.max_k, max_n=args.max_n, cap=args.cap, seed=args.seed)
     if not (args.all or args.claim):
@@ -92,17 +95,18 @@ def _cmd_verify(args) -> tuple[int, str]:
         with open(args.json, "a"):
             pass
     report = claims.run_claims(ids, ctx, version=__version__)
+    text = []
     for record in report.claims:
-        print(f"{record.status:<12} {record.claim_id:<20} {record.runtime_ms:>6} ms")
+        text.append(f"{record.status:<12} {record.claim_id:<20} {record.runtime_ms:>6} ms")
         if record.status == "fail":
             failures = record.witnesses.get("failures", {})
-            print(f"             counterexample: {json.dumps(failures, sort_keys=True)}")
+            text.append(f"             counterexample: {json.dumps(failures, sort_keys=True)}")
     counts = report.summary()
-    print(
+    text.append(
         f"summary: {counts['pass']} pass, {counts['fail']} fail, "
         f"{counts['skipped-cap']} skipped-cap"
     )
-    return report.exit_code(strict=args.strict), report.to_json()
+    return report.exit_code(strict=args.strict), text, report.to_json()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,9 +155,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        code, document = args.func(args)
+        code, text, document = args.func(args)
         if args.json:
             Path(args.json).write_text(document)
+        print("\n".join(text))
         return code
     except (ValueError, OSError, group_engine.CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,7 +54,6 @@ from .perm_core import _PADS, Permutation, _immutable, _inv, _table
 
 DEFAULT_CAP = 1 << 20
 MAX_DEGREE = 255
-_PARITY_BATCH = 512  # keys whose signs key_parities finds together
 
 GeneratorElement = Union[Permutation, tree_core.Portrait]
 
@@ -618,20 +617,24 @@ def fingerprint(G: EnumeratedGroup) -> dict[str, int | bool]:
 def key_parities(keys: Sequence[bytes]) -> bytes:
     """One byte per key, all of one degree n: 1 for an odd key, 0 for an even one.
 
-    Signs are inversion parities, a batch of keys at once: with byte column i in
-    16-bit lanes, one key each, ((col_j | H) - col_i) & H, H bit 8 of each lane,
-    is set exactly where x_j > x_i (keys are bytes: no lane of 256 + x_j - x_i
-    borrows). Its XOR over all i < j, flipped if C(n, 2) is odd, is the parity."""
-    out = bytearray()
-    for first in range(0, len(keys), _PARITY_BATCH):
-        batch = keys[first:first + _PARITY_BATCH]
-        n, lanes = len(batch[0]), len(batch)
-        wide = bytearray(2 * n * lanes)
-        wide[0::2] = b"".join(batch)
-        cols = [int.from_bytes(memoryview(wide).cast("H")[i::n], "little") for i in range(n)]
-        high = int.from_bytes(b"\0\1" * lanes, "little")
-        parity = high if n * (n - 1) // 2 % 2 else 0
-        for col_i, col_j in itertools.combinations(cols, 2):
-            parity ^= ((col_j | high) - col_i) & high
-        out += (parity >> 8).to_bytes(2 * lanes, "little")[0::2]
-    return bytes(out)
+    Signs are inversion parities of all keys at once: byte column i, one key per
+    lane, in lanes of 8 bits when n <= 128 (every image is below 2^7) and of 16
+    bits above. With H the top bit of each lane, ((col_j | H) - col_i) & H is set
+    exactly where x_j > x_i, and no lane of H + x_j - x_i borrows from the next,
+    so H masks the XOR over all i < j once; flipped if C(n, 2) is odd, that XOR
+    is the parity."""
+    if not keys:
+        return b""
+    n, count = len(keys[0]), len(keys)
+    size = 1 if n <= 128 else 2  # bytes a lane
+    joined, wide = b"".join(keys), bytearray(size * count)
+    cols = []
+    for i in range(n):
+        wide[::size] = joined[i::n]
+        cols.append(int.from_bytes(wide, "little"))
+    high = int.from_bytes((1 << 8 * size - 1).to_bytes(size, "little") * count, "little")
+    tops = [col | high for col in cols]
+    parity = high if n * (n - 1) // 2 % 2 else 0
+    for i, j in itertools.combinations(range(n), 2):
+        parity ^= tops[j] - cols[i]
+    return ((parity & high) >> 8 * size - 1).to_bytes(size * count, "little")[::size]

@@ -136,6 +136,26 @@ def test_legendre_reports_the_smallest_n_not_the_lowest_lane(monkeypatch):
     assert witnesses["failures"] == {str(s + 1): IDENTITY_FAILURE}
 
 
+def test_legendre_fails_on_one_wrong_lane_of_the_shared_identity_table(monkeypatch):
+    table, lane = cl._rev_identity, 1
+
+    def one_lane_wrong(b):
+        return table(b) + (1 << cl._LANE_BITS * lane if b == BLOCK else 0)
+
+    monkeypatch.setattr(cl, "_rev_identity", one_lane_wrong)
+    status, _, witnesses = cl._run_legendre(cl.ClaimContext())
+    # every block reads the table, so the smallest n it spoils is block 0's: rev_12(1) = 2^11
+    assert _rev(lane, BLOCK) == 1 << BLOCK - 1
+    assert status == "fail"
+    assert witnesses["failures"] == {str(1 << BLOCK - 1): IDENTITY_FAILURE}
+
+
+def test_identity_matches_n_minus_popcount_at_the_highest_bit_count():
+    # the last block below 2^20 ends at n = 2^20 - 1, whose 20 set bits are the most any lane holds
+    s = (1 << 20) - (1 << BLOCK)
+    assert _matches(cl._lane_identity, lambda n: n - n.bit_count(), s, BLOCK)
+
+
 @pytest.mark.parametrize("bad, status", [
     (LIMIT, "fail"), (LIMIT + 1, "pass"), (_blocks(LIMIT, LIMIT)[0] + (1 << BLOCK) - 1, "pass"),
 ])

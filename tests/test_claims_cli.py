@@ -580,12 +580,14 @@ def test_cli_main_returns_an_int_and_never_raises(argv):
     ids=lambda argv: argv[0],
 )
 def test_cli_unwritable_json_path_is_a_usage_error(argv, tmp_path, capsys):
-    assert cli.main(argv + ["--json", str(tmp_path / "missing" / "x.json")]) == 2
+    path = tmp_path / "missing" / "x.json"
+    assert cli.main(argv + ["--json", str(path)]) == 2
     out, err = capsys.readouterr()
-    assert err.startswith("error: ") and err.count("\n") == 1
-    if argv[0] == "verify":
-        # the path is checked before any claim runs
-        assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    # refused before any output: verify checks the path before any claim runs, and every
+    # command's text is printed only after its document is written
+    assert out == ""
+    assert not path.parent.exists()
 
 
 def test_cli_verify_strict_with_small_cap(tmp_path, capsys):
