@@ -18,7 +18,7 @@ import json
 import math
 import operator
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import group_engine, perm_core, sylow_builders, tree_core
@@ -137,31 +137,32 @@ class VerificationReport(NamedTuple("VerificationReport", [
         return 0
 
 
-@dataclass
 class ClaimContext:
     """Shared parameters for a verification run, plus its group registry:
-    every group a claim uses, and every cap error a build raised, by label."""
+    every group a claim uses, and every cap error a build raised, by label.
+    The class attributes are the defaults, which the CLI reads."""
 
     max_k: int = 4
     max_n: int = 12
     cap: int = DEFAULT_CAP
     seed: int = 0
-    _groups: dict[str, EnumeratedGroup | CapExceededError] = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self):
+    def __init__(self, max_k: int = max_k, max_n: int = max_n, cap: int = cap, seed: int = seed):
         # s_beta(k) acts on 2^k points, and a group key holds at most MAX_DEGREE of them
         max_k_limit = group_engine.MAX_DEGREE.bit_length() - 1
-        if not 2 <= self.max_k <= max_k_limit:
-            raise ValueError(f"k must be in 2..{max_k_limit}, got {self.max_k}")
+        if not 2 <= max_k <= max_k_limit:
+            raise ValueError(f"k must be in 2..{max_k_limit}, got {max_k}")
         # below the smallest boxtimes degree, that claim would check no n at all
         min_n = min(BOXTIMES_DEGREES)
-        if self.max_n < min_n:
-            raise ValueError(f"n must be at least {min_n}, got {self.max_n}")
-        if self.cap < 1:
+        if max_n < min_n:
+            raise ValueError(f"n must be at least {min_n}, got {max_n}")
+        if cap < 1:
             raise ValueError("--cap must be positive")
+        self.max_k, self.max_n, self.cap, self.seed = max_k, max_n, cap, seed
+        self._groups: dict[str, EnumeratedGroup | CapExceededError] = {}
 
-    def parameters(self) -> dict:  # every field but the registry
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+    def parameters(self) -> dict:
+        return {"max_k": self.max_k, "max_n": self.max_n, "cap": self.cap, "seed": self.seed}
 
     def group(self, label: str, build: Callable[[int], EnumeratedGroup]) -> EnumeratedGroup:
         """The group build(cap) gives, built once per label and run. A build
@@ -268,9 +269,12 @@ def _run_order_gk(ctx: ClaimContext, k: int):
 @_per_unit("elements_checked")
 def _run_evenness(ctx: ClaimContext, k: int):
     G = tree_group(ctx, k)
-    keys = list(group_engine.iter_keys(G))
-    odd = list(itertools.compress(keys, group_engine.key_parities(keys)))
-    return G.order, {"odd_element": repr(Permutation._of_key(min(odd)))} if odd else None
+    parities = group_engine.key_parities(G.buffer, G.degree)
+    if 1 not in parities:
+        return G.order, None
+    d = G.degree
+    odd = min(G.buffer[i * d:i * d + d] for i in itertools.compress(range(G.order), parities))
+    return G.order, {"odd_element": repr(Permutation._of_key(odd))}
 
 
 @_claim("semidirect", "W is normal, B meets W trivially, and |B| |W| = |G| for the level-split subgroups.")

@@ -7,11 +7,18 @@ path that cannot be written is refused before any output; main prints every
 refusal as one `error:` line. Exit codes: 0 all requested checks passed, 1 at
 least one claim failed (or, with --strict, was skipped over the cap), 2 usage or
 parameter error, or a --json path that cannot be written.
+
+Run as the program (python -m sylow2.cli, or the sylow2 script; main gets no
+argv), main freezes the garbage collector once its output is written, so the
+interpreter's exit skips its last collections over everything the run left
+alive; stdout and stderr are still flushed at exit. main(argv), as the tests
+and tools call it, leaves the caller's collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -135,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run claim checkers and emit a report")
     p_verify.add_argument("--claim", metavar="ID")
     p_verify.add_argument("--all", action="store_true")
-    # the defaults are ClaimContext's: a dataclass keeps each field's default on the class
+    # the defaults are ClaimContext's, which keeps them as class attributes
     p_verify.add_argument("--max-k", "--k", type=int, default=claims.ClaimContext.max_k, dest="max_k")
     p_verify.add_argument("--max-n", "--n", type=int, default=claims.ClaimContext.max_n, dest="max_n")
     p_verify.add_argument("--cap", type=int, default=claims.ClaimContext.cap)
@@ -149,6 +156,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command argv, or the process's own arguments when argv is None,
+    and return its exit code. With argv None, main runs as the program and
+    ends by freezing the collector: every live object moves to the permanent
+    generation, which the interpreter's collections at exit do not traverse."""
+    code = _run(argv)
+    if argv is None:
+        gc.freeze()
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -614,8 +614,9 @@ def fingerprint(G: EnumeratedGroup) -> dict[str, int | bool]:
     }
 
 
-def key_parities(keys: Sequence[bytes]) -> bytes:
-    """One byte per key, all of one degree n: 1 for an odd key, 0 for an even one.
+def key_parities(buffer: bytes, degree: int) -> bytes:
+    """One byte per key of a buffer of joined keys of one degree n, in buffer
+    order: 1 for an odd key, 0 for an even one.
 
     Signs are inversion parities of all keys at once: byte column i, one key per
     lane, in lanes of 8 bits when n <= 128 (every image is below 2^7) and of 16
@@ -623,14 +624,12 @@ def key_parities(keys: Sequence[bytes]) -> bytes:
     exactly where x_j > x_i, and no lane of H + x_j - x_i borrows from the next,
     so H masks the XOR over all i < j once; flipped if C(n, 2) is odd, that XOR
     is the parity."""
-    if not keys:
-        return b""
-    n, count = len(keys[0]), len(keys)
+    n, count = degree, len(buffer) // degree
     size = 1 if n <= 128 else 2  # bytes a lane
-    joined, wide = b"".join(keys), bytearray(size * count)
+    wide = bytearray(size * count)
     cols = []
     for i in range(n):
-        wide[::size] = joined[i::n]
+        wide[::size] = buffer[i::n]
         cols.append(int.from_bytes(wide, "little"))
     high = int.from_bytes((1 << 8 * size - 1).to_bytes(size, "little") * count, "little")
     tops = [col | high for col in cols]

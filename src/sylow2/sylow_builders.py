@@ -227,8 +227,9 @@ def boxtimes_group(n: int, cap: int = DEFAULT_CAP) -> EnumeratedGroup:
         return generate(GeneratorSet(f"Syl2_A(n={n})", 1, ()), cap=cap)
     if (1 << syl2_order(n, "S")) > cap:
         raise CapExceededError(cap, 0)
-    keys = list(group_engine.iter_keys(generate(syl2_S_generators(n), cap=cap)))
-    evens = {key for key, odd in zip(keys, group_engine.key_parities(keys)) if not odd}
+    full = generate(syl2_S_generators(n), cap=cap)
+    parities = group_engine.key_parities(full.buffer, full.degree)
+    evens = {key for key, odd in zip(group_engine.iter_keys(full), parities) if not odd}
     corrected = generate(syl2_A_generators(n), cap=cap)
     if evens != corrected.elements:
         raise RuntimeError(

@@ -472,7 +472,8 @@ def test_evenness_reports_the_first_odd_key_in_sorted_order(monkeypatch):
     ctx = cl.ClaimContext()
     keys = cl.tree_group(ctx, 4).sorted_keys()
     planted = {keys[9000], keys[5000]}
-    monkeypatch.setattr(ge, "key_parities", lambda ks: bytes(key in planted for key in ks))
+    monkeypatch.setattr(ge, "key_parities", lambda buffer, degree: bytes(
+        buffer[i:i + degree] in planted for i in range(0, len(buffer), degree)))
     status, _, witnesses = cl._run_evenness(ctx)
     assert status == "fail"
     assert witnesses["failures"] == {"4": {"odd_element": repr(Permutation(keys[5000]))}}
@@ -483,8 +484,8 @@ def test_parity_extension_fails_when_the_even_filter_is_wrong(monkeypatch):
     # constructions disagree
     parities = ge.key_parities
 
-    def odd_unless_fixing_1(keys):
-        return bytes(odd or key[0] != 0 for key, odd in zip(keys, parities(keys)))
+    def odd_unless_fixing_1(buffer, degree):
+        return bytes(odd or buffer[i * degree] != 0 for i, odd in enumerate(parities(buffer, degree)))
 
     monkeypatch.setattr(ge, "key_parities", odd_unless_fixing_1)
     report = cl.run_claims(["parity-extension"], cl.ClaimContext(), version="test")

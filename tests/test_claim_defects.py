@@ -191,8 +191,9 @@ def test_a_wrong_sign_fails_boxtimes_and_parity_extension_but_not_the_run(monkey
     even_key = min(sb.boxtimes_group(6).elements - {bytes(range(6))})
     key_parities = ge.key_parities
 
-    def one_sign_wrong(keys):
-        return bytes(odd or key == even_key for key, odd in zip(keys, key_parities(keys)))
+    def one_sign_wrong(buffer, degree):
+        return bytes(odd or buffer[i * degree:i * degree + degree] == even_key
+                     for i, odd in enumerate(key_parities(buffer, degree)))
 
     monkeypatch.setattr(ge, "key_parities", one_sign_wrong)
     mismatch = {

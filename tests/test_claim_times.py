@@ -26,15 +26,19 @@ def test_one_run_on_this_tree_gives_a_row_per_claim(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"A: {_ROOT / 'src'}"
     assert lines[1].split() == ["runtime_ms", "A", "median", "[min-max]"]
-    rows = lines[2:-1]
+    rows = lines[2:-2]
     assert [row.split()[0] for row in rows] == cl.claim_ids()
     for row in rows:
         _, median, spread = row.split()
         # one run: the median is the lowest and the highest
         assert spread == f"[{median}-{median}]"
-    total = lines[-1].split()
+    total = lines[-2].split()
     assert total[:3] == ["sum", "of", "medians"]
     assert float(total[3]) == sum(int(row.split()[1]) for row in rows)
+    # the child's whole wall-clock time, to 0.1 ms: it holds every claim's runtime_ms
+    label, unit, median, spread = lines[-1].split()
+    assert (label, unit, spread) == ("process", "wall_ms", f"[{median}-{median}]")
+    assert median == f"{float(median):.1f}" and float(median) >= float(total[3])
 
 
 @pytest.mark.parametrize("argv", [["/nonexistent/src"], ["--runs", "0"], ["a", "b", "c"]])

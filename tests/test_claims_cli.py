@@ -1,6 +1,8 @@
 import contextlib
+import gc
 import json
 import os
+import subprocess
 import sys
 from collections import Counter
 from functools import lru_cache
@@ -603,6 +605,49 @@ def test_cli_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert cli.main([]) == 2
     capsys.readouterr()
+
+
+def test_cli_main_in_process_leaves_the_collector_unfrozen(tmp_path, capsys):
+    before = gc.get_freeze_count()
+    assert cli.main(["verify", "--claim", "order-gk", "--k", "2", "--json", str(tmp_path / "r.json")]) == 0
+    assert cli.main(["verify", "--all", "--cap", "0"]) == 2
+    assert cli.main([]) == 2
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def _program(args: list[str], cwd: Path, program: tuple[str, ...] = ("-m", "sylow2.cli")):
+    """A child interpreter running sylow2 as the program, on this checkout's src/."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *program, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_the_program_run_prints_its_lines_and_writes_its_report(tmp_path):
+    run = _program(["verify", "--claim", "order-gk", "--json", "R"], tmp_path)
+    assert (run.returncode, run.stderr) == (0, "")
+    status, summary = run.stdout.splitlines()
+    assert status.split()[:2] == ["pass", "order-gk"] and status.endswith(" ms")
+    assert summary == "summary: 1 pass, 0 fail, 0 skipped-cap"
+    report = cl.VerificationReport.from_json((tmp_path / "R").read_text())
+    assert [(c.claim_id, c.status) for c in report.claims] == [("order-gk", "pass")]
+
+
+def test_the_program_run_refuses_a_bad_argv_with_one_error_line(tmp_path):
+    run = _program(["verify", "--all", "--cap", "0", "--json", "R"], tmp_path)
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", "error: --cap must be positive\n")
+    assert not (tmp_path / "R").exists()
+
+
+def test_main_freezes_the_collector_only_as_the_program(tmp_path):
+    # main() reads sys.argv, as the console script's call does; main(argv) does not freeze
+    probe = ("import gc, sys; from sylow2 import cli; sys.argv[1:] = ['order', '--n', '4', '--kind', 'S'];"
+             "print(cli.main(sys.argv[1:]), gc.get_freeze_count() > 0);"
+             "print(cli.main(), gc.get_freeze_count() > 0)")
+    run = _program([], tmp_path, ("-c", probe))
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines()[1::2] == ["0 False", "0 True"]
 
 
 def test_cli_verify_deterministic_report(tmp_path, capsys):

@@ -201,7 +201,7 @@ def test_generate_matches_a_naive_closure(case, cap):
 def test_even_subgroup_keeps_its_cosets():
     G = ge.generate(syl2_S_generators(8))
     keys = G.sorted_keys()
-    H = ge._dimino([key for key, odd in zip(keys, ge.key_parities(keys)) if not odd], 8, G.order)
+    H = ge._dimino([key for key, odd in zip(keys, ge.key_parities(b"".join(keys), 8)) if not odd], 8, G.order)
     bare = _bare(H)
     # _dimino built H: its cosets joined in one buffer, not sorted, and no G^2
     assert H.buffer != bare.buffer and H.square_closure is None

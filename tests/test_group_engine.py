@@ -430,22 +430,22 @@ def test_key_parities_match_the_cycle_count_sign(length, degree, seed):
             # odd and even keys alike
             images[0], images[1] = images[1], images[0]
         keys.append(bytes(images))
-    assert ge.key_parities(keys) == bytes(not is_even(Permutation(key)) for key in keys)
+    assert ge.key_parities(b"".join(keys), degree) == bytes(not is_even(Permutation(key)) for key in keys)
 
 
 def test_key_parities_on_whole_groups():
     groups = [_G(k) for k in (2, 3, 4)] + [ge.generate(syl2_S_generators(16))]
     for G in groups:
-        keys = G.sorted_keys()
-        parities = ge.key_parities(keys)
-        assert parities == bytes(not is_even(Permutation(key)) for key in keys)
-    assert [sum(ge.key_parities(G.sorted_keys())) for G in groups] == [0, 0, 0, 1 << 14]
+        # one byte per key of the buffer, in buffer order
+        parities = ge.key_parities(G.buffer, G.degree)
+        assert parities == bytes(not is_even(Permutation(key)) for key in ge.iter_keys(G))
+    assert [sum(ge.key_parities(G.buffer, G.degree)) for G in groups] == [0, 0, 0, 1 << 14]
 
 
 def _even_half(G):
     """G's even keys, closed by _dimino into a group that keeps its cosets."""
     keys = G.sorted_keys()
-    evens = [key for key, odd in zip(keys, ge.key_parities(keys)) if not odd]
+    evens = [key for key, odd in zip(keys, ge.key_parities(b"".join(keys), G.degree)) if not odd]
     return ge._dimino(evens, G.degree, G.order)
 
 
