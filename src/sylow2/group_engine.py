@@ -50,7 +50,7 @@ import struct
 from typing import Iterable, Iterator, Sequence, Union
 
 from . import tree_core
-from .perm_core import _PADS, Permutation, _immutable, _inv, _table
+from .perm_core import _PADS, Permutation, _immutable, _inv, _inv_table, _table
 
 DEFAULT_CAP = 1 << 20
 MAX_DEGREE = 255
@@ -113,6 +113,16 @@ def _check_degree(degree: int) -> None:
         raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
 
 
+def _key_count(buffer: bytes, degree: int) -> int:
+    """The number of keys of one degree joined in a buffer; ValueError for a
+    degree outside 1..MAX_DEGREE or a buffer that is no whole number of keys."""
+    _check_degree(degree)
+    count, partial = divmod(len(buffer), degree)
+    if partial:
+        raise ValueError(f"a buffer of {len(buffer)} bytes is no whole number of keys of degree {degree}")
+    return count
+
+
 class EnumeratedGroup:
     """A fully enumerated permutation 2-group: one buffer of joined byte
     keys, every element once, and the keys of the generators it came from.
@@ -130,12 +140,9 @@ class EnumeratedGroup:
 
     def __init__(self, degree: int, gen_keys: tuple[bytes, ...], buffer: bytes,
                  square_closure: EnumeratedGroup | None = None):
-        _check_degree(degree)
         if type(buffer) is not bytes:
             raise TypeError(f"a group's buffer must be bytes, not {type(buffer).__name__}")
-        order, partial = divmod(len(buffer), degree)
-        if partial:
-            raise ValueError(f"a buffer of {len(buffer)} bytes is no whole number of keys of degree {degree}")
+        order = _key_count(buffer, degree)
         if order.bit_count() != 1:
             raise ValueError(f"a group of order {order} is not a 2-group")
         # _memo holds memoized queries, by function name (see _memoized): subgroups built
@@ -215,24 +222,43 @@ def _dimino(
     sHs^-1 = H: H is the normal closure of the candidates under
     <conjugators> (Seress, Permutation Group Algorithms, 2003).
 
+    Each translate table is built once: a generator's when it is accepted,
+    and each conjugator's, with its inverse's key, before the scan, so a
+    conjugate s g s^-1 is two translates, of s^-1 by g's table and then by
+    s's. The first generator closes the trivial group, whose cosets are
+    single elements: it runs through its powers g, g^2, ... instead, one
+    translate each, which appends them in the same order as those cosets.
+
     Returns that group, with the accepted generators as its gen_keys; the
     same inputs in the same order give the same generators. Raises
     CapExceededError with partial_count == cap (the count an
     element-by-element closure stops at) as soon as a coset would take the
     group past the cap.
     """
-    ident = bytes(range(degree))
+    ident, pad = bytes(range(degree)), _PADS[degree]
     buffer, members, order = ident, {ident}, 1
     gens: list[bytes] = []
     tables: list[bytes] = []
     queue = list(candidates)
-    conjugations = [(s, _inv(s)) for s in conjugators]
+    conjugations = [(s + pad, _inv(s)) for s in conjugators]
     for g in queue:  # queue grows while it is scanned
         if g in members:
             continue
+        table = g + pad
         gens.append(g)
-        tables.append(_table(g))
-        queue += [_mul(_mul(s, g), si) for s, si in conjugations]
+        tables.append(table)
+        queue += [si.translate(table).translate(s_table) for s_table, si in conjugations]
+        if order == 1:  # the powers of g, each a coset of the trivial group
+            powers, x = [], g
+            while x != ident:
+                if order + 1 > cap:
+                    raise CapExceededError(cap, max(cap, order))
+                powers.append(x)
+                order += 1
+                x = x.translate(table)
+            members.update(powers)
+            buffer += b"".join(powers)
+            continue
         subgroup, size = buffer, order
         reps = [ident]
         for r in reps:  # reps grows while it is scanned
@@ -242,7 +268,7 @@ def _dimino(
                     continue
                 if order + size > cap:
                     raise CapExceededError(cap, max(cap, order))
-                coset = subgroup.translate(_table(x))
+                coset = subgroup.translate(x + pad)
                 members.update(_keys(coset, degree))
                 buffer += coset
                 order += size
@@ -413,9 +439,15 @@ def verify_semidirect(
 
 
 def _commutators(gen_keys: Sequence[bytes]) -> set[bytes]:
-    # [a, b] = a b a^-1 b^-1 for each ordered pair of generators
-    pairs = [(g, _inv(g)) for g in gen_keys]
-    return {_mul(_mul(a, b), _mul(ai, bi)) for a, ai in pairs for b, bi in pairs}
+    # [a, b] = a b a^-1 b^-1 for each pair of generators a before b: the other
+    # pairs add nothing to a normal closure of these, as [b, a] = [a, b]^-1 and
+    # [a, a] = 1. Each is three translates of b^-1, by tables built once per generator
+    kernels = []
+    for g in gen_keys:
+        inverse_table = _inv_table(g)
+        kernels.append((_table(g), inverse_table, inverse_table[:len(g)]))
+    return {bi.translate(ai_table).translate(b_table).translate(a_table)
+            for (a_table, ai_table, _), (b_table, _, bi) in itertools.combinations(kernels, 2)}
 
 
 def _square_closure(gen_keys: Sequence[bytes], degree: int, cap: int) -> EnumeratedGroup:
@@ -571,7 +603,12 @@ def exponent(G: EnumeratedGroup) -> int:
 
 
 def is_abelian(G: EnumeratedGroup) -> bool:
-    return all(_mul(a, b) == _mul(b, a) for a in G.gen_keys for b in G.gen_keys)
+    """Whether each pair of G's generators commutes, with each generator's
+    translate table built once; a generator commutes with itself."""
+    pad = _PADS[G.degree]
+    tests = [(g, g + pad) for g in G.gen_keys]
+    return all(b.translate(a_table) == a.translate(b_table)
+               for (a, a_table), (b, b_table) in itertools.combinations(tests, 2))
 
 
 def center_size(G: EnumeratedGroup) -> int:
@@ -596,8 +633,9 @@ def center_size(G: EnumeratedGroup) -> int:
     j = passed.find(0)
     while j >= 0:
         x = buffer[j * d:j * d + d]
+        x_table = x + pad
         # _mul(x, g) == _mul(g, x)
-        count += all(g.translate(x + pad) == x.translate(g_table) for g, g_table in tests)
+        count += all(g.translate(x_table) == x.translate(g_table) for g, g_table in tests)
         j = passed.find(0, j + 1)
     return count
 
@@ -623,8 +661,11 @@ def key_parities(buffer: bytes, degree: int) -> bytes:
     bits above. With H the top bit of each lane, ((col_j | H) - col_i) & H is set
     exactly where x_j > x_i, and no lane of H + x_j - x_i borrows from the next,
     so H masks the XOR over all i < j once; flipped if C(n, 2) is odd, that XOR
-    is the parity."""
-    n, count = degree, len(buffer) // degree
+    is the parity.
+
+    Raises ValueError, as EnumeratedGroup's constructor does, for a degree
+    outside 1..MAX_DEGREE or a buffer that is no whole number of keys."""
+    n, count = degree, _key_count(buffer, degree)
     size = 1 if n <= 128 else 2  # bytes a lane
     wide = bytearray(size * count)
     cols = []

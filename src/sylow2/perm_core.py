@@ -15,6 +15,7 @@ KEY_DEGREE = 256
 
 # _PADS[n] pads an n-byte key to a 256-entry bytes.translate table
 _PADS = tuple(bytes(256 - n) for n in range(KEY_DEGREE + 1))
+_IOTA = bytes(range(KEY_DEGREE))
 
 
 def _table(key: bytes) -> bytes:
@@ -27,9 +28,18 @@ def _as_key(images: Sequence[int]) -> bytes | tuple[int, ...]:
     return bytes(images) if len(images) <= KEY_DEGREE else tuple(images)
 
 
+def _inv_table(key: bytes) -> bytes:
+    # the translate table of a key's inverse, in one C call: bytes.maketrans maps
+    # each image key[i] back to i, and each byte past the key's points to itself
+    return bytes.maketrans(key, _IOTA[:len(key)])
+
+
 def _inv(key: bytes | tuple[int, ...]) -> bytes | tuple[int, ...]:
-    # the stored form of the inverse: the points sorted by their images
-    return _as_key(sorted(range(len(key)), key=key.__getitem__))
+    # the stored form of the inverse: a byte key's is the first len(key) bytes of
+    # its inverse's table (_inv_table); a tuple key sorts its points by their images
+    if type(key) is bytes:
+        return _inv_table(key)[:len(key)]
+    return tuple(sorted(range(len(key)), key=key.__getitem__))
 
 
 def _immutable(self, name, value=None):

@@ -8,10 +8,15 @@ from sylow2.group_engine import DEFAULT_CAP, CapExceededError, GeneratorSet, gen
 from sylow2.perm_core import Permutation
 
 
+def compose(a: bytes, b: bytes) -> bytes:
+    """The byte key of a after b, built image by image: a[b[i]] for each point
+    i, with no bytes.translate."""
+    return bytes(map(a.__getitem__, b))
+
+
 def closure(gens, degree: int, cap=math.inf) -> set[bytes]:
     """The group that the byte keys gens generate, breadth-first, one element
-    at a time, each product x g built image by image (x[g[i]] for each point
-    i, with no bytes.translate). Past cap elements it raises
+    at a time, each product x g built by compose. Past cap elements it raises
     CapExceededError with the count it stopped at."""
     identity = bytes(range(degree))
     elements, frontier = {identity}, [identity]
@@ -19,7 +24,7 @@ def closure(gens, degree: int, cap=math.inf) -> set[bytes]:
         fresh = []
         for x in frontier:
             for g in gens:
-                y = bytes(map(x.__getitem__, g))
+                y = compose(x, g)
                 if y not in elements:
                     if len(elements) >= cap:
                         raise CapExceededError(cap, len(elements))
@@ -27,6 +32,29 @@ def closure(gens, degree: int, cap=math.inf) -> set[bytes]:
                     fresh.append(y)
         frontier = fresh
     return elements
+
+
+def inverse(key: bytes) -> bytes:
+    """The byte key of the inverse, point by point: image key[i] goes back to i."""
+    images = bytearray(len(key))
+    for i, j in enumerate(key):
+        images[j] = i
+    return bytes(images)
+
+
+def normal_closure(seeds, conjugators, degree: int) -> set[bytes]:
+    """The smallest group that holds the byte keys seeds and is closed under
+    conjugation by the byte keys conjugators: closure of the seeds, closed
+    again with each conjugate s x s^-1 (s a conjugator, x a generator so far)
+    that it lacks, until there is none."""
+    gens = sorted(set(seeds))
+    elements = closure(gens, degree)
+    while True:
+        fresh = {compose(compose(s, x), inverse(s)) for s in conjugators for x in gens} - elements
+        if not fresh:
+            return elements
+        gens += sorted(fresh)
+        elements = closure(gens, degree)
 
 
 def generated(keys, degree: int, cap: int = DEFAULT_CAP):

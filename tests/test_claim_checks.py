@@ -233,7 +233,7 @@ def test_importing_the_cli_builds_no_lane_table():
     probe = ("import sylow2.cli; from sylow2 import claims as cl; "
              "print(cl._rev_iota.cache_info().currsize, cl._spread.cache_info().currsize)")
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
-                         env={"PYTHONPATH": str(src), "PATH": ""})
+                         env={"PYTHONPATH": str(src), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"})
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["0", "0"]
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import generated, lcm_exponent
+from oracles import compose, generated, inverse, lcm_exponent, normal_closure
 from sylow2 import group_engine as ge
 from sylow2 import tree_core as tc
 from sylow2.perm_core import Permutation, is_even
@@ -96,7 +97,7 @@ def test_importing_the_library_loads_no_dataclasses():
     src = Path(__file__).resolve().parent.parent / "src"
     probe = "import sys; before = set(sys.modules); import sylow2; print(*sorted(set(sys.modules) - before))"
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
-                         env={"PYTHONPATH": str(src), "PATH": ""})
+                         env={"PYTHONPATH": str(src), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"})
     assert run.returncode == 0, run.stderr
     loaded = set(run.stdout.split())
     assert "sylow2.group_engine" in loaded
@@ -142,15 +143,28 @@ def test_degree_limit():
         ge.generate(ge.GeneratorSet("none", 300, ()))
 
 
-@pytest.mark.parametrize("degree, buffer, message", [
+_BAD_BUFFERS = [
     (0, b"", "degree must be in 1..255, got 0"),
     (300, bytes(300), "degree must be in 1..255, got 300"),
     # one identity key and 5 bytes more, which hold no whole key
     (4, bytes(range(4)) + bytes(5), "a buffer of 9 bytes is no whole number of keys of degree 4"),
-])
+]
+
+
+@pytest.mark.parametrize("degree, buffer, message", _BAD_BUFFERS)
 def test_the_constructor_refuses_a_bad_degree_and_a_partial_key(degree, buffer, message):
     with pytest.raises(ValueError) as info:
         ge.EnumeratedGroup(degree, (), buffer)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("degree, buffer, message", _BAD_BUFFERS + [
+    (0, b"\x00", "degree must be in 1..255, got 0"),  # once a ZeroDivisionError
+    (2, b"\x01\x00\x02", "a buffer of 3 bytes is no whole number of keys of degree 2"),  # once b"\x01"
+])
+def test_key_parities_refuses_a_bad_degree_and_a_partial_key(degree, buffer, message):
+    with pytest.raises(ValueError) as info:
+        ge.key_parities(buffer, degree)
     assert str(info.value) == message
 
 
@@ -590,6 +604,51 @@ def _generator_commutators(G):
     gens = G.gen_keys
     comms = {ge._mul(ge._mul(a, b), ge._mul(ge._inv(a), ge._inv(b))) for a in gens for b in gens}
     return comms - {G.identity_key}, gens
+
+
+def _first_pooled_queries():
+    """The first query of each stratum of the subgroup-lattice pool."""
+    pool = json.loads((Path(__file__).resolve().parents[1] / "benchmark" / "reference"
+                       / "lattice_pool.json").read_text())
+    return {stratum[0]["id"]: stratum[0]["elements"] for stratum in pool["strata"].values()}
+
+
+_POOLED = _first_pooled_queries()
+
+
+@pytest.mark.parametrize("case", ["G_2", "G_3", "G_4", *_POOLED])
+def test_commutators_of_unordered_pairs_close_as_all_ordered_pairs_do(case):
+    if case in _POOLED:
+        G = ge.generate([Permutation(bytes.fromhex(h)) for h in _POOLED[case]])
+    else:
+        G = _G(int(case[2:]))
+    d, gens = G.degree, G.gen_keys
+    # the commutators of every ordered pair, built image by image
+    ordered = {compose(compose(a, b), compose(inverse(a), inverse(b))) for a in gens for b in gens}
+    unordered = ge._commutators(gens)
+    assert unordered <= ordered and len(unordered) <= len(gens) * (len(gens) - 1) // 2
+    derived = normal_closure(ordered, gens, d)
+    assert ge.commutator_subgroup(G).elements == derived
+    assert ge._dimino(sorted(ordered), d, G.order, gens).elements == derived
+    squares = {compose(g, g) for g in gens}
+    assert ge._square_closure(gens, d, G.order).elements == normal_closure(ordered | squares, gens, d)
+
+
+@pytest.mark.parametrize("j", range(1, 8))
+def test_dimino_lists_a_cyclic_group_in_power_order(j):
+    # a 2^j-cycle on 2^j points
+    n = 1 << j
+    g = Permutation.from_cycles(n, [tuple(range(1, n + 1))])
+    powers = b"".join((g ** e).key for e in range(n))
+    H = ge._dimino([g.key], n, n)
+    assert (H.buffer, H.gen_keys) == (powers, (g.key,))
+    # the identity and a power already listed are skipped, as any member is
+    assert ge._dimino([bytes(range(n)), g.key, (g * g).key], n, n).buffer == powers
+    for cap in range(n):
+        # a cap below 1 reports one element, as generate does
+        with pytest.raises(ge.CapExceededError) as info:
+            ge._dimino([g.key], n, cap)
+        assert (info.value.cap, info.value.partial_count) == (cap, max(cap, 1))
 
 
 def test_commutator_cap_error_reports_the_cap():

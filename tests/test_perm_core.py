@@ -6,7 +6,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import element_order
 from sylow2.perm_core import (
+    KEY_DEGREE,
     Permutation,
+    _inv,
+    _inv_table,
     cycle_notation,
     cycles,
     is_even,
@@ -112,6 +115,28 @@ def test_inverse_and_power():
         assert p ** 3 == p * p * p
         assert p ** -1 == p.inverse()
         assert (p ** element_order(p)).is_identity()
+
+
+def _sorted_points_inverse(images):
+    # the inverse as the points sorted by their images
+    return sorted(range(len(images)), key=images.__getitem__)
+
+
+def test_inverse_key_is_the_sorted_points_inverse():
+    rng = random.Random(36)
+    for degree in range(1, KEY_DEGREE + 1):
+        images = list(range(degree))
+        rng.shuffle(images)
+        key = bytes(images)
+        assert _inv(key) == bytes(_sorted_points_inverse(images))
+        # the inverse's translate table: composing with it undoes the key
+        assert key.translate(_inv_table(key)) == bytes(range(degree))
+        assert Permutation(key).inverse().images == tuple(_sorted_points_inverse(images))
+    images = list(range(300))
+    rng.shuffle(images)
+    wide = Permutation(images)
+    assert _inv(wide._key) == tuple(_sorted_points_inverse(images)) == wide.inverse().images
+    assert type(wide.inverse()._key) is tuple
 
 
 def test_power_matches_repeated_products():
