@@ -25,11 +25,22 @@ is limited to MAX_DEGREE = 255 points and group orders to the enumeration cap
 
 An EnumeratedGroup is one buffer of joined keys, every element once; its
 order is the buffer's length over the degree, and generate's buffer starts
-with G^2's and doubles once per accepted generator. The element set is the
-buffer's keys, split when first read and then kept (_dimino hands over the
-member set it built). The queries read the buffer whole instead, a few C
-calls per group instead of a few per element, and contains and exponent
-read G^2 and one representative of each coset of G^2 (_representatives).
+with G^2's and doubles once per accepted generator. generate keeps only
+G^2, the generators it accepted and its representatives modulo G^2, one
+per coset; its order is |G^2| times 2 per doubling, and its buffer is
+built when first read and then kept, with the same bytes in the same order.
+The element set is the buffer's keys, split when first read and then kept
+(_dimino hands over the member set it built). The queries read the buffer
+whole instead, a few C calls per group instead of a few per element, and
+contains and exponent read G^2 and the representatives first.
+
+center_size needs no buffer for a transitive group. The centralizer of a
+transitive group in Sym(d) is semiregular (Dixon and Mortimer, Permutation
+Groups, 1996, section 4.2), so a central element z is determined by z[0]:
+with w[p] an element of G that takes 0 to p, z[p] = w[p][z[0]]. One
+transversal of the orbit of 0 gives the d candidates, which are tested
+against the generators and by contains. An intransitive group's buffer is
+scanned.
 
 generate is the one group builder of the library. A derived subgroup
 (squares, commutator, Frattini) is bounded by the order of its parent, so
@@ -37,9 +48,9 @@ the queries that build one take no cap. The Frattini subgroup of a group
 that generate built is its square_closure; each group also memoizes its
 squares and commutator subgroups and its representatives modulo G^2, so the
 Frattini rank, the derived series and the fingerprint reuse what an earlier
-query built. Concurrent queries on one group may build a memo entry or the
-element set twice, but each is stored whole by one assignment, so none of
-them observes a partial value.
+query built. Concurrent queries on one group may build a memo entry, the
+buffer or the element set twice, but each is stored whole by one
+assignment, so none of them observes a partial value.
 """
 from __future__ import annotations
 
@@ -132,11 +143,15 @@ class EnumeratedGroup:
     The constructor raises TypeError for a buffer that is not bytes (a
     bytearray could change after construction), and ValueError for a degree
     outside 1..MAX_DEGREE, a buffer that is no whole number of keys, or an
-    order (its number of keys) that is not a power of two. The element set
-    is derived when first read and then kept. Equality, hashing and repr
-    are over the degree, gen_keys and the element set, so they build it;
-    repr lists the elements sorted, so equal groups have equal reprs. A
-    group is immutable: only its caches write its dict."""
+    order (its number of keys) that is not a power of two. Given G^2 as
+    square_closure, it joins G's representatives modulo G^2 from the buffer,
+    the first key of each stretch of |G^2| keys. A group that generate
+    built comes from _doubled instead and builds its buffer when first
+    read. The element set is derived when first read and then kept.
+    Equality, hashing and repr are over the degree, gen_keys and the
+    element set, so they build it; repr lists the elements sorted, so equal
+    groups have equal reprs. A group is immutable: only its caches write
+    its dict."""
 
     def __init__(self, degree: int, gen_keys: tuple[bytes, ...], buffer: bytes,
                  square_closure: EnumeratedGroup | None = None):
@@ -146,11 +161,37 @@ class EnumeratedGroup:
         if order.bit_count() != 1:
             raise ValueError(f"a group of order {order} is not a 2-group")
         # _memo holds memoized queries, by function name (see _memoized): subgroups built
-        # from this group, and the joined representatives modulo G^2 (_representatives)
+        # from this group, and, for a group that keeps G^2, its representatives modulo G^2
+        memo = {}
+        if square_closure is not None:
+            # the first key of each stretch of |G^2| keys, as generate lays a buffer out
+            step = square_closure.order * degree
+            memo["representatives"] = b"".join(buffer[i:i + degree] for i in range(0, len(buffer), step))
         self.__dict__.update(degree=degree, gen_keys=gen_keys, buffer=buffer, order=order,
-                             square_closure=square_closure, _memo={})
+                             square_closure=square_closure, _memo=memo)
 
     __setattr__ = __delattr__ = _immutable
+
+    @classmethod
+    def _doubled(cls, gen_keys: tuple[bytes, ...], squares: EnumeratedGroup,
+                 doublers: tuple[bytes, ...], representatives: bytes) -> EnumeratedGroup:
+        """The group that generate built: G^2 = squares, doubled once by each
+        key of doublers, with its representatives modulo G^2 joined. Its
+        buffer is built when first read."""
+        G = object.__new__(cls)
+        G.__dict__.update(degree=squares.degree, gen_keys=gen_keys, order=squares.order << len(doublers),
+                          square_closure=squares, _doublers=doublers,
+                          _memo={"representatives": representatives})
+        return G
+
+    @functools.cached_property
+    def buffer(self) -> bytes:
+        # only a group that _doubled made has no buffer until this read: G^2's,
+        # followed by its translate by each accepted generator in turn
+        buffer = self.square_closure.buffer
+        for g in self._doublers:
+            buffer += buffer.translate(_table(g))
+        return buffer
 
     @functools.cached_property
     def elements(self) -> frozenset[bytes]:
@@ -307,27 +348,32 @@ def generate(gens: GeneratorSet | Iterable[GeneratorElement], cap: int = DEFAULT
     For a 2-group G^2 is the Frattini subgroup (the Burnside basis theorem),
     which frattini_subgroup(G) returns.
 
-    The result's buffer is G^2's, doubled once per accepted generator, and
-    it keeps G^2 as its square_closure; its element set, independent of
-    generator order, is built when first read (see EnumeratedGroup). The
-    degree is a GeneratorSet's, or that of the first element of a list, so
-    an empty list raises ValueError. Raises CapExceededError (carrying the
+    The result keeps G^2 as its square_closure, the generators it
+    accepted, and its representatives modulo G^2 in the memo that contains
+    and exponent read. Its order is |G^2| doubled once per accepted
+    generator. Its buffer, G^2's doubled in turn by each accepted
+    generator, is built when first read (EnumeratedGroup.buffer): a lattice
+    query on a transitive group reads it only when the representatives do
+    not decide the exponent, since center_size then works from one
+    transversal of the orbit of 0 (Dixon and Mortimer, 1996, section 4.2).
+    Its element set, independent of generator order, is likewise built
+    when first read. The degree is a GeneratorSet's, or that of the first
+    element of a list, so an empty list raises ValueError. Raises CapExceededError (carrying the
     partial count) instead of silently truncating.
     """
     gen_keys, degree = _normalize_generators(gens)
     squares = _square_closure(gen_keys, degree, cap)
-    buffer, reps, order = squares.buffer, bytes(range(degree)), squares.order
+    reps, order, doublers = bytes(range(degree)), squares.order, []
     for g in gen_keys:
-        table = _table(g)
-        moved = reps.translate(table)  # g r for each representative r
+        moved = reps.translate(_table(g))  # g r for each representative r
         if _meets(squares, moved):
             continue
         if 2 * order > cap:
             raise CapExceededError(cap, max(cap, order))
-        buffer += buffer.translate(table)
+        doublers.append(g)
         reps += moved
         order *= 2
-    return EnumeratedGroup(degree, gen_keys, buffer, squares)
+    return EnumeratedGroup._doubled(gen_keys, squares, tuple(doublers), reps)
 
 
 def _meets(squares: EnumeratedGroup, moved: bytes) -> bool:
@@ -355,21 +401,11 @@ def _memoized(build):
     return construct
 
 
-@_memoized
-def _representatives(G: EnumeratedGroup) -> bytes:
-    """One representative of each coset of G^2 in a group that generate
-    built, joined: the first key of each stretch of |G^2| keys of its
-    buffer, the identity first. Each such stretch is a coset of G^2, since
-    G^2 is normal and each doubling translates whole cosets of G^2."""
-    d, buffer = G.degree, G.buffer
-    return b"".join(buffer[i:i + d] for i in range(0, len(buffer), G.square_closure.order * d))
-
-
 def contains(G: EnumeratedGroup, x: Permutation | bytes) -> bool:
     """Whether x is an element of G. For a group that generate built, this
     reads only G^2's set: G/G^2 is elementary abelian, so x lies in G
     exactly when x r lies in G^2 for one of G's representatives r modulo G^2
-    (_representatives, _meets), and all the x r come from one translate of
+    (kept in its memo; _meets), and all the x r come from one translate of
     the joined representatives by x's table. For a group without G^2, such
     as one that _dimino built, it looks x up in G's element set."""
     key = x if isinstance(x, bytes) else x.key
@@ -378,7 +414,7 @@ def contains(G: EnumeratedGroup, x: Permutation | bytes) -> bool:
     squares = G.square_closure
     if squares is None:
         return key in G.elements
-    return _meets(squares, _representatives(G).translate(_table(key)))
+    return _meets(squares, G._memo["representatives"].translate(_table(key)))
 
 
 def is_subgroup(H: EnumeratedGroup, G: EnumeratedGroup) -> bool:
@@ -572,20 +608,23 @@ def _squarings(G: EnumeratedGroup) -> int:
     A group that generate built squares G^2 first (_steps on its buffer):
     say t times. G^2 holds every square, so G takes t or t + 1 squarings,
     and t + 1 exactly when some element is not the identity after t. Only
-    the rest of G's buffer, past G^2's keys, can hold such an element, so
-    it is scanned, squared at most t times. G's representatives modulo G^2
-    (_representatives, which contains also reads) are scanned first, as a
-    buffer of their own: where such an element exists, a representative is
-    most often one. A group that _dimino built squares all its elements."""
+    the rest of G's buffer, past G^2's keys, can hold such an element. G's
+    representatives modulo G^2 (which contains also reads) are squared t
+    times first: where such an element exists, a representative is most
+    often one, and then G's buffer is not read. Only when none is is the
+    rest of the buffer scanned. A group that _dimino built squares all its
+    elements."""
     d = G.degree
     most = d.bit_length() - 1
     squares = G.square_closure
     if squares is None:
         return _steps([G.buffer], d, most)
     t = _steps([squares.buffer], d, most)
-    rest = memoryview(G.buffer)[len(squares.buffer):]
-    # only the trivial group, with t = 0, has no rest; _steps takes no empty buffer
-    return _steps([_representatives(G), rest] if rest else [], d, t)
+    if G.order == squares.order:  # only the trivial group is its own G^2: no rest
+        return t
+    if _steps([G._memo["representatives"]], d, t) > t:
+        return t + 1
+    return max(t, _steps([memoryview(G.buffer)[len(squares.buffer):]], d, t))
 
 
 def exponent(G: EnumeratedGroup) -> int:
@@ -612,15 +651,46 @@ def is_abelian(G: EnumeratedGroup) -> bool:
 
 
 def center_size(G: EnumeratedGroup) -> int:
-    """The number of elements that commute with every generator. For each
-    generator g, every element x of G's buffer is first tested at one point
-    i that g moves (0 if g is the identity): x[g[i]] and g[x[i]] are the
-    images of i under x g and g x, and their columns over the whole buffer
-    are compared at once. The equality is necessary, so only the elements
-    that pass it for every generator have the whole products compared."""
-    d, buffer = G.degree, G.buffer
+    """The number of elements of G that commute with every generator: |Z(G)|.
+
+    First the orbit of point 0 under the generators is grown, with a
+    transversal: w[p] is a product of generators that takes 0 to p, one
+    translate by a generator's table for each new point. If the orbit holds
+    all d points, G is transitive, and its centralizer in Sym(d) is
+    semiregular (Dixon and Mortimer, Permutation Groups, 1996, section 4.2):
+    a central z commutes with each w[p], so z[p] = w[p][z[0]], and z is
+    determined by its image of 0. The d candidates are the columns of the
+    joined transversal, and each is counted when it commutes with every
+    generator and lies in G (contains; for a group that generate built,
+    that reads G^2 and the representatives, not G's buffer).
+
+    An intransitive group's buffer is scanned instead. For each generator g,
+    every element x is first tested at one point i that g moves (0 if g is
+    the identity): x[g[i]] and g[x[i]] are the images of i under x g and
+    g x, and their columns over the whole buffer are compared at once. The
+    equality is necessary, so only the elements that pass it for every
+    generator have the whole products compared."""
+    d = G.degree
     pad = _PADS[d]
     tests = [(g, g + pad) for g in G.gen_keys]
+    transversal = [b""] * d
+    transversal[0], orbit = bytes(range(d)), [0]
+    for p in orbit:  # orbit grows while it is scanned
+        for g, g_table in tests:
+            q = g[p]
+            if not transversal[q]:
+                transversal[q] = transversal[p].translate(g_table)  # g w[p]
+                orbit.append(q)
+    if len(orbit) == d:
+        joined = b"".join(transversal)
+        count = 0
+        for q in range(d):
+            z = joined[q::d]  # z[p] = w[p][q]
+            z_table = z + pad
+            commutes = all(g.translate(z_table) == z.translate(g_table) for g, g_table in tests)
+            count += commutes and contains(G, z)
+        return count
+    buffer = G.buffer
     misses = 0
     for g, g_table in tests:
         i = next((p for p, image in enumerate(g) if p != image), 0)

@@ -34,6 +34,22 @@ def closure(gens, degree: int, cap=math.inf) -> set[bytes]:
     return elements
 
 
+def center_count(elements, gens) -> int:
+    """The number of byte keys of elements that commute with every byte key
+    of gens, each product built by compose: |Z(G)| for G's elements and
+    generators."""
+    return sum(all(compose(x, g) == compose(g, x) for g in gens) for x in elements)
+
+
+def transitive(gens, degree: int) -> bool:
+    """Whether the orbit of point 0 under the byte keys gens holds all
+    degree points, grown by every generator's image of every point reached."""
+    orbit, grown = set(), {0}
+    while grown != orbit:
+        orbit, grown = grown, grown | {g[p] for g in gens for p in grown}
+    return len(orbit) == degree
+
+
 def inverse(key: bytes) -> bytes:
     """The byte key of the inverse, point by point: image key[i] goes back to i."""
     images = bytearray(len(key))

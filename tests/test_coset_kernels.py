@@ -7,14 +7,19 @@ G^2's and doubles at each generator not yet in the group, appending the
 buffer's translate by that generator. Also generate's element set, which is
 built only when first read, the even subgroup that _dimino closes, groups
 rebuilt from their buffers by EnumeratedGroup's constructor, and the closure
-of S_4, which the constructor refuses."""
+of S_4, which the constructor refuses. Last, generate's buffer, built on its
+first read: a lattice query on a transitive group reads it only when the
+representatives modulo G^2 do not decide the exponent."""
 
+import importlib.util
+import json
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import closure, generated, lcm_exponent
+from oracles import center_count, closure, generated, lcm_exponent, transitive
 from sylow2 import group_engine as ge
 from sylow2.perm_core import Permutation
 from sylow2.sylow_builders import s_beta, syl2_S_generators, w_subgroup_generators
@@ -138,8 +143,7 @@ def test_exponent_is_the_lcm_of_the_element_orders(case):
 @example(_LAST_8_OF_17)
 def test_center_size_counts_the_elements_that_commute_with_every_generator(case):
     G, bare = _groups(*case)
-    count = sum(all(ge._mul(x, g) == ge._mul(g, x) for g in G.gen_keys) for x in G.elements)
-    assert ge.center_size(G) == ge.center_size(bare) == count
+    assert ge.center_size(G) == ge.center_size(bare) == center_count(G.elements, G.gen_keys)
 
 
 def test_s4_grows_by_cosets_of_three_and_six_keys():
@@ -334,3 +338,39 @@ def test_a_group_rebuilt_from_its_buffers_is_the_same_group(case):
     assert outside
     for x in [*G.elements, *outside]:
         assert ge.contains(rebuilt, x) == ge.contains(G, x) == (x in G.elements)
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+lattice = _load("lattice", _ROOT / "benchmark" / "lattice.py")
+
+
+def test_a_lattice_query_builds_the_buffer_of_a_transitive_group_only_for_its_exponent(monkeypatch):
+    built = []
+    monkeypatch.setattr(lattice, "generate", lambda gens: built.append(ge.generate(gens)) or built[-1])
+    pool = json.loads((_ROOT / "benchmark" / "reference" / "lattice_pool.json").read_text())
+    read = unread = 0
+    for q in pool["strata"]["14"]:
+        assert lattice.query([lattice.parse(h) for h in q["elements"]]) == q["expected"]
+        H = built[-1]
+        d, squares, reps = H.degree, H.square_closure, H._memo["representatives"]
+        if not transitive(H.gen_keys, d):  # center_size scans an intransitive group's buffer
+            continue
+        # the representatives decide the exponent when one outlives G^2's squarings
+        t = ge._steps([squares.buffer], d, d.bit_length() - 1)
+        decided = ge._steps([reps], d, t) > t
+        assert ("buffer" not in vars(H)) == decided, q["id"]
+        read += not decided
+        unread += decided
+        # built now, in generate's layout: G^2's buffer, doubled by each accepted generator
+        _layout(H)
+        buffer, stretch = H.buffer, squares.order * d
+        assert len(set(ge.iter_keys(H))) == H.order
+        assert reps == b"".join(buffer[i:i + d] for i in range(0, len(buffer), stretch))
+    assert unread and read

@@ -6,9 +6,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import compose, generated, inverse, lcm_exponent, normal_closure
+from oracles import center_count, compose, generated, inverse, lcm_exponent, normal_closure, transitive
 from sylow2 import group_engine as ge
 from sylow2 import tree_core as tc
 from sylow2.perm_core import Permutation, is_even
@@ -500,13 +500,6 @@ def test_generator_set_validation():
 # --- exponent and centre against the element-by-element formulas -----------
 
 
-def _all_generators_center_size(G):
-    gen_keys = G.gen_keys
-    return sum(
-        1 for x in G.elements if all(ge._mul(x, g) == ge._mul(g, x) for g in gen_keys)
-    )
-
-
 _PARENT_KEYS = {
     name: ge.generate(gens).sorted_keys()
     for name, gens in (
@@ -529,14 +522,14 @@ def test_exponent_and_center_match_oracles_on_two_groups(keys):
     H = ge.generate([Permutation(k) for k in keys])
     assert H.order & (H.order - 1) == 0
     assert ge.exponent(H) == lcm_exponent(H.elements)
-    assert ge.center_size(H) == _all_generators_center_size(H)
+    assert ge.center_size(H) == center_count(H.elements, H.gen_keys)
 
 
 def test_exponent_and_center_match_oracles_on_whole_two_groups():
     for gens in (s_beta(2), s_beta(3), s_beta(4), syl2_S_generators(16)):
         G = ge.generate(gens)
         assert ge.exponent(G) == lcm_exponent(G.elements)
-        assert ge.center_size(G) == _all_generators_center_size(G)
+        assert ge.center_size(G) == center_count(G.elements, G.gen_keys)
     trivial = ge.generate(ge.GeneratorSet("none", 3, ()))
     assert (ge.exponent(trivial), ge.center_size(trivial)) == (1, 1)
 
@@ -572,9 +565,9 @@ def test_center_size_cases_of_the_one_image_check():
     }
     for name, (gens, center) in cases.items():
         G = ge.generate(gens)
-        assert ge.center_size(G) == _all_generators_center_size(G) == center, name
+        assert ge.center_size(G) == center_count(G.elements, G.gen_keys) == center, name
     trivial = ge.generate(ge.GeneratorSet("none", 1, ()))
-    assert ge.center_size(trivial) == _all_generators_center_size(trivial) == 1
+    assert ge.center_size(trivial) == center_count(trivial.elements, trivial.gen_keys) == 1
     # in Syl_2(S_8), (7 8) passes the one-image check of every generator but
     # does not commute with (1 5)(2 6)(3 7)(4 8): the check alone overcounts
     S8 = ge.generate(syl2_S_generators(8))
@@ -582,8 +575,70 @@ def test_center_size_cases_of_the_one_image_check():
     x = Permutation.transposition(8, 7, 8)
     assert g.key in S8.gen_keys and x.key in S8.elements
     assert ge._mul(x.key, g.key) != ge._mul(g.key, x.key)
-    assert ge.center_size(S8) == _all_generators_center_size(S8) == 2
+    assert ge.center_size(S8) == center_count(S8.elements, S8.gen_keys) == 2
     assert _one_image_center_size(S8) == 4
+    # S8 is transitive, so center_size counts it from a transversal; on the
+    # last 8 of 9 points it is not, and the column scan must drop (7 8) too
+    S8_on_9 = ge.generate([Permutation(bytes([0]) + bytes(b + 1 for b in g)) for g in S8.gen_keys])
+    assert ge.center_size(S8_on_9) == center_count(S8_on_9.elements, S8_on_9.gen_keys) == 2
+    assert _one_image_center_size(S8_on_9) == 4
+
+
+def _regular(gens, degree):
+    """The left regular action of the group that gens generate on its own
+    sorted elements: the image of x under g is the index of g x, for each
+    generator g. Also the right multiplications x -> x y, one for each
+    element y, which commute with every left one."""
+    keys = ge.generate([Permutation(g) for g in gens]).sorted_keys()
+    index = {x: i for i, x in enumerate(keys)}
+    left = [bytes(index[compose(g, x)] for x in keys) for g in gens]
+    right = [bytes(index[compose(x, y)] for x in keys) for y in keys]
+    return left, right
+
+
+def test_center_size_of_transitive_groups_reads_no_buffer():
+    r, s = _cycles(4, [(1, 2, 3, 4)], [(1, 3)])
+    c16 = Permutation.from_cycles(16, [tuple(range(1, 17))])
+    left, right = _regular([r.key, s.key], 4)
+    cases = {
+        "D_8 acting regularly on 8 points": (left, 8, 2),
+        "C_16 acting regularly": ([c16.key], 16, 16),
+        "identity generator": ([bytes(range(4)), r.key, s.key], 4, 2),
+        "identity and C_16": ([bytes(range(16)), c16.key], 16, 16),
+        "degree 1": ([bytes([0])], 1, 1),
+        "degree 1, no generators": ([], 1, 1),
+    }
+    for name, (gens, degree, center) in cases.items():
+        G = generated(gens, degree)
+        assert ge.center_size(G) == center, name
+        # the transversal and contains read G^2 and the representatives only
+        assert "buffer" not in vars(G), name
+        assert transitive(gens, degree) and center_count(G.elements, G.gen_keys) == center, name
+    # the right multiplications of D_8 are 8 candidates that commute with
+    # every generator of the regular D_8, but only its centre lies in it:
+    # without the contains test the count would be 8
+    G = generated(left, 8)
+    assert all(compose(z, g) == compose(g, z) for z in right for g in left)
+    assert sum(ge.contains(G, z) for z in right) == 2
+
+
+@st.composite
+def _transitive_subsets(draw):
+    """2-4 distinct random elements of G_4 or Syl_2(S_16), drawn as the
+    lattice pool's were, whose group is transitive on the 16 points."""
+    keys = _PARENT_KEYS[draw(st.sampled_from(["G_4", "S_16"]))]
+    gens = draw(st.randoms(use_true_random=False)).sample(keys, draw(st.integers(2, 4)))
+    assume(transitive(gens, 16))
+    return gens
+
+
+@settings(max_examples=40)
+@given(_transitive_subsets())
+def test_center_size_of_a_transitive_subgroup_matches_the_oracle(keys):
+    H = ge.generate([Permutation(k) for k in keys])
+    center = ge.center_size(H)
+    assert "buffer" not in vars(H)
+    assert center == center_count(H.elements, H.gen_keys)
 
 
 # --- the per-group memo of the commutator and Frattini subgroups ------------

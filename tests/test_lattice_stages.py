@@ -1,7 +1,8 @@
 """tools/lattice_stages.py, the per-stage timer of the subgroup-lattice
 queries, run through set_up and one_pass on the first query of each pool
-stratum, through its main on a pool of those queries, and through its main's
-argument check."""
+stratum, through its main on a pool of those queries, on one tree and on
+two, through the alternation and the table of its two-tree mode, and
+through its main's argument check."""
 
 import importlib.util
 import json
@@ -70,7 +71,6 @@ def _main_on(strata, tmp_path, monkeypatch, *argv):
     pool = tmp_path / "pool.json"
     pool.write_text(json.dumps({"strata": strata}))
     monkeypatch.setattr(lattice_stages, "POOL", pool)
-    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts src and benchmark first
     return lattice_stages.main(["--repeat", "1", *argv])
 
 
@@ -137,3 +137,65 @@ def test_a_src_without_sylow2_exits_2_with_one_message(tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     assert err.splitlines()[-1].endswith("nonexistent holds no sylow2 package")
     assert "Traceback" not in err
+
+
+def test_two_trees_print_one_column_each(tmp_path, monkeypatch, capsys):
+    src = str(_ROOT / "src")
+    assert _main_on(_first_queries(), tmp_path, monkeypatch, "--src", src, "--src", src) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].count("1 passes, sylow2 from") == 2
+    assert "A median ms" in rows[1] and "B median ms" in rows[1]
+    set_up_row = rows[2].split()
+    assert set_up_row[0] == "set-up" and len(set_up_row) == 1 + 2 * 3
+    # the strata rows, again two cells each
+    strata = rows[rows.index(next(r for r in rows if r.startswith("order"))) + 1:]
+    assert len(strata) == len(_first_queries()) and all(len(r.split()) == 2 + 2 * 3 for r in strata)
+
+
+def test_the_passes_alternate_between_the_trees_and_stop_at_a_wrong_one(monkeypatch):
+    order = []
+
+    def fake_pass(src, pool, answer="right"):
+        order.append(src)
+        return {"answers": [answer], "members": True}
+
+    monkeypatch.setattr(lattice_stages, "run_pass", fake_pass)
+    runs, problems = lattice_stages.collect(["A", "B"], 3, None, ["right"])
+    assert order == ["A", "B", "B", "A", "A", "B"] and problems == []
+    assert [len(passes) for passes in runs] == [3, 3]
+    # a wrong answer from B's first pass ends the passes, with B named
+    order.clear()
+    monkeypatch.setattr(lattice_stages, "run_pass", lambda src, pool: fake_pass(src, pool, src))
+    runs, problems = lattice_stages.collect(["A", "B"], 3, None, ["A"])
+    assert order == ["A", "B"] and problems == ["B: 1 of 1 answers differ from the pool's"]
+
+
+def test_a_tree_without_a_split_helper_shows_no_step_figure():
+    pooled = [("4", {})]
+    with_steps = {row: 0.001 for row in (lattice_stages.SETUP, *lattice_stages.STAGES, lattice_stages.QUERY,
+                                         lattice_stages.SQUARING, lattice_stages.SCAN)}
+    without = {row: t for row, t in with_steps.items() if row not in (lattice_stages.SQUARING, lattice_stages.SCAN)}
+    runs = [[{"totals": with_steps, "latencies": [0.001]}], [{"totals": without, "latencies": [0.001]}]]
+    lines = lattice_stages.table([Path("a"), Path("b")], runs, pooled)
+    squaring = next(line for line in lines if line.startswith(lattice_stages.SQUARING))
+    assert squaring.split()[-1] == "-" and "1.0  [1.0, 1.0]" in squaring
+    # no tree has the Phi step rows, so none is printed
+    assert not any(line.startswith(lattice_stages.PHI) for line in lines)
+
+
+def test_a_failing_pass_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys):
+    broken = tmp_path / "broken"
+    (broken / "sylow2").mkdir(parents=True)
+    (broken / "sylow2" / "__init__.py").write_text("raise ImportError('broken tree')\n")
+    assert _main_on(_first_queries(), tmp_path, monkeypatch, "--src", str(broken)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert err[0].startswith(f"error: a pass on {broken} exited 1") and "broken tree" in captured.err
+
+
+def test_more_than_two_trees_exit_2():
+    src = str(_ROOT / "src")
+    with pytest.raises(SystemExit) as info:
+        lattice_stages.main(["--src", src, "--src", src, "--src", src])
+    assert info.value.code == 2
