@@ -4,11 +4,11 @@ Algorithms for Permutation Groups, 1991), subgroup predicates, the
 semidirect-product check, commutator / squares / Frattini subgroups,
 generating rank and derived series.
 
-Every group is a 2-group: EnumeratedGroup's constructor, which every
-builder goes through, refuses an order that is not a power of two, and a
-closed group is a 2-group exactly when its order is a power of two. So the
-Frattini subgroup is G^2, the exponent is a power of two and the derived
-series ends at the trivial group.
+Every group is a 2-group: EnumeratedGroup's constructor, which _dimino
+goes through, refuses an order that is not a power of two; generate's
+_doubled doubles such a group; and a closed group is a 2-group exactly when
+its order is a power of two. So the Frattini subgroup is G^2, the exponent
+is a power of two and the derived series ends at the trivial group.
 
 _dimino is the one closure. Given conjugators it builds normal closures too,
 as the commutator and Frattini subgroups need. The same candidates and
@@ -137,40 +137,38 @@ def _key_count(buffer: bytes, degree: int) -> int:
 class EnumeratedGroup:
     """A fully enumerated permutation 2-group: one buffer of joined byte
     keys, every element once, and the keys of the generators it came from.
-    square_closure is G^2 for a group that generate built, whose buffer
-    starts with G^2's; it is None for a group that _dimino built.
+    A group is built in one of two ways. The constructor takes a closure's
+    buffer, as _dimino does, and its square_closure is None. generate's
+    group comes from _doubled instead: its square_closure is G^2, and its
+    buffer, G^2's doubled, is built when first read.
 
-    The constructor raises TypeError for a buffer that is not bytes (a
-    bytearray could change after construction), and ValueError for a degree
-    outside 1..MAX_DEGREE, a buffer that is no whole number of keys, or an
-    order (its number of keys) that is not a power of two. Given G^2 as
-    square_closure, it joins G's representatives modulo G^2 from the buffer,
-    the first key of each stretch of |G^2| keys. A group that generate
-    built comes from _doubled instead and builds its buffer when first
-    read. The element set is derived when first read and then kept.
+    The constructor stores gen_keys as a tuple. It raises TypeError for a
+    buffer that is not bytes (a bytearray could change after construction),
+    and ValueError for a degree outside 1..MAX_DEGREE, a buffer that is no
+    whole number of keys, an order (its number of keys) that is not a power
+    of two, or a generator key that is not bytes of the group's degree. It
+    does not check that the buffer is closed or that the generators lie in
+    it. The element set is derived when first read and then kept.
     Equality, hashing and repr are over the degree, gen_keys and the
     element set, so they build it; repr lists the elements sorted, so equal
     groups have equal reprs. A group is immutable: only its caches write
     its dict."""
 
-    def __init__(self, degree: int, gen_keys: tuple[bytes, ...], buffer: bytes,
-                 square_closure: EnumeratedGroup | None = None):
+    def __init__(self, degree: int, gen_keys: Iterable[bytes], buffer: bytes):
         if type(buffer) is not bytes:
             raise TypeError(f"a group's buffer must be bytes, not {type(buffer).__name__}")
         order = _key_count(buffer, degree)
         if order.bit_count() != 1:
             raise ValueError(f"a group of order {order} is not a 2-group")
+        gen_keys = tuple(gen_keys)
+        if any(type(g) is not bytes or len(g) != degree for g in gen_keys):
+            raise ValueError(f"a generator of a group of degree {degree} must be bytes of length {degree}")
         # _memo holds memoized queries, by function name (see _memoized): subgroups built
-        # from this group, and, for a group that keeps G^2, its representatives modulo G^2
-        memo = {}
-        if square_closure is not None:
-            # the first key of each stretch of |G^2| keys, as generate lays a buffer out
-            step = square_closure.order * degree
-            memo["representatives"] = b"".join(buffer[i:i + degree] for i in range(0, len(buffer), step))
-        self.__dict__.update(degree=degree, gen_keys=gen_keys, buffer=buffer, order=order,
-                             square_closure=square_closure, _memo=memo)
+        # from this group, and, for a group that _doubled built, its representatives modulo G^2
+        self.__dict__.update(degree=degree, gen_keys=gen_keys, buffer=buffer, order=order, _memo={})
 
     __setattr__ = __delattr__ = _immutable
+    square_closure: EnumeratedGroup | None = None  # G^2, which only _doubled keeps
 
     @classmethod
     def _doubled(cls, gen_keys: tuple[bytes, ...], squares: EnumeratedGroup,
@@ -406,8 +404,8 @@ def contains(G: EnumeratedGroup, x: Permutation | bytes) -> bool:
     reads only G^2's set: G/G^2 is elementary abelian, so x lies in G
     exactly when x r lies in G^2 for one of G's representatives r modulo G^2
     (kept in its memo; _meets), and all the x r come from one translate of
-    the joined representatives by x's table. For a group without G^2, such
-    as one that _dimino built, it looks x up in G's element set."""
+    the joined representatives by x's table. For a group without G^2, one
+    that the constructor built, it looks x up in G's element set."""
     key = x if isinstance(x, bytes) else x.key
     if len(key) != G.degree:
         raise ValueError(f"degree mismatch: element on {len(key)} points, group on {G.degree}")

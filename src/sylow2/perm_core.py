@@ -9,7 +9,7 @@ byte, it stores a tuple. Permutations are immutable, hashable and thread-safe.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 KEY_DEGREE = 256
 
@@ -34,12 +34,9 @@ def _inv_table(key: bytes) -> bytes:
     return bytes.maketrans(key, _IOTA[:len(key)])
 
 
-def _inv(key: bytes | tuple[int, ...]) -> bytes | tuple[int, ...]:
-    # the stored form of the inverse: a byte key's is the first len(key) bytes of
-    # its inverse's table (_inv_table); a tuple key sorts its points by their images
-    if type(key) is bytes:
-        return _inv_table(key)[:len(key)]
-    return tuple(sorted(range(len(key)), key=key.__getitem__))
+def _inv(key: bytes) -> bytes:
+    # a byte key's inverse: the first len(key) bytes of its inverse's table (_inv_table)
+    return _inv_table(key)[:len(key)]
 
 
 def _immutable(self, name, value=None):
@@ -52,8 +49,8 @@ class Permutation:
 
     ``images`` is the 0-based image tuple: point ``i+1`` maps to
     ``images[i] + 1``; ``key`` holds the same images as bytes. Multiplication
-    is ordinary function composition: ``(p * q)(x) == p(q(x))``, i.e. ``q``
-    acts first.
+    is ordinary function composition, ``q`` acting first:
+    ``(p * q).images[i] == p.images[q.images[i]]``.
     """
 
     __slots__ = ("_key",)
@@ -79,34 +76,12 @@ class Permutation:
     __setattr__ = __delattr__ = _immutable
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
-
-    @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
         """The transposition (i j) on n points, i and j 1-based."""
         if not (1 <= i <= n and 1 <= j <= n and i != j):
             raise ValueError(f"bad transposition ({i} {j}) on {n} points")
         imgs = list(range(n))
         imgs[i - 1], imgs[j - 1] = j - 1, i - 1
-        return cls(imgs)
-
-    @classmethod
-    def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        """Build from disjoint non-empty cycles of 1-based integer points."""
-        imgs = list(range(n))
-        seen: set[int] = set()
-        for cyc in cycles:
-            if not cyc:
-                raise ValueError("empty cycle")
-            for x in cyc:
-                if type(x) is not int or not 1 <= x <= n:
-                    raise ValueError(f"point {x!r} is not an integer in 1..{n}")
-                if x in seen:
-                    raise ValueError(f"point {x} repeated across cycles")
-                seen.add(x)
-            for a, b in zip(cyc, tuple(cyc[1:]) + (cyc[0],)):
-                imgs[a - 1] = b - 1
         return cls(imgs)
 
     @property
@@ -125,10 +100,6 @@ class Permutation:
             raise ValueError(f"a permutation on {self.degree} points has no byte key")
         return self._key
 
-    def __call__(self, point: int) -> int:
-        """Image of a 1-based point."""
-        return self._key[point - 1] + 1
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         a, b = self._key, other._key
         if len(a) != len(b):
@@ -136,21 +107,6 @@ class Permutation:
         if type(a) is bytes:
             return Permutation._of_key(b.translate(_table(a)))
         return Permutation._of_key(tuple(map(a.__getitem__, b)))
-
-    def inverse(self) -> "Permutation":
-        return Permutation._of_key(_inv(self._key))
-
-    def __pow__(self, exponent: int) -> "Permutation":
-        base = self if exponent >= 0 else self.inverse()
-        result = Permutation.identity(self.degree)
-        for bit in reversed(bin(abs(exponent))[2:]):  # square-and-multiply, low bit first
-            if bit == "1":
-                result = result * base
-            base = base * base
-        return result
-
-    def is_identity(self) -> bool:
-        return all(y == i for i, y in enumerate(self._key))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self._key == other._key
@@ -201,7 +157,7 @@ def is_even(p: Permutation) -> bool:
 def cycle_notation(p: Permutation) -> str:
     """One-line cycle notation, e.g. ``(1 2)(7 8)``; the identity is ``()``.
 
-    >>> cycle_notation(Permutation.from_cycles(8, [(1, 2), (7, 8)]))
+    >>> cycle_notation(Permutation([1, 0, 2, 3, 4, 5, 7, 6]))
     '(1 2)(7 8)'
     """
     nontrivial = cycles(p)

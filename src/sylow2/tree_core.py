@@ -27,8 +27,8 @@ Lanes. The kernels lane_action, lane_transport, lane_portraits and
 lane_kinds act on one portrait per bit (bit-slicing: Biham, "A fast new DES
 implementation in software", FSE 1997): lanes[l] packs level l in fields of
 `width` bits, bit j of field v being portrait j's state at vertex v. With
-width 1 that is Portrait.levels, and compose, to_permutation, from_permutation
-and classify_element are the kernels' one-lane calls; classify_element gives
+width 1 that is Portrait.levels, and compose, to_permutation and
+classify_element are the kernels' one-lane calls; classify_element gives
 the ElementKind of its one lane.
 """
 
@@ -93,9 +93,6 @@ class Portrait:
     @property
     def leaf_count(self) -> int:
         return 1 << self.depth
-
-    def is_identity(self) -> bool:
-        return all(m == 0 for m in self.levels)
 
 
 def identity(k: int) -> Portrait:
@@ -162,13 +159,6 @@ def compose(a: Portrait, b: Portrait) -> Portrait:
     return Portrait._unchecked(a.depth, lane_transport(a.levels, b))
 
 
-def level_index(a: Portrait, l: int) -> int:
-    """Number of active states on level l."""
-    if not 0 <= l < a.depth:
-        raise ValueError(f"level {l} outside 0..{a.depth - 1}")
-    return a.levels[l].bit_count()
-
-
 def lane_fold(lane: int, fields: int, width: int, op=operator.xor) -> int:
     """The `fields` fields of `width` bits in a lane int, folded into one by op
     lane by lane: with xor, bit j is the parity of lane j's bits."""
@@ -214,16 +204,6 @@ def to_text(a: Portrait) -> str:
         bits = "".join("1" if mask >> p & 1 else "0" for p in range(1 << l))
         parts.append(f"L{l}={bits}")
     return ";".join(parts)
-
-
-def from_permutation(p: Permutation) -> Portrait:
-    """Recover the portrait of a leaf permutation that is a tree
-    automorphism (checked against p); raises ValueError otherwise."""
-    n = p.degree
-    k = n.bit_length() - 1
-    if n != 1 << k or k < 1:
-        raise ValueError(f"degree {n} is not a power of two >= 2")
-    return Portrait(k, lane_portraits([p._key]))
 
 
 def lane_portraits(keys: Sequence[bytes | tuple[int, ...]]) -> tuple[int, ...]:

@@ -1,11 +1,31 @@
 """Brute-force oracles and helpers that several test modules share. The
 oracles use nothing of the group engine but its CapExceededError; generated
-is the one helper that calls it."""
+is the one helper that calls it. of_cycles and portrait_of build test data in
+the form the library takes: a Permutation from cycles, and the Portrait of
+a leaf key."""
 
 import math
 
+from sylow2 import tree_core
 from sylow2.group_engine import DEFAULT_CAP, CapExceededError, GeneratorSet, generate
 from sylow2.perm_core import Permutation
+
+
+def of_cycles(n: int, cycles) -> Permutation:
+    """The permutation of {1, ..., n} with the given disjoint cycles of
+    1-based points; Permutation refuses a result that is no bijection."""
+    images = list(range(n))
+    for cycle in map(tuple, cycles):
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a - 1] = b - 1
+    return Permutation(images)
+
+
+def portrait_of(key) -> tree_core.Portrait:
+    """The Portrait of a leaf key (0-based images) of degree 2^k, read by
+    lane_portraits in one lane, looked up in tree_core so that a patch of it
+    applies; ValueError unless it is a tree automorphism."""
+    return tree_core.Portrait(len(key).bit_length() - 1, tree_core.lane_portraits([key]))
 
 
 def compose(a: bytes, b: bytes) -> bytes:
@@ -84,7 +104,7 @@ def element_order(x) -> int:
     """The order of a permutation or byte key: the number of times it must be
     multiplied together, one product at a time, to reach the identity."""
     p = x if isinstance(x, Permutation) else Permutation(x)
-    identity = Permutation.identity(p.degree)
+    identity = Permutation(range(p.degree))
     power, order = p, 1
     while power != identity:
         power, order = power * p, order + 1

@@ -6,6 +6,7 @@ import random
 import time
 from functools import lru_cache
 
+from oracles import portrait_of
 from sylow2 import claims as cl
 from sylow2 import group_engine as ge
 from sylow2 import sylow_builders as sb
@@ -112,8 +113,8 @@ def test_06_frattini_level_property():
             samples += [rng.choice(keys) for _ in range(10_000)]
         violations = 0
         for key in samples:
-            portrait = tc.from_permutation(Permutation(key))
-            if any(tc.level_index(portrait, l) % 2 for l in range(k - 1)):
+            portrait = portrait_of(key)
+            if any(portrait.levels[l].bit_count() % 2 for l in range(k - 1)):
                 violations += 1
             elif tc.classify_element(portrait) is tc.ElementKind.TYPE_T:
                 violations += 1

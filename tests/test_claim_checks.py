@@ -14,6 +14,7 @@ from random import Random
 
 import pytest
 
+from oracles import portrait_of
 from sylow2 import claims as cl
 from sylow2 import group_engine as ge
 from sylow2 import perm_core as pc
@@ -263,7 +264,7 @@ def test_minimality_builds_each_squares_subgroup_once(monkeypatch):
 
 def _per_sample_witnesses(ctx):
     """frattini-level's witnesses as the per-sample loop gives them: one
-    from_permutation and classify_element per sample, repeats included."""
+    portrait read and classify_element per sample, repeats included."""
     rng = Random(ctx.seed)
     counts, failures = {}, {}
     for k in range(2, ctx.max_k + 1):
@@ -271,8 +272,8 @@ def _per_sample_witnesses(ctx):
         keys = phi.sorted_keys()
         samples = keys if k < 4 else keys + [rng.choice(keys) for _ in range(10_000)]
         for key in samples:
-            portrait = tc.from_permutation(Permutation(key))
-            odd_levels = [l for l in range(k - 1) if tc.level_index(portrait, l) % 2]
+            portrait = portrait_of(key)
+            odd_levels = [l for l in range(k - 1) if portrait.levels[l].bit_count() % 2]
             kind = tc.classify_element(portrait)
             if odd_levels or kind is tc.ElementKind.TYPE_T:
                 failures[str(k)] = {
@@ -314,7 +315,7 @@ def _plant_type_t(monkeypatch, keys):
     """The T/C rule, with the portraits of the given keys flagged T in
     whichever lanes hold them; classify_element is the rule's one-lane call,
     so the per-sample loop sees the flags too."""
-    targets, lane_kinds = {tc.from_permutation(Permutation(key)).levels for key in keys}, tc.lane_kinds
+    targets, lane_kinds = {portrait_of(key).levels for key in keys}, tc.lane_kinds
 
     def flag_targets(lanes, width=1):
         t, c = lane_kinds(lanes, width)

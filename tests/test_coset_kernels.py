@@ -19,7 +19,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import center_count, closure, generated, lcm_exponent, transitive
+from oracles import center_count, closure, generated, lcm_exponent, of_cycles, transitive
 from sylow2 import group_engine as ge
 from sylow2.perm_core import Permutation
 from sylow2.sylow_builders import s_beta, syl2_S_generators, w_subgroup_generators
@@ -36,7 +36,7 @@ def _elements(gens):
 # small 2-groups on their own points, whose random elements make the generators
 _BASES = {
     "S_2": _elements([Permutation.transposition(2, 1, 2)]),
-    "C_4": _elements([Permutation.from_cycles(4, [(1, 2, 3, 4)])]),
+    "C_4": _elements([of_cycles(4, [(1, 2, 3, 4)])]),
     "Syl_2(S_4)": _elements(syl2_S_generators(4)),
     "Syl_2(S_8)": _elements(syl2_S_generators(8)),
 }
@@ -44,12 +44,12 @@ _BASES = {
 
 # the dihedral Syl_2(S_4) whole, whose G^2 of order 2 generate doubles twice,
 # and the cyclic C_8, whose G^2 = C_4 its one generator doubles
-_D8 = (4, [Permutation.from_cycles(4, [(1, 2, 3, 4)]).key, Permutation.transposition(4, 1, 3).key])
-_C8 = (8, [Permutation.from_cycles(8, [tuple(range(1, 9))]).key])
+_D8 = (4, [of_cycles(4, [(1, 2, 3, 4)]).key, Permutation.transposition(4, 1, 3).key])
+_C8 = (8, [of_cycles(8, [tuple(range(1, 9))]).key])
 # W_4, elementary abelian, whose trivial G^2 each of its 7 generators
 # doubles, and C_4 listed as r^2, r: r^2 lies in G^2 and doubles nothing
 _W4 = (16, [g.key for _, g in w_subgroup_generators(4).permutation_entries()])
-_R = Permutation.from_cycles(4, [(1, 2, 3, 4)])
+_R = of_cycles(4, [(1, 2, 3, 4)])
 _C4 = (4, [(_R * _R).key, _R.key])
 
 # Syl_2(S_8) on the last 8 of 17 points: 15 keys to a block, so its 128
@@ -62,8 +62,8 @@ _LAST_8_OF_17 = (17, [bytes(range(9)) + bytes(9 + i for i in g) for g in _SYL2_S
 # too: no element outlives G^2's squarings, so exponent scans the whole rest
 # of the buffer
 _EXPONENT_OF_ITS_SQUARES = (8, [
-    Permutation.from_cycles(8, [(1, 8, 2, 7), (3, 6), (4, 5)]).key,
-    Permutation.from_cycles(8, [(1, 3, 2, 4)]).key,
+    of_cycles(8, [(1, 8, 2, 7), (3, 6), (4, 5)]).key,
+    of_cycles(8, [(1, 3, 2, 4)]).key,
 ])
 
 
@@ -148,9 +148,9 @@ def test_center_size_counts_the_elements_that_commute_with_every_generator(case)
 
 def test_s4_grows_by_cosets_of_three_and_six_keys():
     three, two, four = (
-        Permutation.from_cycles(4, [(1, 2, 3)]),
+        of_cycles(4, [(1, 2, 3)]),
         Permutation.transposition(4, 1, 2),
-        Permutation.from_cycles(4, [(1, 2, 3, 4)]),
+        of_cycles(4, [(1, 2, 3, 4)]),
     )
     gens = [three.key, two.key, four.key]
     # _dimino closes S_4 coset by coset, and EnumeratedGroup refuses the
@@ -284,7 +284,7 @@ def test_w4_doubles_at_every_generator_and_a4_at_none():
     assert _layout(C4) == ([2], [2])
     # A_4 is its own G^2, so none of its generators would double it: generate
     # closes that G^2, of order 12, and is refused before any doubling
-    a4 = [Permutation.from_cycles(4, [(1, 2, 3)]), Permutation.from_cycles(4, [(1, 2), (3, 4)])]
+    a4 = [of_cycles(4, [(1, 2, 3)]), of_cycles(4, [(1, 2), (3, 4)])]
     with pytest.raises(ValueError, match=r"^a group of order 12 is not a 2-group$"):
         ge.generate(a4)
 
@@ -322,7 +322,9 @@ _SYL2_S8 = (8, _SYL2_S8_GENS)
 def test_a_group_rebuilt_from_its_buffers_is_the_same_group(case):
     degree, gens = case
     G = generated(gens, degree)
-    rebuilt = ge.EnumeratedGroup(G.degree, G.gen_keys, G.buffer, G.square_closure)
+    # through the public constructor, which keeps no G^2: the queries then
+    # read the element set and the whole buffer
+    rebuilt = ge.EnumeratedGroup(G.degree, G.gen_keys, G.buffer)
     # the memo holds memoized queries only, never the group's structure
     for group in (G, rebuilt, G.square_closure):
         assert not {"buffer", "square_closure"} & group._memo.keys()

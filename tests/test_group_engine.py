@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import center_count, compose, generated, inverse, lcm_exponent, normal_closure, transitive
+from oracles import (
+    center_count, compose, generated, inverse, lcm_exponent, normal_closure, of_cycles, portrait_of, transitive,
+)
 from sylow2 import group_engine as ge
 from sylow2 import tree_core as tc
 from sylow2.perm_core import Permutation, is_even
@@ -68,8 +70,8 @@ def test_cap_exceeded_reports_partial_count():
 
 
 def test_enumerated_group_and_generate_refuse_non_two_groups():
-    s3 = [Permutation.from_cycles(3, [(1, 2, 3)]), Permutation.transposition(3, 1, 2)]
-    a4 = [Permutation.from_cycles(4, [(1, 2, 3)]), Permutation.from_cycles(4, [(1, 2), (3, 4)])]
+    s3 = [of_cycles(3, [(1, 2, 3)]), Permutation.transposition(3, 1, 2)]
+    a4 = [of_cycles(4, [(1, 2, 3)]), of_cycles(4, [(1, 2), (3, 4)])]
     all_of_s3 = [bytes(p) for p in itertools.permutations(range(3))]
     all_of_a4 = [bytes(p) for p in itertools.permutations(range(4)) if is_even(Permutation(p))]
     # generate is refused at G^2: A_3 inside S_3, and A_4, its own G^2
@@ -132,7 +134,7 @@ def test_portraits_and_generator_sets_are_immutable_values():
 
 def test_the_trivial_group_from_generate_has_exponent_one():
     # the trivial group is its own G^2: no buffer past G^2's is left to scan
-    for G in (ge.generate(ge.GeneratorSet("none", 4, ())), ge.generate([Permutation.identity(255)])):
+    for G in (ge.generate(ge.GeneratorSet("none", 4, ())), ge.generate([Permutation(range(255))])):
         assert G.buffer == G.square_closure.buffer == G.identity_key
         assert ge.exponent(G) == 1 and ge.center_size(G) == 1
         assert ge.fingerprint(G)["exponent"] == 1
@@ -178,11 +180,35 @@ def test_the_constructor_refuses_a_buffer_that_is_not_bytes(degree, buffer):
     assert str(info.value) == f"a group's buffer must be bytes, not {type(buffer).__name__}"
 
 
+def test_the_constructor_keeps_a_list_of_generators_as_a_tuple():
+    # a list was once kept as given: the group was unhashable, and appending
+    # to the list changed its generators
+    G = _G(3)
+    keys = list(G.gen_keys)
+    rebuilt = ge.EnumeratedGroup(G.degree, keys, G.buffer)
+    keys.append(G.identity_key)
+    assert type(rebuilt.gen_keys) is tuple and rebuilt.gen_keys == G.gen_keys
+    assert rebuilt == G and hash(rebuilt) == hash(G)
+
+
+@pytest.mark.parametrize("gen_keys", [
+    (b"\x01\x00",),  # a 2-point key on 8 points: once an abelian group of order 64
+    (bytes(range(9)),),
+    (bytearray(range(8)),),  # a key that could be changed after construction
+    (list(range(8)),),
+], ids=["short", "long", "bytearray", "list"])
+def test_the_constructor_refuses_a_generator_that_is_no_key_of_its_degree(gen_keys):
+    G = _G(3)
+    with pytest.raises(ValueError) as info:
+        ge.EnumeratedGroup(G.degree, G.gen_keys + gen_keys, G.buffer)
+    assert str(info.value) == "a generator of a group of degree 8 must be bytes of length 8"
+
+
 def test_generate_takes_degrees_1_to_255():
-    assert ge.generate([Permutation.identity(1)]).order == 1
+    assert ge.generate([Permutation(range(1))]).order == 1
     assert ge.generate([Permutation.transposition(255, 1, 255)]).order == 2
     with pytest.raises(ValueError, match=r"degree must be in 1\.\.255, got 256"):
-        ge.generate([Permutation.identity(256)])
+        ge.generate([Permutation(range(256))])
     for degree in (0, ge.MAX_DEGREE + 1):
         with pytest.raises(ValueError, match=rf"degree must be in 1\.\.{ge.MAX_DEGREE}, got {degree}"):
             ge.generate(ge.GeneratorSet("none", degree, ()))
@@ -193,10 +219,10 @@ def test_contains_and_subgroup_predicates():
     W = ge.generate(w_subgroup_generators(3))
     assert ge.is_subgroup(W, G)
     assert ge.is_subgroup(G, G)
-    assert ge.contains(G, Permutation.identity(8))
+    assert ge.contains(G, Permutation(range(8)))
     assert not ge.contains(G, Permutation.transposition(8, 1, 2))
     with pytest.raises(ValueError):
-        ge.contains(G, Permutation.identity(4))
+        ge.contains(G, Permutation(range(4)))
     with pytest.raises(ValueError):
         ge.is_subgroup(ge.generate(ge.GeneratorSet("none", 4, ())), G)
 
@@ -216,7 +242,7 @@ def test_normality_positive_and_negative():
     assert ge.is_subgroup(H, G3)
     assert not ge.is_normal(H, G3)
     other = tc.to_permutation(alpha(1, 3))
-    conjugate = other * root * other.inverse()
+    conjugate = other * root * Permutation(inverse(other.key))
     assert not ge.contains(H, conjugate)
 
 
@@ -374,13 +400,13 @@ def test_homomorphism_check_parity_map():
     assert not _homomorphism_check(lambda key: key == G.identity_key, G)
 
 
-def test_homomorphism_check_level_index_maps():
+def test_homomorphism_check_level_count_maps():
     # the mod-2 count of active states on each level is a homomorphism to
     # C2, and every square lies in its kernel
     G = _G(3)
     for level in range(3):
         def odd(key):
-            return tc.level_index(tc.from_permutation(Permutation(key)), level) % 2 == 1
+            return portrait_of(key).levels[level].bit_count() % 2 == 1
 
         assert _homomorphism_check(odd, G)
         for key in G.elements:
@@ -421,7 +447,7 @@ def test_permutations_and_keys_are_interchangeable():
         assert ge.contains(G, p) and ge.contains(G, p.key)
         assert Permutation(p.key) == p
     with pytest.raises(ValueError):
-        ge.contains(G, Permutation.identity(9))
+        ge.contains(G, Permutation(range(9)))
 
 
 @pytest.mark.parametrize("length", [0, 1, 511, 512, 513])
@@ -485,7 +511,7 @@ def test_gen_keys_regenerate_the_group():
 
 def test_generate_rejects_mixed_degrees():
     with pytest.raises(ValueError):
-        ge.generate([Permutation.identity(3), Permutation.identity(4)])
+        ge.generate([Permutation(range(3)), Permutation(range(4))])
 
 
 def test_generator_set_validation():
@@ -545,7 +571,7 @@ def _one_image_center_size(G):
 
 
 def _cycles(degree, *gens):
-    return [Permutation.from_cycles(degree, cycles) for cycles in gens]
+    return [of_cycles(degree, cycles) for cycles in gens]
 
 
 def test_center_size_cases_of_the_one_image_check():
@@ -558,9 +584,9 @@ def test_center_size_cases_of_the_one_image_check():
     cases = {
         "fixes point 1": (_cycles(5, [(2, 3, 4, 5)], [(2, 4)]), 2),
         "every generator fixes point 1": (shifted, 2),
-        "identity generator": ([Permutation.identity(4), r, s], 2),
+        "identity generator": ([Permutation(range(4)), r, s], 2),
         "generator listed twice": ([r, s, r], 2),
-        "identity on one point": ([Permutation.identity(1)], 1),
+        "identity on one point": ([Permutation(range(1))], 1),
         "abelian, so every element passes": (_cycles(6, [(1, 2, 3, 4)], [(5, 6)]), 8),
     }
     for name, (gens, center) in cases.items():
@@ -571,7 +597,7 @@ def test_center_size_cases_of_the_one_image_check():
     # in Syl_2(S_8), (7 8) passes the one-image check of every generator but
     # does not commute with (1 5)(2 6)(3 7)(4 8): the check alone overcounts
     S8 = ge.generate(syl2_S_generators(8))
-    g = Permutation.from_cycles(8, [(1, 5), (2, 6), (3, 7), (4, 8)])
+    g = of_cycles(8, [(1, 5), (2, 6), (3, 7), (4, 8)])
     x = Permutation.transposition(8, 7, 8)
     assert g.key in S8.gen_keys and x.key in S8.elements
     assert ge._mul(x.key, g.key) != ge._mul(g.key, x.key)
@@ -598,7 +624,7 @@ def _regular(gens, degree):
 
 def test_center_size_of_transitive_groups_reads_no_buffer():
     r, s = _cycles(4, [(1, 2, 3, 4)], [(1, 3)])
-    c16 = Permutation.from_cycles(16, [tuple(range(1, 17))])
+    c16 = of_cycles(16, [tuple(range(1, 17))])
     left, right = _regular([r.key, s.key], 4)
     cases = {
         "D_8 acting regularly on 8 points": (left, 8, 2),
@@ -693,8 +719,8 @@ def test_commutators_of_unordered_pairs_close_as_all_ordered_pairs_do(case):
 def test_dimino_lists_a_cyclic_group_in_power_order(j):
     # a 2^j-cycle on 2^j points
     n = 1 << j
-    g = Permutation.from_cycles(n, [tuple(range(1, n + 1))])
-    powers = b"".join((g ** e).key for e in range(n))
+    g = of_cycles(n, [tuple(range(1, n + 1))])
+    powers = b"".join(bytes((i + e) % n for i in range(n)) for e in range(n))  # g^e adds e mod n
     H = ge._dimino([g.key], n, n)
     assert (H.buffer, H.gen_keys) == (powers, (g.key,))
     # the identity and a power already listed are skipped, as any member is
@@ -722,7 +748,7 @@ def test_commutator_cap_error_reports_the_cap():
 def test_derived_subgroups_of_an_unclosed_element_set_stop_at_its_order():
     # {1, g} for an 8-cycle g is not closed: the squares (and so the Frattini
     # subgroup) generate the 4 powers of g^2, past the parent's order 2
-    g = Permutation.from_cycles(8, [tuple(range(1, 9))])
+    g = of_cycles(8, [tuple(range(1, 9))])
     cyclic = ge.EnumeratedGroup(8, (g.key,), b"".join(sorted({bytes(range(8)), g.key})))
     # {1, (1 2)} listed with generators (1 2) and (2 3): their commutator is
     # a 3-cycle, and its normal closure passes the parent's order 2
@@ -742,7 +768,7 @@ def test_derived_subgroups_of_an_unclosed_element_set_stop_at_its_order():
     assert ge.exponent(cyclic) == ge.exponent(fresh) == 8
     # an element of odd order in a set of power-of-two size: no 2-element of
     # degree 3 has order above 2, so exponent stops squaring after one step
-    c = Permutation.from_cycles(3, [(1, 2, 3)])
+    c = of_cycles(3, [(1, 2, 3)])
     odd = ge.EnumeratedGroup(3, (c.key,), b"".join(sorted({bytes(range(3)), c.key})))
     with pytest.raises(ValueError, match="odd factor"):
         ge.exponent(odd)
@@ -757,12 +783,11 @@ def test_an_element_past_the_bound_of_its_squares_raises():
     # and the 3-cycle past G^2's keys outlives it. One more squaring
     # would pass the bound, so no 2-element has that order: the set is no
     # 2-group, and its exponent is refused, not 2^2
-    swap, c = Permutation.transposition(3, 1, 2), Permutation.from_cycles(3, [(1, 2, 3)])
+    swap, c = Permutation.transposition(3, 1, 2), of_cycles(3, [(1, 2, 3)])
     squares = ge.generate([swap])
     c_swap = ge._mul(c.key, swap.key)
-    malformed = ge.EnumeratedGroup(
-        3, (swap.key, c.key), squares.buffer + c.key + c_swap, square_closure=squares
-    )
+    malformed = ge.EnumeratedGroup._doubled((swap.key, c.key), squares, (c.key,), squares.identity_key + c.key)
+    assert malformed.buffer == squares.buffer + c.key + c_swap
     assert malformed.order == 4 and ge._squarings(squares) == 1
     assert malformed.elements == squares.elements | {c.key, c_swap}
     with pytest.raises(ValueError, match="odd factor"):
@@ -787,7 +812,7 @@ def test_derived_series_of_an_unclosed_element_set_returns():
     # {1, r}, with r = (1 2 3 4) but not r^2, listed with generators r and
     # s = (1 3) of D_8: [D_8, D_8] = {1, r^2} is as large as the set, and the
     # series goes on below it, through closed 2-groups only
-    r, s = Permutation.from_cycles(4, [(1, 2, 3, 4)]), Permutation.transposition(4, 1, 3)
+    r, s = of_cycles(4, [(1, 2, 3, 4)]), Permutation.transposition(4, 1, 3)
     unclosed = ge.EnumeratedGroup(4, (r.key, s.key), b"".join(sorted({bytes(range(4)), r.key})))
     series = ge.derived_series(unclosed)
     assert [D.order for D in series] == [2, 2, 1]
